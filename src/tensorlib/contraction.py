@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import Sequence, Tuple
 
-from .elementwise import inner_product_flat
+from .elementwise import _copy, copy, inner_product_flat
 from .iterators import MultiIterator
 from .tensor import DenseTensor
 
@@ -73,7 +73,8 @@ def _vector_mit(b, expected_len: int, what: str) -> MultiIterator:
 
 
 def transpose(a, tau: Sequence[int]) -> DenseTensor:
-    """Permuted copy: ``C(i_1, .., i_p) = A(i_tau[1], .., i_tau[p])``.
+    """Permuted copy: ``C(i_1, .., i_p) = A(i_tau[1], .., i_tau[p])``,
+    read through a cursor over ``a`` with permuted strides.
 
     ``tau`` is one-based; output dimension r has the extent of input
     dimension tau[r].
@@ -83,28 +84,12 @@ def transpose(a, tau: Sequence[int]) -> DenseTensor:
     tau = tuple(int(t) for t in tau)
     if sorted(tau) != list(range(1, p + 1)):
         raise ValueError(f"tau {tau} is not a permutation of 1..{p}")
-    out = DenseTensor(tuple(ia.extents[t - 1] for t in tau))
-    _transpose_rec(p - 1, tuple(t - 1 for t in tau), ia, out.miter())
+    shape = tuple(ia.extents[t - 1] for t in tau)
+    strides = tuple(ia.strides[t - 1] for t in tau)
+    permuted = MultiIterator(ia.data, ia.pos, strides, shape)
+    out = DenseTensor(shape)
+    _copy(permuted, out.miter())
     return out
-
-
-def _transpose_rec(r, tau, a, c):
-    ta = tau[r]
-    pa, pc = a.pos, c.pos
-    sa, sc = a.strides[ta], c.strides[r]
-    end = pa + a.extents[ta] * sa
-    if r > 0:
-        while pa != end:
-            a.pos, c.pos = pa, pc
-            _transpose_rec(r - 1, tau, a, c)
-            pa += sa
-            pc += sc
-    else:
-        da, dc = a.data, c.data
-        while pa != end:
-            dc[pc] = da[pa]
-            pa += sa
-            pc += sc
 
 
 # -- tensor times vector ------------------------------------------------------------
@@ -503,7 +488,7 @@ def times_vectors(a, vectors, modes=None, skip=None) -> DenseTensor:
 
     if not vectors:
         out = DenseTensor(it.extents)
-        _materialize_into(it, out)
+        copy(it, out)
         return out
     result = it
     for m, vec in sorted(zip(modes, vectors), reverse=True, key=lambda x: x[0]):
@@ -528,15 +513,9 @@ def times_matrices(a, matrices, modes) -> DenseTensor:
     modes = _check_modes(modes, len(matrices), p, "times_matrices")
     if not matrices:
         out = DenseTensor(it.extents)
-        _materialize_into(it, out)
+        copy(it, out)
         return out
     result = it
     for m, mat in sorted(zip(modes, matrices), reverse=True, key=lambda x: x[0]):
         result = ttm(result, mat, m)
     return result
-
-
-def _materialize_into(src: MultiIterator, out: DenseTensor) -> None:
-    from .elementwise import copy
-
-    copy(src, out)

@@ -2,28 +2,46 @@
 
 Every function here accepts tensors, views, or raw
 :class:`~tensorlib.iterators.MultiIterator` cursors, and combines operands
-of identical shape but arbitrary (and mutually different) layouts.  The
-shared control flow is one recursion: at depth ``r > 0`` loop the r-th
-range and recurse with the cursor advanced, at depth 0 run a flat
-one-dimensional kernel.  Multi-source operations iterate all cursors in
-lockstep, so combined elements always share a zero-based multi-index.
+of identical shape but arbitrary (and mutually different) layouts.  All of
+them run on one traversal, :func:`~tensorlib.iterators.plan_fibers`: the
+loop nest is merged into innermost fibers, and a thin kernel handles each
+fiber as a list slice (slice assignment for ``copy``/``fill``, ``map``
+into a slice for transforms, ``map`` over the slices for comparisons and
+reductions).  Multi-operand operations plan all cursors jointly, so
+combined elements always share a zero-based multi-index.
 
-Iteration order (the tie-break for ``find_first``/``extremum_element`` and
-the write order of ``generate``/``iota``/``accumulate``) is fixed by the
-recursion: dimension p outermost, dimension 1 innermost, by dimension
-number, not storage precedence.  Because iteration is by multi-index, a
-floating-point ``accumulate`` gives bit-identical results across layouts.
-
-Callables must not depend on call order; ``for_each``'s "mutator" is a
-value-returning function whose result is stored back (Python scalars
+Iteration order is dimension p outermost, dimension 1 innermost, by
+dimension number, not storage precedence.  It is kept by every operation
+whose result or call sequence depends on it: ``generate``, ``iota``,
+``find_first``, ``extremum_element`` (ties go to the first occurrence),
+``compare_ranges``, ``count_matching``, ``quantify``, ``accumulate`` and
+``inner_product_flat``.  ``copy``, ``fill``, ``transform_unary``,
+``transform_binary``, ``for_each`` and ``copy_if`` may run their loops in
+any order (they walk the destination's smallest stride innermost), so
+their callables must not depend on call order; ``for_each``'s "mutator" is
+a value-returning function whose result is stored back (Python scalars
 cannot be mutated through references).
+
+Reductions fold left to right, one element at a time, in iteration order
+(``acc = acc + x`` for ``accumulate``, ``acc += x * y`` for
+``inner_product_flat``); no compensated or pairwise summation.  So a
+floating-point reduction gives bit-identical results across layouts and
+views within one Python version.
+
+In-place use with identical source and destination (for example
+``transform_unary(t, t, f)``) is supported.  Source and destination that
+overlap only partially give unspecified results.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple, Optional, Tuple
+from collections import deque
+from functools import reduce
+from itertools import chain, compress, count, repeat
+from operator import eq, itemgetter, mul, ne
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .iterators import MultiIterator
+from .iterators import FiberPlan, MultiIterator, plan_fibers
 
 __all__ = [
     "CompareResult",
@@ -56,19 +74,71 @@ class CompareResult(NamedTuple):
 
 
 def _mit(source) -> MultiIterator:
-    """Normalize to a private MultiIterator cursor."""
+    """Normalize to a MultiIterator cursor."""
     if isinstance(source, MultiIterator):
-        return source.clone()
+        return source
     return source.miter()
 
 
-def _mits_same_shape(*sources):
-    its = [_mit(s) for s in sources]
-    first = its[0].extents
-    for it in its[1:]:
-        if it.extents != first:
-            raise ValueError(f"shape mismatch: {it.extents} vs {first}")
-    return its
+# -- fiber kernels -------------------------------------------------------------
+
+
+def _fibers(plan: FiberPlan, k: int, it: MultiIterator) -> Iterator[list]:
+    """Cursor ``k``'s fibers as lists, in plan order."""
+    return map(it.data.__getitem__, plan.slices(k))
+
+
+def _values(plan: FiberPlan, k: int, it: MultiIterator) -> Iterator:
+    """Cursor ``k``'s elements, fiber after fiber."""
+    return chain.from_iterable(_fibers(plan, k, it))
+
+
+def _store(plan: FiberPlan, dst: MultiIterator, fibers: Iterable) -> None:
+    """Write one iterable per fiber into the plan's last cursor ``dst``.
+
+    A fiber is read in full before it is written, so a source fiber may
+    sit at the same positions as its destination fiber.
+    """
+    deque(map(dst.data.__setitem__, plan.slices(-1), fibers), maxlen=0)
+
+
+# Cursor-level kernels of copy, fill and compare_ranges; the container paths
+# (relayout, assign, materialize, tensors_equal, transpose) call them
+# directly on cursors they have built.
+
+
+def _copy(a: MultiIterator, c: MultiIterator) -> None:
+    plan = plan_fibers((a, c), reorder=True)
+    _store(plan, c, _fibers(plan, 0, a))
+
+
+def _fill(c: MultiIterator, value) -> None:
+    plan = plan_fibers((c,), reorder=True)
+    _store(plan, c, repeat([value] * plan.length))
+
+
+def _compare(ia: MultiIterator, ib: MultiIterator) -> CompareResult:
+    plan = plan_fibers((ia, ib))
+    differs = map(ne, _values(plan, 0, ia), _values(plan, 1, ib))
+    k = next(compress(count(), differs), None)
+    if k is None:
+        return CompareResult(True, None)
+    return CompareResult(False, _unravel(k, ia.extents))
+
+
+def _unravel(k: int, extents) -> Tuple[int, ...]:
+    """Zero-based multi-index of the k-th element in iteration order."""
+    idx = []
+    for n in extents:
+        k, i = divmod(k, n)
+        idx.append(i)
+    return tuple(idx)
+
+
+def _in_order(src) -> Tuple[MultiIterator, Iterator]:
+    """``src``'s cursor and its elements in iteration order."""
+    it = _mit(src)
+    return it, _values(plan_fibers((it,)), 0, it)
 
 
 # -- mutating suite ----------------------------------------------------------
@@ -77,211 +147,89 @@ def _mits_same_shape(*sources):
 def for_each(a, fn: Callable) -> None:
     """Replace every element ``x`` with ``fn(x)``, exactly once per element."""
     it = _mit(a)
-    _for_each(it.order - 1, it, fn)
-
-
-def _for_each(r, it, fn):
-    pos = it.pos
-    stride = it.strides[r]
-    end = pos + it.extents[r] * stride
-    if r > 0:
-        while pos != end:
-            it.pos = pos
-            _for_each(r - 1, it, fn)
-            pos += stride
-    else:
-        data = it.data
-        while pos != end:
-            data[pos] = fn(data[pos])
-            pos += stride
+    plan = plan_fibers((it,), reorder=True)
+    _store(plan, it, map(map, repeat(fn), _fibers(plan, 0, it)))
 
 
 def fill(dst, value) -> None:
     """Set every element to ``value``."""
-    it = _mit(dst)
-    _fill(it.order - 1, it, value)
-
-
-def _fill(r, it, value):
-    pos = it.pos
-    stride = it.strides[r]
-    end = pos + it.extents[r] * stride
-    if r > 0:
-        while pos != end:
-            it.pos = pos
-            _fill(r - 1, it, value)
-            pos += stride
-    else:
-        data = it.data
-        while pos != end:
-            data[pos] = value
-            pos += stride
+    _fill(_mit(dst), value)
 
 
 def generate(dst, gen: Callable) -> None:
     """Fill with successive results of the nullary ``gen``, in iteration
     order.  Index-dependent values are expressible as iota + transform."""
-    for_each(dst, lambda _x: gen())
+    it = _mit(dst)
+    plan = plan_fibers((it,))
+    n = plan.length
+    for sl in plan.slices(0):
+        it.data[sl] = [gen() for _ in range(n)]
 
 
 def iota(dst, start=0) -> None:
     """Write ``start, start + 1, ...`` in iteration order."""
-    counter = [start]
-
-    def step(_x, counter=counter):
-        v = counter[0]
-        counter[0] = v + 1
-        return v
-
-    for_each(dst, step)
+    generate(dst, count(start).__next__)
 
 
 def transform_unary(src, dst, fn: Callable) -> None:
     """``dst[i] = fn(src[i])`` for every zero-based multi-index ``i``."""
-    a, c = _mits_same_shape(src, dst)
-    _transform1(a.order - 1, a, c, fn)
-
-
-def _transform1(r, a, c, fn):
-    pa, pc = a.pos, c.pos
-    sa, sc = a.strides[r], c.strides[r]
-    end = pa + a.extents[r] * sa
-    if r > 0:
-        while pa != end:
-            a.pos, c.pos = pa, pc
-            _transform1(r - 1, a, c, fn)
-            pa += sa
-            pc += sc
-    else:
-        da, dc = a.data, c.data
-        while pa != end:
-            dc[pc] = fn(da[pa])
-            pa += sa
-            pc += sc
+    a, c = _mit(src), _mit(dst)
+    plan = plan_fibers((a, c), reorder=True)
+    _store(plan, c, map(map, repeat(fn), _fibers(plan, 0, a)))
 
 
 def transform_binary(a, b, dst, op: Callable) -> None:
     """``dst[i] = op(a[i], b[i])`` with all three iterated in lockstep."""
-    ia, ib, ic = _mits_same_shape(a, b, dst)
-    _transform2(ia.order - 1, ia, ib, ic, op)
-
-
-def _transform2(r, a, b, c, op):
-    pa, pb, pc = a.pos, b.pos, c.pos
-    sa, sb, sc = a.strides[r], b.strides[r], c.strides[r]
-    end = pa + a.extents[r] * sa
-    if r > 0:
-        while pa != end:
-            a.pos, b.pos, c.pos = pa, pb, pc
-            _transform2(r - 1, a, b, c, op)
-            pa += sa
-            pb += sb
-            pc += sc
-    else:
-        da, db, dc = a.data, b.data, c.data
-        while pa != end:
-            dc[pc] = op(da[pa], db[pb])
-            pa += sa
-            pb += sb
-            pc += sc
+    ia, ib, ic = _mit(a), _mit(b), _mit(dst)
+    plan = plan_fibers((ia, ib, ic), reorder=True)
+    fibers = map(map, repeat(op), _fibers(plan, 0, ia), _fibers(plan, 1, ib))
+    _store(plan, ic, fibers)
 
 
 def copy(src, dst) -> None:
     """``dst[i] = src[i]``; layouts may differ."""
-    transform_unary(src, dst, lambda x: x)
+    _copy(_mit(src), _mit(dst))
 
 
 def copy_if(src, dst, pred: Callable) -> None:
     """Copy only elements satisfying ``pred``; other destination elements
     stay untouched."""
-    a, c = _mits_same_shape(src, dst)
-    _copy_if(a.order - 1, a, c, pred)
+    a, c = _mit(src), _mit(dst)
+    plan = plan_fibers((a, c), reorder=True)
 
+    def pick(v, w):
+        return v if pred(v) else w
 
-def _copy_if(r, a, c, pred):
-    pa, pc = a.pos, c.pos
-    sa, sc = a.strides[r], c.strides[r]
-    end = pa + a.extents[r] * sa
-    if r > 0:
-        while pa != end:
-            a.pos, c.pos = pa, pc
-            _copy_if(r - 1, a, c, pred)
-            pa += sa
-            pc += sc
-    else:
-        da, dc = a.data, c.data
-        while pa != end:
-            v = da[pa]
-            if pred(v):
-                dc[pc] = v
-            pa += sa
-            pc += sc
+    fibers = map(map, repeat(pick), _fibers(plan, 0, a), _fibers(plan, 1, c))
+    _store(plan, c, fibers)
 
 
 # -- queries -----------------------------------------------------------------
 
 
-def _scan(it: MultiIterator, visit: Callable) -> None:
-    """Drive ``visit(value, zero_based_index)`` in iteration order; stop
-    early when visit returns True."""
-    idx = [0] * it.order
-    _scan_rec(it.order - 1, it, idx, visit)
-
-
-def _scan_rec(r, it, idx, visit) -> bool:
-    pos = it.pos
-    stride = it.strides[r]
-    if r > 0:
-        for k in range(it.extents[r]):
-            idx[r] = k
-            it.pos = pos
-            if _scan_rec(r - 1, it, idx, visit):
-                return True
-            pos += stride
-        return False
-    data = it.data
-    for k in range(it.extents[0]):
-        idx[0] = k
-        if visit(data[pos], idx):
-            return True
-        pos += stride
-    return False
+def _hits(src, value, pred: Optional[Callable]):
+    """``src``'s cursor and ``pred(x)`` (or ``x == value``) per element, in
+    iteration order."""
+    if (value is _MISSING) == (pred is None):
+        raise ValueError("provide exactly one of value or pred")
+    it, values = _in_order(src)
+    if pred is None:
+        return it, map(eq, values, repeat(value))
+    return it, map(pred, values)
 
 
 def count_matching(src, value=_MISSING, pred: Optional[Callable] = None) -> int:
     """Number of elements equal to ``value`` (or satisfying ``pred``)."""
-    if (value is _MISSING) == (pred is None):
-        raise ValueError("provide exactly one of value or pred")
-    if pred is None:
-        pred = lambda x: x == value
-    hits = [0]
-
-    def visit(v, _idx):
-        if pred(v):
-            hits[0] += 1
-        return False
-
-    _scan(_mit(src), visit)
-    return hits[0]
+    _, hits = _hits(src, value, pred)
+    return sum(1 for _ in filter(None, hits))
 
 
 def find_first(src, value=_MISSING, pred: Optional[Callable] = None):
     """Zero-based multi-index of the first match in iteration order, or
     None."""
-    if (value is _MISSING) == (pred is None):
-        raise ValueError("provide exactly one of value or pred")
-    if pred is None:
-        pred = lambda x: x == value
-    found = [None]
-
-    def visit(v, idx):
-        if pred(v):
-            found[0] = tuple(idx)
-            return True
-        return False
-
-    _scan(_mit(src), visit)
-    return found[0]
+    it, hits = _hits(src, value, pred)
+    k = next(compress(count(), hits), None)
+    return None if k is None else _unravel(k, it.extents)
 
 
 def extremum_element(src, kind: str = "min"):
@@ -289,76 +237,32 @@ def extremum_element(src, kind: str = "min"):
     ties go to the first occurrence in iteration order."""
     if kind not in ("min", "max"):
         raise ValueError(f"kind must be 'min' or 'max', got {kind!r}")
-    best = [None, None]
-    better = (lambda v, b: v < b) if kind == "min" else (lambda v, b: v > b)
-
-    def visit(v, idx):
-        if best[0] is None or better(v, best[1]):
-            best[0] = tuple(idx)
-            best[1] = v
-        return False
-
-    _scan(_mit(src), visit)
-    return best[0], best[1]
+    it, values = _in_order(src)
+    pick = min if kind == "min" else max
+    # min/max keep the first of equal keys and replace only on a strict
+    # < (or >), the same sequential rule as a running-best scan.
+    best = pick(enumerate(values), key=itemgetter(1), default=None)
+    if best is None:
+        return None, None
+    return _unravel(best[0], it.extents), best[1]
 
 
 def compare_ranges(a, b) -> CompareResult:
     """Elementwise equality with the first differing multi-index (iteration
-    order) on mismatch."""
-    ia, ib = _mits_same_shape(a, b)
-    mismatch = [None]
-    idx = [0] * ia.order
-    _compare_rec(ia.order - 1, ia, ib, idx, mismatch)
-    hit = mismatch[0]
-    return CompareResult(hit is None, hit)
-
-
-def _compare_rec(r, a, b, idx, mismatch) -> bool:
-    pa, pb = a.pos, b.pos
-    sa, sb = a.strides[r], b.strides[r]
-    if r > 0:
-        for k in range(a.extents[r]):
-            idx[r] = k
-            a.pos, b.pos = pa, pb
-            if _compare_rec(r - 1, a, b, idx, mismatch):
-                return True
-            pa += sa
-            pb += sb
-        return False
-    da, db = a.data, b.data
-    for k in range(a.extents[0]):
-        if da[pa] != db[pb]:
-            idx[0] = k
-            mismatch[0] = tuple(idx)
-            return True
-        pa += sa
-        pb += sb
-    return False
+    order) on mismatch.  Elements are compared with ``!=`` one by one, so a
+    NaN never equals anything, itself included."""
+    return _compare(_mit(a), _mit(b))
 
 
 def quantify(src, pred: Callable, mode: str = "all") -> bool:
     """Quantifier over all elements: mode 'all', 'any' or 'none'."""
     if mode not in ("all", "any", "none"):
         raise ValueError(f"mode must be 'all', 'any' or 'none', got {mode!r}")
-    hit = [False]
-
-    def visit(v, _idx):
-        if pred(v):
-            hit[0] = True
-            return True
-        return False
-
-    def visit_all(v, _idx):
-        if not pred(v):
-            hit[0] = True
-            return True
-        return False
-
+    _, values = _in_order(src)
+    hits = map(pred, values)
     if mode == "all":
-        _scan(_mit(src), visit_all)
-        return not hit[0]
-    _scan(_mit(src), visit)
-    return hit[0] if mode == "any" else not hit[0]
+        return all(hits)
+    return any(hits) if mode == "any" else not any(hits)
 
 
 def all_of(src, pred) -> bool:
@@ -378,56 +282,20 @@ def none_of(src, pred) -> bool:
 
 def accumulate(src, init=0, op: Optional[Callable] = None):
     """Left-fold of ``op`` (default ``+``) over elements in iteration order."""
-    it = _mit(src)
-    if op is None:
-        return _accumulate_sum(it.order - 1, it, init)
-    acc = [init]
-
-    def visit(v, _idx):
-        acc[0] = op(acc[0], v)
-        return False
-
-    _scan(it, visit)
-    return acc[0]
-
-
-def _accumulate_sum(r, it, acc):
-    pos = it.pos
-    stride = it.strides[r]
-    end = pos + it.extents[r] * stride
-    if r > 0:
-        while pos != end:
-            it.pos = pos
-            acc = _accumulate_sum(r - 1, it, acc)
-            pos += stride
-        return acc
-    data = it.data
-    while pos != end:
-        acc = acc + data[pos]
-        pos += stride
+    _, values = _in_order(src)
+    if op is not None:
+        return reduce(op, values, init)
+    acc = init
+    for v in values:
+        acc = acc + v
     return acc
 
 
 def inner_product_flat(a, b, init=0):
     """``init + sum_i a[i] * b[i]`` over all shared multi-indices."""
-    ia, ib = _mits_same_shape(a, b)
-    return _inner_rec(ia.order - 1, ia, ib, init)
-
-
-def _inner_rec(r, a, b, acc):
-    pa, pb = a.pos, b.pos
-    sa, sb = a.strides[r], b.strides[r]
-    end = pa + a.extents[r] * sa
-    if r > 0:
-        while pa != end:
-            a.pos, b.pos = pa, pb
-            acc = _inner_rec(r - 1, a, b, acc)
-            pa += sa
-            pb += sb
-        return acc
-    da, db = a.data, b.data
-    while pa != end:
-        acc += da[pa] * db[pb]
-        pa += sa
-        pb += sb
+    ia, ib = _mit(a), _mit(b)
+    plan = plan_fibers((ia, ib))
+    acc = init
+    for t in map(mul, _values(plan, 0, ia), _values(plan, 1, ib)):
+        acc += t
     return acc

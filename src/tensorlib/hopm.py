@@ -13,11 +13,11 @@ Real (floating-point) elements only; norms need square roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import sub
 from typing import List, Optional, Sequence
 
 from .contraction import frobenius_norm, times_vectors
 from .elementwise import transform_binary
-from .layout import zero_indices
 from .tensor import DenseTensor
 
 __all__ = ["DegenerateInputError", "HopmState", "hopm", "rank_one_compose", "residual"]
@@ -124,24 +124,18 @@ def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTenso
     """Tensor with ``B(i_1, .., i_p) = scale * u_1(i_1) * ... * u_p(i_p)``."""
     if len(vectors) == 0:
         raise ValueError("need at least one vector")
-    shape = tuple(v.size for v in vectors)
-    cols = [list(v.data) for v in vectors]
-    out = DenseTensor(shape)
-    w = out.strides
-    p = len(shape)
-    for i in zero_indices(shape):
-        v = scale
-        j = 0
-        for r in range(p):
-            v *= cols[r][i[r]]
-            j += w[r] * i[r]
-        out.data[j] = v
-    return out
+    # Dimension 1 varies fastest in the default layout, so each pass
+    # multiplies the rows built so far by one more vector's elements: the
+    # same ((scale * u_1) * u_2) * ... order as chained outer products.
+    data = [scale]
+    for v in vectors:
+        data = [y * x for x in v.data for y in data]
+    return DenseTensor.from_memory(tuple(v.size for v in vectors), data)
 
 
 def residual(a, state: HopmState) -> float:
     """``||a - rank_one_compose(state.scale, state.u)||_F``."""
     approx = rank_one_compose(state.l[-1], state.u)
     diff = DenseTensor(approx.shape)
-    transform_binary(a, approx, diff, lambda x, y: x - y)
+    transform_binary(a, approx, diff, sub)
     return frobenius_norm(diff)

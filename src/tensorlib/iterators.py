@@ -1,26 +1,35 @@
-"""Stride-based and multidimensional iterators.
+"""Stride-based and multidimensional iterators, and the fiber planner.
 
 :class:`StrideIterator` walks one dimension of a buffer: advancing by one
 shifts the position by the dimension's stride.  :class:`MultiIterator` is a
 cursor over a whole multi-index set and acts as a factory: ``begin(r)`` /
 ``end(r)`` hand out stride iterator pairs for recursion depth ``r``
 (zero-based, depth r covers dimension r+1).  Assigning a stride iterator
-back to the cursor moves only the current position, which is what lets the
-recursive algorithm suites nest loops over all dimensions.
+back to the cursor moves only the current position.
 
-Both types are cheap value objects over a shared buffer; dereferencing
-follows the owning container's single-writer contract.
+:func:`plan_fibers` is the one traversal behind every elementwise kernel and
+container path: it flattens the loop nest of N cursors of equal extents
+into innermost fibers (a start position per cursor, a stride per cursor and
+a shared length), merging dimensions wherever every cursor is contiguous
+across them, so a kernel can work on whole fibers with slice operations.
+
+Both iterator types are cheap value objects over a shared buffer;
+dereferencing follows the owning container's single-writer contract.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from itertools import repeat
+from operator import add
+from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 __all__ = [
+    "FiberPlan",
     "MultiIterator",
     "StrideIterator",
     "fill_range",
     "inner_product_range",
+    "plan_fibers",
     "walk_positions",
 ]
 
@@ -161,28 +170,93 @@ def inner_product_range(
     return acc
 
 
-def walk_positions(it: MultiIterator) -> List[int]:
-    """Memory positions visited by the baseline recursion, in visit order.
+class FiberPlan(NamedTuple):
+    """Innermost fibers of a merged loop nest over N cursors.
 
-    The recursion loops depth p-1 outermost down to depth 0, which visits
-    every addressable element exactly once for any layout.
+    Fiber ``f`` of cursor ``k`` covers the positions
+    ``starts[k][f] + m * strides[k]`` for ``m`` in ``range(length)``.
+    Every stride is positive, so each fiber is the slice
+    ``data[p:p + length * s:s]``; :meth:`slices` hands them out.
     """
-    out: List[int] = []
-    cursor = it.clone()
-    _walk(cursor.order - 1, cursor, out)
-    return out
+
+    length: int
+    strides: Tuple[int, ...]
+    starts: Tuple[List[int], ...]
+
+    def slices(self, k: int) -> Iterator[slice]:
+        """Cursor ``k``'s fibers as slices of its buffer, in plan order."""
+        starts, step = self.starts[k], self.strides[k]
+        stops = map(add, starts, repeat(self.length * step))
+        return map(slice, starts, stops, repeat(step))
 
 
-def _walk(r: int, it: MultiIterator, out: List[int]) -> None:
-    pos = it.pos
-    stride = it.strides[r]
-    end = pos + it.extents[r] * stride
-    if r > 0:
-        while pos != end:
-            it.pos = pos
-            _walk(r - 1, it, out)
-            pos += stride
-    else:
-        while pos != end:
-            out.append(pos)
-            pos += stride
+def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> FiberPlan:
+    """Plan the traversal of cursors that share their extents.
+
+    Extent-1 dimensions are dropped, and a dimension merges into the loop
+    inside it when ``w[r+1] == w[r] * n[r]`` holds for every cursor.  By
+    default the loops keep dimension 1 innermost, so fibers and the
+    elements within them come in iteration order (dimension 1 fastest).
+    With ``reorder`` the loops run by increasing stride of the last cursor
+    (the destination), for operations whose result does not depend on
+    visit order.
+
+    Raises ``IndexError`` when some cursor would reach outside its buffer;
+    one check per call, since a slice would silently clip (reading) or
+    resize the list (writing).
+    """
+    extents = cursors[0].extents
+    for c in cursors:
+        if c.extents != extents:
+            raise ValueError(f"shape mismatch: {c.extents} vs {extents}")
+    if 0 in extents:
+        return FiberPlan(0, (1,) * len(cursors), tuple([] for _ in cursors))
+    # Loops as [extent, [stride per cursor]], innermost first.
+    dims = [
+        [n, list(ws)]
+        for n, ws in zip(extents, zip(*[c.strides for c in cursors]))
+        if n != 1
+    ]
+    if reorder:
+        dims.sort(key=lambda d: d[1][-1])
+    loops: List[list] = []
+    for d in dims:
+        if loops:
+            m, vs = loops[-1]
+            if d[1] == [v * m for v in vs]:
+                loops[-1][0] = m * d[0]
+                continue
+        loops.append(d)
+    if not loops or min(loops[0][1]) <= 0:
+        # Slices need positive steps: fall back to one-element fibers.
+        loops.insert(0, [1, [1] * len(cursors)])
+    starts = []
+    for k, c in enumerate(cursors):
+        lo = hi = c.pos
+        for n, ws in loops:
+            reach = (n - 1) * ws[k]
+            if reach < 0:
+                lo += reach
+            else:
+                hi += reach
+        if lo < 0 or hi >= len(c.data):
+            raise IndexError(
+                f"cursor reaches [{lo}, {hi}] outside its buffer of "
+                f"{len(c.data)} elements"
+            )
+        offs = [c.pos]
+        for n, ws in loops[1:]:
+            w = ws[k]
+            offs = [o + i * w for i in range(n) for o in offs]
+        starts.append(offs)
+    length, strides = loops[0]
+    return FiberPlan(length, tuple(strides), tuple(starts))
+
+
+def walk_positions(it: MultiIterator) -> List[int]:
+    """Memory positions visited in iteration order (dimension 1 fastest).
+
+    Every addressable element is visited exactly once for any layout.
+    """
+    plan = plan_fibers((it,))
+    return [p for sl in plan.slices(0) for p in range(sl.start, sl.stop, sl.step)]

@@ -16,16 +16,9 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
+from .elementwise import _compare, _copy, _fill
 from .iterators import MultiIterator, StrideIterator
-from .layout import (
-    TensorMeta,
-    inverse_memory_index,
-    memory_index,
-    validate_layout,
-    validate_shape,
-    volume,
-    zero_indices,
-)
+from .layout import TensorMeta, validate_layout, validate_shape, volume
 
 __all__ = ["DenseTensor", "tensors_equal"]
 
@@ -91,29 +84,30 @@ class DenseTensor:
 
     # -- element access ----------------------------------------------------
 
-    def _key_to_index(self, key) -> tuple:
+    def _key_to_memory(self, key) -> int:
         if isinstance(key, int):
             key = (key,)
         else:
             key = tuple(key)
-        if len(key) != self.order:
-            raise ValueError(
-                f"expected {self.order} indices, got {len(key)}"
-            )
-        for r, (i, o, n) in enumerate(zip(key, self.offsets, self.shape)):
+        meta = self.meta
+        if len(key) != len(meta.shape):
+            raise ValueError(f"expected {len(meta.shape)} indices, got {len(key)}")
+        j = 0
+        for r, (i, o, n, w) in enumerate(
+            zip(key, meta.offsets, meta.shape, meta.strides)
+        ):
             if not o <= i < o + n:
                 raise IndexError(
                     f"index {i} out of bounds [{o}, {o + n}) in dimension {r + 1}"
                 )
-        return key
+            j += w * (i - o)
+        return j
 
     def __getitem__(self, key):
-        key = self._key_to_index(key)
-        return self.data[memory_index(self.strides, key, self.offsets)]
+        return self.data[self._key_to_memory(key)]
 
     def __setitem__(self, key, value):
-        key = self._key_to_index(key)
-        self.data[memory_index(self.strides, key, self.offsets)] = value
+        self.data[self._key_to_memory(key)] = value
 
     def get_memory(self, j: int):
         """Read element ``j`` of the buffer, no index transformation."""
@@ -135,8 +129,7 @@ class DenseTensor:
     # -- whole-tensor operations --------------------------------------------
 
     def fill(self, value) -> None:
-        for j in range(len(self.data)):
-            self.data[j] = value
+        _fill(self.miter(), value)
 
     def assign(self, src) -> None:
         """Copy ``src``'s values so that both hold equal elements per
@@ -154,15 +147,7 @@ class DenseTensor:
             meta = TensorMeta(src.shape, self.offsets, self.layout)
         else:
             meta = TensorMeta(src.shape, src.offsets, src.layout)
-        data = [0] * meta.size
-        w, o_src = meta.strides, src.offsets
-        for i in zero_indices(meta.shape):
-            j = 0
-            for r in range(meta.order):
-                j += w[r] * i[r]
-            data[j] = src[tuple(i[r] + o_src[r] for r in range(meta.order))]
-        self.meta = meta
-        self.data = data
+        self._rewrite(src.miter(), meta)
 
     def relayout(self, new_layout) -> None:
         """Switch to ``new_layout``, physically reordering the buffer so the
@@ -170,17 +155,13 @@ class DenseTensor:
         new_layout = validate_layout(new_layout, self.order)
         if new_layout == self.layout:
             return
-        new_meta = TensorMeta(self.shape, self.offsets, new_layout)
-        old_w, new_w = self.strides, new_meta.strides
-        p = self.order
-        data = [0] * len(self.data)
-        for j, value in enumerate(self.data):
-            idx = inverse_memory_index(self.meta, j)
-            k = 0
-            for r in range(p):
-                k += new_w[r] * idx[r]
-            data[k] = value
-        self.meta = new_meta
+        self._rewrite(self.miter(), TensorMeta(self.shape, self.offsets, new_layout))
+
+    def _rewrite(self, src: MultiIterator, meta: TensorMeta) -> None:
+        """Adopt ``meta`` with a fresh buffer holding ``src``'s elements."""
+        data = [0] * meta.size
+        _copy(src, MultiIterator(data, 0, meta.strides, meta.shape))
+        self.meta = meta
         self.data = data
 
     def reshape(self, new_shape) -> None:
@@ -294,11 +275,4 @@ def tensors_equal(a, b) -> bool:
     """
     if a.order != b.order or a.shape != b.shape:
         return False
-    oa, ob = a.offsets, b.offsets
-    p = a.order
-    for i in zero_indices(a.shape):
-        ia = tuple(i[r] + oa[r] for r in range(p))
-        ib = tuple(i[r] + ob[r] for r in range(p))
-        if a[ia] != b[ib]:
-            return False
-    return True
+    return _compare(a.miter(), b.miter()).equal

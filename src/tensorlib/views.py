@@ -7,14 +7,15 @@ indices become extent-1 dimensions) and addresses the target's buffer with
 scaled strides plus a base displacement, so reads and writes go straight
 through to the target.
 
-The view borrows the target's lifetime: there is no reference counting, and
-a view of a dead tensor is the holder's bug, like a dangling pointer.
+A view holds a strong reference to its target, which therefore lives at
+least as long as the view.
 """
 
 from __future__ import annotations
 
+from .elementwise import _copy
 from .iterators import MultiIterator, StrideIterator
-from .layout import memory_index, zero_indices
+from .layout import memory_index
 from .tensor import DenseTensor
 
 __all__ = ["Range", "TensorView", "classify_view"]
@@ -212,14 +213,7 @@ class TensorView:
         """Fresh default-layout, zero-offset tensor holding the view's
         elements."""
         out = DenseTensor(self._shape)
-        w = out.strides
-        o = self.offsets
-        p = self.order
-        for i in zero_indices(self._shape):
-            j = 0
-            for r in range(p):
-                j += w[r] * i[r]
-            out.data[j] = self[tuple(i[r] + o[r] for r in range(p))]
+        _copy(self.miter(), out.miter())
         return out
 
     def __repr__(self):

@@ -2,9 +2,9 @@ import random
 
 import pytest
 
-import tensorlib.elementwise as ew
 from tensorlib import (
     DenseTensor,
+    MultiIterator,
     accumulate,
     all_of,
     any_of,
@@ -26,6 +26,7 @@ from tensorlib import (
     transform_unary,
     zero_indices,
 )
+from tensorlib.iterators import plan_fibers
 
 from conftest import rand_dense, rand_operand, read_box
 
@@ -61,20 +62,14 @@ class TestForEach:
         for_each(t, tick)
         assert calls[0] == t.size
 
-    def test_depth_zero_kernel_count(self, monkeypatch):
-        # The flat kernel at depth 0 must run prod(n_2..n_p) times.
-        t = DenseTensor((5, 3, 4))
-        hits = [0]
-        original = ew._for_each
-
-        def spy(r, it, fn):
-            if r == 0:
-                hits[0] += 1
-            return original(r, it, fn)
-
-        monkeypatch.setattr(ew, "_for_each", spy)
-        for_each(t, lambda x: x)
-        assert hits[0] == 3 * 4
+    def test_depth_zero_kernel_count(self):
+        # The order-preserving plan merges the whole default-layout nest
+        # into one fiber; under layout (2, 1, 3) no dimension merges, so
+        # dimension 1 stays innermost: prod(n_2..n_p) fibers of n_1.
+        for layout, fibers, length in (((1, 2, 3), 1, 60), ((2, 1, 3), 12, 5)):
+            t = DenseTensor((5, 3, 4), layout=layout)
+            plan = plan_fibers((t.miter(),))
+            assert (len(plan.starts[0]), plan.length) == (fibers, length)
 
 
 class TestTransformUnary:
@@ -304,6 +299,16 @@ class TestCompare:
         b.assign(a)
         assert compare_ranges(a, b).equal
 
+    def test_nan_never_equals_itself(self):
+        # Both buffers hold the same NaN object, so list equality (which
+        # tries identity first) calls them equal; elementwise != does not.
+        a = DenseTensor.from_memory((2, 2), [1.0, float("nan"), 2.0, 3.0])
+        b = a.copy()
+        assert a.data == b.data
+        assert compare_ranges(a, b) == (False, (1, 0))
+        assert not tensors_equal(a, b)
+        assert not a == b
+
 
 class TestQuantify:
     def test_all_after_fill(self):
@@ -369,3 +374,37 @@ class TestReductions:
             assert inner_product_flat(a, b, 0) == sum(
                 ba[i] * bb[i] for i in ba
             )
+
+
+class TestOverrun:
+    # Cursors whose extents reach past the end of a 4-element buffer.  A
+    # slice assignment would silently resize the list instead of failing.
+    BAD = ((0, (1,), (6,)), (2, (1,), (3,)), (0, (2,), (3,)))
+
+    @pytest.mark.parametrize("pos, strides, extents", BAD)
+    @pytest.mark.parametrize("op", ["copy", "fill", "transform_unary"])
+    def test_destination(self, op, pos, strides, extents):
+        data = [0] * 4
+        dst = MultiIterator(data, pos, strides, extents)
+        src = DenseTensor(extents, fill_value=1)
+        with pytest.raises(IndexError):
+            if op == "copy":
+                copy(src, dst)
+            elif op == "fill":
+                fill(dst, 1)
+            else:
+                transform_unary(src, dst, lambda x: x)
+        assert len(data) == 4
+
+    @pytest.mark.parametrize("pos, strides, extents", BAD)
+    @pytest.mark.parametrize("op", ["copy", "transform_unary"])
+    def test_source(self, op, pos, strides, extents):
+        data = [0] * 4
+        src = MultiIterator(data, pos, strides, extents)
+        dst = DenseTensor(extents)
+        with pytest.raises(IndexError):
+            if op == "copy":
+                copy(src, dst)
+            else:
+                transform_unary(src, dst, lambda x: x)
+        assert len(data) == 4 and len(dst.data) == dst.size

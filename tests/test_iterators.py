@@ -1,16 +1,19 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorlib import (
     DenseTensor,
+    MultiIterator,
     Range,
     StrideIterator,
     memory_index,
     walk_positions,
     zero_indices,
 )
-from tensorlib.iterators import fill_range, inner_product_range
+from tensorlib.iterators import fill_range, inner_product_range, plan_fibers
 
 from conftest import all_layouts, rand_dense
 
@@ -227,3 +230,87 @@ class TestCompleteness:
         v = a.view(Range(0, 2, 4), Range(1, 3, 3))
         assert v.strides == (a.strides[0] * 2, a.strides[1] * 3)
         assert v.miter().strides == v.strides
+
+
+@st.composite
+def cursors(draw):
+    """A tensor of order 1-4 at any layout, or a stepped view into one:
+    extent-1 dimensions, offsets and strided corners included."""
+    p = draw(st.integers(1, 4))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(p))
+    layout = tuple(draw(st.permutations(range(1, p + 1))))
+    offsets = tuple(draw(st.integers(-2, 2)) for _ in range(p))
+    t = DenseTensor(shape, offsets=offsets, layout=layout)
+    if not draw(st.booleans()):
+        return t.miter()
+    ranges = []
+    for n, o in zip(shape, offsets):
+        f = draw(st.integers(o, o + n - 1))
+        step = draw(st.integers(1, 3))
+        last = draw(st.integers(f, o + n - 1))
+        ranges.append(Range(f, step, last))
+    return t.view(ranges).miter()
+
+
+def plan_positions(plan, k):
+    return [p for sl in plan.slices(k) for p in range(sl.start, sl.stop, sl.step)]
+
+
+def expected_positions(it):
+    """``gamma + memory_index`` of every zero-based multi-index, dimension 1
+    fastest."""
+    zero = (0,) * it.order
+    return [it.pos + memory_index(it.strides, i, zero) for i in zero_indices(it.extents)]
+
+
+class TestVisitOrder:
+    @given(cursors())
+    @settings(max_examples=300, deadline=None)
+    def test_order_preserving_plan_visits_in_iteration_order(self, it):
+        want = expected_positions(it)
+        assert plan_positions(plan_fibers((it,)), 0) == want
+        assert walk_positions(it) == want
+
+    @given(cursors())
+    @settings(max_examples=300, deadline=None)
+    def test_reordering_plan_visits_the_same_multiset(self, it):
+        got = plan_positions(plan_fibers((it,), reorder=True), 0)
+        assert sorted(got) == sorted(expected_positions(it))
+
+    @given(cursors(), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_joint_plans_pair_equal_multi_indices(self, it, data):
+        # A second cursor of the same extents under another layout: every
+        # planned pair of positions must belong to one multi-index.
+        layout = tuple(data.draw(st.permutations(range(1, it.order + 1))))
+        other = DenseTensor(it.extents, layout=layout).miter()
+        want = list(zip(expected_positions(it), expected_positions(other)))
+        in_order = plan_fibers((it, other))
+        assert list(zip(plan_positions(in_order, 0), plan_positions(in_order, 1))) == want
+        free = plan_fibers((it, other), reorder=True)
+        pairs = zip(plan_positions(free, 0), plan_positions(free, 1))
+        assert sorted(pairs) == sorted(want)
+
+
+class TestPlanner:
+    def test_merges_contiguous_dimensions(self):
+        plan = plan_fibers((DenseTensor((4, 3, 2)).miter(),))
+        assert (plan.length, plan.strides, plan.starts) == (24, (1,), ([0],))
+
+    def test_reorder_walks_destination_stride_innermost(self):
+        src = DenseTensor((4, 3), layout=(1, 2)).miter()
+        dst = DenseTensor((4, 3), layout=(2, 1)).miter()
+        plan = plan_fibers((src, dst), reorder=True)
+        assert (plan.length, plan.strides) == (3, (4, 1))
+        assert plan_fibers((src, dst)).strides == (1, 3)
+
+    def test_reach_below_buffer(self):
+        # Negative positions would wrap around to the end of the list.
+        data = [0] * 4
+        for pos, strides in ((-1, (1,)), (1, (-2,))):
+            with pytest.raises(IndexError):
+                plan_fibers((MultiIterator(data, pos, strides, (2,)),))
+
+    def test_zero_volume_has_no_fibers(self):
+        plan = plan_fibers((MultiIterator([], 0, (1, 0), (0, 3)),))
+        assert plan.starts == ([],)
