@@ -2,8 +2,9 @@
 Tensor multiplication suite
 ===========================
 
-ttv, ttm and ttt contract tensors recursively, in place, with no
-unfolding: the mode and the operand orders are plain runtime values.
+ttv, ttm and ttt contract tensors on one engine of fiber dot products,
+with no unfolding: the mode and the operand orders are plain runtime
+values.
 The general tensor-tensor product subsumes the rest.
 """
 

@@ -6,7 +6,7 @@ layout-transparent element access; the iterator layer
 (:class:`MultiIterator`, :class:`StrideIterator`) decouples the algorithm
 suites from storage so that elementwise operations and contractions
 (``ttv``/``ttm``/``ttt`` and friends) combine operands of arbitrary
-layouts, offsets and view-ness, recursively and without unfolding.  On
+layouts, offsets and view-ness, in place and without unfolding.  On
 top sit the higher-order power method for best rank-one approximation and
 a MATLAB script emitter for external verification.
 """

@@ -1,10 +1,32 @@
 """Tensor multiplication suite: transpose, ttv, ttm, ttt and friends.
 
-All operations run recursively over multidimensional iterators, in place,
-with no unfolding: besides the output tensor nothing of operand size is
-allocated, and operands of any layout, offsets, or view-ness combine
-freely.  Modes and permutation tuples are one-based at this interface;
-the recursive kernels translate to zero-based depths internally.
+Operands of any layout, offsets, or view-ness combine freely; no operand
+is unfolded or transposed.  Modes and permutation tuples are one-based at
+this interface; the kernels translate to zero-based dimensions internally.
+
+``ttv``, ``ttm`` and ``ttt`` (and ``outer_product``, which is ttt with
+q = 0) run on one engine built on :func:`~tensorlib.iterators.plan_fibers`.
+Of the two operands, the one with fewer free positions is packed: the
+bound (contracted) elements of each of its free positions are taken once
+as list slices, which hold references, not new element objects.  The
+other operand is streamed over its free loops, planned jointly with the
+output's, and each output element is one fiber dot product,
+``sum(map(mul, a_fiber, b_fiber))``.  ttm writes B's row dimension
+through an output cursor whose strides put it at ``mode``, so no
+transpose follows.  Besides the output tensor, the engine holds the
+packed fibers of the smaller side, one bound fiber of the streamed side
+at a time, and the values of one output fiber per packed fiber before
+they are stored.  Each operand's reach is checked once per call: a
+cursor that would read outside its buffer raises ``IndexError`` before
+anything is written.
+
+Every output element sums its bound elements in ascending index order,
+with the last contracted pair fastest, left to right from 0, through the
+builtin ``sum``.  Up to Python 3.11 that rounds exactly like a plain
+``acc += a * b`` loop; from 3.12 ``sum`` compensates float rounding.
+Either way the result is bit-identical across layouts, views and kernels
+within one Python version (ttv, ttm and their ttt specs agree bit for
+bit).  With no bound pair the element is the product ``a * b`` itself.
 
 Output tensors are always default-layout (first-order) with zero offsets;
 callers relayout if they need something else.  Contractions that consume
@@ -26,11 +48,13 @@ match pairwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import sqrt
-from typing import Sequence, Tuple
+from itertools import chain
+from math import prod, sqrt
+from operator import mul
+from typing import Iterable, List, Sequence, Tuple
 
 from .elementwise import _copy, copy, inner_product_flat
-from .iterators import MultiIterator
+from .iterators import MultiIterator, check_reach, plan_fibers
 from .tensor import DenseTensor
 
 __all__ = [
@@ -59,7 +83,7 @@ def _vector_mit(b, expected_len: int, what: str) -> MultiIterator:
     """Read ``b`` as a vector: an order-1 tensor, or an (n, 1) column."""
     it = _mit(b)
     if it.order == 2 and it.extents[1] == 1:
-        it = MultiIterator(it.data, it.pos, it.strides[:1], it.extents[:1])
+        it = _sub(it, (0,))
     if it.order != 1:
         raise ValueError(f"{what} must be a vector, got extents {it.extents}")
     if it.extents[0] != expected_len:
@@ -84,12 +108,116 @@ def transpose(a, tau: Sequence[int]) -> DenseTensor:
     tau = tuple(int(t) for t in tau)
     if sorted(tau) != list(range(1, p + 1)):
         raise ValueError(f"tau {tau} is not a permutation of 1..{p}")
-    shape = tuple(ia.extents[t - 1] for t in tau)
-    strides = tuple(ia.strides[t - 1] for t in tau)
-    permuted = MultiIterator(ia.data, ia.pos, strides, shape)
-    out = DenseTensor(shape)
+    permuted = _sub(ia, [t - 1 for t in tau])
+    out = DenseTensor(permuted.extents)
     _copy(permuted, out.miter())
     return out
+
+
+# -- the contraction engine ------------------------------------------------------
+
+
+def _sub(it: MultiIterator, dims) -> MultiIterator:
+    """Cursor over ``it``'s dimensions ``dims`` (zero-based), in that order."""
+    return MultiIterator(
+        it.data,
+        it.pos,
+        [it.strides[d] for d in dims],
+        [it.extents[d] for d in dims],
+    )
+
+
+def _positions(pos: int, strides, extents) -> List[int]:
+    """Positions of all multi-indices over ``extents`` from ``pos``,
+    dimension 1 fastest."""
+    positions = [pos]
+    for n, w in zip(extents, strides):
+        positions = [p + i * w for i in range(n) for p in positions]
+    return positions
+
+
+def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
+    """``(length, strides, offsets)`` of the joint bound fibers of ``s``
+    and ``k``, whose contracted pairs are ``zip(s_bound, k_bound)``.
+
+    Every bound element is covered in summation order, ascending with the
+    last pair fastest: fiber after fiber, each starting ``offsets[j]``
+    from operand j's position.
+    """
+    if not s_bound:
+        return 1, (1, 1), ([0], [0])
+    ws, wk = s.strides[s_bound[0]], k.strides[k_bound[0]]
+    if len(s_bound) == 1 and ws > 0 and wk > 0:
+        # One pair with positive strides is a single fiber: no plan needed.
+        return s.extents[s_bound[0]], (ws, wk), ([0], [0])
+    # Planned in iteration order, so the last pair (dimension 1) is fastest.
+    cursors = (_sub(s, s_bound[::-1]), _sub(k, k_bound[::-1]))
+    plan = plan_fibers(cursors)
+    offsets = tuple(
+        [p - it.pos for p in starts] for starts, it in zip(plan.starts, cursors)
+    )
+    return plan.length, plan.strides, offsets
+
+
+def _gather(
+    data: list, positions: Iterable[int], length: int, step: int, offsets
+):
+    """For each free position, its bound elements as one list of
+    references: a slice, or the concatenation of several."""
+    span = length * step
+    if len(offsets) == 1:
+        first = offsets[0]
+        stop = first + span
+        return (data[p + first : p + stop : step] for p in positions)
+    return (
+        list(chain.from_iterable(data[p + o : p + o + span : step] for o in offsets))
+        for p in positions
+    )
+
+
+def _contract(ia, ib, c, a_free, a_bound, b_free, b_bound) -> None:
+    """Write ``sum_bound A * B`` through the output cursor ``c`` (see the
+    module docstring).
+
+    ``a_free``/``b_free`` (zero-based) are A's and B's free dimensions,
+    whose concatenation is ``c``'s dimension order; ``a_bound[k]`` and
+    ``b_bound[k]`` form contracted pair k.
+    """
+    check_reach(ia)
+    check_reach(ib)
+    r = len(a_free)
+    a_side = (ia, a_free, a_bound, c.strides[:r], [ia.extents[d] for d in a_free])
+    b_side = (ib, b_free, b_bound, c.strides[r:], [ib.extents[d] for d in b_free])
+    swap = prod(b_side[-1]) > prod(a_side[-1])
+    s, s_free, s_bound, s_out, s_ext = b_side if swap else a_side
+    k, k_free, k_bound, k_out, k_ext = a_side if swap else b_side
+    plan = plan_fibers(
+        (
+            MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext),
+            MultiIterator(c.data, c.pos, s_out, s_ext),
+        ),
+        reorder=True,
+    )
+    length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
+    k_pos = _positions(k.pos, [k.strides[d] for d in k_free], k_ext)
+    packed = list(_gather(k.data, k_pos, length, steps[1], offsets[1]))
+    k_outs = _positions(0, k_out, k_ext)
+    nk, n, (ws, wc) = len(packed), plan.length, plan.strides
+    # With no bound pair each fiber holds one element, and the output is
+    # the product itself rather than 0 + a * b (which turns -0.0 into 0.0).
+    reduce = sum if a_bound else next
+    for ps, pc in zip(*plan.starts):
+        # The fiber's outputs, packed fibers fastest, so that each streamed
+        # slice is made once.
+        streamed = _gather(
+            s.data, range(ps, ps + n * ws, ws), length, steps[0], offsets[0]
+        )
+        if swap:
+            values = [reduce(map(mul, kf, sf)) for sf in streamed for kf in packed]
+        else:
+            values = [reduce(map(mul, sf, kf)) for sf in streamed for kf in packed]
+        for j, oc in enumerate(k_outs):
+            c.data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
 
 
 # -- tensor times vector ------------------------------------------------------------
@@ -110,73 +238,11 @@ def ttv(a, b, mode: int) -> DenseTensor:
     if not 1 <= mode <= p:
         raise ValueError(f"mode {mode} out of range 1..{p}")
     ib = _vector_mit(b, ia.extents[mode - 1], "ttv vector")
-    out_shape = ia.extents[: mode - 1] + ia.extents[mode:]
-    out = DenseTensor(out_shape)
-    _ttv_rec(mode - 1, p - 1, p - 2, ia, ib, out.miter())
+    m = mode - 1
+    out = DenseTensor(ia.extents[:m] + ia.extents[m + 1 :])
+    a_free = tuple(d for d in range(p) if d != m)
+    _contract(ia, ib, out.miter(), a_free, (m,), (), (0,))
     return out
-
-
-def _ttv_rec(m, r, q, a, b, c):
-    # r: depth in a (dimension index); q: depth in c.
-    if m > 0:
-        if r == m:
-            _ttv_rec(m, r - 1, q, a, b, c)
-        elif r > 0:
-            pa, pc = a.pos, c.pos
-            sa, sc = a.strides[r], c.strides[q]
-            end = pa + a.extents[r] * sa
-            while pa != end:
-                a.pos, c.pos = pa, pc
-                _ttv_rec(m, r - 1, q - 1, a, b, c)
-                pa += sa
-                pc += sc
-        else:
-            # Fibers along dimension m of a against b, one per element of
-            # dimension 0.
-            da, db, dc = a.data, b.data, c.data
-            pa, pc = a.pos, c.pos
-            sa, sc = a.strides[0], c.strides[0]
-            sm, nm = a.strides[m], a.extents[m]
-            sb, pb0 = b.strides[0], b.pos
-            end = pa + a.extents[0] * sa
-            while pa != end:
-                acc = dc[pc]
-                ja, jb = pa, pb0
-                for _ in range(nm):
-                    acc += da[ja] * db[jb]
-                    ja += sm
-                    jb += sb
-                dc[pc] = acc
-                pa += sa
-                pc += sc
-    else:
-        if r > 1:
-            pa, pc = a.pos, c.pos
-            sa, sc = a.strides[r], c.strides[r - 1]
-            end = pa + a.extents[r] * sa
-            while pa != end:
-                a.pos, c.pos = pa, pc
-                _ttv_rec(m, r - 1, q, a, b, c)
-                pa += sa
-                pc += sc
-        else:
-            # Contracted dimension is dimension 0: row-of-slice times vector.
-            da, db, dc = a.data, b.data, c.data
-            pa, pc = a.pos, c.pos
-            sa, sc = a.strides[1], c.strides[0]
-            s0, n0 = a.strides[0], a.extents[0]
-            sb, pb0 = b.strides[0], b.pos
-            end = pa + a.extents[1] * sa
-            while pa != end:
-                acc = dc[pc]
-                ja, jb = pa, pb0
-                for _ in range(n0):
-                    acc += da[ja] * db[jb]
-                    ja += s0
-                    jb += sb
-                dc[pc] = acc
-                pa += sa
-                pc += sc
 
 
 # -- tensor times matrix --------------------------------------------------------------
@@ -206,81 +272,11 @@ def ttm(a, bmat, mode: int) -> DenseTensor:
             f"{ia.extents[mode - 1]} of mode {mode}"
         )
     m = mode - 1
-    out_shape = ia.extents[:m] + (ib.extents[0],) + ia.extents[m + 1 :]
-    out = DenseTensor(out_shape)
-    _ttm_rec(m, p - 1, ia, ib, out.miter())
+    out = DenseTensor(ia.extents[:m] + (ib.extents[0],) + ia.extents[m + 1 :])
+    a_free = tuple(d for d in range(p) if d != m)
+    # The output cursor lists B's row dimension last, at ``mode``'s stride.
+    _contract(ia, ib, _sub(out.miter(), a_free + (m,)), a_free, (m,), (0,), (1,))
     return out
-
-
-def _ttm_rec(m, r, a, b, c):
-    if m > 0:
-        if r == m:
-            _ttm_rec(m, r - 1, a, b, c)
-        elif r > 0:
-            pa, pc = a.pos, c.pos
-            sa, sc = a.strides[r], c.strides[r]
-            end = pa + a.extents[r] * sa
-            while pa != end:
-                a.pos, c.pos = pa, pc
-                _ttm_rec(m, r - 1, a, b, c)
-                pa += sa
-                pc += sc
-        else:
-            # Slice times matrix over (dimension 0, mode m).
-            da, db, dc = a.data, b.data, c.data
-            pa, pc0 = a.pos, c.pos
-            sa0, sc0 = a.strides[0], c.strides[0]
-            sam, nam = a.strides[m], a.extents[m]
-            scm, ncm = c.strides[m], c.extents[m]
-            sb0, sb1, pb00 = b.strides[0], b.strides[1], b.pos
-            end = pa + a.extents[0] * sa0
-            while pa != end:
-                pcm, pb = pc0, pb00
-                for _ in range(ncm):
-                    acc = dc[pcm]
-                    ja, jb = pa, pb
-                    for _ in range(nam):
-                        acc += da[ja] * db[jb]
-                        ja += sam
-                        jb += sb1
-                    dc[pcm] = acc
-                    pcm += scm
-                    pb += sb0
-                pa += sa0
-                pc0 += sc0
-    else:
-        if r > 1:
-            pa, pc = a.pos, c.pos
-            sa, sc = a.strides[r], c.strides[r]
-            end = pa + a.extents[r] * sa
-            while pa != end:
-                a.pos, c.pos = pa, pc
-                _ttm_rec(m, r - 1, a, b, c)
-                pa += sa
-                pc += sc
-        else:
-            # Contracted dimension is dimension 0: slice over dimension 1.
-            da, db, dc = a.data, b.data, c.data
-            pa, pc1 = a.pos, c.pos
-            sa1, sc1 = a.strides[1], c.strides[1]
-            sa0, na0 = a.strides[0], a.extents[0]
-            sc0, nc0 = c.strides[0], c.extents[0]
-            sb0, sb1, pb00 = b.strides[0], b.strides[1], b.pos
-            end = pa + a.extents[1] * sa1
-            while pa != end:
-                pcm, pb = pc1, pb00
-                for _ in range(nc0):
-                    acc = dc[pcm]
-                    ja, jb = pa, pb
-                    for _ in range(na0):
-                        acc += da[ja] * db[jb]
-                        ja += sa0
-                        jb += sb1
-                    dc[pcm] = acc
-                    pcm += sc0
-                    pb += sb0
-                pa += sa1
-                pc1 += sc1
 
 
 # -- tensor times tensor ----------------------------------------------------------------
@@ -350,57 +346,10 @@ def ttt(a, b, spec: ContractionSpec) -> DenseTensor:
         ib.extents[psi[k]] for k in range(s)
     )
     out = DenseTensor(out_shape if out_shape else (1,))
-    _ttt_rec(0, q, r, s, phi, psi, ia, ib, out.miter())
+    _contract(
+        ia, ib, _sub(out.miter(), range(r + s)), phi[:r], phi[r:], psi[:s], psi[s:]
+    )
     return out
-
-
-def _ttt_rec(k, q, r, s, phi, psi, a, b, c):
-    # The cursors are shared down the recursion, so every loop re-seats all
-    # three positions per iteration (value-passing semantics).
-    if k < r:
-        da = phi[k]
-        pa, pb0, pc = a.pos, b.pos, c.pos
-        sa, sc = a.strides[da], c.strides[k]
-        end = pa + a.extents[da] * sa
-        while pa != end:
-            a.pos, b.pos, c.pos = pa, pb0, pc
-            _ttt_rec(k + 1, q, r, s, phi, psi, a, b, c)
-            pa += sa
-            pc += sc
-    elif k < r + s:
-        db = psi[k - r]
-        pa0, pb, pc = a.pos, b.pos, c.pos
-        sb, sc = b.strides[db], c.strides[k]
-        end = pb + b.extents[db] * sb
-        while pb != end:
-            a.pos, b.pos, c.pos = pa0, pb, pc
-            _ttt_rec(k + 1, q, r, s, phi, psi, a, b, c)
-            pb += sb
-            pc += sc
-    elif q == 0:
-        # Pure outer product: no bound indices left to sum.
-        c.data[c.pos] = a.data[a.pos] * b.data[b.pos]
-    elif k < r + s + q - 1:
-        da, db = phi[k - s], psi[k - r]
-        pa, pb, pc0 = a.pos, b.pos, c.pos
-        sa, sb = a.strides[da], b.strides[db]
-        end = pa + a.extents[da] * sa
-        while pa != end:
-            a.pos, b.pos, c.pos = pa, pb, pc0
-            _ttt_rec(k + 1, q, r, s, phi, psi, a, b, c)
-            pa += sa
-            pb += sb
-    else:
-        da, db = phi[k - s], psi[k - r]
-        dda, ddb, ddc = a.data, b.data, c.data
-        pa, pb = a.pos, b.pos
-        sa, sb = a.strides[da], b.strides[db]
-        acc = ddc[c.pos]
-        for _ in range(a.extents[da]):
-            acc += dda[pa] * ddb[pb]
-            pa += sa
-            pb += sb
-        ddc[c.pos] = acc
 
 
 def reduce_ttv_to_ttt(p: int, m: int) -> ContractionSpec:

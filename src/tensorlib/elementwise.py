@@ -22,11 +22,13 @@ their callables must not depend on call order; ``for_each``'s "mutator" is
 a value-returning function whose result is stored back (Python scalars
 cannot be mutated through references).
 
-Reductions fold left to right, one element at a time, in iteration order
-(``acc = acc + x`` for ``accumulate``, ``acc += x * y`` for
-``inner_product_flat``); no compensated or pairwise summation.  So a
-floating-point reduction gives bit-identical results across layouts and
-views within one Python version.
+Reductions run in iteration order.  ``accumulate`` is a plain left fold,
+``acc = acc + x``.  ``inner_product_flat`` is ``sum(map(mul, a, b),
+init)``, the reduction primitive the contraction engine uses too: up to
+Python 3.11 the builtin ``sum`` adds left to right like ``acc += x * y``,
+and from 3.12 it compensates float rounding.  The promise is that
+floating-point results are bit-identical across layouts, views and
+kernels within one Python version.
 
 In-place use with identical source and destination (for example
 ``transform_unary(t, t, f)``) is supported.  Source and destination that
@@ -295,7 +297,4 @@ def inner_product_flat(a, b, init=0):
     """``init + sum_i a[i] * b[i]`` over all shared multi-indices."""
     ia, ib = _mit(a), _mit(b)
     plan = plan_fibers((ia, ib))
-    acc = init
-    for t in map(mul, _values(plan, 0, ia), _values(plan, 1, ib)):
-        acc += t
-    return acc
+    return sum(map(mul, _values(plan, 0, ia), _values(plan, 1, ib)), init)

@@ -7,11 +7,12 @@ cursor over a whole multi-index set and acts as a factory: ``begin(r)`` /
 (zero-based, depth r covers dimension r+1).  Assigning a stride iterator
 back to the cursor moves only the current position.
 
-:func:`plan_fibers` is the one traversal behind every elementwise kernel and
-container path: it flattens the loop nest of N cursors of equal extents
-into innermost fibers (a start position per cursor, a stride per cursor and
-a shared length), merging dimensions wherever every cursor is contiguous
-across them, so a kernel can work on whole fibers with slice operations.
+:func:`plan_fibers` is the one traversal behind every elementwise kernel,
+container path and contraction: it flattens the loop nest of N cursors of
+equal extents into innermost fibers (a start position per cursor, a stride
+per cursor and a shared length), merging dimensions wherever every cursor
+is contiguous across them, so a kernel can work on whole fibers with slice
+operations.  :func:`check_reach` is its bounds check, one per cursor.
 
 Both iterator types are cheap value objects over a shared buffer;
 dereferencing follows the owning container's single-writer contract.
@@ -27,6 +28,7 @@ __all__ = [
     "FiberPlan",
     "MultiIterator",
     "StrideIterator",
+    "check_reach",
     "fill_range",
     "inner_product_range",
     "plan_fibers",
@@ -232,18 +234,7 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
         loops.insert(0, [1, [1] * len(cursors)])
     starts = []
     for k, c in enumerate(cursors):
-        lo = hi = c.pos
-        for n, ws in loops:
-            reach = (n - 1) * ws[k]
-            if reach < 0:
-                lo += reach
-            else:
-                hi += reach
-        if lo < 0 or hi >= len(c.data):
-            raise IndexError(
-                f"cursor reaches [{lo}, {hi}] outside its buffer of "
-                f"{len(c.data)} elements"
-            )
+        check_reach(c)
         offs = [c.pos]
         for n, ws in loops[1:]:
             w = ws[k]
@@ -251,6 +242,25 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
         starts.append(offs)
     length, strides = loops[0]
     return FiberPlan(length, tuple(strides), tuple(starts))
+
+
+def check_reach(c: MultiIterator) -> None:
+    """Raise ``IndexError`` unless every position the cursor ``c`` can
+    reach lies inside its buffer."""
+    if 0 in c.extents:
+        return
+    lo = hi = c.pos
+    for n, w in zip(c.extents, c.strides):
+        reach = (n - 1) * w
+        if reach < 0:
+            lo += reach
+        else:
+            hi += reach
+    if lo < 0 or hi >= len(c.data):
+        raise IndexError(
+            f"cursor reaches [{lo}, {hi}] outside its buffer of "
+            f"{len(c.data)} elements"
+        )
 
 
 def walk_positions(it: MultiIterator) -> List[int]:

@@ -1,12 +1,17 @@
 import itertools
 import random
-from math import sqrt
+from math import prod, sqrt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tensorlib import (
     ContractionSpec,
     DenseTensor,
+    MultiIterator,
+    Range,
+    copy,
     frobenius_norm,
     inner_product_tensors,
     outer_product,
@@ -21,7 +26,7 @@ from tensorlib import (
     ttv,
 )
 
-from conftest import rand_dense, rand_operand, read_box
+from conftest import rand_dense, rand_layout, rand_offsets, rand_operand, read_box
 
 
 def identity_matrix(n):
@@ -289,6 +294,109 @@ class TestReductionSpecs:
             via_ttt = ttt(a, b, reduce_ttm_to_ttt(p, m))
             cycled = tuple(k for k in range(1, p + 1) if k != m) + (m,)
             assert tensors_equal(via_ttt, transpose(ttm(a, b, m), cycled))
+
+
+def three_ways(rng, shape, values):
+    """The same logical float tensor at the default layout, at a random
+    layout with offsets, and as a stepped view into a larger tensor."""
+    p = len(shape)
+    default = DenseTensor.from_memory(shape, values)
+    other = DenseTensor(shape, rand_offsets(rng, p), rand_layout(rng, p))
+    parent = DenseTensor(
+        tuple(2 * n + 1 for n in shape), rand_offsets(rng, p), rand_layout(rng, p)
+    )
+    view = parent.view(
+        [Range(o + 1, 2, o + 2 * n - 1) for o, n in zip(parent.offsets, shape)]
+    )
+    copy(default, other)
+    copy(default, view)
+    return default, other, view
+
+
+@st.composite
+def contraction_cases(draw):
+    """Operands and calls of ttv, ttm, ttt (q in 0..2) and outer_product,
+    with float data whose magnitudes differ widely, so that any change of
+    summation order shows in the last bits."""
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    p = draw(st.integers(2, 3))
+    shape = tuple(draw(st.integers(1, 4)) for _ in range(p))
+    m = draw(st.integers(1, p))
+    q = draw(st.integers(0, 2))
+    phi = tuple(draw(st.permutations(range(1, p + 1))))
+    s = draw(st.integers(0 if q else 1, 2))
+    psi = tuple(draw(st.permutations(range(1, q + s + 1))))
+    nb = [0] * (q + s)
+    for k in range(s):
+        nb[psi[k] - 1] = draw(st.integers(1, 3))
+    for k in range(q):
+        nb[psi[s + k] - 1] = shape[phi[p - q + k] - 1]
+    rows = draw(st.integers(1, 3))
+    shapes = (shape, (shape[m - 1],), (rows, shape[m - 1]), tuple(nb))
+    operands = [
+        three_ways(
+            rng,
+            n,
+            [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(prod(n))],
+        )
+        for n in shapes
+    ]
+    spec = ContractionSpec(q, phi, psi)
+    calls = [
+        lambda a, v, mat, b: ttv(a, v, m),
+        lambda a, v, mat, b: ttm(a, mat, m),
+        lambda a, v, mat, b: ttt(a, b, spec),
+        lambda a, v, mat, b: outer_product(a, b),
+    ]
+    return operands, calls
+
+
+class TestLayoutExactness:
+    @given(contraction_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_bit_identical_across_layouts_and_views(self, case):
+        operands, calls = case
+        for call in calls:
+            results = [call(*way) for way in zip(*operands)]
+            first = results[0].data
+            for c in results[1:]:
+                assert c.data == first
+                assert list(map(type, c.data)) == list(map(type, first))
+
+
+class TestReach:
+    # Raw cursors over a 6-element buffer: one reaches positions -4..1, the
+    # other 1..6.
+    BAD = ((0, (1, -2)), (1, (1, 2)))
+
+    @pytest.mark.parametrize("pos, strides", BAD)
+    @pytest.mark.parametrize("op", ["ttv", "ttm", "ttt"])
+    def test_out_of_buffer_operand_raises(self, op, pos, strides):
+        a = MultiIterator([1.0, 2.0, 3.0, 4.0, 5.0, 6.0], pos, strides, (2, 3))
+        ones = DenseTensor((3,), fill_value=1.0)
+        with pytest.raises(IndexError):
+            if op == "ttv":
+                ttv(a, ones, 2)
+            elif op == "ttm":
+                ttm(DenseTensor((2, 3), fill_value=1.0), a, 2)
+            else:
+                ttt(ones, a, ContractionSpec(1, (1,), (1, 2)))
+
+    def test_reversed_strides_match_materialized_copy(self):
+        rng = random.Random(22)
+        data = [rng.uniform(-1, 1) for _ in range(6)]
+        a = MultiIterator(data, 5, (-1, -2), (2, 3))
+        dense = DenseTensor((2, 3))
+        copy(a, dense)
+        v = rand_dense(rng, (3,), kind="float64")
+        mat = rand_dense(rng, (4, 2), kind="float64")
+        b = rand_dense(rng, (3, 2), kind="float64")
+        spec = ContractionSpec(1, (2, 1), (1, 2))
+        assert ttv(a, v, 2).data == ttv(dense, v, 2).data
+        assert ttm(a, mat, 1).data == ttm(dense, mat, 1).data
+        assert ttt(a, b, spec).data == ttt(dense, b, spec).data
+        assert ttt(b, a, spec).data == ttt(b, dense, spec).data
+        assert outer_product(a, v).data == outer_product(dense, v).data
 
 
 class TestNamedSpecialCases:

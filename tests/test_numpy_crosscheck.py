@@ -1,5 +1,5 @@
 """Cross-checks of the contraction suite against numpy.tensordot, a third
-route independent of both the recursive kernels and the nested-loop
+route independent of both the contraction engine and the nested-loop
 oracles.  Integer data keeps every comparison exact."""
 
 import random
