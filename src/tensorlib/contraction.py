@@ -51,10 +51,10 @@ from dataclasses import dataclass
 from itertools import chain
 from math import prod, sqrt
 from operator import mul
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
-from .elementwise import _copy, copy, inner_product_flat
-from .iterators import MultiIterator, check_reach, plan_fibers
+from .elementwise import _copy, _mit, copy, inner_product_flat
+from .iterators import MultiIterator, _plan, _positions, check_reach
 from .tensor import DenseTensor
 
 __all__ = [
@@ -71,12 +71,6 @@ __all__ = [
     "ttt",
     "ttv",
 ]
-
-
-def _mit(source) -> MultiIterator:
-    if isinstance(source, MultiIterator):
-        return source.clone()
-    return source.miter()
 
 
 def _vector_mit(b, expected_len: int, what: str) -> MultiIterator:
@@ -127,15 +121,6 @@ def _sub(it: MultiIterator, dims) -> MultiIterator:
     )
 
 
-def _positions(pos: int, strides, extents) -> List[int]:
-    """Positions of all multi-indices over ``extents`` from ``pos``,
-    dimension 1 fastest."""
-    positions = [pos]
-    for n, w in zip(extents, strides):
-        positions = [p + i * w for i in range(n) for p in positions]
-    return positions
-
-
 def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
     """``(length, strides, offsets)`` of the joint bound fibers of ``s``
     and ``k``, whose contracted pairs are ``zip(s_bound, k_bound)``.
@@ -152,7 +137,7 @@ def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
         return s.extents[s_bound[0]], (ws, wk), ([0], [0])
     # Planned in iteration order, so the last pair (dimension 1) is fastest.
     cursors = (_sub(s, s_bound[::-1]), _sub(k, k_bound[::-1]))
-    plan = plan_fibers(cursors)
+    plan = _plan(cursors, False)
     offsets = tuple(
         [p - it.pos for p in starts] for starts, it in zip(plan.starts, cursors)
     )
@@ -191,12 +176,14 @@ def _contract(ia, ib, c, a_free, a_bound, b_free, b_bound) -> None:
     swap = prod(b_side[-1]) > prod(a_side[-1])
     s, s_free, s_bound, s_out, s_ext = b_side if swap else a_side
     k, k_free, k_bound, k_out, k_ext = a_side if swap else b_side
-    plan = plan_fibers(
+    # ``s`` and ``k`` were checked whole and ``c`` is the fresh output, so
+    # the sub-cursors planned below need no check of their own.
+    plan = _plan(
         (
             MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext),
             MultiIterator(c.data, c.pos, s_out, s_ext),
         ),
-        reorder=True,
+        True,
     )
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
     k_pos = _positions(k.pos, [k.strides[d] for d in k_free], k_ext)

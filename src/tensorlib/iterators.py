@@ -207,6 +207,15 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
     one check per call, since a slice would silently clip (reading) or
     resize the list (writing).
     """
+    plan = _plan(cursors, reorder)
+    for c in cursors:
+        check_reach(c)
+    return plan
+
+
+def _plan(cursors: Sequence[MultiIterator], reorder: bool) -> FiberPlan:
+    """:func:`plan_fibers` without the reach check, for callers that have
+    checked every cursor it is given, or cursors covering them."""
     extents = cursors[0].extents
     for c in cursors:
         if c.extents != extents:
@@ -232,16 +241,22 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
     if not loops or min(loops[0][1]) <= 0:
         # Slices need positive steps: fall back to one-element fibers.
         loops.insert(0, [1, [1] * len(cursors)])
-    starts = []
-    for k, c in enumerate(cursors):
-        check_reach(c)
-        offs = [c.pos]
-        for n, ws in loops[1:]:
-            w = ws[k]
-            offs = [o + i * w for i in range(n) for o in offs]
-        starts.append(offs)
+    outer = [n for n, _ in loops[1:]]
+    starts = tuple(
+        _positions(c.pos, [ws[k] for _, ws in loops[1:]], outer)
+        for k, c in enumerate(cursors)
+    )
     length, strides = loops[0]
-    return FiberPlan(length, tuple(strides), tuple(starts))
+    return FiberPlan(length, tuple(strides), starts)
+
+
+def _positions(pos: int, strides, extents) -> List[int]:
+    """Positions of all multi-indices over ``extents`` from ``pos``,
+    dimension 1 fastest."""
+    positions = [pos]
+    for n, w in zip(extents, strides):
+        positions = [p + i * w for i in range(n) for p in positions]
+    return positions
 
 
 def check_reach(c: MultiIterator) -> None:

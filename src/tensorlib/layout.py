@@ -26,6 +26,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+from itertools import product
 from typing import Iterable, Iterator, Sequence, Tuple
 
 __all__ = [
@@ -154,6 +155,9 @@ class TensorMeta:
 
     __slots__ = ("shape", "layout", "offsets", "strides")
 
+    # Memory index of the lower-bound corner: a dense buffer starts there.
+    gamma = 0
+
     def __init__(self, shape, offsets=None, layout=None):
         shape = validate_shape(shape)
         p = len(shape)
@@ -225,16 +229,9 @@ def inverse_memory_index(meta: TensorMeta, j: int) -> Tuple[int, ...]:
 def zero_indices(shape: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     """Yield all zero-based multi-indices, dimension 1 varying fastest.
 
-    This is the canonical iteration order of the recursive algorithm
-    suites (dimension p outermost, dimension 1 innermost).
+    This is the canonical iteration order of the kernels (dimension p
+    outermost, dimension 1 innermost).
     """
-    p = len(shape)
-    idx = [0] * p
-    total = volume(shape)
-    for _ in range(total):
-        yield tuple(idx)
-        for r in range(p):
-            idx[r] += 1
-            if idx[r] < shape[r]:
-                break
-            idx[r] = 0
+    volume(shape)  # raises on index-space overflow
+    for rev in product(*[range(n) for n in reversed(shape)]):
+        yield rev[::-1]

@@ -8,6 +8,11 @@ same values under different layouts are indistinguishable through
 ``+ - * /`` (square root is additionally needed by norms and the power
 method); the test suite exercises Python ints (exact) and floats.
 
+Tensors and views (:mod:`tensorlib.views`) share one addressing core,
+``_Strided``: element access, cursors and structure properties read only
+``data`` and ``meta``.  A tensor's ``meta`` is its ``TensorMeta``, whose
+base position ``gamma`` is 0.
+
 Concurrency: a tensor is single-writer.  Concurrent reads are safe; any
 mutation requires exclusive access.
 """
@@ -23,7 +28,96 @@ from .layout import TensorMeta, validate_layout, validate_shape, volume
 __all__ = ["DenseTensor", "tensors_equal"]
 
 
-class DenseTensor:
+class _Strided:
+    """Element addressing and structure shared by tensors and views.
+
+    Everything here reads two attributes: ``data``, the element buffer,
+    and ``meta``, which carries ``shape``, ``offsets``, ``layout``,
+    ``strides`` and the base position ``gamma`` of the element at the
+    lower-bound corner.  The bounds-checked layout function is
+    ``j = gamma + sum_r w[r] * (i[r] - o[r])``.
+    """
+
+    __slots__ = ()
+
+    @property
+    def shape(self):
+        return self.meta.shape
+
+    @property
+    def order(self) -> int:
+        return len(self.meta.shape)
+
+    @property
+    def layout(self):
+        return self.meta.layout
+
+    @property
+    def offsets(self):
+        return self.meta.offsets
+
+    @property
+    def strides(self):
+        return self.meta.strides
+
+    @property
+    def size(self) -> int:
+        return volume(self.meta.shape)
+
+    def _key_to_memory(self, key) -> int:
+        if isinstance(key, int):
+            key = (key,)
+        else:
+            key = tuple(key)
+        meta = self.meta
+        if len(key) != len(meta.shape):
+            raise ValueError(f"expected {len(meta.shape)} indices, got {len(key)}")
+        j = meta.gamma
+        for r, (i, o, n, w) in enumerate(
+            zip(key, meta.offsets, meta.shape, meta.strides)
+        ):
+            if not o <= i < o + n:
+                raise IndexError(
+                    f"index {i} out of bounds [{o}, {o + n}) in dimension {r + 1}"
+                )
+            j += w * (i - o)
+        return j
+
+    def miter(self) -> MultiIterator:
+        """Multidimensional cursor at the first element."""
+        meta = self.meta
+        return MultiIterator(self.data, meta.gamma, meta.strides, meta.shape)
+
+    def dim_begin(self, dim: int, at: Optional[Sequence[int]] = None) -> StrideIterator:
+        """Stride iterator over dimension ``dim`` (one-based).
+
+        ``at`` optionally fixes the other coordinates' displacement as an
+        absolute multi-index, bounds-checked like element access (its entry
+        for ``dim`` is ignored); by default the range starts at the first
+        element.
+        """
+        return StrideIterator(self.data, self._dim_base(dim, at), self.strides[dim - 1])
+
+    def dim_end(self, dim: int, at: Optional[Sequence[int]] = None) -> StrideIterator:
+        pos = self._dim_base(dim, at)
+        w = self.strides[dim - 1]
+        return StrideIterator(self.data, pos + self.shape[dim - 1] * w, w)
+
+    def _dim_base(self, dim: int, at: Optional[Sequence[int]]) -> int:
+        meta = self.meta
+        p = len(meta.shape)
+        if not 1 <= dim <= p:
+            raise ValueError(f"dimension {dim} out of range 1..{p}")
+        if at is None:
+            return meta.gamma
+        if len(at) != p:
+            raise ValueError(f"expected {p} indices, got {len(at)}")
+        at = list(at)
+        at[dim - 1] = meta.offsets[dim - 1]
+        return self._key_to_memory(at)
+
+
+class DenseTensor(_Strided):
     """Dense array with runtime order, extents, offsets and layout.
 
     ``DenseTensor(shape)`` value-initializes every element to zero, with
@@ -51,57 +145,12 @@ class DenseTensor:
         t.data = data
         return t
 
-    # -- structure ---------------------------------------------------------
-
-    @property
-    def shape(self):
-        return self.meta.shape
-
-    @property
-    def order(self) -> int:
-        return self.meta.order
-
-    @property
-    def layout(self):
-        return self.meta.layout
-
-    @property
-    def offsets(self):
-        return self.meta.offsets
-
-    @property
-    def strides(self):
-        return self.meta.strides
-
-    @property
-    def size(self) -> int:
-        return len(self.data)
-
     def copy(self) -> "DenseTensor":
         return DenseTensor.from_memory(
             self.shape, self.data, self.offsets, self.layout
         )
 
     # -- element access ----------------------------------------------------
-
-    def _key_to_memory(self, key) -> int:
-        if isinstance(key, int):
-            key = (key,)
-        else:
-            key = tuple(key)
-        meta = self.meta
-        if len(key) != len(meta.shape):
-            raise ValueError(f"expected {len(meta.shape)} indices, got {len(key)}")
-        j = 0
-        for r, (i, o, n, w) in enumerate(
-            zip(key, meta.offsets, meta.shape, meta.strides)
-        ):
-            if not o <= i < o + n:
-                raise IndexError(
-                    f"index {i} out of bounds [{o}, {o + n}) in dimension {r + 1}"
-                )
-            j += w * (i - o)
-        return j
 
     def __getitem__(self, key):
         return self.data[self._key_to_memory(key)]
@@ -179,39 +228,6 @@ class DenseTensor:
                 f"({volume(new_shape)} != {len(self.data)})"
             )
         self.meta = self.meta.with_shape(new_shape)
-
-    # -- iterators -----------------------------------------------------------
-
-    def miter(self) -> MultiIterator:
-        """Multidimensional cursor at the first element."""
-        return MultiIterator(self.data, 0, self.strides, self.shape)
-
-    def dim_begin(self, dim: int, at: Optional[Sequence[int]] = None) -> StrideIterator:
-        """Stride iterator over dimension ``dim`` (one-based).
-
-        ``at`` optionally fixes the other coordinates' displacement as an
-        absolute multi-index (its entry for ``dim`` is ignored); by default
-        the range starts at the first element.
-        """
-        return StrideIterator(self.data, self._dim_base(dim, at), self.strides[dim - 1])
-
-    def dim_end(self, dim: int, at: Optional[Sequence[int]] = None) -> StrideIterator:
-        w = self.strides[dim - 1]
-        pos = self._dim_base(dim, at) + self.shape[dim - 1] * w
-        return StrideIterator(self.data, pos, w)
-
-    def _dim_base(self, dim: int, at: Optional[Sequence[int]]) -> int:
-        if not 1 <= dim <= self.order:
-            raise ValueError(f"dimension {dim} out of range 1..{self.order}")
-        if at is None:
-            return 0
-        if len(at) != self.order:
-            raise ValueError(f"expected {self.order} indices, got {len(at)}")
-        pos = 0
-        for r in range(self.order):
-            if r != dim - 1:
-                pos += self.strides[r] * (at[r] - self.offsets[r])
-        return pos
 
     # -- views ----------------------------------------------------------------
 

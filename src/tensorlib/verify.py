@@ -3,7 +3,7 @@
 Every operation family is checked against a naive oracle that reads the
 operands element by element into plain dictionaries keyed by zero-based
 multi-index and recomputes the operation with ordinary nested loops,
-independent of the iterator recursion under test.  Trials randomize order,
+independent of the fiber engine under test.  Trials randomize order,
 extents, layout (uniform over all permutations), offsets (in [-2, 2]),
 element kind, and whether each operand is a tensor or a strided view.
 
@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import contraction as ct
 from . import elementwise as ew
+from .layout import zero_indices
 from .tensor import DenseTensor
 from .views import Range, TensorView
 
@@ -141,14 +142,14 @@ def _rand_value(rng, kind: str):
     return rng.uniform(0.5, 2.0)
 
 
-def _rand_tensor(rng, shape, kind: str) -> DenseTensor:
+def _rand_tensor(rng, shape, kind: str = "int64") -> DenseTensor:
     p = len(shape)
     t = DenseTensor(shape, _rand_offsets(rng, p), _rand_layout(rng, p))
     t.data = [_rand_value(rng, kind) for _ in range(t.size)]
     return t
 
 
-def _rand_operand(rng, shape, kind: str):
+def _rand_operand(rng, shape, kind: str = "int64"):
     """A tensor of ``shape``, or a stepped view of that shape into a larger
     random parent."""
     if rng.random() < 0.5:
@@ -174,17 +175,11 @@ def _rand_operand(rng, shape, kind: str):
 Box = Dict[Tuple[int, ...], object]
 
 
-def _iter_indices(shape):
-    """All zero-based multi-indices, dimension 1 fastest (iteration order)."""
-    for rev in itertools.product(*[range(n) for n in reversed(shape)]):
-        yield rev[::-1]
-
-
 def read_box(x) -> Box:
     """Materialize an operand into a dict keyed by zero-based multi-index."""
     o = x.offsets
     out = {}
-    for i in _iter_indices(x.shape):
+    for i in zero_indices(x.shape):
         out[i] = x[tuple(a + b for a, b in zip(i, o))]
     return out
 
@@ -229,7 +224,7 @@ class _Comparator:
                 got_shape=list(got_reader.shape),
             )
         o = got_reader.offsets
-        for i in _iter_indices(shape):
+        for i in zero_indices(shape):
             got = got_reader[tuple(a + b for a, b in zip(i, o))]
             bad = self.check_value(expected[i], got, context)
             if bad is not None:
@@ -306,7 +301,7 @@ def _check_fill(rng, cfg, cmp):
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
     v = _rand_value(rng, cfg.scalar_kind)
     ew.fill(dst, v)
-    expected = {i: v for i in _iter_indices(shape)}
+    expected = {i: v for i in zero_indices(shape)}
     return cmp.check_box(expected, shape, dst, {"op": "fill"})
 
 
@@ -316,7 +311,7 @@ def _check_generate(rng, cfg, cmp):
     start = rng.randint(0, 5)
     counter = itertools.count(start)
     ew.generate(dst, lambda: next(counter))
-    expected = {i: k for k, i in enumerate(_iter_indices(shape), start=start)}
+    expected = {i: k for k, i in enumerate(zero_indices(shape), start=start)}
     return cmp.check_box(expected, shape, dst, {"op": "generate"})
 
 
@@ -325,7 +320,7 @@ def _check_iota(rng, cfg, cmp):
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
     start = rng.randint(-3, 3)
     ew.iota(dst, start)
-    expected = {i: k for k, i in enumerate(_iter_indices(shape), start=start)}
+    expected = {i: k for k, i in enumerate(zero_indices(shape), start=start)}
     return cmp.check_box(expected, shape, dst, {"op": "iota"})
 
 
@@ -351,7 +346,7 @@ def _check_extremum(rng, cfg, cmp):
     box = read_box(x)
     for kind, better in (("min", lambda v, b: v < b), ("max", lambda v, b: v > b)):
         best_i, best_v = None, None
-        for i in _iter_indices(shape):
+        for i in zero_indices(shape):
             if best_i is None or better(box[i], best_v):
                 best_i, best_v = i, box[i]
         got_i, got_v = ew.extremum_element(x, kind)
@@ -369,7 +364,7 @@ def _check_find(rng, cfg, cmp):
     x = _rand_operand(rng, shape, cfg.scalar_kind)
     box = read_box(x)
     needle = rng.choice(sorted(box.values(), key=repr))
-    expected = next(i for i in _iter_indices(shape) if box[i] == needle)
+    expected = next(i for i in zero_indices(shape) if box[i] == needle)
     got = ew.find_first(x, value=needle)
     if got != expected:
         return {
@@ -396,7 +391,7 @@ def _check_compare(rng, cfg, cmp):
     o = b.offsets
     b[tuple(i + c for i, c in zip(victim, o))] = box[victim] + 1
     bb = read_box(b)
-    expected = next(i for i in _iter_indices(shape) if box[i] != bb[i])
+    expected = next(i for i in zero_indices(shape) if box[i] != bb[i])
     res = ew.compare_ranges(a, b)
     if res.equal or res.first_mismatch != expected:
         return {
@@ -428,7 +423,7 @@ def _check_accumulate(rng, cfg, cmp):
     init = _rand_value(rng, cfg.scalar_kind)
     got = ew.accumulate(x, init)
     expected = init
-    for i in _iter_indices(shape):
+    for i in zero_indices(shape):
         expected = expected + box[i]
     return cmp.check_value(expected, got, {"op": "accumulate"})
 
@@ -441,7 +436,7 @@ def _check_inner_flat(rng, cfg, cmp):
     init = _rand_value(rng, cfg.scalar_kind)
     got = ew.inner_product_flat(a, b, init)
     expected = init
-    for i in _iter_indices(shape):
+    for i in zero_indices(shape):
         expected += ba[i] * bb[i]
     return cmp.check_value(expected, got, {"op": "inner_product_flat"})
 
@@ -452,7 +447,7 @@ def _check_inner_flat(rng, cfg, cmp):
 def oracle_transpose(box: Box, shape, tau) -> Tuple[Box, Tuple[int, ...]]:
     out_shape = tuple(shape[t - 1] for t in tau)
     out = {}
-    for ic in _iter_indices(out_shape):
+    for ic in zero_indices(out_shape):
         ia = [0] * len(shape)
         for r, t in enumerate(tau):
             ia[t - 1] = ic[r]
@@ -463,7 +458,7 @@ def oracle_transpose(box: Box, shape, tau) -> Tuple[Box, Tuple[int, ...]]:
 def oracle_ttv(box: Box, shape, bvals, m: int) -> Tuple[Box, Tuple[int, ...]]:
     out_shape = shape[: m - 1] + shape[m:]
     out = {}
-    for ic in _iter_indices(out_shape):
+    for ic in zero_indices(out_shape):
         acc = 0
         for k in range(shape[m - 1]):
             acc += box[ic[: m - 1] + (k,) + ic[m - 1 :]] * bvals[k]
@@ -474,7 +469,7 @@ def oracle_ttv(box: Box, shape, bvals, m: int) -> Tuple[Box, Tuple[int, ...]]:
 def oracle_ttm(box: Box, shape, bbox: Box, bshape, m: int):
     out_shape = shape[: m - 1] + (bshape[0],) + shape[m:]
     out = {}
-    for ic in _iter_indices(out_shape):
+    for ic in zero_indices(out_shape):
         acc = 0
         j = ic[m - 1]
         for k in range(shape[m - 1]):
@@ -490,7 +485,7 @@ def oracle_ttt(boxa: Box, na, boxb: Box, nb, q, phi, psi):
     )
     bounds = [na[phi[r + k] - 1] for k in range(q)]
     out = {}
-    for ic in _iter_indices(out_shape or (1,)):
+    for ic in zero_indices(out_shape or (1,)):
         acc = 0
         for jt in itertools.product(*[range(b) for b in bounds]):
             ia = [0] * len(na)
@@ -597,7 +592,7 @@ def _check_outer(rng, cfg, cmp):
     ba, bb = read_box(a), read_box(b)
     out_shape = na + nb
     expected = {}
-    for ic in _iter_indices(out_shape):
+    for ic in zero_indices(out_shape):
         expected[ic] = ba[ic[: len(na)]] * bb[ic[len(na) :]]
     ctx = {"op": "outer_product", "a": _operand_json(a), "b": _operand_json(b)}
     return cmp.check_box(expected, out_shape, got, ctx)
@@ -610,7 +605,7 @@ def _check_inner(rng, cfg, cmp):
     got = ct.inner_product_tensors(a, b)
     ba, bb = read_box(a), read_box(b)
     expected = 0
-    for i in _iter_indices(shape):
+    for i in zero_indices(shape):
         expected += ba[i] * bb[i]
     return cmp.check_value(expected, got, {"op": "inner_product_tensors"})
 

@@ -5,7 +5,16 @@ A view is defined by one :class:`Range` per target dimension: a
 first + step, ..., <= last``.  The view keeps the target's order (single
 indices become extent-1 dimensions) and addresses the target's buffer with
 scaled strides plus a base displacement, so reads and writes go straight
-through to the target.
+through to the target.  Element access, cursors and structure properties
+are the tensor's own, read through the view's frame.
+
+Views follow their target's live layout: the frame is derived from the
+ranges (resolved when the view is built) and the target's current
+``meta``, again whenever ``relayout``, ``reshape`` or ``assign`` replaced
+it.  A view so reads the same multi-indices after a relayout or a
+same-shape assign.  Once the target's order changes or a range no longer
+fits its index box, every access raises ``IndexError`` naming the
+dimension, instead of reading a wrong element.
 
 A view holds a strong reference to its target, which therefore lives at
 least as long as the view.
@@ -13,10 +22,11 @@ least as long as the view.
 
 from __future__ import annotations
 
+from typing import NamedTuple, Tuple
+
 from .elementwise import _copy
-from .iterators import MultiIterator, StrideIterator
-from .layout import memory_index
-from .tensor import DenseTensor
+from .layout import TensorMeta, memory_index
+from .tensor import DenseTensor, _Strided
 
 __all__ = ["Range", "TensorView", "classify_view"]
 
@@ -30,7 +40,7 @@ class Range:
     ``i``, ``Range(f, l)`` every index from ``f`` to ``l``, and
     ``Range(f, t, l)`` every ``t``-th index from ``f`` up to ``l``.
     Bounds are validated against the target dimension when the view is
-    built.
+    built, and again whenever the target's layout or shape has changed.
     """
 
     __slots__ = ("first", "step", "last")
@@ -64,17 +74,23 @@ class Range:
         """Concrete (first, step, last) against one target dimension."""
         if self.is_full:
             return offset, 1, offset + extent - 1
-        if not (offset <= self.first and self.last < offset + extent):
-            raise IndexError(
-                f"range [{self.first}:{self.step}:{self.last}] out of bounds "
-                f"[{offset}, {offset + extent}) in dimension {dim}"
-            )
-        return self.first, self.step, self.last
+        return _fit((self.first, self.step, self.last), offset, extent, dim)
 
     def __repr__(self):
         if self.is_full:
             return "Range()"
         return f"Range({self.first}, {self.step}, {self.last})"
+
+
+def _fit(triplet, offset: int, extent: int, dim: int):
+    """``triplet`` if its indices lie in ``[offset, offset + extent)``."""
+    first, step, last = triplet
+    if not (offset <= first and last < offset + extent):
+        raise IndexError(
+            f"range [{first}:{step}:{last}] out of bounds "
+            f"[{offset}, {offset + extent}) in dimension {dim}"
+        )
+    return triplet
 
 
 def _as_range(spec) -> Range:
@@ -87,17 +103,60 @@ def _as_range(spec) -> Range:
     raise ValueError(f"cannot interpret {spec!r} as a range")
 
 
-class TensorView:
+class _Frame(NamedTuple):
+    """A view's ``meta``: its extents and scaled strides, the target's
+    offsets and layout, and the memory index ``gamma`` of its lower-bound
+    corner in the target's buffer."""
+
+    shape: Tuple[int, ...]
+    offsets: Tuple[int, ...]
+    layout: Tuple[int, ...]
+    strides: Tuple[int, ...]
+    gamma: int
+
+
+def _frame(ranges, meta: TensorMeta) -> _Frame:
+    """Frame of the resolved ``(first, step, last)`` ranges over a target
+    described by ``meta``.
+
+    Raises ``IndexError`` naming the dimension when the orders differ or a
+    range does not fit the target's index box.
+    """
+    if len(ranges) != len(meta.shape):
+        raise IndexError(
+            f"view of order {len(ranges)} has no match for dimension "
+            f"{min(len(ranges), len(meta.shape)) + 1} of its target, "
+            f"now of order {len(meta.shape)}"
+        )
+    firsts, extents, strides = [], [], []
+    for dim, (rng, o, n, w) in enumerate(
+        zip(ranges, meta.offsets, meta.shape, meta.strides), start=1
+    ):
+        f, t, l = _fit(rng, o, n, dim)
+        firsts.append(f)
+        extents.append((l - f) // t + 1)
+        strides.append(w * t)
+    return _Frame(
+        tuple(extents),
+        meta.offsets,
+        meta.layout,
+        tuple(strides),
+        memory_index(meta.strides, firsts, meta.offsets),
+    )
+
+
+class TensorView(_Strided):
     """Writable window into a :class:`DenseTensor`.
 
     The view's extent in dimension ``r`` is ``(last - first) // step + 1``;
     its strides are the target's scaled by the steps, and all its elements
     sit at ``gamma + sum_r stride[r]*step[r]*(i[r] - offset[r])`` in the
     target's buffer, where ``gamma`` is the memory index of the lower-bound
-    corner.  Index offsets are inherited from the target.
+    corner.  Index offsets are inherited from the target.  ``meta`` follows
+    the target's live layout (see the module docstring).
     """
 
-    __slots__ = ("target", "ranges", "_shape", "_strides", "gamma")
+    __slots__ = ("target", "ranges", "_source", "_frame")
 
     def __init__(self, target: DenseTensor, ranges):
         ranges = tuple(_as_range(s) for s in ranges)
@@ -105,71 +164,31 @@ class TensorView:
             raise ValueError(
                 f"expected {target.order} ranges, got {len(ranges)}"
             )
-        firsts, steps, lasts, extents = [], [], [], []
-        for dim, (rng, o, n) in enumerate(
-            zip(ranges, target.offsets, target.shape), start=1
-        ):
-            f, t, l = rng.resolve(o, n, dim)
-            firsts.append(f)
-            steps.append(t)
-            lasts.append(l)
-            extents.append((l - f) // t + 1)
         self.target = target
-        self.ranges = tuple(zip(firsts, steps, lasts))
-        self._shape = tuple(extents)
-        self._strides = tuple(
-            w * t for w, t in zip(target.strides, steps)
+        self.ranges = tuple(
+            rng.resolve(o, n, dim)
+            for dim, (rng, o, n) in enumerate(
+                zip(ranges, target.offsets, target.shape), start=1
+            )
         )
-        self.gamma = memory_index(target.strides, firsts, target.offsets)
-
-    # -- structure (mirrors DenseTensor) ------------------------------------
-
-    @property
-    def shape(self):
-        return self._shape
+        self._source = target.meta
+        self._frame = _frame(self.ranges, self._source)
 
     @property
-    def order(self) -> int:
-        return len(self._shape)
+    def meta(self) -> _Frame:
+        meta = self.target.meta
+        if meta is not self._source:
+            self._frame = _frame(self.ranges, meta)
+            self._source = meta
+        return self._frame
 
     @property
-    def offsets(self):
-        return self.target.offsets
+    def data(self) -> list:
+        return self.target.data
 
     @property
-    def layout(self):
-        return self.target.layout
-
-    @property
-    def strides(self):
-        return self._strides
-
-    @property
-    def size(self) -> int:
-        s = 1
-        for n in self._shape:
-            s *= n
-        return s
-
-    # -- element access -------------------------------------------------------
-
-    def _key_to_memory(self, key) -> int:
-        if isinstance(key, int):
-            key = (key,)
-        else:
-            key = tuple(key)
-        if len(key) != self.order:
-            raise ValueError(f"expected {self.order} indices, got {len(key)}")
-        j = self.gamma
-        for r, (i, o, n, w) in enumerate(
-            zip(key, self.offsets, self._shape, self._strides)
-        ):
-            if not o <= i < o + n:
-                raise IndexError(
-                    f"index {i} out of bounds [{o}, {o + n}) in view dimension {r + 1}"
-                )
-            j += w * (i - o)
-        return j
+    def gamma(self) -> int:
+        return self.meta.gamma
 
     def __getitem__(self, key):
         return self.target.data[self._key_to_memory(key)]
@@ -177,50 +196,15 @@ class TensorView:
     def __setitem__(self, key, value):
         self.target.data[self._key_to_memory(key)] = value
 
-    # -- iterators ---------------------------------------------------------------
-
-    def miter(self) -> MultiIterator:
-        return MultiIterator(self.target.data, self.gamma, self._strides, self._shape)
-
-    def dim_begin(self, dim, at=None) -> StrideIterator:
-        """Stride iterator over view dimension ``dim`` (one-based); strides
-        and base already account for the range steps and corner."""
-        return StrideIterator(
-            self.target.data, self._dim_base(dim, at), self._strides[dim - 1]
-        )
-
-    def dim_end(self, dim, at=None) -> StrideIterator:
-        w = self._strides[dim - 1]
-        pos = self._dim_base(dim, at) + self._shape[dim - 1] * w
-        return StrideIterator(self.target.data, pos, w)
-
-    def _dim_base(self, dim, at) -> int:
-        if not 1 <= dim <= self.order:
-            raise ValueError(f"dimension {dim} out of range 1..{self.order}")
-        if at is None:
-            return self.gamma
-        if len(at) != self.order:
-            raise ValueError(f"expected {self.order} indices, got {len(at)}")
-        pos = self.gamma
-        for r in range(self.order):
-            if r != dim - 1:
-                pos += self._strides[r] * (at[r] - self.offsets[r])
-        return pos
-
-    # -- derived ------------------------------------------------------------------
-
     def materialize(self) -> DenseTensor:
         """Fresh default-layout, zero-offset tensor holding the view's
         elements."""
-        out = DenseTensor(self._shape)
+        out = DenseTensor(self.shape)
         _copy(self.miter(), out.miter())
         return out
 
     def __repr__(self):
-        return (
-            f"TensorView(shape={self._shape}, gamma={self.gamma}, "
-            f"strides={self._strides})"
-        )
+        return f"TensorView(target={self.target!r}, ranges={self.ranges})"
 
 
 def classify_view(v: TensorView) -> str:

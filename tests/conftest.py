@@ -1,66 +1,18 @@
-"""Shared test helpers: random instance builders and a minimal MATLAB
-literal grammar used to validate emitted scripts."""
+"""Shared test helpers: the random instance builders of
+:mod:`tensorlib.verify` under short names, exhaustive shape and layout
+enumerations, and a minimal MATLAB literal grammar used to validate
+emitted scripts."""
 
 from __future__ import annotations
 
 import itertools
-import random
-from typing import List, Tuple
+from typing import List
 
-from tensorlib import DenseTensor, Range, TensorView, zero_indices
-
-
-def rand_layout(rng: random.Random, p: int) -> Tuple[int, ...]:
-    perm = list(range(1, p + 1))
-    rng.shuffle(perm)
-    return tuple(perm)
-
-
-def rand_offsets(rng: random.Random, p: int) -> Tuple[int, ...]:
-    return tuple(rng.randint(-2, 2) for _ in range(p))
-
-
-def rand_shape(rng: random.Random, max_order=4, max_extent=5, min_order=1):
-    p = rng.randint(min_order, max_order)
-    return tuple(rng.randint(1, max_extent) for _ in range(p))
-
-
-def rand_dense(rng: random.Random, shape, kind="int64") -> DenseTensor:
-    p = len(shape)
-    t = DenseTensor(shape, rand_offsets(rng, p), rand_layout(rng, p))
-    if kind == "int64":
-        t.data = [rng.randint(-9, 9) for _ in range(t.size)]
-    else:
-        t.data = [rng.uniform(0.5, 2.0) for _ in range(t.size)]
-    return t
-
-
-def rand_operand(rng: random.Random, shape, kind="int64"):
-    """Tensor of ``shape`` or a stepped view of that shape into a larger
-    parent, 50/50."""
-    if rng.random() < 0.5:
-        return rand_dense(rng, shape, kind)
-    p = len(shape)
-    steps = [rng.randint(1, 2) for _ in range(p)]
-    leads = [rng.randint(0, 1) for _ in range(p)]
-    parent_shape = tuple(
-        lead + t * (n - 1) + 1 + rng.randint(0, 1)
-        for n, t, lead in zip(shape, steps, leads)
-    )
-    parent = rand_dense(rng, parent_shape, kind)
-    ranges = []
-    for r in range(p):
-        f = parent.offsets[r] + leads[r]
-        ranges.append(Range(f, steps[r], f + steps[r] * (shape[r] - 1)))
-    return TensorView(parent, ranges)
-
-
-def read_box(x) -> dict:
-    """Zero-based multi-index -> value dictionary."""
-    o = x.offsets
-    return {
-        i: x[tuple(a + b for a, b in zip(i, o))] for i in zero_indices(x.shape)
-    }
+from tensorlib.verify import _rand_layout as rand_layout
+from tensorlib.verify import _rand_offsets as rand_offsets
+from tensorlib.verify import _rand_operand as rand_operand
+from tensorlib.verify import _rand_tensor as rand_dense
+from tensorlib.verify import read_box
 
 
 def all_shapes(p: int, max_extent: int):

@@ -1,3 +1,4 @@
+import importlib
 import itertools
 import random
 from math import prod, sqrt
@@ -27,6 +28,9 @@ from tensorlib import (
 )
 
 from conftest import rand_dense, rand_layout, rand_offsets, rand_operand, read_box
+
+contraction = importlib.import_module("tensorlib.contraction")
+iterators = importlib.import_module("tensorlib.iterators")
 
 
 def identity_matrix(n):
@@ -397,6 +401,31 @@ class TestReach:
         assert ttt(a, b, spec).data == ttt(dense, b, spec).data
         assert ttt(b, a, spec).data == ttt(b, dense, spec).data
         assert outer_product(a, v).data == outer_product(dense, v).data
+
+    def test_each_operand_checked_once_per_call(self, monkeypatch):
+        checked = []
+        check = iterators.check_reach
+
+        def spy(c):
+            checked.append(c)
+            check(c)
+
+        for module in (iterators, contraction):
+            monkeypatch.setattr(module, "check_reach", spy)
+        rng = random.Random(23)
+        a = rand_operand(rng, (3, 4, 2), "float64")
+        reversed_a = MultiIterator(list(range(6)), 5, (-1, -2), (2, 3))
+        calls = [
+            lambda: ttv(a, DenseTensor((4,), fill_value=1.0), 2),
+            lambda: ttv(reversed_a, DenseTensor((3,), fill_value=1), 2),
+            lambda: ttm(a, rand_operand(rng, (5, 2), "float64"), 3),
+            lambda: ttt(a, rand_operand(rng, (4, 2), "float64"),
+                        ContractionSpec(2, (1, 2, 3), (1, 2))),
+        ]
+        for call in calls:
+            checked.clear()
+            call()
+            assert len(checked) == 2
 
 
 class TestNamedSpecialCases:

@@ -128,6 +128,17 @@ class TestDimRanges:
             a.dim_begin(3)
         with pytest.raises(ValueError):
             a.dim_begin(0)
+        with pytest.raises(ValueError):
+            a.dim_end(3)
+
+    def test_displacement_outside_box_raises(self):
+        a = DenseTensor((4, 3, 2), offsets=(0, -1, 0))
+        v = a.view(Range(0, 2, 2), None, None)
+        assert a.dim_begin(2, at=(3, 99, 1)) == a.dim_begin(2, at=(3, -1, 1))
+        with pytest.raises(IndexError, match="dimension 1"):
+            a.dim_begin(2, at=(4, -1, 0))
+        with pytest.raises(IndexError, match="dimension 3"):
+            v.dim_end(1, at=(0, -1, -1))
 
 
 class TestMultiIterator:

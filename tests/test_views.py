@@ -8,11 +8,12 @@ from tensorlib import (
     DenseTensor,
     Range,
     classify_view,
+    copy,
     tensors_equal,
     zero_indices,
 )
 
-from conftest import all_layouts, rand_dense
+from conftest import all_layouts, rand_dense, read_box
 
 
 def iota_tensor(shape, **kw):
@@ -128,6 +129,52 @@ class TestViewAccess:
                     f + t * k for f, t, k in zip(firsts, steps, i)
                 )
                 assert via_view == a[target_idx]
+
+
+class TestLiveTarget:
+    """A view reads its target's current layout; once its ranges no longer
+    fit the target, access raises instead of reading a wrong element."""
+
+    def test_relayout_keeps_multi_indices(self):
+        a = iota_tensor((2, 3))
+        v = a.view(None, Range(1, 1))
+        assert v[0, 0] == 2
+        a.relayout((2, 1))
+        assert v[0, 0] == a[0, 1] == 2
+
+    def test_same_shape_assign_keeps_multi_indices(self):
+        a = iota_tensor((2, 3), layout=(2, 1))
+        v = a.view(Range(1, 1), Range(0, 2, 2))
+        src = iota_tensor((2, 3), offsets=(5, 5))
+        a.assign(src)
+        assert [v[0, 0], v[0, 1]] == [a[1, 0], a[1, 2]] == [1, 5]
+
+    @pytest.mark.parametrize("new_shape", [(3, 2), (6,)])
+    def test_reshape_out_of_ranges_raises(self, new_shape):
+        a = iota_tensor((2, 3))
+        v = a.view(None, Range(2, 2))
+        a.reshape(new_shape)
+        with pytest.raises(IndexError, match="dimension 2"):
+            v[1, 0]
+        with pytest.raises(IndexError, match="dimension 2"):
+            v.miter()
+
+    def test_assign_of_smaller_shape_raises(self):
+        a = iota_tensor((2, 3))
+        v = a.view(None, Range(1, 2))
+        a.assign(DenseTensor((1, 1)))
+        with pytest.raises(IndexError, match="dimension 1"):
+            v[0, 0]
+
+    def test_copy_after_relayout_matches_earlier_read(self):
+        a = rand_dense(random.Random(3), (4, 3, 5))
+        o = a.offsets
+        v = a.view(Range(o[0] + 1, 2, o[0] + 3), None, Range(o[2], 3, o[2] + 3))
+        before = read_box(v)
+        a.relayout(a.layout[::-1])
+        out = DenseTensor(v.shape)
+        copy(v, out)
+        assert read_box(out) == before
 
 
 class TestClassify:
