@@ -32,14 +32,15 @@ for j in range(b.size):
 dot = inner_product_range(a.dim_begin(2), a.dim_end(2), b.dim_begin(1), 0.0)
 print("fiber dot product:", dot)
 
-# The baseline recursion: loop dimension p outermost, dimension 1
-# innermost, moving the cursor between levels.  It touches every memory
-# index exactly once whatever the permutation.
+# The iteration order: dimension p outermost, dimension 1 innermost.
+# walk_positions lists the memory indices the fiber planner visits in that
+# order; it touches every memory index exactly once whatever the
+# permutation.
 for layout in ((1, 2, 3), (3, 2, 1), (2, 3, 1)):
     t = DenseTensor((2, 2, 2), layout=layout)
     print(f"layout {layout}: visit order {walk_positions(t.miter())}")
 
-# Written out by hand, the recursion is three nested while loops:
+# Written out by hand, the walk is three nested while loops:
 t = DenseTensor((2, 3, 2), layout=(2, 1, 3))
 cursor = t.miter()
 count = 0

@@ -1,9 +1,11 @@
 """Command-line harness: randomized verification, MATLAB emission,
 rank-one approximation, and worked demos.
 
-Exit codes: 0 success, 1 verification/processing failure, 2 power method
-hit the sweep limit without converging, 3 degenerate input, 64 usage
-error.  ``TENSORLIB_SEED`` provides the seed when ``--seed`` is absent.
+Exit codes: 0 success; 1 verification/processing failure, a malformed
+tensor file or an unwritable ``--out``; 2 power method hit the sweep limit
+without converging; 3 degenerate input (a mode norm zero or not finite, as
+from NaN or infinite data); 64 usage error, an option value out of range
+included.  ``TENSORLIB_SEED`` provides the seed when ``--seed`` is absent.
 Identical seed and options produce byte-identical output.
 """
 
@@ -13,7 +15,7 @@ import argparse
 import json
 import os
 import sys
-from typing import Optional, Sequence
+from typing import NoReturn, Optional, Sequence
 
 from .contraction import ttt, ttv, ContractionSpec
 from .hopm import DegenerateInputError, hopm, residual
@@ -49,7 +51,6 @@ def _build_parser() -> _Parser:
     v.add_argument("--scalar", choices=["int64", "float64"], default="float64")
     v.add_argument("--out", default=None, help="also write the report here")
     v.add_argument("--json", action="store_true", help="emit a JSON report")
-    v.add_argument("--inject-fault", action="store_true", help=argparse.SUPPRESS)
 
     e = sub.add_parser("emit", help="emit a tensor as a MATLAB script")
     e.add_argument("--in", dest="input", required=True, help="tensor JSON file")
@@ -75,9 +76,13 @@ def _seed_from(args) -> int:
         try:
             return int(env)
         except ValueError:
-            print(f"tensorlib: invalid TENSORLIB_SEED {env!r}", file=sys.stderr)
-            raise SystemExit(EXIT_USAGE)
+            raise ValueError(f"invalid TENSORLIB_SEED {env!r}") from None
     return 42
+
+
+def _fail(message: str) -> NoReturn:
+    print(f"tensorlib: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_FAIL)
 
 
 def _load_tensor(path: str) -> DenseTensor:
@@ -85,43 +90,42 @@ def _load_tensor(path: str) -> DenseTensor:
         with open(path) as fh:
             obj = json.load(fh)
     except OSError as exc:
-        print(f"tensorlib: cannot read {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_FAIL)
+        _fail(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
-        print(
-            f"tensorlib: parse error in {path}: line {exc.lineno} "
-            f"column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
+        _fail(
+            f"parse error in {path}: line {exc.lineno} "
+            f"column {exc.colno}: {exc.msg}"
         )
-        raise SystemExit(EXIT_FAIL)
     try:
         return DenseTensor.from_dict(obj)
     except ValueError as exc:
-        print(f"tensorlib: invalid tensor in {path}: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_FAIL)
+        _fail(f"invalid tensor in {path}: {exc}")
 
 
-def _cmd_verify(args) -> int:
-    cfg = RunConfig(
-        seed=_seed_from(args),
-        trials=args.trials,
-        max_order=args.max_order,
-        max_extent=args.max_extent,
-        scalar_kind=args.scalar,
-        output_path=args.out,
-        json_report=args.json,
-        inject_fault=args.inject_fault,
-    )
+def _cmd_verify(parser, args) -> int:
+    try:
+        cfg = RunConfig(
+            seed=_seed_from(args),
+            trials=args.trials,
+            max_order=args.max_order,
+            max_extent=args.max_extent,
+            scalar_kind=args.scalar,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
     report = run_verification(cfg)
     text = (
         json.dumps(report.to_json_obj(), indent=2) + "\n"
-        if cfg.json_report
+        if args.json
         else report.to_text()
     )
     sys.stdout.write(text)
-    if cfg.output_path:
-        with open(cfg.output_path, "w") as fh:
-            fh.write(text)
+    if args.out:
+        try:
+            with open(args.out, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            _fail(f"cannot write {args.out}: {exc}")
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
@@ -130,19 +134,24 @@ def _cmd_emit(args) -> int:
     script = MatlabScript()
     script.add_tensor(t, args.name)
     if args.out:
-        script.write(args.out)
+        try:
+            script.write(args.out)
+        except OSError as exc:
+            _fail(str(exc))
     else:
         sys.stdout.write(script.text())
     return EXIT_OK
 
 
-def _cmd_hopm(args) -> int:
+def _cmd_hopm(parser, args) -> int:
     t = _load_tensor(args.input)
     try:
         state = hopm(t, max_sweeps=args.sweeps, tol=args.tol)
     except DegenerateInputError as exc:
         print(f"tensorlib: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE
+    except ValueError as exc:  # an option out of the range hopm accepts
+        parser.error(str(exc))
     res = residual(t, state)
     if args.json:
         obj = {
@@ -234,11 +243,11 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     if args.command == "verify":
-        return _cmd_verify(args)
+        return _cmd_verify(parser, args)
     if args.command == "emit":
         return _cmd_emit(args)
     if args.command == "hopm":
-        return _cmd_hopm(args)
+        return _cmd_hopm(parser, args)
     _DEMOS[args.which]()
     return EXIT_OK
 

@@ -13,6 +13,7 @@ Real (floating-point) elements only; norms need square roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import inf
 from operator import sub
 from typing import List, Optional, Sequence
 
@@ -24,12 +25,13 @@ __all__ = ["DegenerateInputError", "HopmState", "hopm", "rank_one_compose", "res
 
 
 class DegenerateInputError(ArithmeticError):
-    """A mode update produced the zero vector, so normalization is
-    impossible (e.g. the zero tensor)."""
+    """A mode update has norm zero (e.g. the zero tensor) or a norm that is
+    not finite (NaN or infinite data, or a norm that overflows), so
+    normalization is impossible."""
 
     def __init__(self, sweep: int, mode: int):
         super().__init__(
-            f"zero vector at normalization (sweep {sweep}, mode {mode})"
+            f"zero or non-finite norm at normalization (sweep {sweep}, mode {mode})"
         )
         self.sweep = sweep
         self.mode = mode
@@ -72,7 +74,8 @@ def hopm(
     ``u0`` optionally provides the p starting vectors (nonzero, matching
     lengths); the default is normalized all-ones.  The run stops early once
     the scale moves by less than ``tol`` between sweeps.  Raises
-    :class:`DegenerateInputError` when a mode update has norm zero.
+    :class:`DegenerateInputError` when a mode update has norm zero or a
+    norm that is not finite.
     """
     p = a.order
     shape = a.shape
@@ -104,7 +107,7 @@ def hopm(
         for r in range(p):
             w = times_vectors(a, u, skip=r + 1)
             norm = frobenius_norm(w)
-            if norm == 0.0:
+            if not 0.0 < norm < inf:
                 raise DegenerateInputError(sweep, r + 1)
             l[r] = norm
             u[r] = _normalized(w, norm)
@@ -135,7 +138,6 @@ def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTenso
 
 def residual(a, state: HopmState) -> float:
     """``||a - rank_one_compose(state.scale, state.u)||_F``."""
-    approx = rank_one_compose(state.l[-1], state.u)
-    diff = DenseTensor(approx.shape)
-    transform_binary(a, approx, diff, sub)
+    diff = rank_one_compose(state.l[-1], state.u)
+    transform_binary(a, diff, diff, sub)
     return frobenius_norm(diff)

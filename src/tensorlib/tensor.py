@@ -258,6 +258,10 @@ class DenseTensor(_Strided):
 
     @classmethod
     def from_dict(cls, obj: dict) -> "DenseTensor":
+        """Inverse of :meth:`to_dict`.  Raises ``ValueError`` unless
+        ``shape``, and ``layout`` and ``offsets`` when given, are lists of
+        ints and ``data`` is a list of ints and floats; ``bool`` and ``str``
+        elements count as neither."""
         try:
             shape = obj["shape"]
             layout = obj.get("layout")
@@ -265,6 +269,13 @@ class DenseTensor(_Strided):
             data = obj["data"]
         except (TypeError, KeyError) as exc:
             raise ValueError(f"malformed tensor object: missing {exc}") from exc
+        fields = [("shape", shape, (int,)), ("data", data, (int, float))]
+        fields += [(k, v, (int,)) for k, v in (("layout", layout), ("offsets", offsets))
+                   if v is not None]
+        for key, value, kinds in fields:
+            if type(value) is not list or any(type(v) not in kinds for v in value):
+                names = " or ".join(k.__name__ for k in kinds)
+                raise ValueError(f"{key} must be a list of {names}")
         return cls.from_memory(shape, data, offsets, layout)
 
     # -- comparison ------------------------------------------------------------

@@ -46,9 +46,6 @@ class RunConfig:
     max_order: int = 4
     max_extent: int = 5
     scalar_kind: str = "float64"
-    output_path: Optional[str] = None
-    json_report: bool = False
-    inject_fault: bool = False  # test-only: corrupt the first comparison
 
     def __post_init__(self):
         if self.trials < 1:
@@ -192,18 +189,25 @@ def _operand_json(x) -> dict:
     return x.to_dict()
 
 
-class _Comparator:
-    """Result comparison with the per-kind tolerance; carries the
-    test-only fault flag that corrupts exactly one comparison."""
+def _counterexample(context: dict, **found) -> dict:
+    """``context`` with its operands serialized, followed by ``found``."""
+    out = {
+        k: _operand_json(v) if isinstance(v, (DenseTensor, TensorView)) else v
+        for k, v in context.items()
+    }
+    out.update(found)
+    return out
 
-    def __init__(self, kind: str, inject_fault: bool = False):
+
+class _Comparator:
+    """Result comparison at one kind's tolerance (exact for int64, relative
+    ``FLOAT_RTOL`` for float64).  Stateless, so one instance serves every
+    trial; the operands in a context are serialized only on a failure."""
+
+    def __init__(self, kind: str):
         self.kind = kind
-        self.fault_pending = inject_fault
 
     def values_close(self, expected, got) -> bool:
-        if self.fault_pending:
-            self.fault_pending = False
-            return False
         if self.kind == "int64":
             return expected == got
         if expected == got:
@@ -213,12 +217,12 @@ class _Comparator:
     def check_value(self, expected, got, context: dict) -> Optional[dict]:
         if self.values_close(expected, got):
             return None
-        return dict(context, expected=repr(expected), got=repr(got))
+        return _counterexample(context, expected=repr(expected), got=repr(got))
 
     def check_box(self, expected: Box, shape, got_reader, context: dict):
         """Compare an expected box against a readable result object."""
         if tuple(shape) != tuple(got_reader.shape):
-            return dict(
+            return _counterexample(
                 context,
                 expected_shape=list(shape),
                 got_shape=list(got_reader.shape),
@@ -254,7 +258,7 @@ def _check_transform_unary(rng, cfg, cmp):
     box = read_box(src)
     ew.transform_unary(src, dst, lambda v: v * alpha)
     expected = {i: v * alpha for i, v in box.items()}
-    ctx = {"op": "transform_unary", "src": _operand_json(src)}
+    ctx = {"op": "transform_unary", "src": src}
     return cmp.check_box(expected, shape, dst, ctx)
 
 
@@ -271,7 +275,7 @@ def _check_transform_binary(rng, cfg, cmp):
     ba, bb = read_box(a), read_box(b)
     ew.transform_binary(a, b, dst, op)
     expected = {i: op(ba[i], bb[i]) for i in ba}
-    ctx = {"op": f"transform_binary[{name}]", "a": _operand_json(a)}
+    ctx = {"op": f"transform_binary[{name}]", "a": a}
     return cmp.check_box(expected, shape, dst, ctx)
 
 
@@ -406,7 +410,7 @@ def _check_quantify(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     x = _rand_operand(rng, shape, cfg.scalar_kind)
     box = read_box(x)
-    threshold = rng.randint(-9, 9) if cfg.scalar_kind == "int64" else rng.uniform(0.5, 2.0)
+    threshold = _rand_value(rng, cfg.scalar_kind)
     pred = lambda v: v >= threshold
     hits = [v for v in box.values() if pred(v)]
     expect = {"all": len(hits) == len(box), "any": bool(hits), "none": not hits}
@@ -512,7 +516,7 @@ def _check_transpose(rng, cfg, cmp):
     rng.shuffle(tau)
     got = ct.transpose(x, tau)
     expected, out_shape = oracle_transpose(read_box(x), shape, tau)
-    ctx = {"op": "transpose", "tau": tau, "a": _operand_json(x)}
+    ctx = {"op": "transpose", "tau": tau, "a": x}
     return cmp.check_box(expected, out_shape, got, ctx)
 
 
@@ -522,9 +526,9 @@ def _check_ttv(rng, cfg, cmp):
     m = rng.randint(1, len(shape))
     b = _rand_operand(rng, (shape[m - 1],), cfg.scalar_kind)
     got = ct.ttv(a, b, m)
-    bvals = [read_box(b)[(k,)] for k in range(shape[m - 1])]
+    bvals = list(read_box(b).values())
     expected, out_shape = oracle_ttv(read_box(a), shape, bvals, m)
-    ctx = {"op": "ttv", "mode": m, "a": _operand_json(a), "b": _operand_json(b)}
+    ctx = {"op": "ttv", "mode": m, "a": a, "b": b}
     return cmp.check_box(expected, out_shape, got, ctx)
 
 
@@ -538,7 +542,7 @@ def _check_ttm(rng, cfg, cmp):
     expected, out_shape = oracle_ttm(
         read_box(a), shape, read_box(b), b.shape, m
     )
-    ctx = {"op": "ttm", "mode": m, "a": _operand_json(a), "b": _operand_json(b)}
+    ctx = {"op": "ttm", "mode": m, "a": a, "b": b}
     return cmp.check_box(expected, out_shape, got, ctx)
 
 
@@ -575,8 +579,8 @@ def _check_ttt(rng, cfg, cmp):
         "q": spec.q,
         "phi": list(spec.phi),
         "psi": list(spec.psi),
-        "a": _operand_json(a),
-        "b": _operand_json(b),
+        "a": a,
+        "b": b,
     }
     return cmp.check_box(expected, out_shape, got, ctx)
 
@@ -594,7 +598,7 @@ def _check_outer(rng, cfg, cmp):
     expected = {}
     for ic in zero_indices(out_shape):
         expected[ic] = ba[ic[: len(na)]] * bb[ic[len(na) :]]
-    ctx = {"op": "outer_product", "a": _operand_json(a), "b": _operand_json(b)}
+    ctx = {"op": "outer_product", "a": a, "b": b}
     return cmp.check_box(expected, out_shape, got, ctx)
 
 
@@ -615,11 +619,8 @@ def _check_norm(rng, cfg, cmp):
     a = _rand_operand(rng, shape, "float64")
     got = ct.frobenius_norm(a)
     expected = sqrt(sum(v * v for v in read_box(a).values()))
-    saved = cmp.kind
-    cmp.kind = "float64"  # norm is float-valued even for integer elements
-    bad = cmp.check_value(expected, got, {"op": "frobenius_norm"})
-    cmp.kind = saved
-    return bad
+    # The norm is float-valued even for integer elements.
+    return _Comparator("float64").check_value(expected, got, {"op": "frobenius_norm"})
 
 
 def _check_times_vectors(rng, cfg, cmp):
@@ -634,8 +635,7 @@ def _check_times_vectors(rng, cfg, cmp):
     got = ct.times_vectors(a, vecs, modes)
     box, cur_shape = read_box(a), shape
     for m, v in sorted(zip(modes, vecs), reverse=True, key=lambda x: x[0]):
-        bvals = [read_box(v)[(j,)] for j in range(cur_shape[m - 1])]
-        box, cur_shape = oracle_ttv(box, cur_shape, bvals, m)
+        box, cur_shape = oracle_ttv(box, cur_shape, list(read_box(v).values()), m)
     out_shape = cur_shape or (1,)
     if not cur_shape:
         box = {(0,): box[()]}
@@ -698,16 +698,12 @@ def run_verification(cfg: RunConfig) -> VerifyReport:
     import random
 
     report = VerifyReport(config=cfg)
-    fault_left = cfg.inject_fault
+    cmp = _Comparator(cfg.scalar_kind)
     for name, check in FAMILIES:
         rng = random.Random(f"{cfg.seed}:{name}:{cfg.scalar_kind}")
-        cmp = _Comparator(cfg.scalar_kind)
         passes = 0
         failure = None
         for trial in range(cfg.trials):
-            if fault_left:
-                cmp.fault_pending = True
-                fault_left = False
             bad = check(rng, cfg, cmp)
             if bad is None:
                 passes += 1

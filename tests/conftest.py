@@ -1,7 +1,7 @@
 """Shared test helpers: the random instance builders of
 :mod:`tensorlib.verify` under short names, exhaustive shape and layout
-enumerations, and a minimal MATLAB literal grammar used to validate
-emitted scripts."""
+enumerations, a kernel corrupter for fault-injection tests, and a minimal
+MATLAB literal grammar used to validate emitted scripts."""
 
 from __future__ import annotations
 
@@ -22,6 +22,28 @@ def all_shapes(p: int, max_extent: int):
 
 def all_layouts(p: int):
     return itertools.permutations(range(1, p + 1))
+
+
+def corrupt_call(monkeypatch, module, name, corrupt, at=1):
+    """Make ``module.name`` give its caller a wrong result on call ``at``:
+    ``corrupt(out, *args)`` damages the output after the real call."""
+    original = getattr(module, name)
+    calls = [0]
+
+    def wrong(*args, **kwargs):
+        out = original(*args, **kwargs)
+        calls[0] += 1
+        if calls[0] == at:
+            corrupt(out, *args)
+        return out
+
+    monkeypatch.setattr(module, name, wrong)
+
+
+def bump_first(t):
+    """Add 1 to the element at zero-based multi-index (0, ..., 0)."""
+    key = tuple(t.offsets)
+    t[key] = t[key] + 1
 
 
 # -- minimal MATLAB literal grammar ------------------------------------------

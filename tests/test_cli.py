@@ -2,8 +2,10 @@ import json
 
 import pytest
 
-from tensorlib import DenseTensor, rank_one_compose
+from tensorlib import DenseTensor, contraction, rank_one_compose
 from tensorlib.cli import main
+
+from conftest import bump_first, corrupt_call
 
 GOLDEN = (
     "A = cat(3, [ 0 2 4 6 ; 8 10 12 14 ; 16 18 20 22 ], "
@@ -14,6 +16,28 @@ GOLDEN = (
 def write_tensor(path, t):
     path.write_text(json.dumps(t.to_dict()))
     return str(path)
+
+
+def write_json(tmp_path, obj, name="t.json"):
+    path = tmp_path / name
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+def exit_code(argv):
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    return err.value.code
+
+
+MALFORMED = [
+    {"shape": 5, "data": [1, 2, 3, 4, 5]},
+    {"shape": [2.5], "data": [1, 2]},
+    {"shape": [2], "data": "ab"},
+    {"shape": [1], "data": 5},
+    {"shape": [2], "data": [True, False]},
+    {"shape": [2, 2], "data": ["a", "b", "c", "d"]},
+]
 
 
 def iota_tensor(shape, **kw):
@@ -95,6 +119,17 @@ class TestEmit:
             main(["emit", "--in", str(bad)])
         assert err.value.code == 1
 
+    @pytest.mark.parametrize("obj", MALFORMED)
+    def test_malformed_tensor_exits_one(self, tmp_path, capsys, obj):
+        assert exit_code(["emit", "--in", write_json(tmp_path, obj)]) == 1
+        assert capsys.readouterr().err.startswith("tensorlib: invalid tensor in ")
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        src = write_tensor(tmp_path / "t.json", iota_tensor((2, 3)))
+        out = str(tmp_path / "no-such-dir" / "t.m")
+        assert exit_code(["emit", "--in", src, "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("tensorlib: cannot write ")
+
 
 class TestHopmCommand:
     def test_rank_one_converges(self, tmp_path, capsys):
@@ -110,6 +145,28 @@ class TestHopmCommand:
     def test_zero_tensor_exits_degenerate(self, tmp_path, capsys):
         path = write_tensor(tmp_path / "z.json", DenseTensor((2, 2), fill_value=0.0))
         assert main(["hopm", "--in", path]) == 3
+
+    @pytest.mark.parametrize(
+        "data", ["[1.0, NaN, 2.0, 3.0]", "[1.0, Infinity, 2.0, 3.0]", "[1e308, 1e308]"]
+    )
+    def test_non_finite_exits_degenerate(self, tmp_path, capsys, data):
+        shape = [2] if data.startswith("[1e308") else [2, 2]
+        path = tmp_path / "nf.json"
+        path.write_text(f'{{"shape": {shape}, "data": {data}}}')
+        assert main(["hopm", "--in", str(path)]) == 3
+        out, err = capsys.readouterr()
+        assert "sweep" not in out
+        assert err.startswith("tensorlib: degenerate input: zero or non-finite norm")
+
+    @pytest.mark.parametrize("obj", MALFORMED)
+    def test_malformed_tensor_exits_one(self, tmp_path, capsys, obj):
+        assert exit_code(["hopm", "--in", write_json(tmp_path, obj)]) == 1
+        assert capsys.readouterr().err.startswith("tensorlib: invalid tensor in ")
+
+    def test_zero_sweeps_is_usage_error(self, tmp_path, capsys):
+        path = write_tensor(tmp_path / "t.json", iota_tensor((2, 2)))
+        assert exit_code(["hopm", "--in", path, "--sweeps", "0"]) == 64
+        assert "error: max_sweeps must be >= 1" in capsys.readouterr().err
 
     def test_one_sweep_usually_unconverged(self, tmp_path):
         import random
@@ -141,10 +198,32 @@ class TestVerifyCommand:
         family_lines = [l for l in out.splitlines() if "/1 pass" in l]
         assert len(family_lines) >= 10
 
-    def test_injected_fault_exits_one(self, capsys):
-        assert main(["verify", "--seed", "5", "--trials", "2", "--inject-fault"]) == 1
+    def test_wrong_ttv_exits_one_with_its_operands(self, monkeypatch, capsys):
+        corrupt_call(monkeypatch, contraction, "ttv", lambda out, *args: bump_first(out))
+        assert main(["verify", "--seed", "5", "--trials", "2"]) == 1
         out = capsys.readouterr().out
-        assert "counterexample" in out
+        assert "ttv                      1/2 FAIL" in out
+        line = next(l for l in out.splitlines() if l.startswith("  counterexample: "))
+        failure = json.loads(line.split(": ", 1)[1])
+        assert failure["op"] == "ttv" and failure["trial"] == 0
+        for key in ("a", "b"):
+            assert {"shape", "layout", "offsets", "data"} <= set(failure[key])
+
+    def test_inject_fault_flag_is_gone(self, capsys):
+        assert exit_code(["verify", "--inject-fault"]) == 64
+
+    @pytest.mark.parametrize(
+        "option, value",
+        [("--trials", "0"), ("--max-order", "9"), ("--max-extent", "0")],
+    )
+    def test_out_of_range_option_is_usage_error(self, capsys, option, value):
+        assert exit_code(["verify", option, value]) == 64
+        assert "tensorlib: error: " in capsys.readouterr().err
+
+    def test_unwritable_out_exits_one(self, tmp_path, capsys):
+        out = str(tmp_path / "no-such-dir" / "report.txt")
+        assert exit_code(["verify", "--seed", "5", "--trials", "1", "--out", out]) == 1
+        assert capsys.readouterr().err.startswith("tensorlib: cannot write ")
 
     def test_deterministic_output(self, capsys):
         main(["verify", "--seed", "9", "--trials", "2"])

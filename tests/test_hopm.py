@@ -54,6 +54,16 @@ class TestHopm:
             hopm(DenseTensor((2, 3)))
         assert err.value.sweep == 1 and err.value.mode == 1
 
+    @pytest.mark.parametrize(
+        "data", [[1.0, float("nan")], [float("inf"), 1.0], [1e308, 1e308]]
+    )
+    def test_non_finite_norm_degenerates_immediately(self, data):
+        # The last case is finite data whose norm overflows.
+        with pytest.raises(DegenerateInputError) as err:
+            hopm(DenseTensor.from_memory((2, 1), data))
+        assert err.value.sweep == 1 and err.value.mode == 1
+        assert "non-finite" in str(err.value)
+
     def test_unit_norm_after_every_sweep(self):
         rng = random.Random(2)
         shape = (3, 3, 2)

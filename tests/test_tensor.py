@@ -276,6 +276,32 @@ class TestInterchange:
         with pytest.raises(ValueError):
             DenseTensor.from_dict({"shape": [2], "data": [1, 2, 3]})
 
+    @pytest.mark.parametrize(
+        "obj, field",
+        [
+            ({"shape": 5, "data": [1, 2, 3, 4, 5]}, "shape"),
+            ({"shape": [2.5], "data": [1, 2]}, "shape"),
+            ({"shape": [True, 2], "data": [1, 2]}, "shape"),
+            ({"shape": [2], "data": "ab"}, "data"),
+            ({"shape": [1], "data": 5}, "data"),
+            ({"shape": [2], "data": [True, False]}, "data"),
+            ({"shape": [2], "data": ["a", "b"]}, "data"),
+            ({"shape": [2], "data": [1, [2]]}, "data"),
+            ({"shape": [2], "data": [1, 2], "layout": [1.0]}, "layout"),
+            ({"shape": [2], "data": [1, 2], "layout": 1}, "layout"),
+            ({"shape": [2], "data": [1, 2], "offsets": ["0"]}, "offsets"),
+        ],
+    )
+    def test_malformed_field_types(self, obj, field):
+        with pytest.raises(ValueError, match=f"^{field} must be a list of"):
+            DenseTensor.from_dict(obj)
+
+    def test_absent_or_null_layout_and_offsets_take_defaults(self):
+        t = DenseTensor.from_dict(
+            {"shape": [2, 1], "data": [1, 2.5], "layout": None, "offsets": None}
+        )
+        assert (t.layout, t.offsets, t.data) == ((1, 2), (0, 0), [1, 2.5])
+
 
 class TestItem:
     def test_scalar_accessor(self):

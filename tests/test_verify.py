@@ -1,9 +1,20 @@
+import hashlib
+import random
+from dataclasses import fields
+
 import pytest
 
+from tensorlib import contraction, elementwise, verify
 from tensorlib.verify import FAMILIES, RunConfig, run_verification
+
+from conftest import bump_first, corrupt_call
 
 
 class TestRunConfig:
+    def test_fields(self):
+        names = [f.name for f in fields(RunConfig)]
+        assert names == ["seed", "trials", "max_order", "max_extent", "scalar_kind"]
+
     def test_validation(self):
         with pytest.raises(ValueError):
             RunConfig(trials=0)
@@ -38,15 +49,67 @@ class TestRunVerification:
         b = run_verification(RunConfig(**cfg)).to_text()
         assert a == b
 
-    def test_injected_fault_is_caught(self):
-        rep = run_verification(
-            RunConfig(seed=42, trials=3, scalar_kind="int64", inject_fault=True)
+    def test_wrong_fill_is_caught(self, monkeypatch):
+        corrupt_call(
+            monkeypatch, elementwise, "fill", lambda out, dst, v: bump_first(dst), at=2
         )
+        rep = run_verification(RunConfig(seed=42, trials=3, scalar_kind="int64"))
         assert not rep.ok
-        first = rep.families[0]
-        assert first.passes == first.trials - 1
-        assert first.failure is not None
-        assert first.failure["trial"] == 0
+        bad = [f for f in rep.families if f.failure is not None]
+        assert [f.name for f in bad] == ["fill"]
+        assert bad[0].passes == 2 and bad[0].trials == 3
+        assert bad[0].failure["trial"] == 1
+        assert set(bad[0].failure["index"]) == {0}
+        assert int(bad[0].failure["got"]) == int(bad[0].failure["expected"]) + 1
+
+    @pytest.mark.parametrize(
+        "module, name, operands",
+        [
+            (contraction, "transpose", ["a"]),
+            (contraction, "ttv", ["a", "b"]),
+            (contraction, "ttt", ["a", "b"]),
+            (elementwise, "transform_binary", ["a"]),
+        ],
+    )
+    @pytest.mark.parametrize("kind", ["int64", "float64"])
+    def test_wrong_kernel_output_is_reported_with_its_operands(
+        self, monkeypatch, module, name, operands, kind
+    ):
+        def corrupt(out, *args):
+            bump_first(args[2] if name == "transform_binary" else out)
+
+        corrupt_call(monkeypatch, module, name, corrupt)
+        rep = run_verification(RunConfig(seed=42, trials=2, scalar_kind=kind))
+        bad = [f for f in rep.families if f.failure is not None]
+        assert [(f.name, f.passes) for f in bad] == [(name, 1)]
+        failure = bad[0].failure
+        assert failure["trial"] == 0
+        for key in operands:
+            assert {"shape", "layout", "offsets", "data"} <= set(failure[key])
+
+    def test_passing_run_serializes_no_operand(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(verify, "_operand_json", calls.append)
+        for kind in ("float64", "int64"):
+            assert run_verification(RunConfig(seed=42, trials=20, scalar_kind=kind)).ok
+        assert calls == []
+
+    def test_random_streams_are_pinned(self):
+        # Passing reports show only counts, so this pin is what notices a
+        # change to the draws: it would change which instances a seed runs,
+        # for `tensorlib verify --seed` replays and the benchmark alike.
+        digest = hashlib.sha256()
+        for kind in ("float64", "int64"):
+            cfg = RunConfig(seed=42, scalar_kind=kind)
+            for name, check in FAMILIES:
+                rng = random.Random(f"42:{name}:{kind}")
+                cmp = verify._Comparator(kind)
+                for _ in range(20):
+                    check(rng, cfg, cmp)
+                digest.update(repr(rng.getstate()).encode())
+        assert digest.hexdigest() == (
+            "b2b32141816c0ef0b785e6b0322662a1e1b4c23d27b5d5be3a42357dce973c52"
+        )
 
     def test_json_object_shape(self):
         rep = run_verification(RunConfig(seed=3, trials=2))
