@@ -5,7 +5,8 @@ Exit codes: 0 success; 1 verification/processing failure, a malformed
 tensor file or an unwritable ``--out``; 2 power method hit the sweep limit
 without converging; 3 degenerate input (a mode norm zero or not finite, as
 from NaN or infinite data); 64 usage error, an option value out of range
-included.  ``TENSORLIB_SEED`` provides the seed when ``--seed`` is absent.
+included, as is an ``emit --name`` that is no MATLAB identifier.
+``TENSORLIB_SEED`` provides the seed when ``--seed`` is absent.
 Identical seed and options produce byte-identical output.
 """
 
@@ -129,10 +130,13 @@ def _cmd_verify(parser, args) -> int:
     return EXIT_OK if report.ok else EXIT_FAIL
 
 
-def _cmd_emit(args) -> int:
+def _cmd_emit(parser, args) -> int:
     t = _load_tensor(args.input)
     script = MatlabScript()
-    script.add_tensor(t, args.name)
+    try:
+        script.add_tensor(t, args.name)
+    except ValueError as exc:  # --name is no MATLAB identifier
+        parser.error(str(exc))
     if args.out:
         try:
             script.write(args.out)
@@ -245,7 +249,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     if args.command == "verify":
         return _cmd_verify(parser, args)
     if args.command == "emit":
-        return _cmd_emit(args)
+        return _cmd_emit(parser, args)
     if args.command == "hopm":
         return _cmd_hopm(parser, args)
     _DEMOS[args.which]()

@@ -16,6 +16,7 @@ that round-trips.
 
 from __future__ import annotations
 
+import re
 from typing import List
 
 __all__ = ["MatlabScript", "emit_tensor", "format_value", "write_script"]
@@ -31,8 +32,23 @@ def format_value(v) -> str:
     return repr(v)
 
 
+# An ASCII letter, then letters, digits or underscores, at most
+# ``namelengthmax`` (63) characters in all.
+_IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]{0,62}")
+
+
 def emit_tensor(t, name: str) -> str:
-    """Single MATLAB statement assigning ``t``'s values to ``name``."""
+    """Single MATLAB statement assigning ``t``'s values to ``name``.
+
+    Raises ``ValueError`` unless ``name`` is a MATLAB identifier: an ASCII
+    letter followed by ASCII letters, digits or underscores, at most 63
+    characters in all.
+    """
+    if not _IDENTIFIER.fullmatch(name):
+        raise ValueError(
+            f"invalid MATLAB name {name!r}: need an ASCII letter, then letters, "
+            "digits or underscores, at most 63 characters"
+        )
     o = t.offsets
     p = t.order
 

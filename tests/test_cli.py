@@ -130,6 +130,28 @@ class TestEmit:
         assert exit_code(["emit", "--in", src, "--out", out]) == 1
         assert capsys.readouterr().err.startswith("tensorlib: cannot write ")
 
+    @pytest.mark.parametrize("name", ["1x", "\u00c4", "a" * 64])
+    def test_bad_name_is_usage_error_and_writes_nothing(self, tmp_path, capsys, name):
+        src = write_tensor(tmp_path / "t.json", iota_tensor((2, 2)))
+        out = tmp_path / "x.m"
+        assert exit_code(["emit", "--in", src, "--name", name, "--out", str(out)]) == 64
+        err = capsys.readouterr().err
+        assert "error: invalid MATLAB name" in err and "Traceback" not in err
+        assert not out.exists()
+
+    def test_bad_name_to_stdout_prints_nothing(self, tmp_path, capsys):
+        src = write_tensor(tmp_path / "t.json", iota_tensor((2, 2)))
+        assert exit_code(["emit", "--in", src, "--name", "1x"]) == 64
+        assert capsys.readouterr().out == ""
+
+    def test_longest_name_is_accepted(self, tmp_path, capsys):
+        name = "A" + "b_9" * 20 + "zz"
+        assert len(name) == 63
+        src = write_tensor(tmp_path / "t.json", iota_tensor((2, 2)))
+        out = tmp_path / "x.m"
+        assert main(["emit", "--in", src, "--name", name, "--out", str(out)]) == 0
+        assert out.read_text() == f"{name} = [ 0 2 ; 1 3 ];\n"
+
 
 class TestHopmCommand:
     def test_rank_one_converges(self, tmp_path, capsys):
@@ -167,6 +189,14 @@ class TestHopmCommand:
         path = write_tensor(tmp_path / "t.json", iota_tensor((2, 2)))
         assert exit_code(["hopm", "--in", path, "--sweeps", "0"]) == 64
         assert "error: max_sweeps must be >= 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tol", ["nan", "-1"])
+    def test_negative_or_nan_tol_is_usage_error(self, tmp_path, capsys, tol):
+        path = write_tensor(tmp_path / "t.json", iota_tensor((2, 2)))
+        assert exit_code(["hopm", "--in", path, "--tol", tol]) == 64
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert "error: tol must be >= 0" in err and "Traceback" not in err
 
     def test_one_sweep_usually_unconverged(self, tmp_path):
         import random

@@ -1,18 +1,28 @@
+import importlib
 import random
-from math import sqrt
+from math import inf, sqrt
 
 import pytest
 
 from tensorlib import (
     DegenerateInputError,
     DenseTensor,
+    HopmState,
+    Range,
     frobenius_norm,
     hopm,
     outer_product,
     rank_one_compose,
     residual,
     tensors_equal,
+    times_vectors,
 )
+
+from conftest import rand_dense
+
+# The package rebinds the name ``hopm`` to the function.
+hopm_module = importlib.import_module("tensorlib.hopm")
+contraction_module = importlib.import_module("tensorlib.contraction")
 
 
 def unit_vector(rng, n):
@@ -104,6 +114,18 @@ class TestHopm:
         with pytest.raises(ValueError):
             hopm(a, max_sweeps=0)
 
+    @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), -inf])
+    def test_negative_or_nan_tol_rejected(self, tol):
+        a = DenseTensor.from_memory((2, 2), [1.0, 2.0, 3.0, 4.5])
+        with pytest.raises(ValueError, match="tol must be >= 0"):
+            hopm(a, tol=tol)
+
+    @pytest.mark.parametrize("tol", [0.0, inf])
+    def test_zero_and_infinite_tol_accepted(self, tol):
+        a = DenseTensor.from_memory((2, 2), [1.0, 2.0, 3.0, 4.5])
+        state = hopm(a, max_sweeps=4, tol=tol)
+        assert state.sweeps == (4 if tol == 0.0 else 2)
+
     def test_sweep_limit_reported(self):
         rng = random.Random(6)
         a = DenseTensor((3, 3, 3))
@@ -149,7 +171,96 @@ class TestResidual:
         a = DenseTensor((3, 2))
         a.data = [rng.uniform(-1, 1) for _ in range(a.size)]
         us = [unit_vector(rng, n) for n in a.shape]
-        from tensorlib import HopmState
-
         state = HopmState(u=us, l=[0.0, 0.0], sweeps=0, converged=False)
         assert abs(residual(a, state) - frobenius_norm(a)) < 1e-12
+
+
+# -- prefix reuse -----------------------------------------------------------------
+
+
+def reference_hopm(a, max_sweeps, tol, track_residuals):
+    """The power method with every mode contracting the full tensor."""
+    p = a.order
+    u = [DenseTensor.from_memory((n,), [n ** -0.5] * n) for n in a.shape]
+    l = [0.0] * p
+    state = HopmState(u=u, l=l, sweeps=0, converged=False)
+    previous = None
+    for sweep in range(1, max_sweeps + 1):
+        for r in range(p):
+            w = times_vectors(a, u, skip=r + 1)
+            norm = frobenius_norm(w)
+            l[r] = norm
+            u[r] = DenseTensor.from_memory(w.shape, [x / norm for x in w.data])
+        state.sweeps = sweep
+        state.lambda_history.append(l[-1])
+        if track_residuals:
+            state.residual_history.append(residual(a, state))
+        if previous is not None and abs(l[-1] - previous) < tol:
+            state.converged = True
+            break
+        previous = l[-1]
+    return state
+
+
+def signed_operand(rng, shape, layout):
+    """Signed random data at first-order layout, at a random layout with
+    offsets, or as a view stepping by 2 through every dimension of such a
+    tensor."""
+    if layout == "first":
+        t = DenseTensor(shape)
+    elif layout == "random":
+        t = rand_dense(rng, shape)
+    else:
+        t = rand_dense(rng, tuple(2 * n for n in shape))
+    t.data = [rng.uniform(-1.0, 1.0) for _ in range(t.size)]
+    if layout != "view":
+        return t
+    ranges = [Range(o, 2, o + 2 * n - 2) for o, n in zip(t.offsets, shape)]
+    return t.view(*ranges)
+
+
+def hex_record(state):
+    return (
+        [x.hex() for x in state.l],
+        [[x.hex() for x in v.data] for v in state.u],
+        [x.hex() for x in state.lambda_history],
+        [x.hex() for x in state.residual_history],
+        state.sweeps,
+        state.converged,
+    )
+
+
+class TestPrefixReuse:
+    @pytest.mark.parametrize("layout", ["first", "random", "view"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_bit_identical_to_full_contractions(self, p, layout):
+        rng = random.Random(100 * p + len(layout))
+        shape = tuple(rng.randint(2, 4) for _ in range(p))
+        a = signed_operand(rng, shape, layout)
+        for max_sweeps, tol in ((4, 0.0), (50, 1e-10)):
+            got = hopm(a, max_sweeps=max_sweeps, tol=tol, track_residuals=True)
+            want = reference_hopm(a, max_sweeps, tol, track_residuals=True)
+            assert hex_record(got) == hex_record(want)
+            assert residual(a, got).hex() == residual(a, want).hex()
+
+    @pytest.mark.parametrize("p", [2, 3, 4, 5])
+    def test_two_full_tensor_ttv_calls_per_sweep(self, monkeypatch, p):
+        full, modes = [0], [0]
+        original_ttv = contraction_module.ttv
+
+        def counting_ttv(t, b, mode):
+            full[0] += t.order == p
+            return original_ttv(t, b, mode)
+
+        def counting_times_vectors(*args, **kwargs):
+            modes[0] += 1
+            return times_vectors(*args, **kwargs)
+
+        monkeypatch.setattr(contraction_module, "ttv", counting_ttv)
+        monkeypatch.setattr(hopm_module, "ttv", counting_ttv, raising=False)
+        monkeypatch.setattr(hopm_module, "times_vectors", counting_times_vectors)
+        a = signed_operand(random.Random(p), (3,) * p, "random")
+        state = hopm(a, max_sweeps=3, tol=0.0)
+        assert state.sweeps == 3
+        assert full[0] == 2 * 3
+        assert modes[0] == p * 3

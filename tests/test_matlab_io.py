@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from tensorlib import DenseTensor, MatlabScript, Range, emit_tensor, write_script
 
 from conftest import cat_arity, parse_matlab_statement, rand_dense
@@ -47,6 +49,16 @@ class TestEmitTensor:
         a = iota_tensor((4, 2, 3))
         v = a.view(Range(1, 2, 3), Range(0, 1), 2)
         assert emit_tensor(v, "V") == emit_tensor(v.materialize(), "V")
+
+    @pytest.mark.parametrize("name", ["1x", "_a", "", "a b", "x-y", "\u00c4", "a\n", "a" * 64])
+    def test_name_must_be_a_matlab_identifier(self, name):
+        with pytest.raises(ValueError, match="invalid MATLAB name"):
+            emit_tensor(DenseTensor.from_memory((1,), [1]), name)
+
+    @pytest.mark.parametrize("name", ["x", "A_1", "z" * 63])
+    def test_identifier_names_accepted(self, name):
+        t = DenseTensor.from_memory((1,), [1])
+        assert emit_tensor(t, name) == f"{name} = [ 1 ];"
 
     def test_float_formatting(self):
         t = DenseTensor.from_memory((3,), [1.0, 0.5, 1 / 3])
