@@ -1,14 +1,24 @@
 """Randomized brute-force verification of the algorithm suites.
 
 Every operation family is checked against a naive oracle that reads the
-operands element by element into plain dictionaries keyed by zero-based
-multi-index and recomputes the operation with ordinary nested loops,
-independent of the fiber engine under test.  Trials randomize order,
-extents, layout (uniform over all permutations), offsets (in [-2, 2]),
-element kind, and whether each operand is a tensor or a strided view.
+operands into plain dictionaries keyed by zero-based multi-index and
+recomputes the operation with ordinary nested loops.  Trials randomize
+order, extents, layout (uniform over all permutations), offsets (in
+[-2, 2]), element kind, and whether each operand is a tensor or a strided
+view.
+
+The oracle shares no addressing code with the engine it checks.  It finds
+every element's memory position with its own stride arithmetic: a
+tensor's strides come from ``compute_strides`` of its shape and layout,
+and a view's from its target's ``compute_strides`` and the view's resolved
+ranges, never from the view's frame (``meta``, ``strides``, ``gamma``).
+It calls neither the fiber planner (``iterators._plan``, ``plan_fibers``,
+``check_reach``) nor element access (``_Strided._key_to_memory``), so a
+wrong plan or a wrong view frame cannot also corrupt the expected values.
 
 int64 trials draw small signed integers and compare exactly.  float64
-trials draw positive values (uniform in [0.5, 2.0)) so that reductions,
+trials draw positive values (``0.5 + 1.5 * random()``, the value
+``uniform(0.5, 2.0)`` computes) so that reductions,
 whose summation order differs between the two routes, stay free of
 cancellation and the relative-error bound is meaningful.
 
@@ -28,7 +38,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from . import contraction as ct
 from . import elementwise as ew
-from .layout import zero_indices
+from .layout import compute_strides, zero_indices
 from .tensor import DenseTensor
 from .views import Range, TensorView
 
@@ -136,13 +146,18 @@ def _rand_offsets(rng, p: int) -> Tuple[int, ...]:
 def _rand_value(rng, kind: str):
     if kind == "int64":
         return rng.randint(-9, 9)
-    return rng.uniform(0.5, 2.0)
+    return 0.5 + 1.5 * rng.random()
 
 
 def _rand_tensor(rng, shape, kind: str = "int64") -> DenseTensor:
     p = len(shape)
     t = DenseTensor(shape, _rand_offsets(rng, p), _rand_layout(rng, p))
-    t.data = [_rand_value(rng, kind) for _ in range(t.size)]
+    if kind == "int64":
+        randint = rng.randint
+        t.data = [randint(-9, 9) for _ in range(t.size)]
+    else:
+        rand = rng.random
+        t.data = [0.5 + 1.5 * rand() for _ in range(t.size)]
     return t
 
 
@@ -172,13 +187,57 @@ def _rand_operand(rng, shape, kind: str = "int64"):
 Box = Dict[Tuple[int, ...], object]
 
 
+def _box_frame(x):
+    """``(data, shape, strides, gamma)`` of a tensor or view, derived here.
+
+    A tensor's strides are ``compute_strides`` of its shape and layout and
+    its base position is 0.  A view's come from its target's strides and
+    its own resolved ranges: extent ``(last - first) // step + 1``, stride
+    ``w * step`` and base ``sum_r w[r] * (first[r] - o[r])``.  A range
+    that no longer fits the target's index box raises ``IndexError``
+    naming the dimension.
+    """
+    if not isinstance(x, TensorView):
+        return x.data, x.shape, compute_strides(x.shape, x.layout), 0
+    t = x.target
+    if len(x.ranges) != t.order:
+        raise IndexError(
+            f"view of order {len(x.ranges)} has no match for dimension "
+            f"{min(len(x.ranges), t.order) + 1} of its target, "
+            f"now of order {t.order}"
+        )
+    shape, strides, gamma = [], [], 0
+    for dim, ((f, step, l), o, n, w) in enumerate(
+        zip(x.ranges, t.offsets, t.shape, compute_strides(t.shape, t.layout)),
+        start=1,
+    ):
+        if not (o <= f and l < o + n):
+            raise IndexError(
+                f"range [{f}:{step}:{l}] out of bounds [{o}, {o + n}) "
+                f"in dimension {dim}"
+            )
+        shape.append((l - f) // step + 1)
+        strides.append(w * step)
+        gamma += w * (f - o)
+    return t.data, tuple(shape), strides, gamma
+
+
+def _values(data, shape, strides, gamma):
+    """The elements at ``gamma + sum_r strides[r] * i[r]``, for every
+    zero-based ``i`` in ``zero_indices(shape)`` order."""
+    positions = [gamma]
+    for w, n in zip(reversed(strides), reversed(shape)):
+        steps = [w * i for i in range(n)]
+        positions = [b + s for b in positions for s in steps]
+    return map(data.__getitem__, positions)
+
+
 def read_box(x) -> Box:
-    """Materialize an operand into a dict keyed by zero-based multi-index."""
-    o = x.offsets
-    out = {}
-    for i in zero_indices(x.shape):
-        out[i] = x[tuple(a + b for a, b in zip(i, o))]
-    return out
+    """Materialize a tensor or view into a dict keyed by zero-based
+    multi-index, reading its buffer at positions from the oracle's own
+    stride arithmetic (see the module docstring)."""
+    data, shape, strides, gamma = _box_frame(x)
+    return dict(zip(zero_indices(shape), _values(data, shape, strides, gamma)))
 
 
 def _operand_json(x) -> dict:
@@ -220,16 +279,17 @@ class _Comparator:
         return _counterexample(context, expected=repr(expected), got=repr(got))
 
     def check_box(self, expected: Box, shape, got_reader, context: dict):
-        """Compare an expected box against a readable result object."""
-        if tuple(shape) != tuple(got_reader.shape):
+        """Compare an expected box against a result tensor or view, read
+        as :func:`read_box` reads it, in ``zero_indices`` order."""
+        data, got_shape, strides, gamma = _box_frame(got_reader)
+        if tuple(shape) != got_shape:
             return _counterexample(
                 context,
                 expected_shape=list(shape),
-                got_shape=list(got_reader.shape),
+                got_shape=list(got_shape),
             )
-        o = got_reader.offsets
-        for i in zero_indices(shape):
-            got = got_reader[tuple(a + b for a, b in zip(i, o))]
+        got_values = _values(data, got_shape, strides, gamma)
+        for i, got in zip(zero_indices(shape), got_values):
             bad = self.check_value(expected[i], got, context)
             if bad is not None:
                 bad["index"] = list(i)
@@ -392,8 +452,8 @@ def _check_compare(rng, cfg, cmp):
         return {"op": "compare_ranges[equal]", "got": str(res)}
     box = read_box(a)
     victim = rng.choice(sorted(box))
-    o = b.offsets
-    b[tuple(i + c for i, c in zip(victim, o))] = box[victim] + 1
+    data, _, strides, gamma = _box_frame(b)
+    data[gamma + sum(w * i for w, i in zip(strides, victim))] = box[victim] + 1
     bb = read_box(b)
     expected = next(i for i in zero_indices(shape) if box[i] != bb[i])
     res = ew.compare_ranges(a, b)

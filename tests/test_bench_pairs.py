@@ -134,3 +134,44 @@ def test_a_failing_run_stops_the_script(tmp_path):
                           "--workload", "hopm", "--seed", "1", "--pairs", "1",
                           "--seconds", "0", "--out", str(tmp_path / "b.json")])
     assert not (tmp_path / "b.json").exists()
+
+
+# FAKE_RUN that also answers ``--trace 1`` with the canned per-layer
+# metrics under "traced", without counting the call.
+FAKE_TRACED_RUN = FAKE_RUN.replace('assert args["--trace"] == "0"\n', "").replace(
+    'calls = here / "calls"\n', '''if args["--trace"] == "1":
+    out = here / "out"
+    out.mkdir(exist_ok=True)
+    stem = f"{args['--workload']}-seed{args['--seed']}-trace1.json"
+    (out / stem).write_text(json.dumps({"provenance": canned["provenance"]}))
+    print(json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": {
+        k: {"value": v, "unit": "count"} for k, v in canned["traced"].items()}}))
+    sys.exit(0)
+calls = here / "calls"
+''')
+
+
+def test_trace_metrics_come_from_one_traced_run_per_side(tmp_path):
+    sides = []
+    for name, sha, calls in (("p", "a" * 40, 200.0), ("c", "b" * 40, 50.0)):
+        d = fake_checkout(tmp_path, name, sha, {"oracle": [{"unit_cost": 1.0, "throughput": 1.0}]})
+        (d / "perfbench" / "run.py").write_text(FAKE_TRACED_RUN)
+        canned = json.loads((d / "perfbench" / "canned.json").read_text())
+        canned["traced"] = {"tensor.getitem.calls": calls, "views.getitem.calls": 0.0}
+        (d / "perfbench" / "canned.json").write_text(json.dumps(canned))
+        sides.append(d)
+    out = tmp_path / "BENCH_t.json"
+    args = ["--parent", str(sides[0]), "--change", str(sides[1]), "--workload", "oracle",
+            "--seed", "3", "--pairs", "2", "--seconds", "0", "--out", str(out)]
+    assert bench_pairs.main(args + ["--trace-metric", "tensor.getitem.calls",
+                                    "--trace-metric", "views.getitem.calls"]) == 0
+    traced = json.loads(out.read_text())["workloads"]["oracle"]["traced"]
+    assert traced == {
+        "tensor.getitem.calls": {"unit": "count", "parent": 200.0, "change": 50.0,
+                                 "ratio": 0.25},
+        "views.getitem.calls": {"unit": "count", "parent": 0.0, "change": 0.0,
+                                "ratio": None},
+    }
+    assert (sides[0] / "perfbench" / "calls").read_text() == "2"
+    with pytest.raises(bench_pairs.RunFailed, match="no metric 'nope'"):
+        bench_pairs.main(args + ["--trace-metric", "nope"])

@@ -1,11 +1,13 @@
 import hashlib
+import itertools
 import random
 from dataclasses import fields
 
 import pytest
 
-from tensorlib import contraction, elementwise, verify
-from tensorlib.verify import FAMILIES, RunConfig, run_verification
+from tensorlib import DenseTensor, Range
+from tensorlib import contraction, elementwise, iterators, tensor, verify, views
+from tensorlib.verify import FAMILIES, RunConfig, read_box, run_verification
 
 from conftest import bump_first, corrupt_call
 
@@ -117,3 +119,74 @@ class TestRunVerification:
         assert obj["ok"] is True
         assert len(obj["families"]) == len(FAMILIES)
         assert {"name", "trials", "passes", "failure"} <= set(obj["families"][0])
+
+
+class TestOracleReads:
+    """The oracle reads operands by its own stride arithmetic, so it sees
+    the right elements even when the engine's planner or addressing core is
+    broken, and a broken view frame shows up as failures."""
+
+    @staticmethod
+    def operands(layout):
+        rng = random.Random(5)
+        t = DenseTensor((3, 4, 2), (-1, 2, 1), layout)
+        t.data = [rng.randint(-99, 99) for _ in range(t.size)]
+        parent = DenseTensor((6, 9, 4), (2, -2, 0), layout)
+        parent.data = [rng.randint(-99, 99) for _ in range(parent.size)]
+        v = parent.view(Range(3, 2, 7), Range(-1, 3, 5), Range(1, 1, 3))
+        return [t, v]
+
+    @staticmethod
+    def plain_box(x):
+        """Zero-based multi-index -> element, by plain element access."""
+        o = x.offsets
+        return {
+            i: x[tuple(a + b for a, b in zip(i, o))]
+            for i in itertools.product(*(range(n) for n in x.shape))
+        }
+
+    @pytest.mark.parametrize("layout", [(1, 2, 3), (3, 2, 1), (2, 3, 1)])
+    def test_reads_bypass_planner_and_element_access(self, monkeypatch, layout):
+        operands = self.operands(layout)
+        expected = [self.plain_box(x) for x in operands]
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the oracle used the engine's addressing")
+
+        monkeypatch.setattr(iterators, "_plan", banned)
+        monkeypatch.setattr(iterators, "plan_fibers", banned)
+        monkeypatch.setattr(iterators, "check_reach", banned)
+        monkeypatch.setattr(tensor._Strided, "_key_to_memory", banned)
+        cmp = verify._Comparator("int64")
+        for x, box in zip(operands, expected):
+            assert read_box(x) == box
+            assert cmp.check_box(box, x.shape, x, {"op": "read"}) is None
+            last = max(box)
+            wrong = dict(box)
+            wrong[last] = box[last] + 1
+            bad = cmp.check_box(wrong, x.shape, x, {"op": "read"})
+            assert bad["index"] == list(last)
+            assert bad["expected"] == repr(box[last] + 1)
+            assert bad["got"] == repr(box[last])
+
+    @pytest.mark.parametrize("new_shape", [(3, 2), (6,)])
+    def test_stale_view_raises(self, new_shape):
+        a = DenseTensor.from_memory((2, 3), range(6))
+        v = a.view(None, Range(2, 2))
+        assert read_box(v) == {(0, 0): 4, (1, 0): 5}
+        a.reshape(new_shape)
+        with pytest.raises(IndexError, match="dimension 2"):
+            read_box(v)
+        with pytest.raises(IndexError, match="dimension 2"):
+            verify._Comparator("int64").check_box({}, (2, 1), v, {})
+
+    def test_wrong_view_frame_is_caught(self, monkeypatch):
+        frame = views._frame
+
+        def without_steps(ranges, meta):
+            return frame(ranges, meta)._replace(strides=meta.strides)
+
+        monkeypatch.setattr(views, "_frame", without_steps)
+        rep = run_verification(RunConfig(seed=42, trials=20, scalar_kind="int64"))
+        assert not rep.ok
+        assert sum(f.trials - f.passes for f in rep.families) > 0

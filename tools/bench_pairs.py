@@ -5,7 +5,7 @@ Usage, from anywhere::
 
     python3 tools/bench_pairs.py --parent DIR --change DIR \\
         --workload hopm --workload oracle --seed N --pairs K \\
-        --seconds S --out BENCH_7.json
+        --seconds S --out BENCH_7.json [--trace-metric NAME ...]
 
 ``--parent`` and ``--change`` are checkouts of the two commits (``git
 clone`` or ``git worktree``).  Each pair runs ``perfbench/run.py --trace 0``
@@ -20,6 +20,12 @@ The output holds each side's git sha, source hash, Python, NumPy and
 end-to-end metric of the change's ``BENCHMARK.json``: its unit and better
 direction, every run's value in pair order, each side's median and
 quartiles, and how many pairs the change won (ties win for neither side).
+
+With ``--trace-metric NAME`` (repeatable), each workload also gets one
+``--trace 1`` run per side after its pairs, and the output records each
+named per-layer metric of those two runs: its unit, both values and the
+change/parent ratio.  Traced runs are single and slowed by the tracer, so
+they show where work moved (call counts, self times), not a timing claim.
 """
 
 from __future__ import annotations
@@ -38,18 +44,19 @@ class RunFailed(RuntimeError):
     pass
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """One untraced benchmark run in ``checkout``: its result line and the
-    provenance that ``run.py`` recorded."""
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
+    """One benchmark run in ``checkout``, untraced by default: its result
+    line and the provenance that ``run.py`` recorded."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     lines = proc.stdout.strip().splitlines()
     if proc.returncode != 0 or not lines:
         raise RunFailed(f"{' '.join(cmd)} in {checkout} exited {proc.returncode}: "
                         f"{proc.stderr.strip()[-500:]}")
     record = json.loads((checkout / "perfbench" / "out"
-                         / f"{workload}-seed{seed}-trace0.json").read_text())
+                         / f"{workload}-seed{seed}-trace{trace}.json").read_text())
     return {"result": json.loads(lines[-1]), "provenance": record["provenance"]}
 
 
@@ -94,6 +101,25 @@ def summarize(pairs, metrics) -> dict:
     return out
 
 
+def traced_pass(sides, workload: str, seed: int, seconds: float, names) -> dict:
+    """One ``--trace 1`` run per side; the per-layer metrics ``names`` of
+    both runs."""
+    got = {side: run_once(path, workload, seed, seconds, trace=1)["result"]["metrics"]
+           for side, path in sides.items()}
+    out = {}
+    for name in names:
+        if name not in got["parent"] or name not in got["change"]:
+            raise RunFailed(f"traced {workload} run reports no metric {name!r}")
+        p, c = got["parent"][name], got["change"][name]
+        out[name] = {
+            "unit": p["unit"],
+            "parent": p["value"],
+            "change": c["value"],
+            "ratio": c["value"] / p["value"] if p["value"] else None,
+        }
+    return out
+
+
 def side_provenance(runs, checkout: Path) -> dict:
     first = runs[0]["provenance"]
     prov = {k: first.get(k) for k in PROVENANCE_KEYS}
@@ -114,6 +140,7 @@ def main(argv=None) -> int:
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seconds", type=float, required=True)
     parser.add_argument("--out", type=Path, required=True)
+    parser.add_argument("--trace-metric", action="append", default=[])
     args = parser.parse_args(argv)
     if args.pairs < 1:
         parser.error("--pairs must be >= 1")
@@ -138,6 +165,9 @@ def main(argv=None) -> int:
             "first_in_pair": firsts,
             "metrics": summarize(pairs, spec["end_to_end"]),
         }
+        if args.trace_metric:
+            workloads[w]["traced"] = traced_pass(
+                sides, w, args.seed, args.seconds, args.trace_metric)
 
     bench = {
         "parent": side_provenance(runs["parent"], args.parent),
