@@ -16,7 +16,13 @@ It calls neither the fiber planner (``iterators._plan``, ``plan_fibers``,
 ``check_reach``) nor element access (``_Strided._key_to_memory``), so a
 wrong plan or a wrong view frame cannot also corrupt the expected values.
 
-int64 trials draw small signed integers and compare exactly.  float64
+int64 trials draw small signed integers in [-9, 9] and compare exactly.
+Tensor elements come from ``_randints``, which reproduces CPython's
+``randint`` from ``getrandbits`` (one Mersenne Twister word per
+``getrandbits(5)``, redrawn while the word is 19 or more), so it yields the
+values ``randint(-9, 9)`` would and leaves the stream in the same state;
+``tests/test_verify.py`` checks that against ``randint`` and pins every
+family's stream state after 20 trials.  float64
 trials draw positive values (``0.5 + 1.5 * random()``, the value
 ``uniform(0.5, 2.0)`` computes) so that reductions,
 whose summation order differs between the two routes, stay free of
@@ -149,12 +155,33 @@ def _rand_value(rng, kind: str):
     return 0.5 + 1.5 * rng.random()
 
 
+def _randints(rng, lo: int, hi: int, count: int) -> List[int]:
+    """``[rng.randint(lo, hi) for _ in range(count)]``, drawn from the same
+    words of the same stream, without three Python frames per draw.
+
+    This is CPython's ``randint``: ``lo + _randbelow(n)`` with
+    ``n = hi - lo + 1``, where ``_randbelow`` draws ``getrandbits(k)`` with
+    ``k = n.bit_length()`` (not ``(n - 1).bit_length()``) and redraws while
+    the word is ``>= n``.
+    """
+    n = hi - lo + 1
+    k = n.bit_length()
+    getrandbits = rng.getrandbits
+    out = []
+    append = out.append
+    for _ in range(count):
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        append(lo + r)
+    return out
+
+
 def _rand_tensor(rng, shape, kind: str = "int64") -> DenseTensor:
     p = len(shape)
     t = DenseTensor(shape, _rand_offsets(rng, p), _rand_layout(rng, p))
     if kind == "int64":
-        randint = rng.randint
-        t.data = [randint(-9, 9) for _ in range(t.size)]
+        t.data = _randints(rng, -9, 9, t.size)
     else:
         rand = rng.random
         t.data = [0.5 + 1.5 * rand() for _ in range(t.size)]

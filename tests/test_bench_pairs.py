@@ -19,7 +19,8 @@ METRICS = [
 ]
 
 # A stand-in for perfbench/run.py: the n-th call prints the n-th canned
-# result line and writes the provenance record the real script writes.
+# result line and writes the provenance record the real script writes.  A
+# canned run's "attempted" entry is its operation count (9 if absent).
 FAKE_RUN = """
 import json, sys
 from pathlib import Path
@@ -30,14 +31,15 @@ canned = json.loads((here / "canned.json").read_text())
 calls = here / "calls"
 n = int(calls.read_text()) if calls.exists() else 0
 calls.write_text(str(n + 1))
-values = canned["runs"][args["--workload"]][n % len(canned["runs"][args["--workload"]])]
+values = dict(canned["runs"][args["--workload"]][n % len(canned["runs"][args["--workload"]])])
+attempted = values.pop("attempted", 9)
 out = here / "out"
 out.mkdir(exist_ok=True)
 prov = dict(canned["provenance"], seed=int(args["--seed"]))
 stem = f"{args['--workload']}-seed{args['--seed']}-trace0.json"
 (out / stem).write_text(json.dumps({"provenance": prov}))
 print("readable report")
-print(json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": {
+print(json.dumps({"correct": True, "attempted": attempted, "failed": 0, "metrics": {
     k: {"value": v, "unit": "u"} for k, v in values.items()}}))
 """
 
@@ -85,18 +87,18 @@ def test_summarize_counts_wins_by_direction_and_ties_for_neither():
 
 def test_writes_the_bench_file_from_alternating_pairs(tmp_path):
     parent = fake_checkout(tmp_path, "p", "a" * 40, {"hopm": [
-        {"unit_cost": 1.5, "throughput": 10.0},
-        {"unit_cost": 1.6, "throughput": 11.0},
-        {"unit_cost": 1.4, "throughput": 9.0},
-        {"unit_cost": 1.7, "throughput": 12.0},
-        {"unit_cost": 1.5, "throughput": 10.0},
+        {"unit_cost": 1.5, "throughput": 10.0, "attempted": 40},
+        {"unit_cost": 1.6, "throughput": 11.0, "attempted": 41},
+        {"unit_cost": 1.4, "throughput": 9.0, "attempted": 42},
+        {"unit_cost": 1.7, "throughput": 12.0, "attempted": 43},
+        {"unit_cost": 1.5, "throughput": 10.0, "attempted": 44},
     ]})
     change = fake_checkout(tmp_path, "c", "b" * 40, {"hopm": [
-        {"unit_cost": 1.2, "throughput": 13.0},
-        {"unit_cost": 1.1, "throughput": 11.0},
-        {"unit_cost": 1.3, "throughput": 12.0},
-        {"unit_cost": 1.2, "throughput": 12.5},
-        {"unit_cost": 1.6, "throughput": 9.0},
+        {"unit_cost": 1.2, "throughput": 13.0, "attempted": 50},
+        {"unit_cost": 1.1, "throughput": 11.0, "attempted": 51},
+        {"unit_cost": 1.3, "throughput": 12.0, "attempted": 52},
+        {"unit_cost": 1.2, "throughput": 12.5, "attempted": 53},
+        {"unit_cost": 1.6, "throughput": 9.0, "attempted": 54},
     ]})
     out = tmp_path / "BENCH_x.json"
     assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
@@ -109,7 +111,11 @@ def test_writes_the_bench_file_from_alternating_pairs(tmp_path):
                                "python": "3.x", "numpy": "1.x", "nproc": 2}
     assert bench["change"]["git_sha"] == "b" * 40
     hopm = bench["workloads"]["hopm"]
+    assert set(hopm) == {"first_in_pair", "attempted", "metrics"}
     assert hopm["first_in_pair"] == ["parent", "change", "parent", "change", "parent"]
+    assert hopm["attempted"] == {"parent": [40, 41, 42, 43, 44],
+                                 "change": [50, 51, 52, 53, 54]}
+    assert set(hopm["metrics"]) == {"unit_cost", "throughput"}
     cost = hopm["metrics"]["unit_cost"]
     assert cost["parent"] == {"median": 1.5, "q1": 1.5, "q3": 1.6,
                               "values": [1.5, 1.6, 1.4, 1.7, 1.5]}
@@ -144,7 +150,8 @@ FAKE_TRACED_RUN = FAKE_RUN.replace('assert args["--trace"] == "0"\n', "").replac
     out.mkdir(exist_ok=True)
     stem = f"{args['--workload']}-seed{args['--seed']}-trace1.json"
     (out / stem).write_text(json.dumps({"provenance": canned["provenance"]}))
-    print(json.dumps({"correct": True, "attempted": 9, "failed": 0, "metrics": {
+    print(json.dumps({"correct": True, "attempted": canned["traced_attempted"],
+                      "failed": 0, "metrics": {
         k: {"value": v, "unit": "count"} for k, v in canned["traced"].items()}}))
     sys.exit(0)
 calls = here / "calls"
@@ -153,11 +160,12 @@ calls = here / "calls"
 
 def test_trace_metrics_come_from_one_traced_run_per_side(tmp_path):
     sides = []
-    for name, sha, calls in (("p", "a" * 40, 200.0), ("c", "b" * 40, 50.0)):
+    for name, sha, calls, traced_ops in (("p", "a" * 40, 200.0, 543), ("c", "b" * 40, 50.0, 959)):
         d = fake_checkout(tmp_path, name, sha, {"oracle": [{"unit_cost": 1.0, "throughput": 1.0}]})
         (d / "perfbench" / "run.py").write_text(FAKE_TRACED_RUN)
         canned = json.loads((d / "perfbench" / "canned.json").read_text())
         canned["traced"] = {"tensor.getitem.calls": calls, "views.getitem.calls": 0.0}
+        canned["traced_attempted"] = traced_ops
         (d / "perfbench" / "canned.json").write_text(json.dumps(canned))
         sides.append(d)
     out = tmp_path / "BENCH_t.json"
@@ -165,7 +173,10 @@ def test_trace_metrics_come_from_one_traced_run_per_side(tmp_path):
             "--seed", "3", "--pairs", "2", "--seconds", "0", "--out", str(out)]
     assert bench_pairs.main(args + ["--trace-metric", "tensor.getitem.calls",
                                     "--trace-metric", "views.getitem.calls"]) == 0
-    traced = json.loads(out.read_text())["workloads"]["oracle"]["traced"]
+    oracle = json.loads(out.read_text())["workloads"]["oracle"]
+    assert oracle["attempted"] == {"parent": [9, 9], "change": [9, 9]}
+    assert oracle["traced_attempted"] == {"parent": 543, "change": 959}
+    traced = oracle["traced"]
     assert traced == {
         "tensor.getitem.calls": {"unit": "count", "parent": 200.0, "change": 50.0,
                                  "ratio": 0.25},

@@ -121,6 +121,36 @@ class TestRunVerification:
         assert {"name", "trials", "passes", "failure"} <= set(obj["families"][0])
 
 
+class TestIntDraws:
+    """int64 tensor elements come from ``_randints``, which must match
+    ``randint`` value for value and word for word, or every int64 replay
+    and the stream pin would change."""
+
+    @pytest.mark.parametrize("lo, hi", [(-9, 9), (0, 0), (1, 2), (0, 3), (-2, 2), (0, 31)])
+    @pytest.mark.parametrize("count", [0, 1, 500])
+    def test_randints_reproduces_randint(self, lo, hi, count):
+        for seed in (0, 1, 42, "7:ttv:int64"):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            want = [theirs.randint(lo, hi) for _ in range(count)]
+            assert verify._randints(ours, lo, hi, count) == want
+            assert ours.getstate() == theirs.getstate()
+
+    def test_tensor_elements_are_not_drawn_by_randint(self, monkeypatch):
+        # Offsets still come from randint(-2, 2); only the per-element
+        # draws in [-9, 9] must not.
+        randint = random.Random.randint
+
+        def no_element_draws(self, a, b):
+            if (a, b) == (-9, 9):
+                raise AssertionError("tensor elements drawn through randint")
+            return randint(self, a, b)
+
+        monkeypatch.setattr(random.Random, "randint", no_element_draws)
+        t = verify._rand_tensor(random.Random(3), (4, 5, 3), "int64")
+        assert len(t.data) == 60
+        assert all(-9 <= x <= 9 for x in t.data)
+
+
 class TestOracleReads:
     """The oracle reads operands by its own stride arithmetic, so it sees
     the right elements even when the engine's planner or addressing core is

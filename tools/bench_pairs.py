@@ -20,12 +20,17 @@ The output holds each side's git sha, source hash, Python, NumPy and
 end-to-end metric of the change's ``BENCHMARK.json``: its unit and better
 direction, every run's value in pair order, each side's median and
 quartiles, and how many pairs the change won (ties win for neither side).
+It also records every run's ``attempted`` operation count in pair order,
+because a faster change fits more operations into the same seconds and
+``peak_rss_mb`` grows with that count.
 
 With ``--trace-metric NAME`` (repeatable), each workload also gets one
 ``--trace 1`` run per side after its pairs, and the output records each
 named per-layer metric of those two runs: its unit, both values and the
-change/parent ratio.  Traced runs are single and slowed by the tracer, so
-they show where work moved (call counts, self times), not a timing claim.
+change/parent ratio, and each side's ``attempted`` count, since traced
+totals such as ``verify.kernel_s`` sum over however many operations fit into
+the run.  Traced runs are single and slowed by the tracer, so they show
+where work moved (call counts, self times), not a timing claim.
 """
 
 from __future__ import annotations
@@ -101,23 +106,24 @@ def summarize(pairs, metrics) -> dict:
     return out
 
 
-def traced_pass(sides, workload: str, seed: int, seconds: float, names) -> dict:
-    """One ``--trace 1`` run per side; the per-layer metrics ``names`` of
-    both runs."""
-    got = {side: run_once(path, workload, seed, seconds, trace=1)["result"]["metrics"]
+def traced_pass(sides, workload: str, seed: int, seconds: float, names):
+    """One ``--trace 1`` run per side: the per-layer metrics ``names`` of
+    both runs, and each run's ``attempted`` count."""
+    got = {side: run_once(path, workload, seed, seconds, trace=1)["result"]
            for side, path in sides.items()}
+    metrics = {side: r["metrics"] for side, r in got.items()}
     out = {}
     for name in names:
-        if name not in got["parent"] or name not in got["change"]:
+        if name not in metrics["parent"] or name not in metrics["change"]:
             raise RunFailed(f"traced {workload} run reports no metric {name!r}")
-        p, c = got["parent"][name], got["change"][name]
+        p, c = metrics["parent"][name], metrics["change"][name]
         out[name] = {
             "unit": p["unit"],
             "parent": p["value"],
             "change": c["value"],
             "ratio": c["value"] / p["value"] if p["value"] else None,
         }
-    return out
+    return out, {side: r["attempted"] for side, r in got.items()}
 
 
 def side_provenance(runs, checkout: Path) -> dict:
@@ -163,10 +169,12 @@ def main(argv=None) -> int:
             pairs.append((got["parent"]["result"], got["change"]["result"]))
         workloads[w] = {
             "first_in_pair": firsts,
+            "attempted": {"parent": [p["attempted"] for p, _ in pairs],
+                          "change": [c["attempted"] for _, c in pairs]},
             "metrics": summarize(pairs, spec["end_to_end"]),
         }
         if args.trace_metric:
-            workloads[w]["traced"] = traced_pass(
+            workloads[w]["traced"], workloads[w]["traced_attempted"] = traced_pass(
                 sides, w, args.seed, args.seconds, args.trace_metric)
 
     bench = {
