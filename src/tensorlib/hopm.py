@@ -7,16 +7,25 @@ final sweep (all per-mode norms agree in the limit), and the estimate is
 ``lambda * u_1 o ... o u_p``.  Each sweep cannot increase the residual
 ``||A - B||_F``, which the optional residual tracking exposes.
 
-Mode r's update contracts the highest modes first, and u_{r+1} .. u_p
-change only later in the sweep, so its first p - r contractions,
-``A x_p u_p ... x_{r+1} u_{r+1}``, are the ones mode 1 also starts with.
-Each sweep therefore builds these prefixes once, from order p-1 down to
-2, and starts every mode from its own: only the prefix build and mode p
-read the full tensor, two passes per sweep for any p >= 2 instead of p.
-Every mode runs the same ttv chain on the same inputs as contracting the
-full tensor would, so the results are bit-identical to that.  The
-prefixes hold n^(p-1) + ... + n^2 elements for extents n (1,024 floats
-for a 32^3 tensor).
+Every update contracts one order-(p-1) partial contraction
+``x = A x_k u_k``, where the key mode k is the mode updated just before x
+was built (mode p, from the start vectors, before sweep 1).  Mode r != k
+contracts x with the current vectors of the other p - 2 modes, highest
+first; u_k is unchanged until the sweep reaches mode k, which rebuilds x
+from A keyed on the mode just updated.  Every update therefore uses the
+latest vector of every other mode (exact Gauss-Seidel HOPM), and one
+full-tensor ttv serves p - 1 updates: ceil(k p / (p - 1)) passes over the
+tensor in k sweeps, where sharing only each sweep's prefix
+``A x_p u_p ... x_{r+1} u_{r+1}`` takes 2k and contracting the full
+tensor for every update k p.  p = 2 keeps two passes per sweep and p = 1
+contracts nothing.  x holds n^(p-1) elements for extents n (1,024 floats
+for a 32^3 tensor).  This is the partial-contraction reuse of Phan,
+Tichavsky and Cichocki (IEEE TSP 2013).
+
+Sweep 1 runs the same ttv chains as contracting the full tensor highest
+mode first.  From sweep 2 on, mode r contracts mode k first, so lambda,
+the vectors and the residual differ from the highest-first order in the
+last bits; they remain bit-identical across layouts and views.
 
 Real (floating-point) elements only; norms need square roots.
 """
@@ -29,7 +38,7 @@ from operator import sub
 from typing import List, Optional, Sequence
 
 from .contraction import frobenius_norm, times_vectors, ttv
-from .elementwise import transform_binary
+from .elementwise import _in_order, transform_binary
 from .tensor import DenseTensor
 
 __all__ = ["DegenerateInputError", "HopmState", "hopm", "rank_one_compose", "residual"]
@@ -69,8 +78,9 @@ class HopmState:
         return self.l[-1]
 
 
-def _normalized(vec: DenseTensor, norm: float) -> DenseTensor:
-    return DenseTensor.from_memory(vec.shape, [x / norm for x in vec.data])
+def _normalized(vec, norm: float) -> DenseTensor:
+    """``vec / norm`` as a new vector; ``vec`` may be a view."""
+    return DenseTensor.from_memory(vec.shape, [x / norm for x in _in_order(vec)[1]])
 
 
 def hopm(
@@ -101,7 +111,7 @@ def hopm(
             v = n ** -0.5
             u.append(DenseTensor.from_memory((n,), [v] * n))
     else:
-        u = [v.copy() for v in u0]
+        u = list(u0)
         if len(u) != p:
             raise ValueError(f"expected {p} start vectors, got {len(u)}")
         for r, (v, n) in enumerate(zip(u, shape), start=1):
@@ -117,19 +127,20 @@ def hopm(
     l = [0.0] * p
     state = HopmState(u=u, l=l, sweeps=0, converged=False)
     previous = None
+    # x = a x_key u_key leaves mode key out.  An order-1 tensor has no mode
+    # to spare: x is a itself and key = 2 lies past its only mode.
+    key, x = (p, ttv(a, u[-1], p)) if p > 1 else (2, a)
     for sweep in range(1, max_sweeps + 1):
-        # prefix[k] = a x_p u_p ... x_{k+1} u_{k+1}, of order k.
-        prefix = {p: a}
-        for k in range(p - 1, 1, -1):
-            prefix[k] = ttv(prefix[k + 1], u[k], k + 1)
-        for r in range(p):
-            k = min(max(r + 1, 2), p)
-            w = times_vectors(prefix[k], u[:k], skip=r + 1)
+        for r in range(1, p + 1):
+            if r == key:
+                key = r - 1 or p
+                x = ttv(a, u[key - 1], key)
+            w = times_vectors(x, u[: key - 1] + u[key:], skip=r - (r > key))
             norm = frobenius_norm(w)
             if not 0.0 < norm < inf:
-                raise DegenerateInputError(sweep, r + 1)
-            l[r] = norm
-            u[r] = _normalized(w, norm)
+                raise DegenerateInputError(sweep, r)
+            l[r - 1] = norm
+            u[r - 1] = _normalized(w, norm)
         state.sweeps = sweep
         lam = l[-1]
         state.lambda_history.append(lam)
@@ -147,11 +158,12 @@ def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTenso
     if len(vectors) == 0:
         raise ValueError("need at least one vector")
     # Dimension 1 varies fastest in the default layout, so each pass
-    # multiplies the rows built so far by one more vector's elements: the
-    # same ((scale * u_1) * u_2) * ... order as chained outer products.
+    # multiplies the rows built so far by one more vector's elements, read
+    # in iteration order (views included): the same ((scale * u_1) * u_2)
+    # * ... order as chained outer products.
     data = [scale]
     for v in vectors:
-        data = [y * x for x in v.data for y in data]
+        data = [y * x for x in _in_order(v)[1] for y in data]
     return DenseTensor.from_memory(tuple(v.size for v in vectors), data)
 
 

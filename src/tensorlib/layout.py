@@ -27,6 +27,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 from itertools import product
+from operator import index
 from typing import Iterable, Iterator, Sequence, Tuple
 
 __all__ = [
@@ -49,6 +50,20 @@ __all__ = [
 MAX_INDEX = 2**63 - 1
 
 
+def _as_indices(values: Iterable[int], name: str) -> Tuple[int, ...]:
+    """``values`` as a tuple of ints, through ``operator.index``: ints and
+    NumPy integers pass; floats, strings and ``bool`` (as in
+    ``DenseTensor.from_dict``) raise ``ValueError`` naming ``name``."""
+    values = tuple(values)
+    try:
+        out = tuple(map(index, values))
+    except TypeError:
+        out = None
+    if out is None or bool in map(type, values):
+        raise ValueError(f"{name} must be integers, got {values!r}")
+    return out
+
+
 def validate_shape(extents: Iterable[int]) -> Tuple[int, ...]:
     """Normalize and check a shape tuple.
 
@@ -56,7 +71,7 @@ def validate_shape(extents: Iterable[int]) -> Tuple[int, ...]:
     64-bit signed index.  Extent-1 dimensions are allowed (degenerate but
     legal, e.g. column vectors of shape ``(n, 1)``).
     """
-    shape = tuple(int(n) for n in extents)
+    shape = _as_indices(extents, "shape")
     if len(shape) == 0:
         raise ValueError("shape must have at least one dimension")
     if any(n < 1 for n in shape):
@@ -71,7 +86,7 @@ def validate_shape(extents: Iterable[int]) -> Tuple[int, ...]:
 
 def validate_layout(perm: Iterable[int], order: int) -> Tuple[int, ...]:
     """Normalize a one-based layout permutation of ``(1, ..., order)``."""
-    layout = tuple(int(q) for q in perm)
+    layout = _as_indices(perm, "layout")
     if len(layout) != order:
         raise ValueError(f"layout {layout} does not match order {order}")
     if sorted(layout) != list(range(1, order + 1)):
@@ -81,7 +96,7 @@ def validate_layout(perm: Iterable[int], order: int) -> Tuple[int, ...]:
 
 def validate_offsets(offsets: Iterable[int], order: int) -> Tuple[int, ...]:
     """Normalize an offset tuple (any signed integers, length = order)."""
-    off = tuple(int(o) for o in offsets)
+    off = _as_indices(offsets, "offsets")
     if len(off) != order:
         raise ValueError(f"offsets {off} do not match order {order}")
     return off

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple, Tuple
 
 from .elementwise import _copy
-from .layout import TensorMeta, memory_index
+from .layout import TensorMeta, _as_indices, memory_index
 from .tensor import DenseTensor, _Strided
 
 __all__ = ["Range", "TensorView", "classify_view"]
@@ -58,13 +58,14 @@ class Range:
             first, step, last = args
         else:
             raise ValueError("Range takes at most three indices")
+        first, step, last = _as_indices((first, step, last), "Range indices")
         if step < 1:
             raise ValueError(f"step must be >= 1, got {step}")
         if first > last:
             raise ValueError(f"range first {first} exceeds last {last}")
-        self.first = int(first)
-        self.step = int(step)
-        self.last = int(last)
+        self.first = first
+        self.step = step
+        self.last = last
 
     @property
     def is_full(self) -> bool:

@@ -9,6 +9,7 @@ from tensorlib import (
     DenseTensor,
     HopmState,
     Range,
+    copy,
     frobenius_norm,
     hopm,
     outer_product,
@@ -16,6 +17,7 @@ from tensorlib import (
     residual,
     tensors_equal,
     times_vectors,
+    ttv,
 )
 
 from conftest import rand_dense
@@ -202,6 +204,42 @@ def reference_hopm(a, max_sweeps, tol, track_residuals):
     return state
 
 
+def key_mode_reference(a, max_sweeps, tol):
+    """The power method contracting ``a`` afresh for every update: first
+    the key mode k (the mode updated just before the sweep last reached k,
+    mode p at the start), then the other modes highest first."""
+    p = a.order
+    u = [DenseTensor.from_memory((n,), [n ** -0.5] * n) for n in a.shape]
+    l = [0.0] * p
+    state = HopmState(u=u, l=l, sweeps=0, converged=False)
+    key = p
+    previous = None
+    for sweep in range(1, max_sweeps + 1):
+        for r in range(1, p + 1):
+            if r == key:
+                key = r - 1 or p
+            if p == 1:
+                w = DenseTensor(a.shape)
+                copy(a, w)
+            else:
+                w = ttv(a, u[key - 1], key)
+            # Contracting mode m of ``a`` leaves the lower modes in place.
+            for m in range(p, 0, -1):
+                if m not in (r, key):
+                    w = ttv(w, u[m - 1], m - (m > key))
+            norm = frobenius_norm(w)
+            l[r - 1] = norm
+            u[r - 1] = DenseTensor.from_memory(w.shape, [x / norm for x in w.data])
+        state.sweeps = sweep
+        state.lambda_history.append(l[-1])
+        state.residual_history.append(residual(a, state))
+        if previous is not None and abs(l[-1] - previous) < tol:
+            state.converged = True
+            break
+        previous = l[-1]
+    return state
+
+
 def signed_operand(rng, shape, layout):
     """Signed random data at first-order layout, at a random layout with
     offsets, or as a view stepping by 2 through every dimension of such a
@@ -234,17 +272,32 @@ class TestPrefixReuse:
     @pytest.mark.parametrize("layout", ["first", "random", "view"])
     @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
     def test_bit_identical_to_full_contractions(self, p, layout):
+        # Sweep 1 runs the full-contraction chains; later sweeps contract
+        # the key mode first (see key_mode_reference).
+        rng = random.Random(100 * p + len(layout))
+        shape = tuple(rng.randint(2, 4) for _ in range(p))
+        a = signed_operand(rng, shape, layout)
+        got = hopm(a, max_sweeps=1, tol=0.0, track_residuals=True)
+        want = reference_hopm(a, 1, 0.0, track_residuals=True)
+        assert hex_record(got) == hex_record(want)
+        assert residual(a, got).hex() == residual(a, want).hex()
+
+    @pytest.mark.parametrize("layout", ["first", "random", "view"])
+    @pytest.mark.parametrize("p", [1, 2, 3, 4, 5, 6])
+    def test_bit_identical_to_key_mode_reference(self, p, layout):
         rng = random.Random(100 * p + len(layout))
         shape = tuple(rng.randint(2, 4) for _ in range(p))
         a = signed_operand(rng, shape, layout)
         for max_sweeps, tol in ((4, 0.0), (50, 1e-10)):
             got = hopm(a, max_sweeps=max_sweeps, tol=tol, track_residuals=True)
-            want = reference_hopm(a, max_sweeps, tol, track_residuals=True)
+            want = key_mode_reference(a, max_sweeps, tol)
             assert hex_record(got) == hex_record(want)
             assert residual(a, got).hex() == residual(a, want).hex()
 
     @pytest.mark.parametrize("p", [2, 3, 4, 5])
     def test_two_full_tensor_ttv_calls_per_sweep(self, monkeypatch, p):
+        """At most two per sweep: one full-tensor ttv serves p - 1 mode
+        updates, so k sweeps take ceil(k p / (p - 1)) of them."""
         full, modes = [0], [0]
         original_ttv = contraction_module.ttv
 
@@ -257,10 +310,12 @@ class TestPrefixReuse:
             return times_vectors(*args, **kwargs)
 
         monkeypatch.setattr(contraction_module, "ttv", counting_ttv)
-        monkeypatch.setattr(hopm_module, "ttv", counting_ttv, raising=False)
+        monkeypatch.setattr(hopm_module, "ttv", counting_ttv)
         monkeypatch.setattr(hopm_module, "times_vectors", counting_times_vectors)
         a = signed_operand(random.Random(p), (3,) * p, "random")
-        state = hopm(a, max_sweeps=3, tol=0.0)
-        assert state.sweeps == 3
-        assert full[0] == 2 * 3
-        assert modes[0] == p * 3
+        for k in range(1, 5):
+            full[0] = modes[0] = 0
+            state = hopm(a, max_sweeps=k, tol=0.0)
+            assert state.sweeps == k
+            assert full[0] == -(-k * p // (p - 1))
+            assert modes[0] == p * k
