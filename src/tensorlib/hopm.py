@@ -8,10 +8,10 @@ final sweep (all per-mode norms agree in the limit), and the estimate is
 ``||A - B||_F``, which the optional residual tracking exposes.
 
 Every update contracts one order-(p-1) partial contraction
-``x = A x_k u_k``, where the key mode k is the mode updated just before x
-was built (mode p, from the start vectors, before sweep 1).  Mode r != k
+``x = A x_m u_m``, where the key mode m is the mode updated just before x
+was built (mode p, from the start vectors, before sweep 1).  Mode r != m
 contracts x with the current vectors of the other p - 2 modes, highest
-first; u_k is unchanged until the sweep reaches mode k, which rebuilds x
+first; u_m is unchanged until the sweep reaches mode m, which rebuilds x
 from A keyed on the mode just updated.  Every update therefore uses the
 latest vector of every other mode (exact Gauss-Seidel HOPM), and one
 full-tensor ttv serves p - 1 updates: ceil(k p / (p - 1)) passes over the
@@ -23,7 +23,7 @@ for a 32^3 tensor).  This is the partial-contraction reuse of Phan,
 Tichavsky and Cichocki (IEEE TSP 2013).
 
 Sweep 1 runs the same ttv chains as contracting the full tensor highest
-mode first.  From sweep 2 on, mode r contracts mode k first, so lambda,
+mode first.  From sweep 2 on, mode r contracts mode m first, so lambda,
 the vectors and the residual differ from the highest-first order in the
 last bits; they remain bit-identical across layouts and views.
 
@@ -92,8 +92,8 @@ def hopm(
 ) -> HopmState:
     """Run up to ``max_sweeps`` alternating sweeps on ``a``.
 
-    ``u0`` optionally provides the p starting vectors (nonzero, matching
-    lengths); the default is normalized all-ones.  The run stops early once
+    ``u0`` optionally provides the p starting vectors (tensors or views,
+    nonzero, matching lengths); the default is normalized all-ones.  The run stops early once
     the scale moves by less than ``tol`` between sweeps; ``tol`` must be
     >= 0 (``inf`` stops after the second sweep).  Raises
     :class:`DegenerateInputError` when a mode update has norm zero or a

@@ -50,18 +50,23 @@ __all__ = [
 MAX_INDEX = 2**63 - 1
 
 
+_INT = frozenset((int,))
+
+
 def _as_indices(values: Iterable[int], name: str) -> Tuple[int, ...]:
     """``values`` as a tuple of ints, through ``operator.index``: ints and
     NumPy integers pass; floats, strings and ``bool`` (as in
     ``DenseTensor.from_dict``) raise ``ValueError`` naming ``name``."""
     values = tuple(values)
+    if _INT.issuperset(map(type, values)):
+        # Plain ints, the common case: every kernel output builds a meta.
+        return values
     try:
-        out = tuple(map(index, values))
+        if bool not in map(type, values):
+            return tuple(map(index, values))
     except TypeError:
-        out = None
-    if out is None or bool in map(type, values):
-        raise ValueError(f"{name} must be integers, got {values!r}")
-    return out
+        pass
+    raise ValueError(f"{name} must be integers, got {values!r}")
 
 
 def validate_shape(extents: Iterable[int]) -> Tuple[int, ...]:

@@ -58,7 +58,8 @@ class Range:
             first, step, last = args
         else:
             raise ValueError("Range takes at most three indices")
-        first, step, last = _as_indices((first, step, last), "Range indices")
+        if not type(first) is type(step) is type(last) is int:
+            first, step, last = _as_indices((first, step, last), "Range indices")
         if step < 1:
             raise ValueError(f"step must be >= 1, got {step}")
         if first > last:

@@ -107,6 +107,18 @@ class TestHopm:
         state = hopm(a, u0=us)
         assert state.converged and abs(state.scale - 2.5) < 1e-10
 
+    def test_view_start_vectors(self):
+        rng = random.Random(11)
+        a = DenseTensor((2, 3))
+        a.data = [rng.uniform(-1, 1) for _ in range(a.size)]
+        t = DenseTensor.from_memory((4,), [9.0, 1.0, 9.0, 2.0])
+        w = DenseTensor.from_memory((3,), [1.0, -2.0, 0.5])
+        got = hopm(a, max_sweeps=3, tol=0.0, u0=[t.view(Range(1, 2, 3)), w])
+        dense = DenseTensor.from_memory((2,), [1.0, 2.0])
+        want = hopm(a, max_sweeps=3, tol=0.0, u0=[dense, w])
+        assert hex_record(got) == hex_record(want)
+        assert t.data == [9.0, 1.0, 9.0, 2.0] and w.data == [1.0, -2.0, 0.5]
+
     def test_start_vector_validation(self):
         a = DenseTensor((3, 2), fill_value=1.0)
         with pytest.raises(ValueError):
@@ -149,6 +161,15 @@ class TestRankOneCompose:
         us = [unit_vector(rng, n) for n in (3, 4, 2)]
         b = rank_one_compose(2.25, us)
         assert abs(frobenius_norm(b) - 2.25) < 1e-12
+
+    def test_view_vectors(self):
+        # A view's buffer is its target's: its elements are read through
+        # its cursor, not from ``data``.
+        t = DenseTensor.from_memory((4,), [1.0, 2.0, 3.0, 4.0])
+        w = DenseTensor.from_memory((2,), [0.5, -1.0])
+        b = rank_one_compose(1.5, [t.view(Range(1, 2, 3)), w])
+        want = rank_one_compose(1.5, [DenseTensor.from_memory((2,), [2.0, 4.0]), w])
+        assert b.shape == (2, 2) and b.data == want.data
 
     def test_matches_chained_outer_products(self):
         rng = random.Random(8)

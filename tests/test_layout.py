@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import numpy as np
+
 from tensorlib import (
+    DenseTensor,
     TensorMeta,
     compute_strides,
     first_order_layout,
@@ -205,3 +208,37 @@ class TestTensorMeta:
         assert same.layout == (3, 2, 1) and same.offsets == (1, -1, 0)
         other = meta.with_shape((24,))
         assert other.layout == (1,) and other.offsets == (0,)
+
+
+class TestIntegerIndices:
+    """Shapes, layouts and offsets take integers only: nothing truncates."""
+
+    def test_float_extent_rejected(self):
+        with pytest.raises(ValueError, match="shape must be integers"):
+            DenseTensor((2.7, 3))
+
+    def test_string_extent_rejected(self):
+        with pytest.raises(ValueError, match="shape must be integers"):
+            DenseTensor(("3", 2))
+
+    def test_bool_extent_rejected(self):
+        with pytest.raises(ValueError, match="shape must be integers"):
+            DenseTensor((True, 3))
+
+    def test_float_offsets_rejected(self):
+        with pytest.raises(ValueError, match="offsets must be integers"):
+            DenseTensor((2, 3), offsets=(0.9, -1.2))
+
+    def test_float_layout_rejected(self):
+        with pytest.raises(ValueError, match="layout must be integers"):
+            TensorMeta((2, 3), layout=(2.0, 1))
+
+    def test_numpy_integers_accepted(self):
+        meta = TensorMeta(
+            (np.int64(2), np.int32(3)),
+            offsets=(np.int8(-1), np.int64(0)),
+            layout=(np.int16(2), np.int64(1)),
+        )
+        assert meta == TensorMeta((2, 3), offsets=(-1, 0), layout=(2, 1))
+        for field in (meta.shape, meta.offsets, meta.layout):
+            assert all(type(v) is int for v in field)

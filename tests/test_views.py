@@ -1,5 +1,6 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -38,6 +39,19 @@ class TestRange:
             Range(0, 0, 3)
         with pytest.raises(ValueError):
             Range(1, 2, 3, 4)
+
+    def test_float_indices_rejected(self):
+        with pytest.raises(ValueError, match="Range indices must be integers"):
+            Range(0.5, 1.9, 2.5)
+
+    def test_bool_index_rejected(self):
+        with pytest.raises(ValueError, match="Range indices must be integers"):
+            Range(True, 2)
+
+    def test_numpy_integers_accepted(self):
+        r = Range(np.int64(1), np.int32(2), np.int8(5))
+        assert (r.first, r.step, r.last) == (1, 2, 5)
+        assert all(type(v) is int for v in (r.first, r.step, r.last))
 
 
 class TestMakeView:
