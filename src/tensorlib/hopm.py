@@ -93,11 +93,11 @@ def hopm(
     """Run up to ``max_sweeps`` alternating sweeps on ``a``.
 
     ``u0`` optionally provides the p starting vectors (tensors or views,
-    nonzero, matching lengths); the default is normalized all-ones.  The run stops early once
-    the scale moves by less than ``tol`` between sweeps; ``tol`` must be
-    >= 0 (``inf`` stops after the second sweep).  Raises
-    :class:`DegenerateInputError` when a mode update has norm zero or a
-    norm that is not finite.
+    nonzero, matching lengths); the default is normalized all-ones.  The
+    run stops early once the scale moves by less than ``tol`` between
+    sweeps; ``tol`` must be >= 0 (``inf`` stops after the second sweep).
+    Raises :class:`DegenerateInputError` when a mode update has norm zero
+    or a norm that is not finite.
     """
     p = a.order
     shape = a.shape
@@ -133,6 +133,8 @@ def hopm(
     for sweep in range(1, max_sweeps + 1):
         for r in range(1, p + 1):
             if r == key:
+                # u_key is about to change: rebuild x without the mode
+                # just updated.
                 key = r - 1 or p
                 x = ttv(a, u[key - 1], key)
             w = times_vectors(x, u[: key - 1] + u[key:], skip=r - (r > key))

@@ -331,7 +331,7 @@ class TestPrefixReuse:
             return times_vectors(*args, **kwargs)
 
         monkeypatch.setattr(contraction_module, "ttv", counting_ttv)
-        monkeypatch.setattr(hopm_module, "ttv", counting_ttv)
+        monkeypatch.setattr(hopm_module, "ttv", counting_ttv, raising=False)
         monkeypatch.setattr(hopm_module, "times_vectors", counting_times_vectors)
         a = signed_operand(random.Random(p), (3,) * p, "random")
         for k in range(1, 5):
