@@ -55,6 +55,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .elementwise import _copy, _mit, copy, inner_product_flat
 from .iterators import MultiIterator, _plan, _positions, check_reach
+from .layout import _as_indices
 from .tensor import DenseTensor
 
 __all__ = [
@@ -99,7 +100,7 @@ def transpose(a, tau: Sequence[int]) -> DenseTensor:
     """
     ia = _mit(a)
     p = ia.order
-    tau = tuple(int(t) for t in tau)
+    tau = _as_indices(tau, "tau")
     if sorted(tau) != list(range(1, p + 1)):
         raise ValueError(f"tau {tau} is not a permutation of 1..{p}")
     permuted = _sub(ia, [t - 1 for t in tau])
@@ -222,6 +223,7 @@ def ttv(a, b, mode: int) -> DenseTensor:
     p = ia.order
     if p < 2:
         raise ValueError(f"ttv requires order >= 2, got {p}")
+    (mode,) = _as_indices((mode,), "mode")
     if not 1 <= mode <= p:
         raise ValueError(f"mode {mode} out of range 1..{p}")
     ib = _vector_mit(b, ia.extents[mode - 1], "ttv vector")
@@ -248,6 +250,7 @@ def ttm(a, bmat, mode: int) -> DenseTensor:
     p = ia.order
     if p < 2:
         raise ValueError(f"ttm requires order >= 2, got {p}")
+    (mode,) = _as_indices((mode,), "mode")
     if not 1 <= mode <= p:
         raise ValueError(f"mode {mode} out of range 1..{p}")
     ib = _mit(bmat)
@@ -280,8 +283,9 @@ class ContractionSpec:
     psi: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "phi", tuple(int(x) for x in self.phi))
-        object.__setattr__(self, "psi", tuple(int(x) for x in self.psi))
+        object.__setattr__(self, "q", _as_indices((self.q,), "q")[0])
+        object.__setattr__(self, "phi", _as_indices(self.phi, "phi"))
+        object.__setattr__(self, "psi", _as_indices(self.psi, "psi"))
         if self.q < 0:
             raise ValueError("q must be nonnegative")
         if sorted(self.phi) != list(range(1, len(self.phi) + 1)):
@@ -389,7 +393,7 @@ def frobenius_norm(a):
 
 
 def _check_modes(modes, count: int, p: int, what: str):
-    modes = [int(m) for m in modes]
+    modes = list(_as_indices(modes, f"{what} modes"))
     if len(modes) != count:
         raise ValueError(f"{what}: got {count} operands for modes {modes}")
     if any(not 1 <= m <= p for m in modes):
@@ -415,6 +419,7 @@ def times_vectors(a, vectors, modes=None, skip=None) -> DenseTensor:
         raise ValueError("provide exactly one of modes or skip")
     vectors = list(vectors)
     if skip is not None:
+        (skip,) = _as_indices((skip,), "skip")
         if not 1 <= skip <= p:
             raise ValueError(f"skip mode {skip} out of range 1..{p}")
         if len(vectors) == p:

@@ -1,11 +1,17 @@
 """Randomized brute-force verification of the algorithm suites.
 
-Every operation family is checked against a naive oracle that reads the
-operands into plain dictionaries keyed by zero-based multi-index and
-recomputes the operation with ordinary nested loops.  Trials randomize
-order, extents, layout (uniform over all permutations), offsets (in
-[-2, 2]), element kind, and whether each operand is a tensor or a strided
-view.
+Every operation family is checked against a naive oracle.  It reads each
+operand once into a flat list in ``zero_indices`` order (dimension 1
+fastest) and recomputes the operation from those lists: elementwise
+families with list comprehensions, and transpose, ttv, ttm, ttt, the outer
+and inner products and the ``times_*`` chains with one einsum-style label
+oracle, :func:`contract`.  A result passes on one ``==`` between the
+expected list and the result read as a list; only a mismatch walks the
+elements at the kind's tolerance to report the first bad index.  A family
+that writes through a view also requires every element of the view's
+target outside the view to be unchanged.  Trials randomize order,
+extents, layout (uniform over all permutations), offsets (in [-2, 2]),
+element kind, and whether each operand is a tensor or a strided view.
 
 The oracle shares no addressing code with the engine it checks.  It finds
 every element's memory position with its own stride arithmetic: a
@@ -22,11 +28,11 @@ Tensor elements come from ``_randints``, which reproduces CPython's
 ``getrandbits(5)``, redrawn while the word is 19 or more), so it yields the
 values ``randint(-9, 9)`` would and leaves the stream in the same state;
 ``tests/test_verify.py`` checks that against ``randint`` and pins every
-family's stream state after 20 trials.  float64
-trials draw positive values (``0.5 + 1.5 * random()``, the value
-``uniform(0.5, 2.0)`` computes) so that reductions,
-whose summation order differs between the two routes, stay free of
-cancellation and the relative-error bound is meaningful.
+family's stream state after 20 trials.  float64 trials draw positive
+values (``0.5 + 1.5 * random()``, the value ``uniform(0.5, 2.0)``
+computes) so that reductions, whose summation order differs between the
+two routes, stay free of cancellation and the relative-error bound is
+meaningful.
 
 Randomness comes from :class:`random.Random` (Mersenne Twister), which is
 platform-independent and string-seedable; each family runs on its own
@@ -38,9 +44,10 @@ from __future__ import annotations
 
 import itertools
 import json
-from dataclasses import dataclass, field
-from math import sqrt
-from typing import Callable, Dict, List, Optional, Tuple
+from dataclasses import asdict, dataclass, field
+from math import prod, sqrt
+from operator import mul, ne
+from typing import Callable, List, Optional, Tuple
 
 from . import contraction as ct
 from . import elementwise as ew
@@ -119,15 +126,7 @@ class VerifyReport:
             "max_extent": self.config.max_extent,
             "scalar": self.config.scalar_kind,
             "ok": self.ok,
-            "families": [
-                {
-                    "name": f.name,
-                    "trials": f.trials,
-                    "passes": f.passes,
-                    "failure": f.failure,
-                }
-                for f in self.families
-            ],
+            "families": [asdict(f) for f in self.families],
         }
 
 
@@ -211,11 +210,10 @@ def _rand_operand(rng, shape, kind: str = "int64"):
 
 # -- oracle plumbing -----------------------------------------------------------
 
-Box = Dict[Tuple[int, ...], object]
-
-
 def _box_frame(x):
-    """``(data, shape, strides, gamma)`` of a tensor or view, derived here.
+    """``(data, shape, positions)`` of a tensor or view, derived here:
+    ``positions`` holds each element's buffer position, in
+    ``zero_indices`` order.
 
     A tensor's strides are ``compute_strides`` of its shape and layout and
     its base position is 0.  A view's come from its target's strides and
@@ -225,46 +223,110 @@ def _box_frame(x):
     naming the dimension.
     """
     if not isinstance(x, TensorView):
-        return x.data, x.shape, compute_strides(x.shape, x.layout), 0
-    t = x.target
-    if len(x.ranges) != t.order:
-        raise IndexError(
-            f"view of order {len(x.ranges)} has no match for dimension "
-            f"{min(len(x.ranges), t.order) + 1} of its target, "
-            f"now of order {t.order}"
-        )
-    shape, strides, gamma = [], [], 0
-    for dim, ((f, step, l), o, n, w) in enumerate(
-        zip(x.ranges, t.offsets, t.shape, compute_strides(t.shape, t.layout)),
-        start=1,
-    ):
-        if not (o <= f and l < o + n):
+        data, shape, gamma = x.data, x.shape, 0
+        strides = compute_strides(shape, x.layout)
+    else:
+        t = x.target
+        if len(x.ranges) != t.order:
             raise IndexError(
-                f"range [{f}:{step}:{l}] out of bounds [{o}, {o + n}) "
-                f"in dimension {dim}"
+                f"view of order {len(x.ranges)} has no match for dimension "
+                f"{min(len(x.ranges), t.order) + 1} of its target, "
+                f"now of order {t.order}"
             )
-        shape.append((l - f) // step + 1)
-        strides.append(w * step)
-        gamma += w * (f - o)
-    return t.data, tuple(shape), strides, gamma
-
-
-def _values(data, shape, strides, gamma):
-    """The elements at ``gamma + sum_r strides[r] * i[r]``, for every
-    zero-based ``i`` in ``zero_indices(shape)`` order."""
+        data, shape, strides, gamma = t.data, [], [], 0
+        for dim, ((f, step, l), o, n, w) in enumerate(
+            zip(x.ranges, t.offsets, t.shape, compute_strides(t.shape, t.layout)),
+            start=1,
+        ):
+            if not (o <= f and l < o + n):
+                raise IndexError(
+                    f"range [{f}:{step}:{l}] out of bounds [{o}, {o + n}) "
+                    f"in dimension {dim}"
+                )
+            shape.append((l - f) // step + 1)
+            strides.append(w * step)
+            gamma += w * (f - o)
+        shape = tuple(shape)
     positions = [gamma]
     for w, n in zip(reversed(strides), reversed(shape)):
         steps = [w * i for i in range(n)]
         positions = [b + s for b in positions for s in steps]
-    return map(data.__getitem__, positions)
+    return data, shape, positions
 
 
-def read_box(x) -> Box:
-    """Materialize a tensor or view into a dict keyed by zero-based
-    multi-index, reading its buffer at positions from the oracle's own
-    stride arithmetic (see the module docstring)."""
-    data, shape, strides, gamma = _box_frame(x)
-    return dict(zip(zero_indices(shape), _values(data, shape, strides, gamma)))
+def read_flat(x) -> list:
+    """A tensor's or view's elements in ``zero_indices`` order, read from
+    its buffer at positions from the oracle's own stride arithmetic (see
+    the module docstring)."""
+    data, _, positions = _box_frame(x)
+    return list(map(data.__getitem__, positions))
+
+
+def read_box(x) -> dict:
+    """:func:`read_flat` as a dict keyed by zero-based multi-index."""
+    data, shape, positions = _box_frame(x)
+    return dict(zip(zero_indices(shape), map(data.__getitem__, positions)))
+
+
+def _unravel(k: int, shape, order=None) -> Tuple[int, ...]:
+    """The zero-based multi-index at position ``k`` of a dense box whose
+    dimensions run fastest to slowest in ``order`` (one-based; dimension 1
+    first by default, the ``zero_indices`` order)."""
+    index = [0] * len(shape)
+    for r in order or range(1, len(shape) + 1):
+        k, index[r - 1] = divmod(k, shape[r - 1])
+    return tuple(index)
+
+
+def _snapshot(dst) -> Optional[list]:
+    """A copy of a destination view's target buffer, taken before a write
+    (see ``check_list``); ``None`` for a tensor, which is all window."""
+    return dst.target.data[:] if isinstance(dst, TensorView) else None
+
+
+def contract(out, summed, *operands):
+    """Reference einsum over flat lists: the result's values and shape.
+
+    An operand is ``(values, shape, labels)``: its elements in
+    ``zero_indices`` order and one distinct label per dimension.  Output
+    dimension ``r`` carries label ``out[r]`` (none: one element).  The loop
+    nest runs the output labels, dimension 1 fastest, then the ``summed``
+    labels, the last fastest.  Each operand's positions over the nest come
+    from its own dense strides, independent of the engine's plans.  The
+    operands' elements are multiplied with ``map(mul, ...)`` in operand
+    order and each output's block is added by ``sum`` in nest order, so
+    float results match the loops ``acc = 0; acc += a * b``.
+    """
+    sizes = {}
+    for _, shape, labels in operands:
+        sizes.update(zip(labels, shape))
+    nest = [(l, sizes[l]) for l in reversed(out)] + [(l, sizes[l]) for l in summed]
+    terms = None
+    for values, shape, labels in operands:
+        stride, w = {}, 1
+        for label, n in zip(labels, shape):
+            stride[label], w = w, w * n
+        positions = [0]
+        for label, n in nest:
+            if n > 1:
+                steps = [stride.get(label, 0) * i for i in range(n)]
+                positions = [b + s for b in positions for s in steps]
+        column = map(values.__getitem__, positions)
+        terms = column if terms is None else map(mul, terms, column)
+    block = prod(sizes[l] for l in summed)
+    if block > 1:
+        terms = map(sum, zip(*[terms] * block))
+    return list(terms), tuple(sizes[l] for l in out)
+
+
+def _times(values, shape, b, b_shape, m: int):
+    """``contract`` as ``ttv`` (``b`` a vector) or ``ttm`` (``b`` a
+    matrix, its rows against mode ``m``) of ``(values, shape)``."""
+    dims = range(1, len(shape) + 1)
+    a = (values, shape, [0 if r == m else r for r in dims])
+    if len(b_shape) == 1:
+        return contract([r for r in dims if r != m], (0,), a, (b, b_shape, (0,)))
+    return contract(dims, (0,), a, (b, b_shape, (m, 0)))
 
 
 def _operand_json(x) -> dict:
@@ -305,23 +367,33 @@ class _Comparator:
             return None
         return _counterexample(context, expected=repr(expected), got=repr(got))
 
-    def check_box(self, expected: Box, shape, got_reader, context: dict):
-        """Compare an expected box against a result tensor or view, read
-        as :func:`read_box` reads it, in ``zero_indices`` order."""
-        data, got_shape, strides, gamma = _box_frame(got_reader)
+    def check_list(self, expected: list, shape, got, context: dict, before=None):
+        """Compare ``expected``, in ``zero_indices`` order, with ``got`` read
+        by :func:`read_flat`: one ``==``, and only on a mismatch a walk at
+        this kind's tolerance to the first bad index.  ``before``, a
+        :func:`_snapshot` of the view ``got``'s target, gets the window's
+        values written into it and must then equal the whole buffer."""
+        data, got_shape, positions = _box_frame(got)
         if tuple(shape) != got_shape:
-            return _counterexample(
-                context,
-                expected_shape=list(shape),
-                got_shape=list(got_shape),
-            )
-        got_values = _values(data, got_shape, strides, gamma)
-        for i, got in zip(zero_indices(shape), got_values):
-            bad = self.check_value(expected[i], got, context)
-            if bad is not None:
-                bad["index"] = list(i)
-                return bad
-        return None
+            found = {"expected_shape": list(shape), "got_shape": list(got_shape)}
+            return _counterexample(context, **found)
+        values = list(map(data.__getitem__, positions))
+        if values != expected:
+            for k, (e, g) in enumerate(zip(expected, values)):
+                bad = self.check_value(e, g, context)
+                if bad is not None:
+                    bad["index"] = list(_unravel(k, shape))
+                    return bad
+        if before is None:
+            return None
+        for p, v in zip(positions, values):
+            before[p] = v
+        if before == data:
+            return None
+        k = next(k for k, (u, v) in enumerate(zip(before, data)) if u != v)
+        index = list(_unravel(k, got.target.shape, got.target.layout))
+        found = {"expected": repr(before[k]), "got": repr(data[k]), "index": index}
+        return _counterexample(context, **found, outside_view=True)
 
 
 # -- elementwise families ---------------------------------------------------------
@@ -330,11 +402,11 @@ class _Comparator:
 def _check_for_each(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     x = _rand_operand(rng, shape, cfg.scalar_kind)
-    before = read_box(x)
+    values, snap = read_flat(x), _snapshot(x)
     alpha = _rand_value(rng, cfg.scalar_kind)
     ew.for_each(x, lambda v: v * 2 + alpha)
-    expected = {i: v * 2 + alpha for i, v in before.items()}
-    return cmp.check_box(expected, shape, x, {"op": "for_each"})
+    expected = [v * 2 + alpha for v in values]
+    return cmp.check_list(expected, shape, x, {"op": "for_each"}, snap)
 
 
 def _check_transform_unary(rng, cfg, cmp):
@@ -342,11 +414,11 @@ def _check_transform_unary(rng, cfg, cmp):
     src = _rand_operand(rng, shape, cfg.scalar_kind)
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
     alpha = _rand_value(rng, cfg.scalar_kind)
-    box = read_box(src)
+    values, snap = read_flat(src), _snapshot(dst)
     ew.transform_unary(src, dst, lambda v: v * alpha)
-    expected = {i: v * alpha for i, v in box.items()}
+    expected = [v * alpha for v in values]
     ctx = {"op": "transform_unary", "src": src}
-    return cmp.check_box(expected, shape, dst, ctx)
+    return cmp.check_list(expected, shape, dst, ctx, snap)
 
 
 def _check_transform_binary(rng, cfg, cmp):
@@ -359,20 +431,19 @@ def _check_transform_binary(rng, cfg, cmp):
         ops["sub"] = lambda x, y: x - y
     name = rng.choice(sorted(ops))
     op = ops[name]
-    ba, bb = read_box(a), read_box(b)
+    va, vb, snap = read_flat(a), read_flat(b), _snapshot(dst)
     ew.transform_binary(a, b, dst, op)
-    expected = {i: op(ba[i], bb[i]) for i in ba}
     ctx = {"op": f"transform_binary[{name}]", "a": a}
-    return cmp.check_box(expected, shape, dst, ctx)
+    return cmp.check_list(list(map(op, va, vb)), shape, dst, ctx, snap)
 
 
 def _check_copy(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     src = _rand_operand(rng, shape, cfg.scalar_kind)
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
-    box = read_box(src)
+    values, snap = read_flat(src), _snapshot(dst)
     ew.copy(src, dst)
-    return cmp.check_box(box, shape, dst, {"op": "copy"})
+    return cmp.check_list(values, shape, dst, {"op": "copy"}, snap)
 
 
 def _check_copy_if(rng, cfg, cmp):
@@ -381,19 +452,19 @@ def _check_copy_if(rng, cfg, cmp):
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
     threshold = 0 if cfg.scalar_kind == "int64" else 1.0
     pred = lambda v: v > threshold
-    bs, bd = read_box(src), read_box(dst)
+    vs, vd, snap = read_flat(src), read_flat(dst), _snapshot(dst)
     ew.copy_if(src, dst, pred)
-    expected = {i: (bs[i] if pred(bs[i]) else bd[i]) for i in bs}
-    return cmp.check_box(expected, shape, dst, {"op": "copy_if"})
+    expected = [s if pred(s) else d for s, d in zip(vs, vd)]
+    return cmp.check_list(expected, shape, dst, {"op": "copy_if"}, snap)
 
 
 def _check_fill(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
     v = _rand_value(rng, cfg.scalar_kind)
+    snap = _snapshot(dst)
     ew.fill(dst, v)
-    expected = {i: v for i in zero_indices(shape)}
-    return cmp.check_box(expected, shape, dst, {"op": "fill"})
+    return cmp.check_list([v] * prod(shape), shape, dst, {"op": "fill"}, snap)
 
 
 def _check_generate(rng, cfg, cmp):
@@ -401,45 +472,45 @@ def _check_generate(rng, cfg, cmp):
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
     start = rng.randint(0, 5)
     counter = itertools.count(start)
+    snap = _snapshot(dst)
     ew.generate(dst, lambda: next(counter))
-    expected = {i: k for k, i in enumerate(zero_indices(shape), start=start)}
-    return cmp.check_box(expected, shape, dst, {"op": "generate"})
+    expected = list(range(start, start + prod(shape)))
+    return cmp.check_list(expected, shape, dst, {"op": "generate"}, snap)
 
 
 def _check_iota(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
     start = rng.randint(-3, 3)
+    snap = _snapshot(dst)
     ew.iota(dst, start)
-    expected = {i: k for k, i in enumerate(zero_indices(shape), start=start)}
-    return cmp.check_box(expected, shape, dst, {"op": "iota"})
+    expected = list(range(start, start + prod(shape)))
+    return cmp.check_list(expected, shape, dst, {"op": "iota"}, snap)
 
 
 def _check_count(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     x = _rand_operand(rng, shape, cfg.scalar_kind)
-    box = read_box(x)
-    needle = rng.choice(sorted(box.values(), key=repr))
+    values = read_flat(x)
+    needle = rng.choice(sorted(values, key=repr))
     got = ew.count_matching(x, value=needle)
-    expected = sum(1 for v in box.values() if v == needle)
-    bad = cmp.check_value(expected, got, {"op": "count_matching[value]"})
+    bad = cmp.check_value(values.count(needle), got, {"op": "count_matching[value]"})
     if bad is not None:
         return bad
     threshold = 0 if cfg.scalar_kind == "int64" else 1.0
     got = ew.count_matching(x, pred=lambda v: v <= threshold)
-    expected = sum(1 for v in box.values() if v <= threshold)
+    expected = sum(1 for v in values if v <= threshold)
     return cmp.check_value(expected, got, {"op": "count_matching[pred]"})
 
 
 def _check_extremum(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     x = _rand_operand(rng, shape, cfg.scalar_kind)
-    box = read_box(x)
-    for kind, better in (("min", lambda v, b: v < b), ("max", lambda v, b: v > b)):
-        best_i, best_v = None, None
-        for i in zero_indices(shape):
-            if best_i is None or better(box[i], best_v):
-                best_i, best_v = i, box[i]
+    values = read_flat(x)
+    for kind, pick in (("min", min), ("max", max)):
+        # Both keep the first of equal elements, as the kernel must.
+        k = pick(range(len(values)), key=values.__getitem__)
+        best_i, best_v = _unravel(k, shape), values[k]
         got_i, got_v = ew.extremum_element(x, kind)
         if got_i != best_i or got_v != best_v:
             return {
@@ -453,9 +524,9 @@ def _check_extremum(rng, cfg, cmp):
 def _check_find(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     x = _rand_operand(rng, shape, cfg.scalar_kind)
-    box = read_box(x)
-    needle = rng.choice(sorted(box.values(), key=repr))
-    expected = next(i for i in zero_indices(shape) if box[i] == needle)
+    values = read_flat(x)
+    needle = rng.choice(sorted(values, key=repr))
+    expected = _unravel(values.index(needle), shape)
     got = ew.find_first(x, value=needle)
     if got != expected:
         return {
@@ -477,12 +548,14 @@ def _check_compare(rng, cfg, cmp):
     res = ew.compare_ranges(a, b)
     if not res.equal or res.first_mismatch is not None:
         return {"op": "compare_ranges[equal]", "got": str(res)}
-    box = read_box(a)
-    victim = rng.choice(sorted(box))
-    data, _, strides, gamma = _box_frame(b)
-    data[gamma + sum(w * i for w, i in zip(strides, victim))] = box[victim] + 1
-    bb = read_box(b)
-    expected = next(i for i in zero_indices(shape) if box[i] != bb[i])
+    va = read_flat(a)
+    # Drawn from the sorted multi-indices; k is the zero_indices position.
+    victim = _unravel(rng.choice(range(len(va))), shape, range(len(shape), 0, -1))
+    k = sum(i * prod(shape[:r]) for r, i in enumerate(victim))
+    data, _, positions = _box_frame(b)
+    data[positions[k]] = va[k] + 1
+    vb = read_flat(b)
+    expected = _unravel(list(map(ne, va, vb)).index(True), shape)
     res = ew.compare_ranges(a, b)
     if res.equal or res.first_mismatch != expected:
         return {
@@ -496,11 +569,11 @@ def _check_compare(rng, cfg, cmp):
 def _check_quantify(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     x = _rand_operand(rng, shape, cfg.scalar_kind)
-    box = read_box(x)
+    values = read_flat(x)
     threshold = _rand_value(rng, cfg.scalar_kind)
     pred = lambda v: v >= threshold
-    hits = [v for v in box.values() if pred(v)]
-    expect = {"all": len(hits) == len(box), "any": bool(hits), "none": not hits}
+    hits = [v for v in values if pred(v)]
+    expect = {"all": len(hits) == len(values), "any": bool(hits), "none": not hits}
     for mode, exp in expect.items():
         if ew.quantify(x, pred, mode) != exp:
             return {"op": f"quantify[{mode}]", "expected": exp}
@@ -510,87 +583,21 @@ def _check_quantify(rng, cfg, cmp):
 def _check_accumulate(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     x = _rand_operand(rng, shape, cfg.scalar_kind)
-    box = read_box(x)
+    values = read_flat(x)
     init = _rand_value(rng, cfg.scalar_kind)
     got = ew.accumulate(x, init)
-    expected = init
-    for i in zero_indices(shape):
-        expected = expected + box[i]
-    return cmp.check_value(expected, got, {"op": "accumulate"})
+    return cmp.check_value(sum(values, init), got, {"op": "accumulate"})
 
 
 def _check_inner_flat(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     a = _rand_operand(rng, shape, cfg.scalar_kind)
     b = _rand_operand(rng, shape, cfg.scalar_kind)
-    ba, bb = read_box(a), read_box(b)
+    va, vb = read_flat(a), read_flat(b)
     init = _rand_value(rng, cfg.scalar_kind)
     got = ew.inner_product_flat(a, b, init)
-    expected = init
-    for i in zero_indices(shape):
-        expected += ba[i] * bb[i]
+    expected = sum(map(mul, va, vb), init)
     return cmp.check_value(expected, got, {"op": "inner_product_flat"})
-
-
-# -- contraction oracles -----------------------------------------------------------
-
-
-def oracle_transpose(box: Box, shape, tau) -> Tuple[Box, Tuple[int, ...]]:
-    out_shape = tuple(shape[t - 1] for t in tau)
-    out = {}
-    for ic in zero_indices(out_shape):
-        ia = [0] * len(shape)
-        for r, t in enumerate(tau):
-            ia[t - 1] = ic[r]
-        out[ic] = box[tuple(ia)]
-    return out, out_shape
-
-
-def oracle_ttv(box: Box, shape, bvals, m: int) -> Tuple[Box, Tuple[int, ...]]:
-    out_shape = shape[: m - 1] + shape[m:]
-    out = {}
-    for ic in zero_indices(out_shape):
-        acc = 0
-        for k in range(shape[m - 1]):
-            acc += box[ic[: m - 1] + (k,) + ic[m - 1 :]] * bvals[k]
-        out[ic] = acc
-    return out, out_shape
-
-
-def oracle_ttm(box: Box, shape, bbox: Box, bshape, m: int):
-    out_shape = shape[: m - 1] + (bshape[0],) + shape[m:]
-    out = {}
-    for ic in zero_indices(out_shape):
-        acc = 0
-        j = ic[m - 1]
-        for k in range(shape[m - 1]):
-            acc += box[ic[: m - 1] + (k,) + ic[m:]] * bbox[(j, k)]
-        out[ic] = acc
-    return out, out_shape
-
-
-def oracle_ttt(boxa: Box, na, boxb: Box, nb, q, phi, psi):
-    r, s = len(na) - q, len(nb) - q
-    out_shape = tuple(na[phi[k] - 1] for k in range(r)) + tuple(
-        nb[psi[k] - 1] for k in range(s)
-    )
-    bounds = [na[phi[r + k] - 1] for k in range(q)]
-    out = {}
-    for ic in zero_indices(out_shape or (1,)):
-        acc = 0
-        for jt in itertools.product(*[range(b) for b in bounds]):
-            ia = [0] * len(na)
-            ib = [0] * len(nb)
-            for k in range(r):
-                ia[phi[k] - 1] = ic[k]
-            for k in range(s):
-                ib[psi[k] - 1] = ic[r + k]
-            for k in range(q):
-                ia[phi[r + k] - 1] = jt[k]
-                ib[psi[s + k] - 1] = jt[k]
-            acc += boxa[tuple(ia)] * boxb[tuple(ib)]
-        out[ic] = acc
-    return out, (out_shape or (1,))
 
 
 # -- contraction families -------------------------------------------------------------
@@ -602,9 +609,9 @@ def _check_transpose(rng, cfg, cmp):
     tau = list(range(1, len(shape) + 1))
     rng.shuffle(tau)
     got = ct.transpose(x, tau)
-    expected, out_shape = oracle_transpose(read_box(x), shape, tau)
+    expected, out_shape = contract(tau, (), (read_flat(x), shape, sorted(tau)))
     ctx = {"op": "transpose", "tau": tau, "a": x}
-    return cmp.check_box(expected, out_shape, got, ctx)
+    return cmp.check_list(expected, out_shape, got, ctx)
 
 
 def _check_ttv(rng, cfg, cmp):
@@ -613,10 +620,9 @@ def _check_ttv(rng, cfg, cmp):
     m = rng.randint(1, len(shape))
     b = _rand_operand(rng, (shape[m - 1],), cfg.scalar_kind)
     got = ct.ttv(a, b, m)
-    bvals = list(read_box(b).values())
-    expected, out_shape = oracle_ttv(read_box(a), shape, bvals, m)
+    expected, out_shape = _times(read_flat(a), shape, read_flat(b), (shape[m - 1],), m)
     ctx = {"op": "ttv", "mode": m, "a": a, "b": b}
-    return cmp.check_box(expected, out_shape, got, ctx)
+    return cmp.check_list(expected, out_shape, got, ctx)
 
 
 def _check_ttm(rng, cfg, cmp):
@@ -626,11 +632,9 @@ def _check_ttm(rng, cfg, cmp):
     n_new = rng.randint(1, cfg.max_extent)
     b = _rand_operand(rng, (n_new, shape[m - 1]), cfg.scalar_kind)
     got = ct.ttm(a, b, m)
-    expected, out_shape = oracle_ttm(
-        read_box(a), shape, read_box(b), b.shape, m
-    )
+    expected, out_shape = _times(read_flat(a), shape, read_flat(b), b.shape, m)
     ctx = {"op": "ttm", "mode": m, "a": a, "b": b}
-    return cmp.check_box(expected, out_shape, got, ctx)
+    return cmp.check_list(expected, out_shape, got, ctx)
 
 
 def _rand_ttt_instance(rng, cfg):
@@ -658,18 +662,19 @@ def _check_ttt(rng, cfg, cmp):
     a = _rand_operand(rng, na, cfg.scalar_kind)
     b = _rand_operand(rng, nb, cfg.scalar_kind)
     got = ct.ttt(a, b, spec)
-    expected, out_shape = oracle_ttt(
-        read_box(a), na, read_box(b), nb, spec.q, spec.phi, spec.psi
-    )
-    ctx = {
-        "op": "ttt",
-        "q": spec.q,
-        "phi": list(spec.phi),
-        "psi": list(spec.psi),
-        "a": a,
-        "b": b,
-    }
-    return cmp.check_box(expected, out_shape, got, ctx)
+    # Labels: A's free dimensions 0..r-1 and B's r..r+s-1, in output order,
+    # then the contracted pairs r+s.. in phi and psi order.
+    q, phi, psi = spec.q, spec.phi, spec.psi
+    r, s = len(na) - q, len(nb) - q
+    la, lb = [0] * len(na), [0] * len(nb)
+    for k, d in enumerate(phi):
+        la[d - 1] = k if k < r else s + k
+    for k, d in enumerate(psi):
+        lb[d - 1] = r + k
+    ta, tb = (read_flat(a), na, la), (read_flat(b), nb, lb)
+    expected, out_shape = contract(range(r + s), range(r + s, r + s + q), ta, tb)
+    ctx = {"op": "ttt", "q": q, "phi": list(phi), "psi": list(psi), "a": a, "b": b}
+    return cmp.check_list(expected, out_shape or (1,), got, ctx)
 
 
 def _check_outer(rng, cfg, cmp):
@@ -680,13 +685,11 @@ def _check_outer(rng, cfg, cmp):
     a = _rand_operand(rng, na, cfg.scalar_kind)
     b = _rand_operand(rng, nb, cfg.scalar_kind)
     got = ct.outer_product(a, b)
-    ba, bb = read_box(a), read_box(b)
-    out_shape = na + nb
-    expected = {}
-    for ic in zero_indices(out_shape):
-        expected[ic] = ba[ic[: len(na)]] * bb[ic[len(na) :]]
+    pa, pc = len(na), len(na) + len(nb)
+    ta, tb = (read_flat(a), na, range(pa)), (read_flat(b), nb, range(pa, pc))
+    expected, out_shape = contract(range(pc), (), ta, tb)
     ctx = {"op": "outer_product", "a": a, "b": b}
-    return cmp.check_box(expected, out_shape, got, ctx)
+    return cmp.check_list(expected, out_shape, got, ctx)
 
 
 def _check_inner(rng, cfg, cmp):
@@ -694,10 +697,10 @@ def _check_inner(rng, cfg, cmp):
     a = _rand_operand(rng, shape, cfg.scalar_kind)
     b = _rand_operand(rng, shape, cfg.scalar_kind)
     got = ct.inner_product_tensors(a, b)
-    ba, bb = read_box(a), read_box(b)
-    expected = 0
-    for i in zero_indices(shape):
-        expected += ba[i] * bb[i]
+    # Summing the labels highest first puts dimension 1 fastest.
+    dims = range(1, len(shape) + 1)
+    ta, tb = (read_flat(a), shape, dims), (read_flat(b), shape, dims)
+    (expected,), _ = contract((), dims[::-1], ta, tb)
     return cmp.check_value(expected, got, {"op": "inner_product_tensors"})
 
 
@@ -705,7 +708,7 @@ def _check_norm(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     a = _rand_operand(rng, shape, "float64")
     got = ct.frobenius_norm(a)
-    expected = sqrt(sum(v * v for v in read_box(a).values()))
+    expected = sqrt(sum(v * v for v in read_flat(a)))
     # The norm is float-valued even for integer elements.
     return _Comparator("float64").check_value(expected, got, {"op": "frobenius_norm"})
 
@@ -716,18 +719,13 @@ def _check_times_vectors(rng, cfg, cmp):
     k = rng.randint(1, p)
     modes = sorted(rng.sample(range(1, p + 1), k))
     a = _rand_operand(rng, shape, cfg.scalar_kind)
-    vecs = [
-        _rand_operand(rng, (shape[m - 1],), cfg.scalar_kind) for m in modes
-    ]
+    vecs = [_rand_operand(rng, (shape[m - 1],), cfg.scalar_kind) for m in modes]
     got = ct.times_vectors(a, vecs, modes)
-    box, cur_shape = read_box(a), shape
+    values, cur = read_flat(a), shape
     for m, v in sorted(zip(modes, vecs), reverse=True, key=lambda x: x[0]):
-        box, cur_shape = oracle_ttv(box, cur_shape, list(read_box(v).values()), m)
-    out_shape = cur_shape or (1,)
-    if not cur_shape:
-        box = {(0,): box[()]}
+        values, cur = _times(values, cur, read_flat(v), (cur[m - 1],), m)
     ctx = {"op": "times_vectors", "modes": modes}
-    return cmp.check_box(box, out_shape, got, ctx)
+    return cmp.check_list(values, cur or (1,), got, ctx)
 
 
 def _check_times_matrices(rng, cfg, cmp):
@@ -743,11 +741,11 @@ def _check_times_matrices(rng, cfg, cmp):
         for m in modes
     ]
     got = ct.times_matrices(a, mats, modes)
-    box, cur_shape = read_box(a), shape
+    values, cur = read_flat(a), shape
     for m, bmat in sorted(zip(modes, mats), reverse=True, key=lambda x: x[0]):
-        box, cur_shape = oracle_ttm(box, cur_shape, read_box(bmat), bmat.shape, m)
+        values, cur = _times(values, cur, read_flat(bmat), bmat.shape, m)
     ctx = {"op": "times_matrices", "modes": modes}
-    return cmp.check_box(box, cur_shape, got, ctx)
+    return cmp.check_list(values, cur, got, ctx)
 
 
 # -- driver -------------------------------------------------------------------------

@@ -100,7 +100,8 @@ def _as_range(spec) -> Range:
         return spec
     if spec is None:
         return Range()
-    if isinstance(spec, int):
+    if hasattr(type(spec), "__index__"):
+        # An int or a NumPy integer; Range rejects bool.
         return Range(spec)
     raise ValueError(f"cannot interpret {spec!r} as a range")
 

@@ -185,3 +185,32 @@ def test_trace_metrics_come_from_one_traced_run_per_side(tmp_path):
     assert (sides[0] / "perfbench" / "calls").read_text() == "2"
     with pytest.raises(bench_pairs.RunFailed, match="no metric 'nope'"):
         bench_pairs.main(args + ["--trace-metric", "nope"])
+
+
+def test_traced_metrics_are_also_recorded_per_attempted_operation(tmp_path):
+    # A faster change fits more traced operations into the run: its total
+    # kernel time rises while its time per operation falls.
+    sides = []
+    for name, sha, kernel_s, calls, traced_ops in (
+        ("p", "a" * 40, 2.0, 500.0, 400),
+        ("c", "b" * 40, 3.0, 0.0, 1000),
+    ):
+        d = fake_checkout(tmp_path, name, sha, {"oracle": [{"unit_cost": 1.0, "throughput": 1.0}]})
+        (d / "perfbench" / "run.py").write_text(FAKE_TRACED_RUN)
+        canned = json.loads((d / "perfbench" / "canned.json").read_text())
+        canned["traced"] = {"verify.kernel_s": kernel_s, "views.getitem.calls": calls}
+        canned["traced_attempted"] = traced_ops
+        (d / "perfbench" / "canned.json").write_text(json.dumps(canned))
+        sides.append(d)
+    out = tmp_path / "BENCH_t.json"
+    assert bench_pairs.main([
+        "--parent", str(sides[0]), "--change", str(sides[1]), "--workload", "oracle",
+        "--seed", "3", "--pairs", "1", "--seconds", "0", "--out", str(out),
+        "--trace-metric", "verify.kernel_s", "--trace-metric", "views.getitem.calls"]) == 0
+    oracle = json.loads(out.read_text())["workloads"]["oracle"]
+    assert oracle["traced"]["verify.kernel_s"]["ratio"] == 1.5
+    per_op = oracle["traced_per_attempted"]
+    assert per_op["verify.kernel_s"] == {"unit": "count/op", "parent": 0.005,
+                                         "change": 0.003, "ratio": pytest.approx(0.6)}
+    assert per_op["views.getitem.calls"] == {"unit": "count/op", "parent": 1.25,
+                                             "change": 0.0, "ratio": 0.0}

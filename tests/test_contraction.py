@@ -3,6 +3,7 @@ import itertools
 import random
 from math import prod, sqrt
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -560,3 +561,57 @@ class TestAllocationDiscipline:
         counter[0] = 0
         transpose(a, (2, 3, 1))
         assert counter[0] == 1
+
+
+class TestIntegerModes:
+    """Modes, permutations and spec fields take integers only, through the
+    same rule as shapes: nothing truncates, and bool is no mode."""
+
+    @staticmethod
+    def operands():
+        rng = random.Random(22)
+        return rand_dense(rng, (2, 3)), rand_dense(rng, (2,)), rand_dense(rng, (4, 2))
+
+    def test_float_times_vectors_mode_rejected(self):
+        a, v, _ = self.operands()
+        with pytest.raises(ValueError, match="times_vectors modes must be integers"):
+            times_vectors(a, [v], modes=[1.9])
+
+    def test_float_times_matrices_mode_rejected(self):
+        a, _, m = self.operands()
+        with pytest.raises(ValueError, match="times_matrices modes must be integers"):
+            times_matrices(a, [m], modes=[1.2])
+
+    def test_float_skip_rejected(self):
+        a, v, _ = self.operands()
+        with pytest.raises(ValueError, match="skip must be integers"):
+            times_vectors(a, [v], skip=2.0)
+
+    def test_float_tau_rejected(self):
+        a, _, _ = self.operands()
+        with pytest.raises(ValueError, match="tau must be integers"):
+            transpose(a, (2.5, 1.2))
+
+    @pytest.mark.parametrize(
+        "q, phi, psi, field",
+        [(1, (1.5, 2.2), (1,), "phi"), (1, (1, 2), (1.0,), "psi"), (1.0, (1, 2), (1,), "q")],
+    )
+    def test_float_spec_fields_rejected(self, q, phi, psi, field):
+        with pytest.raises(ValueError, match=f"{field} must be integers"):
+            ContractionSpec(q, phi, psi)
+
+    def test_bool_mode_rejected(self):
+        a, v, m = self.operands()
+        with pytest.raises(ValueError, match="mode must be integers"):
+            ttv(a, v, True)
+        with pytest.raises(ValueError, match="mode must be integers"):
+            ttm(a, m, True)
+
+    def test_numpy_integers_accepted(self):
+        a, v, m = self.operands()
+        assert tensors_equal(ttv(a, v, np.int64(1)), ttv(a, v, 1))
+        assert tensors_equal(ttm(a, m, np.int32(1)), ttm(a, m, 1))
+        assert tensors_equal(times_vectors(a, [v], modes=[np.int8(1)]), ttv(a, v, 1))
+        assert tensors_equal(transpose(a, np.array([2, 1])), transpose(a, (2, 1)))
+        spec = ContractionSpec(np.int64(1), (np.int64(2), 1), (np.int16(1),))
+        assert spec == ContractionSpec(1, (2, 1), (1,))

@@ -2,11 +2,14 @@ import hashlib
 import itertools
 import random
 from dataclasses import fields
+from math import prod
 
+import numpy as np
 import pytest
 
 from tensorlib import DenseTensor, Range
 from tensorlib import contraction, elementwise, iterators, tensor, verify, views
+from tensorlib.layout import zero_indices
 from tensorlib.verify import FAMILIES, RunConfig, read_box, run_verification
 
 from conftest import bump_first, corrupt_call
@@ -63,6 +66,34 @@ class TestRunVerification:
         assert bad[0].failure["trial"] == 1
         assert set(bad[0].failure["index"]) == {0}
         assert int(bad[0].failure["got"]) == int(bad[0].failure["expected"]) + 1
+
+    def test_write_outside_the_view_is_caught(self, monkeypatch):
+        fill = elementwise.fill
+
+        def leaky_fill(dst, value):
+            # A correct fill that also changes the first element of the
+            # view's target that the view does not show.
+            if not isinstance(dst, views.TensorView):
+                return fill(dst, value)
+            data, marker = dst.target.data, object()
+            saved = data[:]
+            data[:] = [marker] * len(data)
+            fill(dst, value)
+            outside = [j for j, x in enumerate(data) if x is marker]
+            for j in outside:
+                data[j] = saved[j]
+            if outside:
+                data[outside[0]] += 1
+
+        monkeypatch.setattr(elementwise, "fill", leaky_fill)
+        rep = run_verification(RunConfig(seed=42, trials=50, scalar_kind="int64"))
+        bad = [f for f in rep.families if f.failure is not None]
+        assert [f.name for f in bad] == ["fill"]
+        assert bad[0].passes < 50
+        failure = bad[0].failure
+        assert failure["outside_view"] is True
+        assert {"trial", "index", "expected", "got"} <= set(failure)
+        assert int(failure["got"]) == int(failure["expected"]) + 1
 
     @pytest.mark.parametrize(
         "module, name, operands",
@@ -190,11 +221,14 @@ class TestOracleReads:
         cmp = verify._Comparator("int64")
         for x, box in zip(operands, expected):
             assert read_box(x) == box
-            assert cmp.check_box(box, x.shape, x, {"op": "read"}) is None
+            flat = [box[i] for i in zero_indices(x.shape)]
+            assert verify.read_flat(x) == flat
+            assert cmp.check_list(flat, x.shape, x, {"op": "read"}) is None
+            # The last multi-index in sorted order is also the last in
+            # zero_indices order.
             last = max(box)
-            wrong = dict(box)
-            wrong[last] = box[last] + 1
-            bad = cmp.check_box(wrong, x.shape, x, {"op": "read"})
+            wrong = flat[:-1] + [box[last] + 1]
+            bad = cmp.check_list(wrong, x.shape, x, {"op": "read"})
             assert bad["index"] == list(last)
             assert bad["expected"] == repr(box[last] + 1)
             assert bad["got"] == repr(box[last])
@@ -208,7 +242,7 @@ class TestOracleReads:
         with pytest.raises(IndexError, match="dimension 2"):
             read_box(v)
         with pytest.raises(IndexError, match="dimension 2"):
-            verify._Comparator("int64").check_box({}, (2, 1), v, {})
+            verify._Comparator("int64").check_list([], (2, 1), v, {})
 
     def test_wrong_view_frame_is_caught(self, monkeypatch):
         frame = views._frame
@@ -220,3 +254,105 @@ class TestOracleReads:
         rep = run_verification(RunConfig(seed=42, trials=20, scalar_kind="int64"))
         assert not rep.ok
         assert sum(f.trials - f.passes for f in rep.families) > 0
+
+
+class TestLabelOracle:
+    """``verify.contract`` against ``numpy.einsum`` on int64 operands, where
+    both are exact, so any difference is a wrong index map."""
+
+    @staticmethod
+    def operand(rng, labels, sizes, draw=lambda rng: rng.randint(-9, 9)):
+        shape = tuple(sizes[l] for l in labels)
+        return [draw(rng) for _ in range(prod(shape))], shape, tuple(labels)
+
+    @staticmethod
+    def einsum(out, *operands):
+        letters = {}
+
+        def word(labels):
+            return "".join(letters.setdefault(l, chr(97 + len(letters))) for l in labels)
+
+        spec = ",".join(word(labels) for _, _, labels in operands) + "->" + word(out)
+        arrays = [np.array(v, dtype=np.int64).reshape(s, order="F") for v, s, _ in operands]
+        return np.einsum(spec, *arrays).ravel(order="F").tolist()
+
+    def random_case(self, rng, draw=lambda rng: rng.randint(-9, 9)):
+        sizes = {l: rng.randint(1, 4) for l in range(6)}
+        operands = [
+            self.operand(rng, rng.sample(range(6), rng.randint(1, 4)), sizes, draw)
+            for _ in range(rng.randint(1, 2))
+        ]
+        present = sorted({l for _, _, labels in operands for l in labels})
+        out = rng.sample(present, rng.randint(0, len(present)))
+        summed = [l for l in present if l not in out]
+        rng.shuffle(summed)
+        return sizes, out, summed, operands
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_label_assignments(self, seed):
+        rng = random.Random(seed)
+        for _ in range(50):
+            sizes, out, summed, operands = self.random_case(rng)
+            values, shape = verify.contract(out, summed, *operands)
+            assert shape == tuple(sizes[l] for l in out)
+            assert values == self.einsum(out, *operands)
+
+    def test_transpose_outer_and_full_contraction(self):
+        rng = random.Random(5)
+        sizes = {1: 2, 2: 3, 3: 4, 4: 2}
+        a = self.operand(rng, (1, 2, 3), sizes)
+        b = self.operand(rng, (4, 2), sizes)
+        c = self.operand(rng, (1, 2, 3), sizes)
+        cases = [
+            ((3, 1, 2), (), [a]),  # transpose
+            ((1, 2, 3, 4, 5), (), [a, self.operand(rng, (4, 5), {4: 2, 5: 3})]),  # q = 0
+            ((), (3, 2, 1), [a, c]),  # every label summed: one element
+            ((1, 3, 4), (2,), [a, b]),
+        ]
+        for out, summed, operands in cases:
+            values, shape = verify.contract(out, summed, *operands)
+            assert len(values) == prod(shape)
+            assert values == self.einsum(out, *operands)
+
+    @pytest.mark.parametrize("modes", [(1,), (2,), (1, 3), (1, 2, 3)])
+    def test_chained_ttv_and_ttm(self, modes):
+        # times_vectors and times_matrices chain ttv and ttm highest mode
+        # first, as verify's times_* families do.
+        rng = random.Random(len(modes))
+        sizes = {1: 3, 2: 2, 3: 4, -1: 2, -2: 5, -3: 3}
+        a = self.operand(rng, (1, 2, 3), sizes)
+        vectors = {m: self.operand(rng, (m,), sizes) for m in modes}
+        matrices = {m: self.operand(rng, (-m, m), sizes) for m in modes}
+        values, shape = a[:2]
+        for m in sorted(modes, reverse=True):
+            values, shape = verify._times(values, shape, *vectors[m][:2], m)
+        assert list(values) == self.einsum([d for d in (1, 2, 3) if d not in modes],
+                                           a, *vectors.values())
+        values, shape = a[:2]
+        for m in sorted(modes, reverse=True):
+            values, shape = verify._times(values, shape, *matrices[m][:2], m)
+        assert shape == tuple(sizes[-d if d in modes else d] for d in (1, 2, 3))
+        assert values == self.einsum([-d if d in modes else d for d in (1, 2, 3)],
+                                     a, *matrices.values())
+
+    def test_float_sums_keep_the_nested_loop_bits(self):
+        # The loops the label oracle replaced: acc = 0; acc += a * b over
+        # the summed labels, the last fastest.  Equal bits, no tolerance.
+        rng = random.Random(9)
+        for _ in range(40):
+            sizes, out, summed, operands = self.random_case(rng, lambda r: 0.5 + 1.5 * r.random())
+            expected = []
+            for oi in zero_indices(tuple(sizes[l] for l in out) or (1,)):
+                acc = 0
+                for si in itertools.product(*(range(sizes[l]) for l in summed)):
+                    at = dict(zip(out, oi))
+                    at.update(zip(summed, si))
+                    term = None
+                    for values, shape, labels in operands:
+                        k = 0
+                        for l, n in zip(reversed(labels), reversed(shape)):
+                            k = k * n + at[l]
+                        term = values[k] if term is None else term * values[k]
+                    acc += term
+                expected.append(acc)
+            assert verify.contract(out, summed, *operands)[0] == expected

@@ -55,6 +55,12 @@ class TestRange:
 
 
 class TestMakeView:
+    def test_numpy_integer_specifier(self):
+        a = iota_tensor((4, 2, 3))
+        v = a.view(np.int64(1), None, np.int32(2))
+        assert v.ranges == a.view(1, None, 2).ranges
+        assert all(type(i) is int for r in v.ranges for i in r)
+
     def test_reference_selection(self):
         a = iota_tensor((4, 2, 3))
         v = a.view(Range(1, 2, 3), Range(0, 1), 2)

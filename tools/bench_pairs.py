@@ -27,10 +27,12 @@ because a faster change fits more operations into the same seconds and
 With ``--trace-metric NAME`` (repeatable), each workload also gets one
 ``--trace 1`` run per side after its pairs, and the output records each
 named per-layer metric of those two runs: its unit, both values and the
-change/parent ratio, and each side's ``attempted`` count, since traced
-totals such as ``verify.kernel_s`` sum over however many operations fit into
-the run.  Traced runs are single and slowed by the tracer, so they show
-where work moved (call counts, self times), not a timing claim.
+change/parent ratio, and each side's ``attempted`` count.  Traced totals
+such as ``verify.kernel_s`` sum over however many operations fit into the
+run, so each metric is also recorded per attempted operation (each side's
+value divided by its own traced ``attempted``), with the change/parent
+ratio of those.  Traced runs are single and slowed by the tracer, so they
+show where work moved (call counts, self times), not a timing claim.
 """
 
 from __future__ import annotations
@@ -126,6 +128,18 @@ def traced_pass(sides, workload: str, seed: int, seconds: float, names):
     return out, {side: r["attempted"] for side, r in got.items()}
 
 
+def per_attempted(traced, attempted) -> dict:
+    """Each metric of ``traced`` divided by its side's ``attempted`` count,
+    and the change/parent ratio of those quotients."""
+    out = {}
+    for name, m in traced.items():
+        p = m["parent"] / attempted["parent"]
+        c = m["change"] / attempted["change"]
+        out[name] = {"unit": f"{m['unit']}/op", "parent": p, "change": c,
+                     "ratio": c / p if p else None}
+    return out
+
+
 def side_provenance(runs, checkout: Path) -> dict:
     first = runs[0]["provenance"]
     prov = {k: first.get(k) for k in PROVENANCE_KEYS}
@@ -174,8 +188,10 @@ def main(argv=None) -> int:
             "metrics": summarize(pairs, spec["end_to_end"]),
         }
         if args.trace_metric:
-            workloads[w]["traced"], workloads[w]["traced_attempted"] = traced_pass(
+            traced, attempted = traced_pass(
                 sides, w, args.seed, args.seconds, args.trace_metric)
+            workloads[w].update(traced=traced, traced_attempted=attempted,
+                                traced_per_attempted=per_attempted(traced, attempted))
 
     bench = {
         "parent": side_provenance(runs["parent"], args.parent),
