@@ -210,6 +210,7 @@ def _rand_operand(rng, shape, kind: str = "int64"):
 
 # -- oracle plumbing -----------------------------------------------------------
 
+
 def _box_frame(x):
     """``(data, shape, positions)`` of a tensor or view, derived here:
     ``positions`` holds each element's buffer position, in
@@ -294,8 +295,8 @@ def contract(out, summed, *operands):
     labels, the last fastest.  Each operand's positions over the nest come
     from its own dense strides, independent of the engine's plans.  The
     operands' elements are multiplied with ``map(mul, ...)`` in operand
-    order and each output's block is added by ``sum`` in nest order, so
-    float results match the loops ``acc = 0; acc += a * b``.
+    order and each output's block is added by ``sum`` in nest order, which
+    up to Python 3.11 gives the bits of ``acc = 0; acc += a * b`` loops.
     """
     sizes = {}
     for _, shape, labels in operands:

@@ -335,15 +335,16 @@ class TestLabelOracle:
         assert values == self.einsum([-d if d in modes else d for d in (1, 2, 3)],
                                      a, *matrices.values())
 
-    def test_float_sums_keep_the_nested_loop_bits(self):
-        # The loops the label oracle replaced: acc = 0; acc += a * b over
-        # the summed labels, the last fastest.  Equal bits, no tolerance.
+    def test_float_sums_run_in_nested_loop_order(self):
+        # The loops the label oracle replaced: each output adds its terms
+        # over the summed labels, the last fastest, from 0.  Equal bits, no
+        # tolerance; ``sum`` adds as acc += term does up to Python 3.11.
         rng = random.Random(9)
         for _ in range(40):
             sizes, out, summed, operands = self.random_case(rng, lambda r: 0.5 + 1.5 * r.random())
             expected = []
             for oi in zero_indices(tuple(sizes[l] for l in out) or (1,)):
-                acc = 0
+                terms = []
                 for si in itertools.product(*(range(sizes[l]) for l in summed)):
                     at = dict(zip(out, oi))
                     at.update(zip(summed, si))
@@ -353,6 +354,6 @@ class TestLabelOracle:
                         for l, n in zip(reversed(labels), reversed(shape)):
                             k = k * n + at[l]
                         term = values[k] if term is None else term * values[k]
-                    acc += term
-                expected.append(acc)
+                    terms.append(term)
+                expected.append(sum(terms))
             assert verify.contract(out, summed, *operands)[0] == expected
