@@ -45,8 +45,9 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
+from functools import reduce
 from math import prod, sqrt
-from operator import mul, ne
+from operator import add, mul, ne
 from typing import Callable, List, Optional, Tuple
 
 from . import contraction as ct
@@ -271,8 +272,7 @@ def read_box(x) -> dict:
 
 def _unravel(k: int, shape, order=None) -> Tuple[int, ...]:
     """The zero-based multi-index at position ``k`` of a dense box whose
-    dimensions run fastest to slowest in ``order`` (one-based; dimension 1
-    first by default, the ``zero_indices`` order)."""
+    dimensions run fastest to slowest in ``order`` (one-based; 1..p default)."""
     index = [0] * len(shape)
     for r in order or range(1, len(shape) + 1):
         k, index[r - 1] = divmod(k, shape[r - 1])
@@ -587,7 +587,7 @@ def _check_accumulate(rng, cfg, cmp):
     values = read_flat(x)
     init = _rand_value(rng, cfg.scalar_kind)
     got = ew.accumulate(x, init)
-    return cmp.check_value(sum(values, init), got, {"op": "accumulate"})
+    return cmp.check_value(reduce(add, values, init), got, {"op": "accumulate"})
 
 
 def _check_inner_flat(rng, cfg, cmp):
