@@ -172,11 +172,16 @@ def _contract(ia, ib, c, a_free, a_bound, b_free, b_bound) -> None:
     check_reach(ia)
     check_reach(ib)
     r = len(a_free)
-    a_side = (ia, a_free, a_bound, c.strides[:r], [ia.extents[d] for d in a_free])
-    b_side = (ib, b_free, b_bound, c.strides[r:], [ib.extents[d] for d in b_free])
-    swap = prod(b_side[-1]) > prod(a_side[-1])
-    s, s_free, s_bound, s_out, s_ext = b_side if swap else a_side
-    k, k_free, k_bound, k_out, k_ext = a_side if swap else b_side
+    a_ext = [ia.extents[d] for d in a_free]
+    b_ext = [ib.extents[d] for d in b_free]
+    # The side with fewer free positions is packed (k), the other streamed.
+    swap = prod(b_ext) > prod(a_ext)
+    if swap:
+        s, s_free, s_bound, s_ext, s_out = ib, b_free, b_bound, b_ext, c.strides[r:]
+        k, k_free, k_bound, k_ext, k_out = ia, a_free, a_bound, a_ext, c.strides[:r]
+    else:
+        s, s_free, s_bound, s_ext, s_out = ia, a_free, a_bound, a_ext, c.strides[:r]
+        k, k_free, k_bound, k_ext, k_out = ib, b_free, b_bound, b_ext, c.strides[r:]
     # ``s`` and ``k`` were checked whole and ``c`` is the fresh output, so
     # the sub-cursors planned below need no check of their own.
     plan = _plan(
@@ -187,13 +192,18 @@ def _contract(ia, ib, c, a_free, a_bound, b_free, b_bound) -> None:
         True,
     )
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
-    k_pos = _positions(k.pos, [k.strides[d] for d in k_free], k_ext)
+    if k_free:
+        k_pos = _positions(k.pos, [k.strides[d] for d in k_free], k_ext)
+        k_outs = _positions(0, k_out, k_ext)
+    else:
+        # One packed fiber: its outputs are each output fiber, in order.
+        k_pos, k_outs = (k.pos,), None
     packed = list(_gather(k.data, k_pos, length, steps[1], offsets[1]))
-    k_outs = _positions(0, k_out, k_ext)
     nk, n, (ws, wc) = len(packed), plan.length, plan.strides
     # With no bound pair each fiber holds one element, and the output is
     # the product itself rather than 0 + a * b (which turns -0.0 into 0.0).
     reduce = sum if a_bound else next
+    out = c.data
     for ps, pc in zip(*plan.starts):
         # The fiber's outputs, packed fibers fastest, so that each streamed
         # slice is made once.
@@ -204,8 +214,11 @@ def _contract(ia, ib, c, a_free, a_bound, b_free, b_bound) -> None:
             values = [reduce(map(mul, kf, sf)) for sf in streamed for kf in packed]
         else:
             values = [reduce(map(mul, sf, kf)) for sf in streamed for kf in packed]
-        for j, oc in enumerate(k_outs):
-            c.data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
+        if k_outs is None:
+            out[pc : pc + n * wc : wc] = values
+        else:
+            for j, oc in enumerate(k_outs):
+                out[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
 
 
 # -- tensor times vector ------------------------------------------------------------

@@ -222,39 +222,44 @@ def _plan(cursors: Sequence[MultiIterator], reorder: bool) -> FiberPlan:
             raise ValueError(f"shape mismatch: {c.extents} vs {extents}")
     if 0 in extents:
         return FiberPlan(0, (1,) * len(cursors), tuple([] for _ in cursors))
-    # Loops as [extent, [stride per cursor]], innermost first.
-    dims = [
-        [n, list(ws)]
-        for n, ws in zip(extents, zip(*[c.strides for c in cursors]))
-        if n != 1
-    ]
+    # Loops as (extent, stride per cursor), innermost first.
+    dims = [d for d in zip(extents, zip(*[c.strides for c in cursors])) if d[0] != 1]
     if reorder:
         dims.sort(key=lambda d: d[1][-1])
-    loops: List[list] = []
-    for d in dims:
+    loops: List[tuple] = []
+    for n, ws in dims:
         if loops:
             m, vs = loops[-1]
-            if d[1] == [v * m for v in vs]:
-                loops[-1][0] = m * d[0]
+            if ws == tuple([v * m for v in vs]):
+                loops[-1] = (m * n, vs)
                 continue
-        loops.append(d)
+        loops.append((n, ws))
     if not loops or min(loops[0][1]) <= 0:
         # Slices need positive steps: fall back to one-element fibers.
-        loops.insert(0, [1, [1] * len(cursors)])
-    outer = [n for n, _ in loops[1:]]
-    starts = tuple(
-        _positions(c.pos, [ws[k] for _, ws in loops[1:]], outer)
-        for k, c in enumerate(cursors)
-    )
-    length, strides = loops[0]
-    return FiberPlan(length, tuple(strides), starts)
+        loops.insert(0, (1, (1,) * len(cursors)))
+    length, steps = loops[0]
+    if len(loops) == 1:
+        starts = tuple([c.pos] for c in cursors)
+    else:
+        outer = loops[1:]
+        sizes = [n for n, _ in outer]
+        starts = tuple(
+            map(
+                _positions,
+                [c.pos for c in cursors],
+                zip(*[ws for _, ws in outer]),
+                repeat(sizes),
+            )
+        )
+    return FiberPlan(length, steps, starts)
 
 
 def _positions(pos: int, strides, extents) -> List[int]:
-    """Positions of all multi-indices over ``extents`` from ``pos``,
-    dimension 1 fastest."""
-    positions = [pos]
-    for n, w in zip(extents, strides):
+    """Positions of all multi-indices over ``extents`` (one or more) from
+    ``pos``, dimension 1 fastest."""
+    n, w = extents[0], strides[0]
+    positions = list(range(pos, pos + n * w, w)) if w else [pos] * n
+    for n, w in zip(extents[1:], strides[1:]):
         positions = [p + i * w for i in range(n) for p in positions]
     return positions
 

@@ -27,6 +27,7 @@ construction and safe to share between threads.
 from __future__ import annotations
 
 from itertools import product
+from math import prod
 from operator import index
 from typing import Iterable, Iterator, Sequence, Tuple
 
@@ -76,17 +77,20 @@ def validate_shape(extents: Iterable[int]) -> Tuple[int, ...]:
     64-bit signed index.  Extent-1 dimensions are allowed (degenerate but
     legal, e.g. column vectors of shape ``(n, 1)``).
     """
+    return _checked_shape(extents)[0]
+
+
+def _checked_shape(extents: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
+    """:func:`validate_shape`'s shape and the volume it checked."""
     shape = _as_indices(extents, "shape")
-    if len(shape) == 0:
+    if not shape:
         raise ValueError("shape must have at least one dimension")
-    if any(n < 1 for n in shape):
+    if min(shape) < 1:
         raise ValueError(f"extents must be positive, got {shape}")
-    v = 1
-    for n in shape:
-        v *= n
-        if v > MAX_INDEX:
-            raise ValueError(f"shape {shape} overflows the 64-bit index space")
-    return shape
+    size = prod(shape)
+    if size > MAX_INDEX:
+        raise ValueError(f"shape {shape} overflows the 64-bit index space")
+    return shape, size
 
 
 def validate_layout(perm: Iterable[int], order: int) -> Tuple[int, ...]:
@@ -123,9 +127,7 @@ def last_order_layout(p: int) -> Tuple[int, ...]:
 
 def volume(shape: Sequence[int]) -> int:
     """Number of elements; the memory index set is ``range(volume)``."""
-    v = 1
-    for n in shape:
-        v *= n
+    v = prod(shape)
     if v > MAX_INDEX:
         raise ValueError(f"shape {tuple(shape)} overflows the 64-bit index space")
     return v
@@ -169,17 +171,17 @@ class TensorMeta:
     """Shape, layout, offsets and the derived strides of one array.
 
     Instances are immutable; use :meth:`with_layout` / :meth:`with_shape`
-    to derive modified copies.  Strides are always consistent with shape
-    and layout by construction.
+    to derive modified copies.  Strides and ``size`` (the volume) are
+    always consistent with shape and layout by construction.
     """
 
-    __slots__ = ("shape", "layout", "offsets", "strides")
+    __slots__ = ("shape", "layout", "offsets", "strides", "size")
 
     # Memory index of the lower-bound corner: a dense buffer starts there.
     gamma = 0
 
     def __init__(self, shape, offsets=None, layout=None):
-        shape = validate_shape(shape)
+        shape, size = _checked_shape(shape)
         p = len(shape)
         layout = (
             first_order_layout(p) if layout is None else validate_layout(layout, p)
@@ -189,6 +191,7 @@ class TensorMeta:
         object.__setattr__(self, "layout", layout)
         object.__setattr__(self, "offsets", offsets)
         object.__setattr__(self, "strides", compute_strides(shape, layout))
+        object.__setattr__(self, "size", size)
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorMeta is immutable")
@@ -196,10 +199,6 @@ class TensorMeta:
     @property
     def order(self) -> int:
         return len(self.shape)
-
-    @property
-    def size(self) -> int:
-        return volume(self.shape)
 
     def with_layout(self, layout) -> "TensorMeta":
         return TensorMeta(self.shape, self.offsets, layout)

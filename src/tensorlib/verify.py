@@ -74,8 +74,9 @@ class RunConfig:
     def __post_init__(self):
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if not 1 <= self.max_order <= 6:
-            raise ValueError("max_order must be in 1..6")
+        if not 2 <= self.max_order <= 6:
+            # ttv, ttm and the times_* chains need order 2 or more.
+            raise ValueError("max_order must be in 2..6")
         if self.max_extent < 1:
             raise ValueError("max_extent must be >= 1")
         if self.scalar_kind not in ("int64", "float64"):
@@ -135,8 +136,8 @@ class VerifyReport:
 
 
 def _rand_shape(rng, cfg: RunConfig, min_order: int = 1) -> Tuple[int, ...]:
-    p = rng.randint(min_order, cfg.max_order)
-    return tuple(rng.randint(1, cfg.max_extent) for _ in range(p))
+    (p,) = _randints(rng, min_order, cfg.max_order, 1)
+    return tuple(_randints(rng, 1, cfg.max_extent, p))
 
 
 def _rand_layout(rng, p: int) -> Tuple[int, ...]:
@@ -146,12 +147,12 @@ def _rand_layout(rng, p: int) -> Tuple[int, ...]:
 
 
 def _rand_offsets(rng, p: int) -> Tuple[int, ...]:
-    return tuple(rng.randint(-2, 2) for _ in range(p))
+    return tuple(_randints(rng, -2, 2, p))
 
 
 def _rand_value(rng, kind: str):
     if kind == "int64":
-        return rng.randint(-9, 9)
+        return _randints(rng, -9, 9, 1)[0]
     return 0.5 + 1.5 * rng.random()
 
 
@@ -162,9 +163,13 @@ def _randints(rng, lo: int, hi: int, count: int) -> List[int]:
     This is CPython's ``randint``: ``lo + _randbelow(n)`` with
     ``n = hi - lo + 1``, where ``_randbelow`` draws ``getrandbits(k)`` with
     ``k = n.bit_length()`` (not ``(n - 1).bit_length()``) and redraws while
-    the word is ``>= n``.
+    the word is ``>= n``.  Every instance draw goes through here, so an
+    empty range raises ``ValueError`` as ``randint`` does, instead of
+    redrawing forever.
     """
     n = hi - lo + 1
+    if n < 1:
+        raise ValueError(f"empty range for randint: [{lo}, {hi}]")
     k = n.bit_length()
     getrandbits = rng.getrandbits
     out = []
@@ -179,13 +184,13 @@ def _randints(rng, lo: int, hi: int, count: int) -> List[int]:
 
 def _rand_tensor(rng, shape, kind: str = "int64") -> DenseTensor:
     p = len(shape)
-    t = DenseTensor(shape, _rand_offsets(rng, p), _rand_layout(rng, p))
+    offsets, layout = _rand_offsets(rng, p), _rand_layout(rng, p)
     if kind == "int64":
-        t.data = _randints(rng, -9, 9, t.size)
+        data = _randints(rng, -9, 9, prod(shape))
     else:
         rand = rng.random
-        t.data = [0.5 + 1.5 * rand() for _ in range(t.size)]
-    return t
+        data = [0.5 + 1.5 * rand() for _ in range(prod(shape))]
+    return DenseTensor.from_memory(shape, data, offsets, layout)
 
 
 def _rand_operand(rng, shape, kind: str = "int64"):
@@ -194,9 +199,9 @@ def _rand_operand(rng, shape, kind: str = "int64"):
     if rng.random() < 0.5:
         return _rand_tensor(rng, shape, kind)
     p = len(shape)
-    steps = [rng.randint(1, 2) for _ in range(p)]
-    leads = [rng.randint(0, 1) for _ in range(p)]
-    trails = [rng.randint(0, 1) for _ in range(p)]
+    steps = _randints(rng, 1, 2, p)
+    leads = _randints(rng, 0, 1, p)
+    trails = _randints(rng, 0, 1, p)
     parent_shape = tuple(
         lead + t * (n - 1) + 1 + trail
         for n, t, lead, trail in zip(shape, steps, leads, trails)
@@ -471,7 +476,7 @@ def _check_fill(rng, cfg, cmp):
 def _check_generate(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
-    start = rng.randint(0, 5)
+    (start,) = _randints(rng, 0, 5, 1)
     counter = itertools.count(start)
     snap = _snapshot(dst)
     ew.generate(dst, lambda: next(counter))
@@ -482,7 +487,7 @@ def _check_generate(rng, cfg, cmp):
 def _check_iota(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg)
     dst = _rand_operand(rng, shape, cfg.scalar_kind)
-    start = rng.randint(-3, 3)
+    (start,) = _randints(rng, -3, 3, 1)
     snap = _snapshot(dst)
     ew.iota(dst, start)
     expected = list(range(start, start + prod(shape)))
@@ -618,7 +623,7 @@ def _check_transpose(rng, cfg, cmp):
 def _check_ttv(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg, min_order=2)
     a = _rand_operand(rng, shape, cfg.scalar_kind)
-    m = rng.randint(1, len(shape))
+    (m,) = _randints(rng, 1, len(shape), 1)
     b = _rand_operand(rng, (shape[m - 1],), cfg.scalar_kind)
     got = ct.ttv(a, b, m)
     expected, out_shape = _times(read_flat(a), shape, read_flat(b), (shape[m - 1],), m)
@@ -629,8 +634,8 @@ def _check_ttv(rng, cfg, cmp):
 def _check_ttm(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg, min_order=2)
     a = _rand_operand(rng, shape, cfg.scalar_kind)
-    m = rng.randint(1, len(shape))
-    n_new = rng.randint(1, cfg.max_extent)
+    (m,) = _randints(rng, 1, len(shape), 1)
+    (n_new,) = _randints(rng, 1, cfg.max_extent, 1)
     b = _rand_operand(rng, (n_new, shape[m - 1]), cfg.scalar_kind)
     got = ct.ttm(a, b, m)
     expected, out_shape = _times(read_flat(a), shape, read_flat(b), b.shape, m)
@@ -639,20 +644,20 @@ def _check_ttm(rng, cfg, cmp):
 
 
 def _rand_ttt_instance(rng, cfg):
-    pa = rng.randint(1, cfg.max_order)
-    q = rng.randint(0, pa)
+    (pa,) = _randints(rng, 1, cfg.max_order, 1)
+    (q,) = _randints(rng, 0, pa, 1)
     r = pa - q
     s_min = 0 if q else 1
-    s = rng.randint(s_min, max(s_min, cfg.max_order - q))
+    (s,) = _randints(rng, s_min, max(s_min, cfg.max_order - q), 1)
     pb = q + s
-    na = tuple(rng.randint(1, cfg.max_extent) for _ in range(pa))
+    na = tuple(_randints(rng, 1, cfg.max_extent, pa))
     phi = list(range(1, pa + 1))
     rng.shuffle(phi)
     psi = list(range(1, pb + 1))
     rng.shuffle(psi)
     nb = [0] * pb
-    for k in range(s):
-        nb[psi[k] - 1] = rng.randint(1, cfg.max_extent)
+    for d, n in zip(psi, _randints(rng, 1, cfg.max_extent, s)):
+        nb[d - 1] = n
     for k in range(q):
         nb[psi[s + k] - 1] = na[phi[r + k] - 1]
     return na, tuple(nb), ct.ContractionSpec(q, tuple(phi), tuple(psi))
@@ -682,7 +687,7 @@ def _check_outer(rng, cfg, cmp):
     na = _rand_shape(rng, cfg)
     nb = _rand_shape(rng, cfg)
     if len(na) + len(nb) > 6:
-        nb = nb[: 6 - len(na)] or (rng.randint(1, cfg.max_extent),)
+        nb = nb[: 6 - len(na)] or tuple(_randints(rng, 1, cfg.max_extent, 1))
     a = _rand_operand(rng, na, cfg.scalar_kind)
     b = _rand_operand(rng, nb, cfg.scalar_kind)
     got = ct.outer_product(a, b)
@@ -717,7 +722,7 @@ def _check_norm(rng, cfg, cmp):
 def _check_times_vectors(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg, min_order=2)
     p = len(shape)
-    k = rng.randint(1, p)
+    (k,) = _randints(rng, 1, p, 1)
     modes = sorted(rng.sample(range(1, p + 1), k))
     a = _rand_operand(rng, shape, cfg.scalar_kind)
     vecs = [_rand_operand(rng, (shape[m - 1],), cfg.scalar_kind) for m in modes]
@@ -732,15 +737,13 @@ def _check_times_vectors(rng, cfg, cmp):
 def _check_times_matrices(rng, cfg, cmp):
     shape = _rand_shape(rng, cfg, min_order=2)
     p = len(shape)
-    k = rng.randint(1, p)
+    (k,) = _randints(rng, 1, p, 1)
     modes = sorted(rng.sample(range(1, p + 1), k))
     a = _rand_operand(rng, shape, cfg.scalar_kind)
-    mats = [
-        _rand_operand(
-            rng, (rng.randint(1, cfg.max_extent), shape[m - 1]), cfg.scalar_kind
-        )
-        for m in modes
-    ]
+    mats = []
+    for m in modes:
+        (rows,) = _randints(rng, 1, cfg.max_extent, 1)
+        mats.append(_rand_operand(rng, (rows, shape[m - 1]), cfg.scalar_kind))
     got = ct.times_matrices(a, mats, modes)
     values, cur = read_flat(a), shape
     for m, bmat in sorted(zip(modes, mats), reverse=True, key=lambda x: x[0]):

@@ -25,7 +25,7 @@ from __future__ import annotations
 from typing import NamedTuple, Tuple
 
 from .elementwise import _copy
-from .layout import TensorMeta, _as_indices, memory_index
+from .layout import TensorMeta, _as_indices
 from .tensor import DenseTensor, _Strided
 
 __all__ = ["Range", "TensorView", "classify_view"]
@@ -74,9 +74,7 @@ class Range:
 
     def resolve(self, offset: int, extent: int, dim: int):
         """Concrete (first, step, last) against one target dimension."""
-        if self.is_full:
-            return offset, 1, offset + extent - 1
-        return _fit((self.first, self.step, self.last), offset, extent, dim)
+        return _fit(_resolve(self, offset, extent), offset, extent, dim)
 
     def __repr__(self):
         if self.is_full:
@@ -95,15 +93,20 @@ def _fit(triplet, offset: int, extent: int, dim: int):
     return triplet
 
 
-def _as_range(spec) -> Range:
-    if isinstance(spec, Range):
-        return spec
-    if spec is None:
-        return Range()
-    if hasattr(type(spec), "__index__"):
+def _resolve(spec, offset: int, extent: int):
+    """``(first, step, last)`` of a range specifier (a ``Range``, an
+    index, or ``None`` for the full dimension) over the dimension
+    ``[offset, offset + extent)``, not yet checked against it."""
+    if not isinstance(spec, Range):
+        if spec is None:
+            return offset, 1, offset + extent - 1
+        if not hasattr(type(spec), "__index__"):
+            raise ValueError(f"cannot interpret {spec!r} as a range")
         # An int or a NumPy integer; Range rejects bool.
-        return Range(spec)
-    raise ValueError(f"cannot interpret {spec!r} as a range")
+        spec = Range(spec)
+    if spec.first is _FULL:
+        return offset, 1, offset + extent - 1
+    return spec.first, spec.step, spec.last
 
 
 class _Frame(NamedTuple):
@@ -131,21 +134,15 @@ def _frame(ranges, meta: TensorMeta) -> _Frame:
             f"{min(len(ranges), len(meta.shape)) + 1} of its target, "
             f"now of order {len(meta.shape)}"
         )
-    firsts, extents, strides = [], [], []
+    extents, strides, gamma = [], [], 0
     for dim, (rng, o, n, w) in enumerate(
         zip(ranges, meta.offsets, meta.shape, meta.strides), start=1
     ):
         f, t, l = _fit(rng, o, n, dim)
-        firsts.append(f)
         extents.append((l - f) // t + 1)
         strides.append(w * t)
-    return _Frame(
-        tuple(extents),
-        meta.offsets,
-        meta.layout,
-        tuple(strides),
-        memory_index(meta.strides, firsts, meta.offsets),
-    )
+        gamma += w * (f - o)
+    return _Frame(tuple(extents), meta.offsets, meta.layout, tuple(strides), gamma)
 
 
 class TensorView(_Strided):
@@ -162,20 +159,17 @@ class TensorView(_Strided):
     __slots__ = ("target", "ranges", "_source", "_frame")
 
     def __init__(self, target: DenseTensor, ranges):
-        ranges = tuple(_as_range(s) for s in ranges)
-        if len(ranges) != target.order:
+        ranges = tuple(ranges)
+        meta = target.meta
+        if len(ranges) != len(meta.shape):
             raise ValueError(
-                f"expected {target.order} ranges, got {len(ranges)}"
+                f"expected {len(meta.shape)} ranges, got {len(ranges)}"
             )
         self.target = target
-        self.ranges = tuple(
-            rng.resolve(o, n, dim)
-            for dim, (rng, o, n) in enumerate(
-                zip(ranges, target.offsets, target.shape), start=1
-            )
-        )
-        self._source = target.meta
-        self._frame = _frame(self.ranges, self._source)
+        # Bounds are checked once, by the frame.
+        self.ranges = tuple(map(_resolve, ranges, meta.offsets, meta.shape))
+        self._source = meta
+        self._frame = _frame(self.ranges, meta)
 
     @property
     def meta(self) -> _Frame:

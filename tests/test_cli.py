@@ -244,7 +244,12 @@ class TestVerifyCommand:
 
     @pytest.mark.parametrize(
         "option, value",
-        [("--trials", "0"), ("--max-order", "9"), ("--max-extent", "0")],
+        [
+            ("--trials", "0"),
+            ("--max-order", "9"),
+            ("--max-order", "1"),
+            ("--max-extent", "0"),
+        ],
     )
     def test_out_of_range_option_is_usage_error(self, capsys, option, value):
         assert exit_code(["verify", option, value]) == 64

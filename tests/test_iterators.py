@@ -303,7 +303,60 @@ class TestVisitOrder:
         assert sorted(pairs) == sorted(want)
 
 
+def random_cursors(rng):
+    """1-3 cursors of one random shape (order 1-5, extents 0-4), each with
+    strides that are dense for some layout, stepped, or arbitrary (zero
+    and negative ones included), placed so that they stay in a buffer."""
+    p = rng.randint(1, 5)
+    extents = tuple(rng.randint(0, 4) for _ in range(p))
+    cursors = []
+    for _ in range(rng.randint(1, 3)):
+        if rng.random() < 0.5:
+            order = rng.sample(range(p), p)
+            strides, running = [0] * p, 1
+            for r in order:
+                strides[r] = running * rng.choice((1, 1, 2))
+                running *= max(extents[r], 1)
+        else:
+            strides = [rng.choice((0, 1, 2, 3, 5, 12, -1, -4)) for _ in range(p)]
+        reach = [(n - 1) * w for n, w in zip(extents, strides) if n]
+        pos = -sum(d for d in reach if d < 0) + rng.randint(0, 3)
+        size = pos + sum(d for d in reach if d > 0) + 1
+        cursors.append(MultiIterator([0] * size, pos, strides, extents))
+    return cursors
+
+
+def flat(plan, k):
+    """Cursor ``k``'s planned positions, fiber after fiber, read from the
+    slices a kernel would take: every fiber stride must be positive."""
+    assert plan.strides[k] > 0
+    return [p for sl in plan.slices(k) for p in range(sl.start, sl.stop, sl.step)]
+
+
+def brute_positions(it):
+    """Position of every multi-index in ``zero_indices`` order, by
+    definition."""
+    return [
+        it.pos + sum(i * w for i, w in zip(index, it.strides))
+        for index in zero_indices(it.extents)
+    ]
+
+
 class TestPlanner:
+    def test_random_cursor_sets_match_brute_force(self):
+        rng = random.Random(12)
+        for _ in range(3000):
+            cursors = random_cursors(rng)
+            want = [brute_positions(c) for c in cursors]
+            in_order = plan_fibers(cursors)
+            assert [flat(in_order, k) for k in range(len(cursors))] == want
+            # Reordered: one common permutation, so the planned positions
+            # of all cursors form the same tuples as the brute-force ones.
+            free = plan_fibers(cursors, reorder=True)
+            got = [flat(free, k) for k in range(len(cursors))]
+            assert list(map(len, got)) == list(map(len, want))
+            assert sorted(zip(*got)) == sorted(zip(*want))
+
     def test_merges_contiguous_dimensions(self):
         plan = plan_fibers((DenseTensor((4, 3, 2)).miter(),))
         assert (plan.length, plan.strides, plan.starts) == (24, (1,), ([0],))

@@ -202,6 +202,16 @@ class TestTensorMeta:
         with pytest.raises(AttributeError):
             meta.shape = (3, 3)
 
+    @given(shape_and_layout(), shape_and_layout())
+    def test_size_is_the_volume(self, first, second):
+        (shape, layout), (new_shape, new_layout) = first, second
+        meta = TensorMeta(shape, layout=layout)
+        assert meta.size == volume(shape)
+        reshaped = meta.with_shape(new_shape)
+        assert reshaped.size == volume(new_shape)
+        relaid = reshaped.with_layout(new_layout)
+        assert relaid.size == volume(new_shape)
+
     def test_with_shape_resets_layout_on_order_change(self):
         meta = TensorMeta((4, 2, 3), offsets=(1, -1, 0), layout=(3, 2, 1))
         same = meta.with_shape((2, 4, 3))

@@ -1,0 +1,26 @@
+"""Smoke test of ``tools/tiny_calls.py``: one repetition of one call each,
+against this same checkout, so every case and the second-checkout loader
+run.  Nothing is timed against a limit."""
+
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+CALLS = [
+    "DenseTensor", "TensorView", "plan_fibers", "copy", "fill",
+    "compare_ranges", "ttv", "ttm", "ttt", "transpose",
+]
+
+
+def test_prints_every_call_with_both_columns_and_the_ratio():
+    cmd = [sys.executable, str(ROOT / "tools" / "tiny_calls.py"),
+           "--reps", "1", "--number", "1", "--against", str(ROOT)]
+    proc = subprocess.run(cmd, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header.split() == ["call", "this_us", "against_us", "ratio"]
+    assert [row.split()[0] for row in rows] == CALLS
+    for row in rows:
+        this_us, against_us, ratio = map(float, row.split()[1:])
+        assert this_us > 0 and against_us > 0 and ratio > 0

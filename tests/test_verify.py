@@ -26,6 +26,9 @@ class TestRunConfig:
         with pytest.raises(ValueError):
             RunConfig(max_order=7)
         with pytest.raises(ValueError):
+            # ttv, ttm and the times_* chains draw orders 2..max_order.
+            RunConfig(max_order=1)
+        with pytest.raises(ValueError):
             RunConfig(max_extent=0)
         with pytest.raises(ValueError):
             RunConfig(scalar_kind="float32")
@@ -166,9 +169,15 @@ class TestIntDraws:
             assert verify._randints(ours, lo, hi, count) == want
             assert ours.getstate() == theirs.getstate()
 
+    @pytest.mark.parametrize("count", [0, 1])
+    def test_randints_rejects_an_empty_range(self, count):
+        # randint raises here too; redrawing getrandbits(0) would never end.
+        with pytest.raises(ValueError, match=r"\[2, 1\]"):
+            verify._randints(random.Random(0), 2, 1, count)
+
     def test_tensor_elements_are_not_drawn_by_randint(self, monkeypatch):
-        # Offsets still come from randint(-2, 2); only the per-element
-        # draws in [-9, 9] must not.
+        # The per-element draws in [-9, 9], the bulk of all draws, must not
+        # go through randint.
         randint = random.Random.randint
 
         def no_element_draws(self, a, b):

@@ -1,0 +1,149 @@
+"""Per-call timer for the small calls that dominate ``tensorlib verify``.
+
+Usage, from anywhere::
+
+    python3 tools/tiny_calls.py [--against DIR] [--reps R] [--number N]
+
+Times the calls the randomized oracle makes most, each on (3, 4, 2)
+operands: constructing a ``DenseTensor`` and a ``TensorView``, planning
+two cursors with ``plan_fibers``, the elementwise ``copy``, ``fill`` and
+``compare_ranges``, and the contractions ``ttv``, ``ttm``, ``ttt`` and
+``transpose``.  Each figure is the minimum, over ``R`` repetitions, of the
+mean time of ``N`` back-to-back calls, in microseconds per call.
+
+The library timed is this checkout's ``src/tensorlib``.  With
+``--against DIR`` the ``src/tensorlib`` of a second checkout is loaded
+into the same process under another package name, and every repetition
+times each call on both libraries in turn, so a drift in host speed
+touches both columns alike.  The report then adds the ratio
+``this / against`` per call: the median, over repetitions, of the ratio
+of the two back-to-back timings, which a burst of host speed on one side
+moves less than it moves either minimum.
+"""
+
+from __future__ import annotations
+
+import argparse
+import gc
+import importlib.util
+import statistics
+import sys
+import time
+from operator import truediv
+from pathlib import Path
+from types import ModuleType
+from typing import Callable, Dict, List, Tuple
+
+HERE = Path(__file__).resolve().parent.parent
+
+CALLS = (
+    "DenseTensor", "TensorView", "plan_fibers", "copy", "fill",
+    "compare_ranges", "ttv", "ttm", "ttt", "transpose",
+)
+
+
+def load(checkout: Path, name: str) -> ModuleType:
+    """Import ``checkout/src/tensorlib`` as the package ``name``."""
+    pkg = checkout / "src" / "tensorlib"
+    spec = importlib.util.spec_from_file_location(
+        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+    )
+    if spec is None:
+        raise SystemExit(f"no tensorlib package under {checkout}")
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
+    """One zero-argument callable per entry of :data:`CALLS`, with its
+    operands built beforehand by the library ``tl``."""
+    from_memory = tl.DenseTensor.from_memory
+    a = from_memory((3, 4, 2), [0.5 + k / 7 for k in range(24)])
+    b = from_memory((3, 4, 2), [1.5 - k / 9 for k in range(24)], layout=(3, 2, 1))
+    parent = tl.DenseTensor((5, 8, 3), offsets=(-1, 0, 1), layout=(2, 3, 1))
+    ranges = (tl.Range(0, 1, 2), tl.Range(0, 2, 6), tl.Range(1, 1, 2))
+    vec = from_memory((4,), [0.25, 1.0, 1.75, 2.5])
+    mat = from_memory((5, 4), [k / 3 for k in range(20)], layout=(2, 1))
+    other = from_memory((4, 3), [k / 5 for k in range(12)])
+    spec = tl.ContractionSpec(1, (1, 3, 2), (2, 1))
+    cursors = (a.miter(), b.miter())
+    plan_fibers = sys.modules[tl.__name__ + ".iterators"].plan_fibers
+    return {
+        "DenseTensor": lambda: tl.DenseTensor((3, 4, 2)),
+        "TensorView": lambda: tl.TensorView(parent, ranges),
+        "plan_fibers": lambda: plan_fibers(cursors),
+        "copy": lambda: tl.copy(a, b),
+        "fill": lambda: tl.fill(b, 1.0),
+        "compare_ranges": lambda: tl.compare_ranges(a, b),
+        "ttv": lambda: tl.ttv(a, vec, 2),
+        "ttm": lambda: tl.ttm(a, mat, 2),
+        "ttt": lambda: tl.ttt(a, other, spec),
+        "transpose": lambda: tl.transpose(a, (3, 1, 2)),
+    }
+
+
+def per_call_us(fn: Callable[[], object], number: int) -> float:
+    clock = time.perf_counter
+    t0 = clock()
+    for _ in range(number):
+        fn()
+    return (clock() - t0) / number * 1e6
+
+
+def measure(libs: List[ModuleType], reps: int, number: int) -> Dict[str, List[list]]:
+    """Every repetition's µs per call of every case on every library, the
+    libraries timed in turn within each repetition."""
+    suites = [cases(tl) for tl in libs]
+    samples: Dict[str, List[list]] = {name: [[] for _ in libs] for name in CALLS}
+    # As in timeit: a collection would land on whichever call is running.
+    gc.collect()
+    gc.disable()
+    try:
+        for rep in range(reps):
+            # Alternate which library goes first, so neither side keeps
+            # the slot right after the other's calls.
+            order = range(len(suites))[:: -1 if rep % 2 else 1]
+            for name in CALLS:
+                for k in order:
+                    samples[name][k].append(per_call_us(suites[k][name], number))
+    finally:
+        gc.enable()
+    return samples
+
+
+def report(samples: Dict[str, List[list]], headers: Tuple[str, ...]) -> str:
+    """One row per call: each library's minimum, and with two libraries
+    the median over repetitions of the ratio of their timings, which
+    were taken back to back."""
+    lines = ["call".ljust(16) + "".join(h.rjust(12) for h in headers)]
+    for name in CALLS:
+        runs = samples[name]
+        cells = [f"{min(us):12.2f}" for us in runs]
+        if len(runs) == 2:
+            ratio = statistics.median(map(truediv, *runs))
+            cells.append(f"{ratio:12.3f}")
+        lines.append(name.ljust(16) + "".join(cells))
+    return "\n".join(lines)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--against", type=Path, help="checkout to compare with")
+    parser.add_argument("--reps", type=int, default=60)
+    parser.add_argument("--number", type=int, default=100)
+    args = parser.parse_args(argv)
+    if args.reps < 1 or args.number < 1:
+        parser.error("--reps and --number must be >= 1")
+    libs = [load(HERE, "tensorlib")]
+    headers: Tuple[str, ...] = ("this_us",)
+    if args.against is not None:
+        libs.append(load(args.against.resolve(), "tensorlib_against"))
+        headers = ("this_us", "against_us", "ratio")
+    print(report(measure(libs, args.reps, args.number), headers))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
