@@ -23,16 +23,17 @@ It calls neither the fiber planner (``iterators._plan``, ``plan_fibers``,
 wrong plan or a wrong view frame cannot also corrupt the expected values.
 
 int64 trials draw small signed integers in [-9, 9] and compare exactly.
-Tensor elements come from ``_randints``, which reproduces CPython's
-``randint`` from ``getrandbits`` (one Mersenne Twister word per
-``getrandbits(5)``, redrawn while the word is 19 or more), so it yields the
-values ``randint(-9, 9)`` would and leaves the stream in the same state;
-``tests/test_verify.py`` checks that against ``randint`` and pins every
-family's stream state after 20 trials.  float64 trials draw positive
-values (``0.5 + 1.5 * random()``, the value ``uniform(0.5, 2.0)``
-computes) so that reductions, whose summation order differs between the
-two routes, stay free of cancellation and the relative-error bound is
-meaningful.
+Tensor elements, like every other integer an instance draws (orders,
+extents, offsets, view steps, modes), come from ``_randints``, which
+reproduces CPython's ``randint`` from ``getrandbits`` (for the elements,
+one Mersenne Twister word per ``getrandbits(5)``, redrawn while the word is
+19 or more), so it yields the values ``randint`` would and leaves the
+stream in the same state; ``tests/test_verify.py`` checks that against
+``randint`` and pins every family's stream state after 20 trials.
+float64 trials draw positive values (``0.5 + 1.5 * random()``, the value
+``uniform(0.5, 2.0)`` computes) so that reductions, whose summation order
+differs between the two routes, stay free of cancellation and the
+relative-error bound is meaningful.
 
 Randomness comes from :class:`random.Random` (Mersenne Twister), which is
 platform-independent and string-seedable; each family runs on its own
