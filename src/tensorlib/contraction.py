@@ -138,7 +138,7 @@ def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
         return s.extents[s_bound[0]], (ws, wk), ([0], [0])
     # Planned in iteration order, so the last pair (dimension 1) is fastest.
     cursors = (_sub(s, s_bound[::-1]), _sub(k, k_bound[::-1]))
-    plan = _plan(cursors, False)
+    plan = _plan(cursors, reorder=False, check=False)
     offsets = tuple(
         [p - it.pos for p in starts] for starts, it in zip(plan.starts, cursors)
     )
@@ -189,7 +189,8 @@ def _contract(ia, ib, c, a_free, a_bound, b_free, b_bound) -> None:
             MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext),
             MultiIterator(c.data, c.pos, s_out, s_ext),
         ),
-        True,
+        reorder=True,
+        check=False,
     )
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
     if k_free:

@@ -12,7 +12,8 @@ container path and contraction: it flattens the loop nest of N cursors of
 equal extents into innermost fibers (a start position per cursor, a stride
 per cursor and a shared length), merging dimensions wherever every cursor
 is contiguous across them, so a kernel can work on whole fibers with slice
-operations.  :func:`check_reach` is its bounds check, one per cursor.
+operations.  It checks each cursor's reach as it plans it;
+:func:`check_reach` is the same bounds check for one whole cursor.
 
 Both iterator types are cheap value objects over a shared buffer;
 dereferencing follows the owning container's single-writer contract.
@@ -207,15 +208,13 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
     one check per call, since a slice would silently clip (reading) or
     resize the list (writing).
     """
-    plan = _plan(cursors, reorder)
-    for c in cursors:
-        check_reach(c)
-    return plan
+    return _plan(cursors, reorder, True)
 
 
-def _plan(cursors: Sequence[MultiIterator], reorder: bool) -> FiberPlan:
-    """:func:`plan_fibers` without the reach check, for callers that have
-    checked every cursor it is given, or cursors covering them."""
+def _plan(cursors: Sequence[MultiIterator], reorder: bool, check: bool) -> FiberPlan:
+    """:func:`plan_fibers`; without the reach check when ``check`` is false,
+    for callers that have checked every cursor it is given, or cursors
+    covering them."""
     extents = cursors[0].extents
     for c in cursors:
         if c.extents != extents:
@@ -238,20 +237,35 @@ def _plan(cursors: Sequence[MultiIterator], reorder: bool) -> FiberPlan:
         # Slices need positive steps: fall back to one-element fibers.
         loops.insert(0, (1, (1,) * len(cursors)))
     length, steps = loops[0]
-    if len(loops) == 1:
-        starts = tuple([c.pos] for c in cursors)
-    else:
-        outer = loops[1:]
-        sizes = [n for n, _ in outer]
-        starts = tuple(
-            map(
-                _positions,
-                [c.pos for c in cursors],
-                zip(*[ws for _, ws in outer]),
-                repeat(sizes),
-            )
-        )
-    return FiberPlan(length, steps, starts)
+    outer = loops[1:]
+    # Per cursor, inline: at these sizes a call, or a comprehension, per
+    # cursor costs as much as the arithmetic of the plan.
+    starts = []
+    for k, c in enumerate(cursors):
+        pos = c.pos
+        if check:
+            lo = hi = pos
+            for n, ws in loops:
+                reach = (n - 1) * ws[k]
+                if reach < 0:
+                    lo += reach
+                else:
+                    hi += reach
+            if lo < 0 or hi >= len(c.data):
+                raise _outside(lo, hi, c.data)
+        if not outer:
+            starts.append([pos])
+            continue
+        # Dimension 1 fastest: the first outer loop as a range, then each
+        # further loop repeats the positions so far.
+        n, ws = outer[0]
+        w = ws[k]
+        positions = list(range(pos, pos + n * w, w)) if w else [pos] * n
+        for n, ws in outer[1:]:
+            w = ws[k]
+            positions = [p + i * w for i in range(n) for p in positions]
+        starts.append(positions)
+    return FiberPlan(length, steps, tuple(starts))
 
 
 def _positions(pos: int, strides, extents) -> List[int]:
@@ -277,10 +291,13 @@ def check_reach(c: MultiIterator) -> None:
         else:
             hi += reach
     if lo < 0 or hi >= len(c.data):
-        raise IndexError(
-            f"cursor reaches [{lo}, {hi}] outside its buffer of "
-            f"{len(c.data)} elements"
-        )
+        raise _outside(lo, hi, c.data)
+
+
+def _outside(lo: int, hi: int, data: list) -> IndexError:
+    return IndexError(
+        f"cursor reaches [{lo}, {hi}] outside its buffer of {len(data)} elements"
+    )
 
 
 def walk_positions(it: MultiIterator) -> List[int]:
