@@ -208,7 +208,7 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
     one check per call, since a slice would silently clip (reading) or
     resize the list (writing).
     """
-    return _plan(cursors, reorder, True)
+    return _plan(cursors, reorder, check=True)
 
 
 def _plan(cursors: Sequence[MultiIterator], reorder: bool, check: bool) -> FiberPlan:
