@@ -1,5 +1,5 @@
-"""Command-line harness: randomized verification, MATLAB emission,
-rank-one approximation, and worked demos.
+"""Command-line harness: randomized verification, MATLAB emission and
+rank-one approximation.  The worked examples are the scripts in ``demos/``.
 
 Exit codes: 0 success; 1 verification/processing failure, a malformed
 tensor file or an unwritable ``--out``; 2 power method hit the sweep limit
@@ -18,13 +18,10 @@ import os
 import sys
 from typing import NoReturn, Optional, Sequence
 
-from .contraction import ttt, ttv, ContractionSpec
 from .hopm import DegenerateInputError, hopm, residual
-from .iterators import StrideIterator
 from .matlab_io import MatlabScript
 from .tensor import DenseTensor
 from .verify import RunConfig, run_verification
-from .views import Range
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -63,9 +60,6 @@ def _build_parser() -> _Parser:
     h.add_argument("--sweeps", type=int, default=50)
     h.add_argument("--tol", type=float, default=1e-10)
     h.add_argument("--json", action="store_true")
-
-    d = sub.add_parser("demo", help="print a worked example")
-    d.add_argument("which", choices=["strides", "views", "iterators", "ttv", "ttt"])
     return parser
 
 
@@ -177,72 +171,6 @@ def _cmd_hopm(parser, args) -> int:
     return EXIT_OK if state.converged else EXIT_NOT_CONVERGED
 
 
-def _demo_strides() -> None:
-    a = DenseTensor((4, 2, 3))
-    b = DenseTensor((4, 2, 3), offsets=(1, -1, 0), layout=(3, 2, 1))
-    print("A: shape (4, 2, 3), default layout (1, 2, 3)")
-    print(f"   strides = {a.strides}")
-    print("B: shape (4, 2, 3), offsets (1, -1, 0), layout (3, 2, 1)")
-    print(f"   strides = {b.strides}")
-    print("Dimension 1 of A is contiguous; in B dimension 3 is.")
-
-
-def _demo_views() -> None:
-    a = DenseTensor((4, 2, 3))
-    for j in range(a.size):
-        a.set_memory(j, j)
-    v = a.view(Range(1, 2, 3), Range(0, 1), 2)
-    print("A: shape (4, 2, 3), zero offsets, default layout")
-    print("view ranges: 1:2:3, 0:1:1, index 2")
-    print(f"view shape nv = {v.shape}")
-    print(f"memory offset gamma = {v.gamma}")
-    print("view element (0,0,0) reads target element (1,0,2):", v[0, 0, 0] == a[1, 0, 2])
-    print("view element (1,1,0) reads target element (3,1,2):", v[1, 1, 0] == a[3, 1, 2])
-
-
-def _demo_iterators() -> None:
-    a = DenseTensor((4, 3, 2))
-    print("A: shape (4, 3, 2), default layout; strides =", a.strides)
-    first = a.dim_begin(2)
-    last = a.dim_end(2)
-    positions = []
-    it = StrideIterator(first.data, first.pos, first.stride)
-    while it != last:
-        positions.append(it.pos)
-        it.advance()
-    print("fiber over dimension 2 from the origin visits memory indices:",
-          ", ".join(str(p) for p in positions))
-
-
-def _demo_ttv() -> None:
-    a = DenseTensor((3, 4, 2), fill_value=1)
-    b = DenseTensor((4,), fill_value=1)
-    c = ttv(a, b, 2)
-    print("A: all-ones shape (3, 4, 2); b: all-ones length 4")
-    print(f"C = A x_2 b has shape {c.shape}")
-    print(f"every element of C is {c[0, 0]} (each sums 4 ones)")
-
-
-def _demo_ttt() -> None:
-    a = DenseTensor((3, 4, 2), fill_value=1)
-    b = DenseTensor((4, 3, 5), fill_value=1)
-    spec = ContractionSpec(2, (3, 1, 2), (3, 2, 1))
-    c = ttt(a, b, spec)
-    print("A: shape (3, 4, 2); B: shape (4, 3, 5)")
-    print("contract A dims (1, 2) with B dims (2, 1); free: A dim 3, B dim 3")
-    print(f"C = ttt(A, B) has shape {c.shape}")
-    print(f"every element of C is {c[0, 0]} (3*4 = 12 unit products)")
-
-
-_DEMOS = {
-    "strides": _demo_strides,
-    "views": _demo_views,
-    "iterators": _demo_iterators,
-    "ttv": _demo_ttv,
-    "ttt": _demo_ttt,
-}
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
@@ -250,10 +178,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return _cmd_verify(parser, args)
     if args.command == "emit":
         return _cmd_emit(parser, args)
-    if args.command == "hopm":
-        return _cmd_hopm(parser, args)
-    _DEMOS[args.which]()
-    return EXIT_OK
+    return _cmd_hopm(parser, args)
 
 
 def entry() -> None:

@@ -16,6 +16,10 @@ same-shape assign.  Once the target's order changes or a range no longer
 fits its index box, every access raises ``IndexError`` naming the
 dimension, instead of reading a wrong element.
 
+A view's target may itself be a view: the new view's frame then starts
+from the target view's corner ``gamma`` in the shared buffer, and it
+follows the root tensor's layout through the target's own frame.
+
 A view holds a strong reference to its target, which therefore lives at
 least as long as the view.
 """
@@ -134,7 +138,7 @@ def _frame(ranges, meta: TensorMeta) -> _Frame:
             f"{min(len(ranges), len(meta.shape)) + 1} of its target, "
             f"now of order {len(meta.shape)}"
         )
-    extents, strides, gamma = [], [], 0
+    extents, strides, gamma = [], [], meta.gamma
     for dim, (rng, o, n, w) in enumerate(
         zip(ranges, meta.offsets, meta.shape, meta.strides), start=1
     ):
@@ -146,7 +150,7 @@ def _frame(ranges, meta: TensorMeta) -> _Frame:
 
 
 class TensorView(_Strided):
-    """Writable window into a :class:`DenseTensor`.
+    """Writable window into a :class:`DenseTensor` or another view.
 
     The view's extent in dimension ``r`` is ``(last - first) // step + 1``;
     its strides are the target's scaled by the steps, and all its elements

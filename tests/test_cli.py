@@ -1,9 +1,11 @@
+import argparse
 import json
+from pathlib import Path
 
 import pytest
 
 from tensorlib import DenseTensor, contraction, rank_one_compose
-from tensorlib.cli import main
+from tensorlib.cli import _build_parser, main
 
 from conftest import bump_first, corrupt_call
 
@@ -45,33 +47,6 @@ def iota_tensor(shape, **kw):
     for j in range(t.size):
         t.set_memory(j, j)
     return t
-
-
-class TestDemos:
-    def test_strides(self, capsys):
-        assert main(["demo", "strides"]) == 0
-        out = capsys.readouterr().out
-        assert "(1, 4, 8)" in out and "(6, 3, 1)" in out
-
-    def test_views(self, capsys):
-        assert main(["demo", "views"]) == 0
-        out = capsys.readouterr().out
-        assert "(2, 2, 1)" in out and "17" in out
-
-    def test_iterators(self, capsys):
-        assert main(["demo", "iterators"]) == 0
-        assert "0, 4, 8" in capsys.readouterr().out
-
-    def test_ttv_and_ttt(self, capsys):
-        assert main(["demo", "ttv"]) == 0
-        assert "(3, 2)" in capsys.readouterr().out
-        assert main(["demo", "ttt"]) == 0
-        assert "(2, 5)" in capsys.readouterr().out
-
-    def test_unknown_demo_is_usage_error(self):
-        with pytest.raises(SystemExit) as err:
-            main(["demo", "nosuch"])
-        assert err.value.code == 64
 
 
 class TestEmit:
@@ -184,6 +159,10 @@ class TestHopmCommand:
     def test_malformed_tensor_exits_one(self, tmp_path, capsys, obj):
         assert exit_code(["hopm", "--in", write_json(tmp_path, obj)]) == 1
         assert capsys.readouterr().err.startswith("tensorlib: invalid tensor in ")
+
+    def test_missing_file_exits_one(self, tmp_path, capsys):
+        assert exit_code(["hopm", "--in", str(tmp_path / "absent.json")]) == 1
+        assert capsys.readouterr().err.startswith("tensorlib: cannot read ")
 
     def test_zero_sweeps_is_usage_error(self, tmp_path, capsys):
         path = write_tensor(tmp_path / "t.json", iota_tensor((2, 2)))
@@ -298,3 +277,18 @@ class TestUsage:
         with pytest.raises(SystemExit) as err:
             main(["emit"])
         assert err.value.code == 64
+
+    def test_demo_subcommand_is_gone(self, capsys):
+        assert exit_code(["demo", "strides"]) == 64
+        assert "invalid choice: 'demo'" in capsys.readouterr().err
+
+    def test_readme_synopsis_names_every_subcommand(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split("\n## CLI\n", 1)[1].split("```")[1]
+        synopsis = {
+            line.split()[1] for line in block.splitlines() if line.startswith("tensorlib ")
+        }
+        (sub,) = [
+            a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+        ]
+        assert synopsis == set(sub.choices)

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import random
+import re
 from math import prod, sqrt
 
 import numpy as np
@@ -531,6 +532,60 @@ class TestTimesMatrices:
         combined = times_matrices(a, [u, v], [1, 3])
         assert tensors_equal(combined, ttm(ttm(a, v, 3), u, 1))
         assert tensors_equal(combined, ttm(ttm(a, u, 1), v, 3))
+
+
+    def test_no_matrices_returns_a_copy(self):
+        a = rand_dense(random.Random(23), (2, 3, 2))
+        c = times_matrices(a, [], [])
+        assert tensors_equal(c, a)
+        assert c is not a and c.data is not a.data
+
+
+def three_d():
+    return DenseTensor((3, 4, 2))
+
+
+class TestInputChecks:
+    """Each argument check raises ``ValueError`` with its own message."""
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda: ttv(three_d(), DenseTensor((4, 2)), 2),
+             "ttv vector must be a vector, got extents (4, 2)"),
+            (lambda: ttm(DenseTensor((3,)), DenseTensor((2, 3)), 1),
+             "ttm requires order >= 2, got 1"),
+            (lambda: ttm(three_d(), DenseTensor((5, 4)), 4), "mode 4 out of range 1..3"),
+            (lambda: ContractionSpec(1, (1, 2), (1, 3)), "psi (1, 3) is not a permutation"),
+            (lambda: ContractionSpec(0, (), (1,)),
+             "operands must have at least one dimension"),
+            (lambda: ttt(three_d(), DenseTensor((4, 3, 5)), ContractionSpec(2, (3, 1, 2), (2, 1))),
+             "psi length 2 does not match order 3"),
+            (lambda: reduce_ttv_to_ttt(3, 4), "mode 4 out of range 1..3"),
+            (lambda: reduce_ttm_to_ttt(3, 0), "mode 0 out of range 1..3"),
+            (lambda: times_vectors(three_d(), [DenseTensor((3,))], modes=[1, 2]),
+             "times_vectors: got 1 operands for modes [1, 2]"),
+            (lambda: times_matrices(three_d(), [DenseTensor((2, 3))], [1, 2]),
+             "times_matrices: got 1 operands for modes [1, 2]"),
+            (lambda: times_vectors(three_d(), [], skip=4), "skip mode 4 out of range 1..3"),
+        ],
+        ids=[
+            "ttv-matrix-vector",
+            "ttm-order-1",
+            "ttm-mode",
+            "spec-psi",
+            "spec-empty-phi",
+            "ttt-psi-length",
+            "reduce-ttv-mode",
+            "reduce-ttm-mode",
+            "times-vectors-count",
+            "times-matrices-count",
+            "times-vectors-skip",
+        ],
+    )
+    def test_message(self, call, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call()
 
 
 class TestAllocationDiscipline:

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 
@@ -236,6 +237,11 @@ class TestQueries:
         with pytest.raises(ValueError):
             count_matching(t, value=1, pred=lambda v: True)
 
+    @pytest.mark.parametrize("kind", ["median", "MIN", None])
+    def test_extremum_kind_check(self, kind):
+        with pytest.raises(ValueError, match=re.escape(f"kind must be 'min' or 'max', got {kind!r}")):
+            extremum_element(DenseTensor((2, 3)), kind)
+
     def test_extremum_constant_tie_break(self):
         t = DenseTensor((3, 2), fill_value=4)
         assert extremum_element(t, "min") == ((0, 0), 4)
@@ -329,7 +335,7 @@ class TestQuantify:
             assert none_of(t, pred) == (not any_of(t, pred))
 
     def test_mode_check(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="mode must be 'all', 'any' or 'none', got 'most'"):
             quantify(DenseTensor((2,)), lambda v: True, "most")
 
 

@@ -1,5 +1,6 @@
 import importlib
 import random
+import re
 from math import inf, sqrt
 
 import pytest
@@ -127,6 +128,22 @@ class TestHopm:
             hopm(a, u0=[DenseTensor((3,)), DenseTensor((2,), fill_value=1.0)])
         with pytest.raises(ValueError):
             hopm(a, max_sweeps=0)
+
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda a: hopm(a, u0=[DenseTensor((3,), fill_value=1.0), DenseTensor((4,))]),
+             "start vector 2 must have shape (2,), got (4,)"),
+            (lambda a: hopm(a, u0=[DenseTensor((3, 1)), DenseTensor((2,))]),
+             "start vector 1 must have shape (3,), got (3, 1)"),
+            (lambda a: rank_one_compose(1.0, []), "need at least one vector"),
+        ],
+        ids=["start-vector-length", "start-vector-order", "compose-no-vectors"],
+    )
+    def test_input_check_message(self, call, message):
+        a = DenseTensor((3, 2), fill_value=1.0)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            call(a)
 
     @pytest.mark.parametrize("tol", [-1.0, -1e-300, float("nan"), -inf])
     def test_negative_or_nan_tol_rejected(self, tol):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -211,6 +212,21 @@ class TestTensorMeta:
         assert reshaped.size == volume(new_shape)
         relaid = reshaped.with_layout(new_layout)
         assert relaid.size == volume(new_shape)
+
+    @pytest.mark.parametrize(
+        "args, kw, message",
+        [
+            ((), {}, "shape must have at least one dimension"),
+            ((2, 0), {}, "extents must be positive, got (2, 0)"),
+            ((2, -3), {}, "extents must be positive, got (2, -3)"),
+            ((2, 3), {"layout": (1,)}, "layout (1,) does not match order 2"),
+            ((2, 3), {"offsets": (0, 0, 0)}, "offsets (0, 0, 0) do not match order 2"),
+        ],
+        ids=["empty-shape", "zero-extent", "negative-extent", "layout-length", "offsets-length"],
+    )
+    def test_construction_check_message(self, args, kw, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            TensorMeta(args, **kw)
 
     def test_with_shape_resets_layout_on_order_change(self):
         meta = TensorMeta((4, 2, 3), offsets=(1, -1, 0), layout=(3, 2, 1))

@@ -90,6 +90,18 @@ class TestElementAccess:
             i = inverse_memory_index(t.meta, j)
             assert t[tuple(a + b for a, b in zip(i, o))] == j
 
+    @pytest.mark.parametrize(
+        "call, message",
+        [
+            (lambda a: a.dim_begin(2, at=(1, 0)), "expected 3 indices, got 2"),
+            (lambda a: a.dim_end(1, at=(0, 0, 0, 0)), "expected 3 indices, got 4"),
+        ],
+        ids=["dim_begin", "dim_end"],
+    )
+    def test_fiber_at_of_wrong_length(self, call, message):
+        with pytest.raises(ValueError, match=message):
+            call(DenseTensor((4, 3, 2)))
+
 
 class TestLayoutTransparency:
     def test_all_layouts_agree(self):

@@ -1,4 +1,5 @@
 import random
+import re
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from tensorlib import (
     DenseTensor,
     Range,
+    TensorView,
     classify_view,
     copy,
     tensors_equal,
@@ -100,6 +102,18 @@ class TestMakeView:
         a = iota_tensor((4, 2, 3))
         v = a.view([Range(1, 2, 3), Range(0, 1), 2])
         assert v.shape == (2, 2, 1)
+
+    def test_explicit_full_range_equals_none(self):
+        a = iota_tensor((4, 2, 3), offsets=(1, -2, 0), layout=(2, 3, 1))
+        v = a.view(Range(), Range(-1), Range())
+        w = a.view(None, -1, None)
+        assert (v.ranges, v.shape, v.strides, v.gamma) == (w.ranges, w.shape, w.strides, w.gamma)
+
+    @pytest.mark.parametrize("spec", ["1", 1.5, (1, 2)], ids=["str", "float", "tuple"])
+    def test_uninterpretable_specifier(self, spec):
+        a = iota_tensor((4, 2, 3))
+        with pytest.raises(ValueError, match=f"cannot interpret {re.escape(repr(spec))} as a range"):
+            a.view(None, spec, None)
 
 
 class TestViewAccess:
@@ -195,6 +209,62 @@ class TestLiveTarget:
         out = DenseTensor(v.shape)
         copy(v, out)
         assert read_box(out) == before
+
+
+class TestViewOfView:
+    """A view whose target is a view addresses the root's buffer from the
+    target view's corner, and follows the root like any view."""
+
+    ROOT_RANGES = ((3, 2, 7), (-1, 1, 1), (2, 1, 4))  # first, step, last
+    INNER_RANGES = ((3, 1, 4), (-2, 2, 0), (1, 2, 3))
+
+    @classmethod
+    def nested(cls):
+        a = iota_tensor((6, 4, 5), offsets=(2, -2, 1), layout=(2, 3, 1))
+        v = TensorView(a, [Range(*r) for r in cls.ROOT_RANGES])
+        w = TensorView(v, [Range(*r) for r in cls.INNER_RANGES])
+        return a, v, w
+
+    @classmethod
+    def root_index(cls, a, iw):
+        """The root multi-index behind ``w[iw]``, by explicit arithmetic."""
+        o = a.offsets
+        iv = [f + t * (i - o_) for (f, t, _), i, o_ in zip(cls.INNER_RANGES, iw, o)]
+        return tuple(f + t * (i - o_) for (f, t, _), i, o_ in zip(cls.ROOT_RANGES, iv, o))
+
+    def expected(self, a, w):
+        o = a.offsets
+        return [
+            a[self.root_index(a, tuple(i + o_ for i, o_ in zip(z, o)))]
+            for z in zero_indices(w.shape)
+        ]
+
+    def test_reads_its_targets_elements(self):
+        a, v, w = self.nested()
+        assert v.shape == (3, 3, 3) and w.shape == (2, 2, 2)
+        o = a.offsets
+        for z in zero_indices(w.shape):
+            iw = tuple(i + o_ for i, o_ in zip(z, o))
+            assert w[iw] == a[self.root_index(a, iw)]
+        assert w[o] == v[3, -2, 1] == a[5, -1, 2]
+
+    def test_materialize(self):
+        a, _, w = self.nested()
+        assert w.materialize().data == self.expected(a, w)
+
+    def test_root_relayout(self):
+        a, _, w = self.nested()
+        before = self.expected(a, w)
+        a.relayout((3, 1, 2))
+        assert w.materialize().data == self.expected(a, w) == before
+
+    def test_root_reshape_raises(self):
+        a, _, w = self.nested()
+        a.reshape((120,))
+        with pytest.raises(IndexError, match="dimension 2"):
+            w[2, -2, 1]
+        with pytest.raises(IndexError, match="dimension 2"):
+            w.materialize()
 
 
 class TestClassify:
