@@ -4,8 +4,9 @@ MATLAB script emission
 
 Tensors print as executable MATLAB assignments so results can be checked
 externally: order 1 becomes a column, order 2 a matrix literal, higher
-orders nest through cat(p, ...).  Values are read per multi-index, so the
-emitted text is identical whatever the layout or offsets.
+orders nest through cat(p, ...).  Values are read once, in iteration order
+(dimension 1 fastest), so the emitted text is identical whatever the
+layout or offsets.
 """
 
 import os

@@ -40,7 +40,7 @@ from __future__ import annotations
 from collections import deque
 from functools import reduce
 from itertools import chain, compress, count, repeat
-from operator import eq, itemgetter, mul, ne
+from operator import add, eq, itemgetter, mul, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .iterators import FiberPlan, MultiIterator, plan_fibers
@@ -285,12 +285,7 @@ def none_of(src, pred) -> bool:
 def accumulate(src, init=0, op: Optional[Callable] = None):
     """Left-fold of ``op`` (default ``+``) over elements in iteration order."""
     _, values = _in_order(src)
-    if op is not None:
-        return reduce(op, values, init)
-    acc = init
-    for v in values:
-        acc = acc + v
-    return acc
+    return reduce(add if op is None else op, values, init)
 
 
 def inner_product_flat(a, b, init=0):

@@ -1,13 +1,13 @@
 """MATLAB script emission for external verification of tensor values.
 
 ``emit_tensor`` renders a tensor (or view) as one executable MATLAB
-assignment.  The literal is built by reading elements per multi-index, so
-tensors holding equal values emit identical text no matter their layout or
-offsets (MATLAB has neither, so offsets are dropped).  Order 1 becomes a
-column vector, order 2 a row-per-first-index matrix literal, and higher
-orders nest via ``cat(p, ...)`` over the last index, which makes
-``name(i1, .., ip)`` in MATLAB equal the zero-based element
-``(i1-1, .., ip-1)`` here.
+assignment.  The literal is built from one read of the operand in
+iteration order (dimension 1 fastest), so tensors holding equal values
+emit identical text no matter their layout or offsets (MATLAB has neither,
+so offsets are dropped).  Order 1 becomes a column vector, order 2 a
+row-per-first-index matrix literal, and higher orders nest via
+``cat(p, ...)`` over the last index, which makes ``name(i1, .., ip)`` in
+MATLAB equal the zero-based element ``(i1-1, .., ip-1)`` here.
 
 Statements are emitted one per line (no ``...`` continuations); integral
 values print without a decimal point, all others with the shortest decimal
@@ -17,7 +17,10 @@ that round-trips.
 from __future__ import annotations
 
 import re
+from math import prod
 from typing import List
+
+from .elementwise import _in_order
 
 __all__ = ["MatlabScript", "emit_tensor", "format_value", "write_script"]
 
@@ -49,29 +52,24 @@ def emit_tensor(t, name: str) -> str:
             f"invalid MATLAB name {name!r}: need an ASCII letter, then letters, "
             "digits or underscores, at most 63 characters"
         )
-    o = t.offsets
-    p = t.order
+    shape = t.shape
+    n = shape[0]
 
-    def read(zero_idx) -> str:
-        return format_value(t[tuple(i + b for i, b in zip(zero_idx, o))])
-
-    def literal(dims: int, suffix) -> str:
-        if dims == 1:
-            vals = [read((i,) + suffix) for i in range(t.shape[0])]
-            return "[ " + " ; ".join(vals) + " ]"
-        if dims == 2:
-            rows = []
-            for i in range(t.shape[0]):
-                rows.append(
-                    " ".join(read((i, k) + suffix) for k in range(t.shape[1]))
-                )
+    def literal(block: List[str], dims: int) -> str:
+        """``block``, the elements of one index box of the first ``dims``
+        dimensions in iteration order, as a literal."""
+        if dims <= 2:
+            rows = [" ".join(block[i::n]) for i in range(n)]
             return "[ " + " ; ".join(rows) + " ]"
+        size = prod(shape[: dims - 1])
         slices = [
-            literal(dims - 1, (k,) + suffix) for k in range(t.shape[dims - 1])
+            literal(block[k * size : (k + 1) * size], dims - 1)
+            for k in range(shape[dims - 1])
         ]
         return f"cat({dims}, " + ", ".join(slices) + ")"
 
-    return f"{name} = {literal(p, ())};"
+    _, values = _in_order(t)
+    return f"{name} = {literal(list(map(format_value, values)), len(shape))};"
 
 
 class MatlabScript:

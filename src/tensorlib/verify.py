@@ -5,24 +5,26 @@ operand once into a flat list in ``zero_indices`` order (dimension 1
 fastest) and recomputes the operation from those lists: elementwise
 families with list comprehensions, and transpose, ttv, ttm, ttt, the outer
 and inner products and the ``times_*`` chains with one einsum-style label
-oracle, :func:`contract`.  A result passes on one ``==`` between the
-expected list and the result read as a list; only a mismatch walks the
-elements at the kind's tolerance to report the first bad index.  A family
-that writes through a view also requires every element of the view's
-target outside the view to be unchanged.  Trials randomize order,
-extents, layout (uniform over all permutations), offsets (in [-2, 2]),
-element kind, and whether each operand is a tensor or a strided view.
+oracle, :func:`contract`.  Comparison is exact for both scalar kinds: a
+result passes on one ``==`` between the expected list and the result read
+as a list, and only a mismatch walks the elements to report the first
+unequal index.  A family that writes through a view also requires every
+element of the root tensor outside the view to be unchanged.  Trials
+randomize order, extents, layout (uniform over all permutations), offsets
+(in [-2, 2]), element kind, and whether each operand is a tensor or a
+strided view.
 
 The oracle shares no addressing code with the engine it checks.  It finds
 every element's memory position with its own stride arithmetic: a
 tensor's strides come from ``compute_strides`` of its shape and layout,
-and a view's from its target's ``compute_strides`` and the view's resolved
-ranges, never from the view's frame (``meta``, ``strides``, ``gamma``).
-It calls neither the fiber planner (``iterators._plan``, ``plan_fibers``,
+and a view's, at any depth of views of views, from its target's strides
+derived the same way and the view's resolved ranges, never from a view's
+frame (``meta``, ``strides``, ``gamma``, ``views._frame``).  It calls
+neither the fiber planner (``iterators._plan``, ``plan_fibers``,
 ``check_reach``) nor element access (``_Strided._key_to_memory``), so a
 wrong plan or a wrong view frame cannot also corrupt the expected values.
 
-int64 trials draw small signed integers in [-9, 9] and compare exactly.
+int64 trials draw small signed integers in [-9, 9].
 Tensor elements, like every other integer an instance draws (orders,
 extents, offsets, view steps, modes), come from ``_randints``, which
 reproduces CPython's ``randint`` from ``getrandbits`` (for the elements,
@@ -31,9 +33,10 @@ one Mersenne Twister word per ``getrandbits(5)``, redrawn while the word is
 stream in the same state; ``tests/test_verify.py`` checks that against
 ``randint`` and pins every family's stream state after 20 trials.
 float64 trials draw positive values (``0.5 + 1.5 * random()``, the value
-``uniform(0.5, 2.0)`` computes) so that reductions, whose summation order
-differs between the two routes, stay free of cancellation and the
-relative-error bound is meaningful.
+``uniform(0.5, 2.0)`` computes).  They too must match to the bit: the
+oracle sums in the engine's order with the engine's primitives (``sum``
+and left folds), so no tolerance is needed, and the draws stay positive
+only so that the pinned streams do not move.
 
 Randomness comes from :class:`random.Random` (Mersenne Twister), which is
 platform-independent and string-seedable; each family runs on its own
@@ -58,8 +61,6 @@ from .tensor import DenseTensor
 from .views import Range, TensorView
 
 __all__ = ["RunConfig", "VerifyReport", "FamilyResult", "run_verification", "FAMILIES"]
-
-FLOAT_RTOL = 1e-12
 
 
 @dataclass
@@ -215,65 +216,83 @@ def _rand_operand(rng, shape, kind: str = "int64"):
     return TensorView(parent, ranges)
 
 
+def _rand_operands(rng, cfg: RunConfig, count: int, min_order: int = 1):
+    """A random shape, then ``count`` random operands of that shape."""
+    shape = _rand_shape(rng, cfg, min_order)
+    return (shape, *[_rand_operand(rng, shape, cfg.scalar_kind) for _ in range(count)])
+
+
 # -- oracle plumbing -----------------------------------------------------------
 
 
 def _box_frame(x):
-    """``(data, shape, positions)`` of a tensor or view, derived here:
-    ``positions`` holds each element's buffer position, in
-    ``zero_indices`` order.
+    """``(root, shape, strides, gamma)`` of a tensor or view, derived here:
+    the element at zero-based multi-index ``i`` sits at
+    ``gamma + sum_r strides[r] * i[r]`` in the buffer of the tensor
+    ``root``.
 
-    A tensor's strides are ``compute_strides`` of its shape and layout and
-    its base position is 0.  A view's come from its target's strides and
-    its own resolved ranges: extent ``(last - first) // step + 1``, stride
-    ``w * step`` and base ``sum_r w[r] * (first[r] - o[r])``.  A range
-    that no longer fits the target's index box raises ``IndexError``
-    naming the dimension.
+    A tensor is its own root, with the strides ``compute_strides`` gives
+    its shape and layout and ``gamma`` 0.  A view, at any depth, takes its
+    target's frame and its own resolved ranges over the target's index box
+    (the root's offsets ``o`` and the target's extents): extent
+    ``(last - first) // step + 1``, stride ``w * step`` and ``gamma`` plus
+    ``sum_r w[r] * (first[r] - o[r])``.  A range that no longer fits that
+    box raises ``IndexError`` naming the dimension.
     """
     if not isinstance(x, TensorView):
-        data, shape, gamma = x.data, x.shape, 0
-        strides = compute_strides(shape, x.layout)
-    else:
-        t = x.target
-        if len(x.ranges) != t.order:
+        return x, x.shape, compute_strides(x.shape, x.layout), 0
+    root, t_shape, t_strides, gamma = _box_frame(x.target)
+    if len(x.ranges) != len(t_shape):
+        raise IndexError(
+            f"view of order {len(x.ranges)} has no match for dimension "
+            f"{min(len(x.ranges), len(t_shape)) + 1} of its target, "
+            f"now of order {len(t_shape)}"
+        )
+    shape, strides = [], []
+    for dim, ((f, step, l), o, n, w) in enumerate(
+        zip(x.ranges, root.offsets, t_shape, t_strides), start=1
+    ):
+        if not (o <= f and l < o + n):
             raise IndexError(
-                f"view of order {len(x.ranges)} has no match for dimension "
-                f"{min(len(x.ranges), t.order) + 1} of its target, "
-                f"now of order {t.order}"
+                f"range [{f}:{step}:{l}] out of bounds [{o}, {o + n}) "
+                f"in dimension {dim}"
             )
-        data, shape, strides, gamma = t.data, [], [], 0
-        for dim, ((f, step, l), o, n, w) in enumerate(
-            zip(x.ranges, t.offsets, t.shape, compute_strides(t.shape, t.layout)),
-            start=1,
-        ):
-            if not (o <= f and l < o + n):
-                raise IndexError(
-                    f"range [{f}:{step}:{l}] out of bounds [{o}, {o + n}) "
-                    f"in dimension {dim}"
-                )
-            shape.append((l - f) // step + 1)
-            strides.append(w * step)
-            gamma += w * (f - o)
-        shape = tuple(shape)
+        shape.append((l - f) // step + 1)
+        strides.append(w * step)
+        gamma += w * (f - o)
+    return root, tuple(shape), strides, gamma
+
+
+def _grid(gamma: int, strides, shape) -> list:
+    """``gamma + sum_r strides[r] * i[r]`` for every zero-based multi-index
+    ``i`` of ``shape``, in ``zero_indices`` order (dimension 1 fastest)."""
     positions = [gamma]
     for w, n in zip(reversed(strides), reversed(shape)):
-        steps = [w * i for i in range(n)]
-        positions = [b + s for b in positions for s in steps]
-    return data, shape, positions
+        if n != 1:
+            steps = [w * i for i in range(n)]
+            positions = [b + s for b in positions for s in steps]
+    return positions
+
+
+def _positions(x):
+    """``(root, shape, positions)``: ``x``'s elements sit at ``positions``
+    in ``root.data``, in ``zero_indices`` order."""
+    root, shape, strides, gamma = _box_frame(x)
+    return root, shape, _grid(gamma, strides, shape)
 
 
 def read_flat(x) -> list:
     """A tensor's or view's elements in ``zero_indices`` order, read from
     its buffer at positions from the oracle's own stride arithmetic (see
     the module docstring)."""
-    data, _, positions = _box_frame(x)
-    return list(map(data.__getitem__, positions))
+    root, _, positions = _positions(x)
+    return list(map(root.data.__getitem__, positions))
 
 
 def read_box(x) -> dict:
     """:func:`read_flat` as a dict keyed by zero-based multi-index."""
-    data, shape, positions = _box_frame(x)
-    return dict(zip(zero_indices(shape), map(data.__getitem__, positions)))
+    root, shape, positions = _positions(x)
+    return dict(zip(zero_indices(shape), map(root.data.__getitem__, positions)))
 
 
 def _unravel(k: int, shape, order=None) -> Tuple[int, ...]:
@@ -285,12 +304,6 @@ def _unravel(k: int, shape, order=None) -> Tuple[int, ...]:
     return tuple(index)
 
 
-def _snapshot(dst) -> Optional[list]:
-    """A copy of a destination view's target buffer, taken before a write
-    (see ``check_list``); ``None`` for a tensor, which is all window."""
-    return dst.target.data[:] if isinstance(dst, TensorView) else None
-
-
 def contract(out, summed, *operands):
     """Reference einsum over flat lists: the result's values and shape.
 
@@ -299,25 +312,23 @@ def contract(out, summed, *operands):
     dimension ``r`` carries label ``out[r]`` (none: one element).  The loop
     nest runs the output labels, dimension 1 fastest, then the ``summed``
     labels, the last fastest.  Each operand's positions over the nest come
-    from its own dense strides, independent of the engine's plans.  The
-    operands' elements are multiplied with ``map(mul, ...)`` in operand
-    order and each output's block is added by ``sum`` in nest order, which
-    up to Python 3.11 gives the bits of ``acc = 0; acc += a * b`` loops.
+    from its own dense strides through :func:`_grid`, independent of the
+    engine's plans.  The operands' elements are multiplied with
+    ``map(mul, ...)`` in operand order and each output's block is added by
+    ``sum`` in nest order, which up to Python 3.11 gives the bits of
+    ``acc = 0; acc += a * b`` loops.
     """
     sizes = {}
     for _, shape, labels in operands:
         sizes.update(zip(labels, shape))
-    nest = [(l, sizes[l]) for l in reversed(out)] + [(l, sizes[l]) for l in summed]
+    nest = [*reversed(summed), *out]  # innermost first, as _grid takes it
+    extents = [sizes[l] for l in nest]
     terms = None
     for values, shape, labels in operands:
         stride, w = {}, 1
         for label, n in zip(labels, shape):
             stride[label], w = w, w * n
-        positions = [0]
-        for label, n in nest:
-            if n > 1:
-                steps = [stride.get(label, 0) * i for i in range(n)]
-                positions = [b + s for b in positions for s in steps]
+        positions = _grid(0, [stride.get(l, 0) for l in nest], extents)
         column = map(values.__getitem__, positions)
         terms = column if terms is None else map(mul, terms, column)
     block = prod(sizes[l] for l in summed)
@@ -355,149 +366,128 @@ def _counterexample(context: dict, **found) -> dict:
 
 
 class _Comparator:
-    """Result comparison at one kind's tolerance (exact for int64, relative
-    ``FLOAT_RTOL`` for float64).  Stateless, so one instance serves every
-    trial; the operands in a context are serialized only on a failure."""
+    """Exact result comparison, the same ``==`` for both scalar kinds
+    (``kind`` names the run's kind).  Stateless, so one instance serves
+    every trial; the operands in a context are serialized only on a
+    failure."""
 
     def __init__(self, kind: str):
         self.kind = kind
 
-    def values_close(self, expected, got) -> bool:
-        if self.kind == "int64":
-            return expected == got
-        if expected == got:
-            return True
-        return abs(expected - got) <= FLOAT_RTOL * max(abs(expected), abs(got))
-
     def check_value(self, expected, got, context: dict) -> Optional[dict]:
-        if self.values_close(expected, got):
+        if expected == got:
             return None
         return _counterexample(context, expected=repr(expected), got=repr(got))
 
     def check_list(self, expected: list, shape, got, context: dict, before=None):
         """Compare ``expected``, in ``zero_indices`` order, with ``got`` read
-        by :func:`read_flat`: one ``==``, and only on a mismatch a walk at
-        this kind's tolerance to the first bad index.  ``before``, a
-        :func:`_snapshot` of the view ``got``'s target, gets the window's
-        values written into it and must then equal the whole buffer."""
-        data, got_shape, positions = _box_frame(got)
+        by :func:`read_flat`: one ``==``, and only on a mismatch a walk to
+        the first unequal element.  ``before``, a copy of the buffer of
+        ``got``'s root taken before a write (see :meth:`check_write`), gets
+        the window's values written into it and must then equal the whole
+        buffer; a difference is reported at the root's multi-index."""
+        root, got_shape, positions = _positions(got)
         if tuple(shape) != got_shape:
             found = {"expected_shape": list(shape), "got_shape": list(got_shape)}
             return _counterexample(context, **found)
+        data = root.data
         values = list(map(data.__getitem__, positions))
         if values != expected:
-            for k, (e, g) in enumerate(zip(expected, values)):
-                bad = self.check_value(e, g, context)
-                if bad is not None:
-                    bad["index"] = list(_unravel(k, shape))
-                    return bad
+            k = list(map(ne, expected, values)).index(True)
+            found = {"expected": repr(expected[k]), "got": repr(values[k])}
+            return _counterexample(context, **found, index=list(_unravel(k, shape)))
         if before is None:
             return None
         for p, v in zip(positions, values):
             before[p] = v
         if before == data:
             return None
-        k = next(k for k, (u, v) in enumerate(zip(before, data)) if u != v)
-        index = list(_unravel(k, got.target.shape, got.target.layout))
+        k = list(map(ne, before, data)).index(True)
+        index = list(_unravel(k, root.shape, root.layout))
         found = {"expected": repr(before[k]), "got": repr(data[k]), "index": index}
         return _counterexample(context, **found, outside_view=True)
+
+    def check_write(self, expected: list, shape, dst, context: dict, kernel, *args):
+        """Run ``kernel(*args)``, which writes ``dst``, then
+        :meth:`check_list` ``dst``; for a view, against a copy of its root's
+        buffer taken before the kernel (a tensor is all window)."""
+        before = dst.data[:] if isinstance(dst, TensorView) else None
+        kernel(*args)
+        return self.check_list(expected, shape, dst, context, before)
 
 
 # -- elementwise families ---------------------------------------------------------
 
 
 def _check_for_each(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    x = _rand_operand(rng, shape, cfg.scalar_kind)
-    values, snap = read_flat(x), _snapshot(x)
+    shape, x = _rand_operands(rng, cfg, 1)
     alpha = _rand_value(rng, cfg.scalar_kind)
-    ew.for_each(x, lambda v: v * 2 + alpha)
-    expected = [v * 2 + alpha for v in values]
-    return cmp.check_list(expected, shape, x, {"op": "for_each"}, snap)
+    f = lambda v: v * 2 + alpha
+    expected = list(map(f, read_flat(x)))
+    return cmp.check_write(expected, shape, x, {"op": "for_each"}, ew.for_each, x, f)
 
 
 def _check_transform_unary(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    src = _rand_operand(rng, shape, cfg.scalar_kind)
-    dst = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, src, dst = _rand_operands(rng, cfg, 2)
     alpha = _rand_value(rng, cfg.scalar_kind)
-    values, snap = read_flat(src), _snapshot(dst)
-    ew.transform_unary(src, dst, lambda v: v * alpha)
-    expected = [v * alpha for v in values]
+    f = lambda v: v * alpha
+    expected = list(map(f, read_flat(src)))
     ctx = {"op": "transform_unary", "src": src}
-    return cmp.check_list(expected, shape, dst, ctx, snap)
+    return cmp.check_write(expected, shape, dst, ctx, ew.transform_unary, src, dst, f)
 
 
 def _check_transform_binary(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    a = _rand_operand(rng, shape, cfg.scalar_kind)
-    b = _rand_operand(rng, shape, cfg.scalar_kind)
-    dst = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, a, b, dst = _rand_operands(rng, cfg, 3)
     ops = {"add": lambda x, y: x + y, "mul": lambda x, y: x * y}
     if cfg.scalar_kind == "int64":
         ops["sub"] = lambda x, y: x - y
     name = rng.choice(sorted(ops))
     op = ops[name]
-    va, vb, snap = read_flat(a), read_flat(b), _snapshot(dst)
-    ew.transform_binary(a, b, dst, op)
+    expected = list(map(op, read_flat(a), read_flat(b)))
     ctx = {"op": f"transform_binary[{name}]", "a": a}
-    return cmp.check_list(list(map(op, va, vb)), shape, dst, ctx, snap)
+    kernel = ew.transform_binary
+    return cmp.check_write(expected, shape, dst, ctx, kernel, a, b, dst, op)
 
 
 def _check_copy(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    src = _rand_operand(rng, shape, cfg.scalar_kind)
-    dst = _rand_operand(rng, shape, cfg.scalar_kind)
-    values, snap = read_flat(src), _snapshot(dst)
-    ew.copy(src, dst)
-    return cmp.check_list(values, shape, dst, {"op": "copy"}, snap)
+    shape, src, dst = _rand_operands(rng, cfg, 2)
+    values = read_flat(src)
+    return cmp.check_write(values, shape, dst, {"op": "copy"}, ew.copy, src, dst)
 
 
 def _check_copy_if(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    src = _rand_operand(rng, shape, cfg.scalar_kind)
-    dst = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, src, dst = _rand_operands(rng, cfg, 2)
     threshold = 0 if cfg.scalar_kind == "int64" else 1.0
     pred = lambda v: v > threshold
-    vs, vd, snap = read_flat(src), read_flat(dst), _snapshot(dst)
-    ew.copy_if(src, dst, pred)
-    expected = [s if pred(s) else d for s, d in zip(vs, vd)]
-    return cmp.check_list(expected, shape, dst, {"op": "copy_if"}, snap)
+    expected = [s if pred(s) else d for s, d in zip(read_flat(src), read_flat(dst))]
+    ctx = {"op": "copy_if"}
+    return cmp.check_write(expected, shape, dst, ctx, ew.copy_if, src, dst, pred)
 
 
 def _check_fill(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    dst = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, dst = _rand_operands(rng, cfg, 1)
     v = _rand_value(rng, cfg.scalar_kind)
-    snap = _snapshot(dst)
-    ew.fill(dst, v)
-    return cmp.check_list([v] * prod(shape), shape, dst, {"op": "fill"}, snap)
+    expected = [v] * prod(shape)
+    return cmp.check_write(expected, shape, dst, {"op": "fill"}, ew.fill, dst, v)
 
 
 def _check_generate(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    dst = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, dst = _rand_operands(rng, cfg, 1)
     (start,) = _randints(rng, 0, 5, 1)
-    counter = itertools.count(start)
-    snap = _snapshot(dst)
-    ew.generate(dst, lambda: next(counter))
     expected = list(range(start, start + prod(shape)))
-    return cmp.check_list(expected, shape, dst, {"op": "generate"}, snap)
+    gen, ctx = itertools.count(start).__next__, {"op": "generate"}
+    return cmp.check_write(expected, shape, dst, ctx, ew.generate, dst, gen)
 
 
 def _check_iota(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    dst = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, dst = _rand_operands(rng, cfg, 1)
     (start,) = _randints(rng, -3, 3, 1)
-    snap = _snapshot(dst)
-    ew.iota(dst, start)
     expected = list(range(start, start + prod(shape)))
-    return cmp.check_list(expected, shape, dst, {"op": "iota"}, snap)
+    return cmp.check_write(expected, shape, dst, {"op": "iota"}, ew.iota, dst, start)
 
 
 def _check_count(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    x = _rand_operand(rng, shape, cfg.scalar_kind)
+    _, x = _rand_operands(rng, cfg, 1)
     values = read_flat(x)
     needle = rng.choice(sorted(values, key=repr))
     got = ew.count_matching(x, value=needle)
@@ -511,8 +501,7 @@ def _check_count(rng, cfg, cmp):
 
 
 def _check_extremum(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    x = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, x = _rand_operands(rng, cfg, 1)
     values = read_flat(x)
     for kind, pick in (("min", min), ("max", max)):
         # Both keep the first of equal elements, as the kernel must.
@@ -529,8 +518,7 @@ def _check_extremum(rng, cfg, cmp):
 
 
 def _check_find(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    x = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, x = _rand_operands(rng, cfg, 1)
     values = read_flat(x)
     needle = rng.choice(sorted(values, key=repr))
     expected = _unravel(values.index(needle), shape)
@@ -548,9 +536,7 @@ def _check_find(rng, cfg, cmp):
 
 
 def _check_compare(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    a = _rand_operand(rng, shape, cfg.scalar_kind)
-    b = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, a, b = _rand_operands(rng, cfg, 2)
     ew.copy(a, b)
     res = ew.compare_ranges(a, b)
     if not res.equal or res.first_mismatch is not None:
@@ -559,8 +545,8 @@ def _check_compare(rng, cfg, cmp):
     # Drawn from the sorted multi-indices; k is the zero_indices position.
     victim = _unravel(rng.choice(range(len(va))), shape, range(len(shape), 0, -1))
     k = sum(i * prod(shape[:r]) for r, i in enumerate(victim))
-    data, _, positions = _box_frame(b)
-    data[positions[k]] = va[k] + 1
+    root, _, positions = _positions(b)
+    root.data[positions[k]] = va[k] + 1
     vb = read_flat(b)
     expected = _unravel(list(map(ne, va, vb)).index(True), shape)
     res = ew.compare_ranges(a, b)
@@ -574,8 +560,7 @@ def _check_compare(rng, cfg, cmp):
 
 
 def _check_quantify(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    x = _rand_operand(rng, shape, cfg.scalar_kind)
+    _, x = _rand_operands(rng, cfg, 1)
     values = read_flat(x)
     threshold = _rand_value(rng, cfg.scalar_kind)
     pred = lambda v: v >= threshold
@@ -588,8 +573,7 @@ def _check_quantify(rng, cfg, cmp):
 
 
 def _check_accumulate(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    x = _rand_operand(rng, shape, cfg.scalar_kind)
+    _, x = _rand_operands(rng, cfg, 1)
     values = read_flat(x)
     init = _rand_value(rng, cfg.scalar_kind)
     got = ew.accumulate(x, init)
@@ -597,9 +581,7 @@ def _check_accumulate(rng, cfg, cmp):
 
 
 def _check_inner_flat(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    a = _rand_operand(rng, shape, cfg.scalar_kind)
-    b = _rand_operand(rng, shape, cfg.scalar_kind)
+    _, a, b = _rand_operands(rng, cfg, 2)
     va, vb = read_flat(a), read_flat(b)
     init = _rand_value(rng, cfg.scalar_kind)
     got = ew.inner_product_flat(a, b, init)
@@ -611,8 +593,7 @@ def _check_inner_flat(rng, cfg, cmp):
 
 
 def _check_transpose(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    x = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, x = _rand_operands(rng, cfg, 1)
     tau = list(range(1, len(shape) + 1))
     rng.shuffle(tau)
     got = ct.transpose(x, tau)
@@ -622,8 +603,7 @@ def _check_transpose(rng, cfg, cmp):
 
 
 def _check_ttv(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg, min_order=2)
-    a = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, a = _rand_operands(rng, cfg, 1, min_order=2)
     (m,) = _randints(rng, 1, len(shape), 1)
     b = _rand_operand(rng, (shape[m - 1],), cfg.scalar_kind)
     got = ct.ttv(a, b, m)
@@ -633,8 +613,7 @@ def _check_ttv(rng, cfg, cmp):
 
 
 def _check_ttm(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg, min_order=2)
-    a = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, a = _rand_operands(rng, cfg, 1, min_order=2)
     (m,) = _randints(rng, 1, len(shape), 1)
     (n_new,) = _randints(rng, 1, cfg.max_extent, 1)
     b = _rand_operand(rng, (n_new, shape[m - 1]), cfg.scalar_kind)
@@ -700,9 +679,7 @@ def _check_outer(rng, cfg, cmp):
 
 
 def _check_inner(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    a = _rand_operand(rng, shape, cfg.scalar_kind)
-    b = _rand_operand(rng, shape, cfg.scalar_kind)
+    shape, a, b = _rand_operands(rng, cfg, 2)
     got = ct.inner_product_tensors(a, b)
     # Summing the labels highest first puts dimension 1 fastest.
     dims = range(1, len(shape) + 1)
@@ -716,8 +693,7 @@ def _check_norm(rng, cfg, cmp):
     a = _rand_operand(rng, shape, "float64")
     got = ct.frobenius_norm(a)
     expected = sqrt(sum(v * v for v in read_flat(a)))
-    # The norm is float-valued even for integer elements.
-    return _Comparator("float64").check_value(expected, got, {"op": "frobenius_norm"})
+    return cmp.check_value(expected, got, {"op": "frobenius_norm"})
 
 
 def _check_times_vectors(rng, cfg, cmp):

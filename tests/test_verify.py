@@ -1,13 +1,15 @@
 import hashlib
 import itertools
+import math
 import random
+import re
 from dataclasses import fields
 from math import prod
 
 import numpy as np
 import pytest
 
-from tensorlib import DenseTensor, Range
+from tensorlib import DenseTensor, Range, TensorView
 from tensorlib import contraction, elementwise, iterators, tensor, verify, views
 from tensorlib.layout import zero_indices
 from tensorlib.verify import FAMILIES, RunConfig, read_box, run_verification
@@ -97,6 +99,20 @@ class TestRunVerification:
         assert failure["outside_view"] is True
         assert {"trial", "index", "expected", "got"} <= set(failure)
         assert int(failure["got"]) == int(failure["expected"]) + 1
+
+    def test_one_ulp_off_fails_its_family(self, monkeypatch):
+        # Comparison is exact at float64 too: a result one ulp off fails.
+        accumulate = elementwise.accumulate
+
+        def ulp_off(*args, **kwargs):
+            return math.nextafter(accumulate(*args, **kwargs), math.inf)
+
+        monkeypatch.setattr(elementwise, "accumulate", ulp_off)
+        rep = run_verification(RunConfig(seed=42, trials=5, scalar_kind="float64"))
+        bad = [f for f in rep.families if f.failure is not None]
+        assert [(f.name, f.passes) for f in bad] == [("accumulate", 0)]
+        failure = bad[0].failure
+        assert float(failure["got"]) == math.nextafter(float(failure["expected"]), math.inf)
 
     @pytest.mark.parametrize(
         "module, name, operands",
@@ -204,7 +220,9 @@ class TestOracleReads:
         parent = DenseTensor((6, 9, 4), (2, -2, 0), layout)
         parent.data = [rng.randint(-99, 99) for _ in range(parent.size)]
         v = parent.view(Range(3, 2, 7), Range(-1, 3, 5), Range(1, 1, 3))
-        return [t, v]
+        # A stepped view of v, whose index box is [2, 4] x [-2, 0] x [0, 2].
+        w = TensorView(v, (Range(2, 2, 4), Range(-1, 0), None))
+        return [t, v, w]
 
     @staticmethod
     def plain_box(x):
@@ -218,7 +236,7 @@ class TestOracleReads:
     @pytest.mark.parametrize("layout", [(1, 2, 3), (3, 2, 1), (2, 3, 1)])
     def test_reads_bypass_planner_and_element_access(self, monkeypatch, layout):
         operands = self.operands(layout)
-        expected = [self.plain_box(x) for x in operands]
+        cases = [(x, x.shape, self.plain_box(x)) for x in operands]
 
         def banned(*args, **kwargs):
             raise AssertionError("the oracle used the engine's addressing")
@@ -227,17 +245,18 @@ class TestOracleReads:
         monkeypatch.setattr(iterators, "plan_fibers", banned)
         monkeypatch.setattr(iterators, "check_reach", banned)
         monkeypatch.setattr(tensor._Strided, "_key_to_memory", banned)
+        monkeypatch.setattr(views, "_frame", banned)
         cmp = verify._Comparator("int64")
-        for x, box in zip(operands, expected):
+        for x, shape, box in cases:
             assert read_box(x) == box
-            flat = [box[i] for i in zero_indices(x.shape)]
+            flat = [box[i] for i in zero_indices(shape)]
             assert verify.read_flat(x) == flat
-            assert cmp.check_list(flat, x.shape, x, {"op": "read"}) is None
+            assert cmp.check_list(flat, shape, x, {"op": "read"}) is None
             # The last multi-index in sorted order is also the last in
             # zero_indices order.
             last = max(box)
             wrong = flat[:-1] + [box[last] + 1]
-            bad = cmp.check_list(wrong, x.shape, x, {"op": "read"})
+            bad = cmp.check_list(wrong, shape, x, {"op": "read"})
             assert bad["index"] == list(last)
             assert bad["expected"] == repr(box[last] + 1)
             assert bad["got"] == repr(box[last])
@@ -252,6 +271,35 @@ class TestOracleReads:
             read_box(v)
         with pytest.raises(IndexError, match="dimension 2"):
             verify._Comparator("int64").check_list([], (2, 1), v, {})
+
+    @pytest.mark.parametrize("layout", [(1, 2, 3), (2, 3, 1)])
+    def test_view_of_a_view_reads_like_its_materialization(self, layout):
+        w = self.operands(layout)[2]
+        m = w.materialize()
+        assert verify.read_flat(w) == m.data
+        assert read_box(w) == dict(zip(zero_indices(m.shape), m.data))
+
+    def test_stale_view_of_a_view_raises(self, monkeypatch):
+        _, v, w = self.operands((2, 3, 1))
+        v.target.reshape((9, 6, 4))
+        with pytest.raises(IndexError, match="dimension 2") as engine:
+            w.materialize()
+        # The oracle's own bounds check, not the engine's view frame.
+        monkeypatch.setattr(views, "_frame", lambda *a: pytest.fail("read views._frame"))
+        for read in (read_box, verify.read_flat):
+            with pytest.raises(IndexError, match=re.escape(str(engine.value))):
+                read(w)
+
+    def test_write_outside_a_view_of_a_view_names_the_root_index(self):
+        a = DenseTensor.from_memory((4, 4), range(16))
+        w = TensorView(a.view(Range(1, 3), Range(2, 3)), (Range(0, 1), None))
+        before = a.data[:]
+        elementwise.fill(w, 7)
+        a.data[15] += 1  # root multi-index (3, 3), outside w's window
+        bad = verify._Comparator("int64").check_list([7] * 4, (2, 2), w, {}, before)
+        assert bad["outside_view"] is True
+        assert bad["index"] == [3, 3]
+        assert (bad["expected"], bad["got"]) == ("15", "16")
 
     def test_wrong_view_frame_is_caught(self, monkeypatch):
         frame = views._frame
