@@ -4,21 +4,22 @@ Operands of any layout, offsets, or view-ness combine freely; no operand
 is unfolded or transposed.  Modes and permutation tuples are one-based at
 this interface; the kernels translate to zero-based dimensions internally.
 
-``ttv``, ``ttm`` and ``ttt`` (and ``outer_product``, which is ttt with
-q = 0) run on one engine built on :func:`~tensorlib.iterators.plan_fibers`.
-Of the two operands, the one with fewer free positions is packed: the
-bound (contracted) elements of each of its free positions are taken once
-as list slices, which hold references, not new element objects.  The
-other operand is streamed over its free loops, planned jointly with the
-output's, and each output element is one fiber dot product,
-``sum(map(mul, a_fiber, b_fiber))``.  ttm writes B's row dimension
-through an output cursor whose strides put it at ``mode``, so no
-transpose follows.  Besides the output tensor, the engine holds the
-packed fibers of the smaller side, one bound fiber of the streamed side
-at a time, and the values of one output fiber per packed fiber before
-they are stored.  Each operand's reach is checked once per call: a
-cursor that would read outside its buffer raises ``IndexError`` before
-anything is written.
+``ttv``, ``ttm``, ``ttt`` and ``outer_product`` check their arguments and
+make one call to an engine built on :func:`~tensorlib.iterators.plan_fibers`,
+which allocates the output.  Of the two operands, the one with fewer free
+positions is packed: the bound (contracted) elements of each of its free
+positions are taken once as list slices, which hold references, not new
+element objects.  The other operand is streamed over its free loops,
+planned jointly with the output's, and each output element is one fiber
+dot product, ``sum(map(mul, streamed_fiber, packed_fiber))``.  Packing B
+exchanges the operands, which changes no bit: int and float products
+commute exactly.  ttm places B's row dimension at ``mode`` through the
+output strides the engine writes with, so no transpose follows.  Besides
+the output tensor, the engine holds the packed fibers of the smaller
+side, one bound fiber of the streamed side at a time, and the values of
+one output fiber per packed fiber before they are stored.  Each operand's
+reach is checked once per call: a cursor that would read outside its
+buffer raises ``IndexError`` before anything is written.
 
 Every output element sums its bound elements in ascending index order,
 with the last contracted pair fastest, left to right from 0, through the
@@ -48,6 +49,7 @@ match pairwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import chain
 from math import prod, sqrt
 from operator import mul
@@ -161,37 +163,44 @@ def _gather(
     )
 
 
-def _contract(ia, ib, c, a_free, a_bound, b_free, b_bound) -> None:
-    """Write ``sum_bound A * B`` through the output cursor ``c`` (see the
-    module docstring).
+def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTensor:
+    """``sum_bound A * B`` as a new tensor (see the module docstring).
 
-    ``a_free``/``b_free`` (zero-based) are A's and B's free dimensions,
-    whose concatenation is ``c``'s dimension order; ``a_bound[k]`` and
-    ``b_bound[k]`` form contracted pair k.
+    ``a_free``/``b_free`` (zero-based) are A's and B's free dimensions and
+    ``a_bound[k]``/``b_bound[k]`` form contracted pair k.  The free
+    dimensions, A's then B's, are the output's dimensions in that order,
+    or at the output positions ``dims`` lists; with none free the output
+    has shape (1,).
     """
     check_reach(ia)
     check_reach(ib)
-    r = len(a_free)
-    a_ext = [ia.extents[d] for d in a_free]
-    b_ext = [ib.extents[d] for d in b_free]
-    # The side with fewer free positions is packed (k), the other streamed.
-    swap = prod(b_ext) > prod(a_ext)
-    if swap:
-        s, s_free, s_bound, s_ext, s_out = ib, b_free, b_bound, b_ext, c.strides[r:]
-        k, k_free, k_bound, k_ext, k_out = ia, a_free, a_bound, a_ext, c.strides[:r]
+    free = [ia.extents[d] for d in a_free] + [ib.extents[d] for d in b_free]
+    if dims is None:
+        out = DenseTensor(free or (1,))
+        strides = out.meta.strides
     else:
-        s, s_free, s_bound, s_ext, s_out = ia, a_free, a_bound, a_ext, c.strides[:r]
-        k, k_free, k_bound, k_ext, k_out = ib, b_free, b_bound, b_ext, c.strides[r:]
-    # ``s`` and ``k`` were checked whole and ``c`` is the fresh output, so
-    # the sub-cursors planned below need no check of their own.
-    plan = _plan(
-        (
-            MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext),
-            MultiIterator(c.data, c.pos, s_out, s_ext),
-        ),
-        reorder=True,
-        check=False,
+        shape = [0] * len(dims)
+        for d, n in zip(dims, free):
+            shape[d] = n
+        out = DenseTensor(shape)
+        strides = [out.meta.strides[d] for d in dims]
+    r = len(a_free)
+    sides = [
+        (ia, a_free, a_bound, free[:r], strides[:r]),
+        (ib, b_free, b_bound, free[r:], strides[r:]),
+    ]
+    # The side with fewer free positions is packed (k), the other streamed;
+    # products commute, so streaming B multiplies b * a with the same bits.
+    if prod(free[r:]) > prod(free[:r]):
+        sides.reverse()
+    (s, s_free, s_bound, s_ext, s_out), (k, k_free, k_bound, k_ext, k_out) = sides
+    # ``s`` and ``k`` were checked whole and the output is fresh, so the
+    # sub-cursors planned below need no check of their own.
+    cursors = (
+        MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext),
+        MultiIterator(out.data, 0, s_out, s_ext),
     )
+    plan = _plan(cursors, reorder=True, check=False)
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
     if k_free:
         k_pos = _positions(k.pos, [k.strides[d] for d in k_free], k_ext)
@@ -203,26 +212,44 @@ def _contract(ia, ib, c, a_free, a_bound, b_free, b_bound) -> None:
     nk, n, (ws, wc) = len(packed), plan.length, plan.strides
     # With no bound pair each fiber holds one element, and the output is
     # the product itself rather than 0 + a * b (which turns -0.0 into 0.0).
-    reduce = sum if a_bound else next
-    out = c.data
+    reduce = sum if s_bound else next
+    data = out.data
     for ps, pc in zip(*plan.starts):
         # The fiber's outputs, packed fibers fastest, so that each streamed
         # slice is made once.
         streamed = _gather(
             s.data, range(ps, ps + n * ws, ws), length, steps[0], offsets[0]
         )
-        if swap:
-            values = [reduce(map(mul, kf, sf)) for sf in streamed for kf in packed]
-        else:
-            values = [reduce(map(mul, sf, kf)) for sf in streamed for kf in packed]
+        values = [reduce(map(mul, sf, kf)) for sf in streamed for kf in packed]
         if k_outs is None:
-            out[pc : pc + n * wc : wc] = values
+            data[pc : pc + n * wc : wc] = values
         else:
             for j, oc in enumerate(k_outs):
-                out[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
+                data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
+    return out
 
 
-# -- tensor times vector ------------------------------------------------------------
+# -- tensor times vector, tensor times matrix -----------------------------------------
+
+
+def _mode(ia: MultiIterator, mode, what: str) -> int:
+    """``mode`` (one-based) of ``ia``, checked for ``what``."""
+    p = ia.order
+    if p < 2:
+        raise ValueError(f"{what} requires order >= 2, got {p}")
+    (mode,) = _as_indices((mode,), "mode")
+    if not 1 <= mode <= p:
+        raise ValueError(f"mode {mode} out of range 1..{p}")
+    return mode
+
+
+def _ttv(ia: MultiIterator, b, mode: int, what: str) -> DenseTensor:
+    """ttv at the checked ``mode`` of ``ia`` of any order, with ``b``
+    checked as ``what``; an order-1 ``ia`` gives shape (1,)."""
+    m = mode - 1
+    ib = _vector_mit(b, ia.extents[m], what)
+    a_free = (*range(m), *range(m + 1, ia.order))
+    return _contract(ia, ib, a_free, (m,), (), (0,))
 
 
 def ttv(a, b, mode: int) -> DenseTensor:
@@ -234,21 +261,7 @@ def ttv(a, b, mode: int) -> DenseTensor:
     ``a`` must have order >= 2; the result drops the contracted dimension.
     """
     ia = _mit(a)
-    p = ia.order
-    if p < 2:
-        raise ValueError(f"ttv requires order >= 2, got {p}")
-    (mode,) = _as_indices((mode,), "mode")
-    if not 1 <= mode <= p:
-        raise ValueError(f"mode {mode} out of range 1..{p}")
-    ib = _vector_mit(b, ia.extents[mode - 1], "ttv vector")
-    m = mode - 1
-    out = DenseTensor(ia.extents[:m] + ia.extents[m + 1 :])
-    a_free = tuple(d for d in range(p) if d != m)
-    _contract(ia, ib, out.miter(), a_free, (m,), (), (0,))
-    return out
-
-
-# -- tensor times matrix --------------------------------------------------------------
+    return _ttv(ia, b, _mode(ia, mode, "ttv"), "ttv vector")
 
 
 def ttm(a, bmat, mode: int) -> DenseTensor:
@@ -261,26 +274,18 @@ def ttm(a, bmat, mode: int) -> DenseTensor:
     No implicit transposition: rows of B index the new dimension.
     """
     ia = _mit(a)
-    p = ia.order
-    if p < 2:
-        raise ValueError(f"ttm requires order >= 2, got {p}")
-    (mode,) = _as_indices((mode,), "mode")
-    if not 1 <= mode <= p:
-        raise ValueError(f"mode {mode} out of range 1..{p}")
+    m = _mode(ia, mode, "ttm") - 1
     ib = _mit(bmat)
     if ib.order != 2:
         raise ValueError(f"ttm matrix must have order 2, got {ib.order}")
-    if ib.extents[1] != ia.extents[mode - 1]:
+    if ib.extents[1] != ia.extents[m]:
         raise ValueError(
             f"matrix columns {ib.extents[1]} do not match extent "
-            f"{ia.extents[mode - 1]} of mode {mode}"
+            f"{ia.extents[m]} of mode {m + 1}"
         )
-    m = mode - 1
-    out = DenseTensor(ia.extents[:m] + (ib.extents[0],) + ia.extents[m + 1 :])
-    a_free = tuple(d for d in range(p) if d != m)
-    # The output cursor lists B's row dimension last, at ``mode``'s stride.
-    _contract(ia, ib, _sub(out.miter(), a_free + (m,)), a_free, (m,), (0,), (1,))
-    return out
+    a_free = (*range(m), *range(m + 1, ia.order))
+    # B's row dimension goes to the output at ``mode``.
+    return _contract(ia, ib, a_free, (m,), (0,), (1,), a_free + (m,))
 
 
 # -- tensor times tensor ----------------------------------------------------------------
@@ -347,22 +352,20 @@ def ttt(a, b, spec: ContractionSpec) -> DenseTensor:
             raise ValueError(
                 f"contracted pair {k + 1} has mismatched extents {na} vs {nb}"
             )
-    out_shape = tuple(ia.extents[phi[k]] for k in range(r)) + tuple(
-        ib.extents[psi[k]] for k in range(s)
-    )
-    out = DenseTensor(out_shape if out_shape else (1,))
-    _contract(
-        ia, ib, _sub(out.miter(), range(r + s)), phi[:r], phi[r:], psi[:s], psi[s:]
-    )
-    return out
+    return _contract(ia, ib, phi[:r], phi[r:], psi[:s], psi[s:])
+
+
+def _free_then(p: int, m: int) -> Tuple[int, ...]:
+    """The one-based phi listing an order-p operand's dimensions except
+    ``m`` in order, then ``m``."""
+    if not 1 <= m <= p:
+        raise ValueError(f"mode {m} out of range 1..{p}")
+    return tuple(k for k in range(1, p + 1) if k != m) + (m,)
 
 
 def reduce_ttv_to_ttt(p: int, m: int) -> ContractionSpec:
     """Spec whose ttt evaluation equals ``ttv(a, b, m)`` for order-p ``a``."""
-    if not 1 <= m <= p:
-        raise ValueError(f"mode {m} out of range 1..{p}")
-    phi = tuple(k for k in range(1, p + 1) if k != m) + (m,)
-    return ContractionSpec(1, phi, (1,))
+    return ContractionSpec(1, _free_then(p, m), (1,))
 
 
 def reduce_ttm_to_ttt(p: int, m: int) -> ContractionSpec:
@@ -373,10 +376,7 @@ def reduce_ttm_to_ttt(p: int, m: int) -> ContractionSpec:
     dimension lands at the back instead of at position m, i.e. the result
     equals ttm followed by the cycle moving axis m to the last position.
     """
-    if not 1 <= m <= p:
-        raise ValueError(f"mode {m} out of range 1..{p}")
-    phi = tuple(k for k in range(1, p + 1) if k != m) + (m,)
-    return ContractionSpec(1, phi, (1, 2))
+    return ContractionSpec(1, _free_then(p, m), (1, 2))
 
 
 # -- named special cases --------------------------------------------------------------
@@ -385,12 +385,7 @@ def reduce_ttm_to_ttt(p: int, m: int) -> ContractionSpec:
 def outer_product(a, b) -> DenseTensor:
     """All-pairs product: ttt with q = 0 and identity permutations."""
     ia, ib = _mit(a), _mit(b)
-    spec = ContractionSpec(
-        0,
-        tuple(range(1, ia.order + 1)),
-        tuple(range(1, ib.order + 1)),
-    )
-    return ttt(ia, ib, spec)
+    return _contract(ia, ib, range(ia.order), (), range(ib.order), ())
 
 
 def inner_product_tensors(a, b):
@@ -406,15 +401,25 @@ def frobenius_norm(a):
 # -- sequenced products ------------------------------------------------------------------
 
 
-def _check_modes(modes, count: int, p: int, what: str):
-    modes = list(_as_indices(modes, f"{what} modes"))
-    if len(modes) != count:
-        raise ValueError(f"{what}: got {count} operands for modes {modes}")
+def _chain(it: MultiIterator, operands, modes, what: str, step) -> DenseTensor:
+    """Apply ``step(cursor, operand, mode)`` to each operand at its one-based
+    mode, highest mode first so that lower modes keep their positions;
+    with no operands, a copy of ``it``."""
+    modes, p = list(_as_indices(modes, f"{what} modes")), it.order
+    if len(modes) != len(operands):
+        raise ValueError(f"{what}: got {len(operands)} operands for modes {modes}")
     if any(not 1 <= m <= p for m in modes):
         raise ValueError(f"{what}: modes {modes} out of range 1..{p}")
     if any(m2 <= m1 for m1, m2 in zip(modes, modes[1:])):
         raise ValueError(f"{what}: modes {modes} must be strictly increasing")
-    return modes
+    if not operands:
+        out = DenseTensor(it.extents)
+        copy(it, out)
+        return out
+    result = it
+    for m, x in zip(modes[::-1], operands[::-1]):
+        result = step(_mit(result), x, m)
+    return result
 
 
 def times_vectors(a, vectors, modes=None, skip=None) -> DenseTensor:
@@ -439,38 +444,11 @@ def times_vectors(a, vectors, modes=None, skip=None) -> DenseTensor:
         if len(vectors) == p:
             vectors = vectors[: skip - 1] + vectors[skip:]
         modes = [m for m in range(1, p + 1) if m != skip]
-    modes = _check_modes(modes, len(vectors), p, "times_vectors")
-
-    if not vectors:
-        out = DenseTensor(it.extents)
-        copy(it, out)
-        return out
-    result = it
-    for m, vec in sorted(zip(modes, vectors), reverse=True, key=lambda x: x[0]):
-        if result.order == 1:
-            # Only the lowest mode can remain; contracting it is an inner
-            # product, returned as a shape-(1,) tensor.
-            rit = _mit(result)
-            vit = _vector_mit(vec, rit.extents[0], "times_vectors vector")
-            val = inner_product_flat(rit, vit, 0)
-            result = DenseTensor.from_memory((1,), [val])
-        else:
-            result = ttv(result, vec, m)
-    return result
+    step = partial(_ttv, what="times_vectors vector")
+    return _chain(it, vectors, modes, "times_vectors", step)
 
 
 def times_matrices(a, matrices, modes) -> DenseTensor:
     """Apply ``ttm`` for each (matrix, mode) pair, highest mode first; the
     order of ``a`` is preserved."""
-    it = _mit(a)
-    p = it.order
-    matrices = list(matrices)
-    modes = _check_modes(modes, len(matrices), p, "times_matrices")
-    if not matrices:
-        out = DenseTensor(it.extents)
-        copy(it, out)
-        return out
-    result = it
-    for m, mat in sorted(zip(modes, matrices), reverse=True, key=lambda x: x[0]):
-        result = ttm(result, mat, m)
-    return result
+    return _chain(_mit(a), list(matrices), modes, "times_matrices", ttm)

@@ -33,6 +33,7 @@ from conftest import rand_dense, rand_layout, rand_offsets, rand_operand, read_b
 
 contraction = importlib.import_module("tensorlib.contraction")
 iterators = importlib.import_module("tensorlib.iterators")
+verify = importlib.import_module("tensorlib.verify")
 
 
 def identity_matrix(n):
@@ -321,8 +322,8 @@ def three_ways(rng, shape, values):
 
 @st.composite
 def contraction_cases(draw):
-    """Operands and calls of ttv, ttm, ttt (q in 0..2) and outer_product,
-    with float data whose magnitudes differ widely, so that any change of
+    """Operands and calls of ttv, ttm, ttt (q in 0..2), outer_product and
+    times_vectors over every mode, with float data whose magnitudes differ widely, so that any change of
     summation order shows in the last bits."""
     rng = random.Random(draw(st.integers(0, 2**32)))
     p = draw(st.integers(2, 3))
@@ -339,6 +340,7 @@ def contraction_cases(draw):
         nb[psi[s + k] - 1] = shape[phi[p - q + k] - 1]
     rows = draw(st.integers(1, 3))
     shapes = (shape, (shape[m - 1],), (rows, shape[m - 1]), tuple(nb))
+    shapes += tuple((n,) for n in shape)
     operands = [
         three_ways(
             rng,
@@ -349,12 +351,20 @@ def contraction_cases(draw):
     ]
     spec = ContractionSpec(q, phi, psi)
     calls = [
-        lambda a, v, mat, b: ttv(a, v, m),
-        lambda a, v, mat, b: ttm(a, mat, m),
-        lambda a, v, mat, b: ttt(a, b, spec),
-        lambda a, v, mat, b: outer_product(a, b),
+        lambda a, v, mat, b, *vs: ttv(a, v, m),
+        lambda a, v, mat, b, *vs: ttm(a, mat, m),
+        lambda a, v, mat, b, *vs: ttt(a, b, spec),
+        lambda a, v, mat, b, *vs: outer_product(a, b),
+        lambda a, v, mat, b, *vs: times_vectors(a, vs, modes=range(1, p + 1)),
     ]
     return operands, calls
+
+
+def assert_bit_identical(results):
+    first = results[0].data
+    for c in results[1:]:
+        assert c.data == first
+        assert list(map(type, c.data)) == list(map(type, first))
 
 
 class TestLayoutExactness:
@@ -363,11 +373,34 @@ class TestLayoutExactness:
     def test_bit_identical_across_layouts_and_views(self, case):
         operands, calls = case
         for call in calls:
-            results = [call(*way) for way in zip(*operands)]
-            first = results[0].data
-            for c in results[1:]:
-                assert c.data == first
-                assert list(map(type, c.data)) == list(map(type, first))
+            assert_bit_identical([call(*way) for way in zip(*operands)])
+
+    # B has more free positions than A, so the engine packs A and streams
+    # B: each product is taken as b * a, against a * b in the reference.
+    @pytest.mark.parametrize(
+        "shapes, call, labels",
+        [
+            (((2, 3), (7, 3)), lambda a, b: ttm(a, b, 2),
+             ((1, 2), (0,), (1, 0), (2, 0))),
+            (((3,), (3, 4, 5)), lambda a, b: ttt(a, b, ContractionSpec(1, (1,), (2, 3, 1))),
+             ((1, 2), (0,), (0,), (0, 1, 2))),
+        ],
+        ids=["ttm", "ttt"],
+    )
+    def test_exchanged_operands_match_reference(self, shapes, call, labels):
+        rng = random.Random(24)
+        values = [
+            [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(prod(n))]
+            for n in shapes
+        ]
+        ways = [three_ways(rng, n, v) for n, v in zip(shapes, values)]
+        results = [call(a, b) for a, b in zip(*ways)]
+        assert_bit_identical(results)
+        out, summed, a_labels, b_labels = labels
+        expected, _ = verify.contract(
+            out, summed, (values[0], shapes[0], a_labels), (values[1], shapes[1], b_labels)
+        )
+        assert results[0].data == expected
 
 
 class TestReach:
@@ -568,6 +601,10 @@ class TestInputChecks:
             (lambda: times_matrices(three_d(), [DenseTensor((2, 3))], [1, 2]),
              "times_matrices: got 1 operands for modes [1, 2]"),
             (lambda: times_vectors(three_d(), [], skip=4), "skip mode 4 out of range 1..3"),
+            (lambda: times_vectors(
+                three_d(), [DenseTensor((3,)), DenseTensor((4,)), DenseTensor((7,))],
+                modes=[1, 2, 3]),
+             "times_vectors vector length 7 does not match extent 2"),
         ],
         ids=[
             "ttv-matrix-vector",
@@ -581,6 +618,7 @@ class TestInputChecks:
             "times-vectors-count",
             "times-matrices-count",
             "times-vectors-skip",
+            "times-vectors-length",
         ],
     )
     def test_message(self, call, message):

@@ -9,7 +9,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = [
     "DenseTensor", "TensorView", "plan_fibers", "copy", "fill",
-    "compare_ranges", "ttv", "ttm", "ttt", "transpose",
+    "compare_ranges", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
+    "transpose",
 ]
 
 

@@ -7,7 +7,8 @@ Usage, from anywhere::
 Times the calls the randomized oracle makes most, each on (3, 4, 2)
 operands: constructing a ``DenseTensor`` and a ``TensorView``, planning
 two cursors with ``plan_fibers``, the elementwise ``copy``, ``fill`` and
-``compare_ranges``, and the contractions ``ttv``, ``ttm``, ``ttt`` and
+``compare_ranges``, and the contractions ``ttv``, ``ttm``, ``ttt``,
+``outer_product``, a ``times_vectors`` over all three modes and
 ``transpose``.  Each figure is the minimum, over ``R`` repetitions, of the
 mean time of ``N`` back-to-back calls, in microseconds per call.
 
@@ -38,7 +39,8 @@ HERE = Path(__file__).resolve().parent.parent
 
 CALLS = (
     "DenseTensor", "TensorView", "plan_fibers", "copy", "fill",
-    "compare_ranges", "ttv", "ttm", "ttt", "transpose",
+    "compare_ranges", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
+    "transpose",
 )
 
 
@@ -65,6 +67,7 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     parent = tl.DenseTensor((5, 8, 3), offsets=(-1, 0, 1), layout=(2, 3, 1))
     ranges = (tl.Range(0, 1, 2), tl.Range(0, 2, 6), tl.Range(1, 1, 2))
     vec = from_memory((4,), [0.25, 1.0, 1.75, 2.5])
+    vectors = [from_memory((3,), [0.5, -1.0, 2.0]), vec, from_memory((2,), [3.0, 0.75])]
     mat = from_memory((5, 4), [k / 3 for k in range(20)], layout=(2, 1))
     other = from_memory((4, 3), [k / 5 for k in range(12)])
     spec = tl.ContractionSpec(1, (1, 3, 2), (2, 1))
@@ -80,6 +83,8 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "ttv": lambda: tl.ttv(a, vec, 2),
         "ttm": lambda: tl.ttm(a, mat, 2),
         "ttt": lambda: tl.ttt(a, other, spec),
+        "outer_product": lambda: tl.outer_product(a, vec),
+        "times_vectors": lambda: tl.times_vectors(a, vectors, modes=(1, 2, 3)),
         "transpose": lambda: tl.transpose(a, (3, 1, 2)),
     }
 
