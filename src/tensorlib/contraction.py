@@ -10,10 +10,13 @@ which allocates the output.  Of the two operands, the one with fewer free
 positions is packed: the bound (contracted) elements of each of its free
 positions are taken once as list slices, which hold references, not new
 element objects.  The other operand is streamed over its free loops,
-planned jointly with the output's, and each output element is one fiber
-dot product, ``sum(map(mul, streamed_fiber, packed_fiber))``.  Packing B
-exchanges the operands, which changes no bit: int and float products
-commute exactly.  ttm places B's row dimension at ``mode`` through the
+planned jointly with the output's and ordered by the streamed operand's
+strides, smallest innermost, so consecutive outputs read adjacent bound
+fibers; each output element is one fiber dot product,
+``sum(map(mul, streamed_fiber, packed_fiber))``.  The loop order changes
+only the order in which outputs are visited, never any output's sum.
+Packing B exchanges the operands, which changes no bit: int and float
+products commute exactly.  ttm places B's row dimension at ``mode`` through the
 output strides the engine writes with, so no transpose follows.  Besides
 the output tensor, the engine holds the packed fibers of the smaller
 side, one bound fiber of the streamed side at a time, and the values of
@@ -195,10 +198,12 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         sides.reverse()
     (s, s_free, s_bound, s_ext, s_out), (k, k_free, k_bound, k_ext, k_out) = sides
     # ``s`` and ``k`` were checked whole and the output is fresh, so the
-    # sub-cursors planned below need no check of their own.
+    # sub-cursors planned below need no check of their own.  The reorder
+    # keys on the last cursor, the streamed one: consecutive outputs then
+    # read adjacent bound fibers.
     cursors = (
-        MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext),
         MultiIterator(out.data, 0, s_out, s_ext),
+        MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext),
     )
     plan = _plan(cursors, reorder=True, check=False)
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
@@ -209,12 +214,12 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         # One packed fiber: its outputs are each output fiber, in order.
         k_pos, k_outs = (k.pos,), None
     packed = list(_gather(k.data, k_pos, length, steps[1], offsets[1]))
-    nk, n, (ws, wc) = len(packed), plan.length, plan.strides
+    nk, n, (wc, ws) = len(packed), plan.length, plan.strides
     # With no bound pair each fiber holds one element, and the output is
     # the product itself rather than 0 + a * b (which turns -0.0 into 0.0).
     reduce = sum if s_bound else next
     data = out.data
-    for ps, pc in zip(*plan.starts):
+    for pc, ps in zip(*plan.starts):
         # The fiber's outputs, packed fibers fastest, so that each streamed
         # slice is made once.
         streamed = _gather(

@@ -5,10 +5,14 @@ Every function here accepts tensors, views, or raw
 of identical shape but arbitrary (and mutually different) layouts.  All of
 them run on one traversal, :func:`~tensorlib.iterators.plan_fibers`: the
 loop nest is merged into innermost fibers, and a thin kernel handles each
-fiber as a list slice (slice assignment for ``copy``/``fill``, ``map``
-into a slice for transforms, ``map`` over the slices for comparisons and
-reductions).  Multi-operand operations plan all cursors jointly, so
-combined elements always share a zero-based multi-index.
+fiber with slice operations (slice assignment for ``copy``/``fill``,
+``map`` into a slice for transforms, ``map`` over the fibers for
+comparisons and reductions).  A fiber is read as a list slice, except
+that an operand whose plan is one stride-1 fiber as long as its buffer is
+read in place, as the buffer itself.  Multi-operand operations plan all
+cursors jointly, so combined elements always share a zero-based
+multi-index.  Comparisons decide equality with one pass of ``!=`` and
+count positions only when some element differs.
 
 Iteration order is dimension p outermost, dimension 1 innermost, by
 dimension number, not storage precedence.  It is kept by every operation
@@ -85,9 +89,18 @@ def _mit(source) -> MultiIterator:
 # -- fiber kernels -------------------------------------------------------------
 
 
-def _fibers(plan: FiberPlan, k: int, it: MultiIterator) -> Iterator[list]:
-    """Cursor ``k``'s fibers as lists, in plan order."""
-    return map(it.data.__getitem__, plan.slices(k))
+def _fibers(plan: FiberPlan, k: int, it: MultiIterator) -> Iterable[list]:
+    """Cursor ``k``'s fibers as lists, in plan order.
+
+    A cursor whose plan is one stride-1 fiber as long as its buffer reads
+    the buffer itself, not a copy of it.  A destination fiber may then be
+    that same list: slice assignment reads its whole right-hand side
+    before it writes.
+    """
+    data = it.data
+    if plan.length == len(data) and plan.strides[k] == 1 and len(plan.starts[k]) == 1:
+        return (data,)
+    return map(data.__getitem__, plan.slices(k))
 
 
 def _values(plan: FiberPlan, k: int, it: MultiIterator) -> Iterator:
@@ -104,9 +117,9 @@ def _store(plan: FiberPlan, dst: MultiIterator, fibers: Iterable) -> None:
     deque(map(dst.data.__setitem__, plan.slices(-1), fibers), maxlen=0)
 
 
-# Cursor-level kernels of copy, fill and compare_ranges; the container paths
-# (relayout, assign, materialize, tensors_equal, transpose) call them
-# directly on cursors they have built.
+# Cursor-level kernels of copy, fill and compare_ranges (and ``_equal``, its
+# flag alone); the container paths (relayout, assign, materialize,
+# tensors_equal, transpose) call them directly on cursors they have built.
 
 
 def _copy(a: MultiIterator, c: MultiIterator) -> None:
@@ -119,12 +132,21 @@ def _fill(c: MultiIterator, value) -> None:
     _store(plan, c, repeat([value] * plan.length))
 
 
+def _differs(plan: FiberPlan, ia: MultiIterator, ib: MultiIterator) -> Iterator[bool]:
+    """``x != y`` per element pair of the plan's two cursors, in order."""
+    return map(ne, _values(plan, 0, ia), _values(plan, 1, ib))
+
+
+def _equal(ia: MultiIterator, ib: MultiIterator) -> bool:
+    return not any(_differs(plan_fibers((ia, ib)), ia, ib))
+
+
 def _compare(ia: MultiIterator, ib: MultiIterator) -> CompareResult:
     plan = plan_fibers((ia, ib))
-    differs = map(ne, _values(plan, 0, ia), _values(plan, 1, ib))
-    k = next(compress(count(), differs), None)
-    if k is None:
+    if not any(_differs(plan, ia, ib)):
         return CompareResult(True, None)
+    # Only a mismatch pays for counting positions: walk again to find it.
+    k = next(compress(count(), _differs(plan, ia, ib)))
     return CompareResult(False, _unravel(k, ia.extents))
 
 

@@ -219,6 +219,13 @@ def _plan(cursors: Sequence[MultiIterator], reorder: bool, check: bool) -> Fiber
     for c in cursors:
         if c.extents != extents:
             raise ValueError(f"shape mismatch: {c.extents} vs {extents}")
+    if not extents:
+        # No dimensions: one fiber of one element at each cursor's position.
+        if check:
+            for c in cursors:
+                if not 0 <= c.pos < len(c.data):
+                    raise _outside(c.pos, c.pos, c.data)
+        return FiberPlan(1, (1,) * len(cursors), tuple([[c.pos] for c in cursors]))
     if 0 in extents:
         return FiberPlan(0, (1,) * len(cursors), tuple([] for _ in cursors))
     # Loops as (extent, stride per cursor), innermost first.

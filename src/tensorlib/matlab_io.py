@@ -10,14 +10,14 @@ row-per-first-index matrix literal, and higher orders nest via
 MATLAB equal the zero-based element ``(i1-1, .., ip-1)`` here.
 
 Statements are emitted one per line (no ``...`` continuations); integral
-values print without a decimal point, all others with the shortest decimal
-that round-trips.
+values print without a decimal point (``-0.0`` as ``-0``), all others with
+the shortest decimal that round-trips.
 """
 
 from __future__ import annotations
 
 import re
-from math import prod
+from math import copysign, prod
 from typing import List
 
 from .elementwise import _in_order
@@ -31,7 +31,8 @@ def format_value(v) -> str:
     if isinstance(v, int):
         return str(v)
     if isinstance(v, float) and v.is_integer():
-        return str(int(v))
+        # int() drops the sign of -0.0, which MATLAB keeps (1 / -0 is -Inf).
+        return str(int(v)) if v or copysign(1.0, v) > 0 else "-0"
     return repr(v)
 
 

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .elementwise import _compare, _copy, _fill
+from .elementwise import _copy, _equal, _fill
 from .iterators import MultiIterator, StrideIterator
 from .layout import TensorMeta, validate_layout, validate_shape, volume
 
@@ -302,4 +302,4 @@ def tensors_equal(a, b) -> bool:
     """
     if a.order != b.order or a.shape != b.shape:
         return False
-    return _compare(a.miter(), b.miter()).equal
+    return _equal(a.miter(), b.miter())

@@ -58,9 +58,9 @@ class MatlabParseError(ValueError):
     pass
 
 
-def parse_matlab_statement(text: str):
+def parse_matlab_statement(text: str, number=float):
     """Parse one emitted statement; returns (name, tree) where a tree is
-    either a list of rows (each a list of float values) or
+    either a list of rows (each a list of cells, read by ``number``) or
     ('cat', dim, [trees])."""
     text = text.strip()
     if not text.endswith(";"):
@@ -69,13 +69,13 @@ def parse_matlab_statement(text: str):
     name = head.strip()
     if not name.isidentifier():
         raise MatlabParseError(f"bad variable name {name!r}")
-    tree, pos = _parse_expr(rest.strip(), 0)
+    tree, pos = _parse_expr(rest.strip(), 0, number)
     if rest.strip()[pos:].strip():
         raise MatlabParseError("trailing characters after expression")
     return name, tree
 
 
-def _parse_expr(s: str, pos: int):
+def _parse_expr(s: str, pos: int, number):
     while pos < len(s) and s[pos] == " ":
         pos += 1
     if s.startswith("cat(", pos):
@@ -86,7 +86,7 @@ def _parse_expr(s: str, pos: int):
         parts: List = []
         while s[pos] == ",":
             pos += 1
-            part, pos = _parse_expr(s, pos)
+            part, pos = _parse_expr(s, pos, number)
             parts.append(part)
             while pos < len(s) and s[pos] == " ":
                 pos += 1
@@ -101,7 +101,7 @@ def _parse_expr(s: str, pos: int):
             cells = row_text.split()
             if not cells:
                 raise MatlabParseError("empty matrix row")
-            rows.append([float(c) for c in cells])
+            rows.append([number(c) for c in cells])
         if len({len(r) for r in rows}) != 1:
             raise MatlabParseError("ragged matrix rows")
         return rows, end + 1

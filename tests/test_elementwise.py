@@ -1,11 +1,15 @@
 import random
 import re
+import sys
+import tracemalloc
+from operator import sub
 
 import pytest
 
 from tensorlib import (
     DenseTensor,
     MultiIterator,
+    Range,
     accumulate,
     all_of,
     any_of,
@@ -27,6 +31,8 @@ from tensorlib import (
     transform_unary,
     zero_indices,
 )
+from tensorlib.contraction import frobenius_norm
+from tensorlib.elementwise import _fibers
 from tensorlib.iterators import plan_fibers
 
 from conftest import rand_dense, rand_operand, read_box
@@ -314,6 +320,113 @@ class TestCompare:
         assert compare_ranges(a, b) == (False, (1, 0))
         assert not tensors_equal(a, b)
         assert not a == b
+
+
+def first_order(rng, shape, kind):
+    """A random tensor of first-order layout and zero offsets: every plan
+    over it alone, in iteration order or reordered, is one whole-buffer
+    fiber."""
+    t = rand_dense(rng, shape, kind)
+    return DenseTensor.from_memory(shape, t.data)
+
+
+class TestWholeBufferReads:
+    """A cursor whose plan is one stride-1 fiber as long as its buffer is
+    read as that buffer itself, not a copy; no result may tell."""
+
+    def test_whole_buffer_fiber_is_the_buffer(self):
+        t = DenseTensor.from_memory((3, 4), list(range(12)))
+        it = t.miter()
+        (fiber,) = _fibers(plan_fibers((it,)), 0, it)
+        assert fiber is it.data
+        # Last-order: whole only when the loops may be reordered.
+        u = DenseTensor.from_memory((3, 4), list(range(12)), layout=(2, 1))
+        iu = u.miter()
+        (fiber,) = _fibers(plan_fibers((iu,), reorder=True), 0, iu)
+        assert fiber is iu.data
+        assert len(list(_fibers(plan_fibers((iu,)), 0, iu))) == 4
+        # One stride-1 fiber, but shorter than the buffer: a copy.
+        v = t.view(None, Range(0, 2)).miter()
+        (fiber,) = _fibers(plan_fibers((v,)), 0, v)
+        assert fiber == list(range(9)) and fiber is not v.data
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_in_place_equals_running_on_a_copy(self, seed):
+        rng = random.Random(seed)
+        shape = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+        kind = ("int64", "float64")[seed % 2]
+        t = rand_dense(rng, shape, kind)
+        b = rand_operand(rng, shape, kind)
+        assert plan_fibers((t.miter(),), reorder=True).length == len(t.data)
+
+        def f(x):
+            return 3 * x - 1
+
+        def pred(x):
+            return x > 1
+
+        ops = [
+            lambda src, dst: transform_unary(src, dst, f),
+            lambda src, dst: transform_binary(src, b, dst, sub),
+            copy,
+            lambda src, dst: copy_if(src, dst, pred),
+        ]
+        for op in ops:
+            expected = t.copy()
+            op(t.copy(), expected)
+            got = t.copy()
+            op(got, got)
+            assert list(map(repr, got.data)) == list(map(repr, expected.data))
+        expected = t.copy()
+        transform_unary(t.copy(), expected, f)
+        got = t.copy()
+        for_each(got, f)
+        assert list(map(repr, got.data)) == list(map(repr, expected.data))
+
+    def test_shared_nan_against_itself_is_reported(self):
+        nan = float("nan")
+        t = DenseTensor.from_memory((2, 3), [1.0, 2.0, 3.0, nan, 5.0, nan])
+        assert compare_ranges(t, t) == (False, (1, 1))
+        assert not tensors_equal(t, t)
+        assert compare_ranges(t, t.view(None, None)) == (False, (1, 1))
+
+    def test_first_mismatch_matches_a_scan(self):
+        rng = random.Random(32)
+        for trial in range(300):
+            shape = tuple(rng.randint(1, 4) for _ in range(rng.randint(1, 4)))
+            kind = ("int64", "float64")[trial % 2]
+            draw = [first_order if rng.random() < 0.4 else rand_operand for _ in "ab"]
+            a, b = draw[0](rng, shape, kind), draw[1](rng, shape, kind)
+            values = [read_box(a)[i] for i in iter_order(shape)]
+            for _ in range(rng.choice((0, 0, 1, 2))):
+                values[rng.randrange(len(values))] += 1
+            generate(b, iter(values).__next__)
+            box_a, box_b = read_box(a), read_box(b)
+            want = next((i for i in iter_order(shape) if box_a[i] != box_b[i]), None)
+            assert compare_ranges(a, b) == (want is None, want)
+            assert compare_ranges(b, a) == (want is None, want)
+            assert tensors_equal(a, b) == (want is None)
+
+
+def test_whole_buffer_reads_make_no_copy():
+    # A fiber copied as a list slice would hold one reference per element:
+    # the buffer's size again.
+    shape = (64, 32, 32)
+    a = first_order(random.Random(33), shape, "float64")
+    b = DenseTensor.from_memory(shape, list(a.data))
+    limit = sys.getsizeof(a.data) // 4
+    for call in (
+        lambda: inner_product_flat(a, b),
+        lambda: frobenius_norm(a),
+        lambda: tensors_equal(a, b),
+    ):
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < limit
 
 
 class TestQuantify:

@@ -13,7 +13,7 @@ from tensorlib import (
     walk_positions,
     zero_indices,
 )
-from tensorlib.iterators import fill_range, inner_product_range, plan_fibers
+from tensorlib.iterators import _plan, fill_range, inner_product_range, plan_fibers
 
 from conftest import all_layouts, rand_dense
 
@@ -356,6 +356,26 @@ class TestPlanner:
             got = [flat(free, k) for k in range(len(cursors))]
             assert list(map(len, got)) == list(map(len, want))
             assert sorted(zip(*got)) == sorted(zip(*want))
+
+    def test_zero_dimension_cursors_match_brute_force(self):
+        # No dimensions: one fiber of one element at each cursor's position,
+        # as a fully contracted step of the contraction engine plans it.
+        rng = random.Random(13)
+        for _ in range(200):
+            cursors = []
+            for _ in range(rng.randint(1, 3)):
+                size = rng.randint(1, 4)
+                cursors.append(MultiIterator([0] * size, rng.randrange(size), (), ()))
+            want = [brute_positions(c) for c in cursors]
+            for reorder in (False, True):
+                for plan in (plan_fibers(cursors, reorder), _plan(cursors, reorder, False)):
+                    assert plan.length == 1
+                    assert [flat(plan, k) for k in range(len(cursors))] == want
+        for pos in (-1, 4):
+            inside = MultiIterator([0] * 2, 1, (), ())
+            outside = MultiIterator([0] * 4, pos, (), ())
+            with pytest.raises(IndexError, match=rf"reaches \[{pos}, {pos}\]"):
+                plan_fibers((inside, outside))
 
     def test_merges_contiguous_dimensions(self):
         plan = plan_fibers((DenseTensor((4, 3, 2)).miter(),))

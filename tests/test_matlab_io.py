@@ -2,9 +2,17 @@ import random
 
 import pytest
 
-from tensorlib import DenseTensor, MatlabScript, Range, emit_tensor, write_script
+from tensorlib import (
+    DenseTensor,
+    MatlabScript,
+    Range,
+    emit_tensor,
+    generate,
+    write_script,
+    zero_indices,
+)
 
-from conftest import cat_arity, parse_matlab_statement, rand_dense
+from conftest import cat_arity, parse_matlab_statement, rand_dense, rand_operand, read_box
 
 GOLDEN = (
     "A = cat(3, [ 0 2 4 6 ; 8 10 12 14 ; 16 18 20 22 ], "
@@ -80,6 +88,58 @@ class TestEmitTensor:
         _, tree = parse_matlab_statement(emit_tensor(t, "M"))
         # rows indexed by the first dimension
         assert tree == [[float(t[i, j]) for j in range(3)] for i in range(2)]
+
+
+def cells_by_index(tree, shape):
+    """The cells of a parsed literal keyed by zero-based multi-index."""
+    if len(shape) == 1:
+        return {(i,): row[0] for i, row in enumerate(tree)}
+    if len(shape) == 2:
+        return {(i, j): v for i, row in enumerate(tree) for j, v in enumerate(row)}
+    _, _, parts = tree
+    return {
+        index + (k,): v
+        for k, part in enumerate(parts)
+        for index, v in cells_by_index(part, shape[:-1]).items()
+    }
+
+
+# Values whose text is easy to get wrong: signed zeros, integral floats too
+# large for an int64, the smallest subnormal, ints beyond 64 bits.
+SPECIAL = {
+    "float64": [-0.0, 0.0, -7.0, 1e300, -5e-324, 1 / 3, 2.0**53 + 2],
+    "int64": [0, -1, 2**63, -(2**70)],
+}
+
+
+class TestRoundTrip:
+    @pytest.mark.parametrize("kind", ["float64", "int64"])
+    def test_literals_parse_back_bit_for_bit(self, kind):
+        rng = random.Random(5)
+        number = float if kind == "float64" else int
+        for _ in range(150):
+            shape = tuple(rng.randint(1, 3) for _ in range(rng.randint(1, 4)))
+            t = rand_operand(rng, shape, kind)
+            values = [
+                rng.choice(SPECIAL[kind]) if rng.random() < 0.3 else v
+                for v in read_box(t).values()
+            ]
+            generate(t, iter(values).__next__)
+            _, tree = parse_matlab_statement(emit_tensor(t, "T"), number=str)
+            cells = cells_by_index(tree, shape)
+            want = read_box(t)
+            assert sorted(cells) == sorted(zero_indices(shape))
+            for index, text in cells.items():
+                got = number(text)
+                assert type(got) is type(want[index])
+                if kind == "float64":
+                    assert got.hex() == want[index].hex(), (index, text)
+                else:
+                    assert got == want[index], (index, text)
+
+    def test_negative_zero_keeps_its_sign(self):
+        t = DenseTensor.from_memory((2,), [-0.0, 1.5])
+        assert emit_tensor(t, "A") == "A = [ -0 ; 1.5 ];"
 
 
 class TestMatlabScript:
