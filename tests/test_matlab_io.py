@@ -69,9 +69,9 @@ class TestEmitTensor:
         assert emit_tensor(t, name) == f"{name} = [ 1 ];"
 
     def test_float_formatting(self):
-        t = DenseTensor.from_memory((3,), [1.0, 0.5, 1 / 3])
+        t = DenseTensor.from_memory((4,), [1.0, 0.5, 1 / 3, -0.0])
         line = emit_tensor(t, "x")
-        assert line == f"x = [ 1 ; 0.5 ; {1/3!r} ];"
+        assert line == f"x = [ 1 ; 0.5 ; {1/3!r} ; -0 ];"
 
     def test_statement_parses_with_correct_cat_arity(self):
         rng = random.Random(1)
@@ -136,10 +136,6 @@ class TestRoundTrip:
                     assert got.hex() == want[index].hex(), (index, text)
                 else:
                     assert got == want[index], (index, text)
-
-    def test_negative_zero_keeps_its_sign(self):
-        t = DenseTensor.from_memory((2,), [-0.0, 1.5])
-        assert emit_tensor(t, "A") == "A = [ -0 ; 1.5 ];"
 
 
 class TestMatlabScript:

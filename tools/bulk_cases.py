@@ -114,8 +114,8 @@ def main(argv=None) -> int:
     parser.add_argument("--reps", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
     args = parser.parse_args(argv)
-    if args.reps < 1 or args.n < 2:
-        parser.error("--reps must be >= 1 and --n >= 2")
+    if args.reps < 1 or args.n < 1:
+        parser.error("--reps and --n must be >= 1")
     sides = []
     for checkout, name in ((HERE.parent, "this"), (args.against.resolve(), "against")):
         lib = library(checkout, f"tensorlib_{name}")
