@@ -24,14 +24,18 @@ neither the fiber planner (``iterators._plan``, ``plan_fibers``,
 ``check_reach``) nor element access (``_Strided._key_to_memory``), so a
 wrong plan or a wrong view frame cannot also corrupt the expected values.
 
-int64 trials draw small signed integers in [-9, 9].
-Tensor elements, like every other integer an instance draws (orders,
-extents, offsets, view steps, modes), come from ``_randints``, which
+int64 trials draw small signed integers in [-9, 9].  Tensor elements and
+the other integers an instance draws (orders, extents, offsets, view
+steps, ttv and ttm modes, start values) come from ``_randints``, which
 reproduces CPython's ``randint`` from ``getrandbits`` (for the elements,
-one Mersenne Twister word per ``getrandbits(5)``, redrawn while the word is
-19 or more), so it yields the values ``randint`` would and leaves the
+one Mersenne Twister word per ``getrandbits(5)``, redrawn while the word
+is 19 or more), so it yields the values ``randint`` would and leaves the
 stream in the same state; ``tests/test_verify.py`` checks that against
-``randint`` and pins every family's stream state after 20 trials.
+``randint`` and pins every family's stream state after 20 trials.  The
+``times_*`` modes come from ``sample``; layouts, ``tau``, ``phi`` and
+``psi`` from ``shuffle``; needles, operator names and ``compare_ranges``'
+changed element from ``choice``; and whether an operand is a view from
+``random()``.
 float64 trials draw positive values (``0.5 + 1.5 * random()``, the value
 ``uniform(0.5, 2.0)`` computes).  They too must match to the bit: the
 oracle sums in the engine's order with the engine's primitives (``sum``
@@ -49,7 +53,7 @@ from __future__ import annotations
 import itertools
 import json
 from dataclasses import asdict, dataclass, field
-from functools import reduce
+from functools import partial, reduce
 from math import prod, sqrt
 from operator import add, mul, ne
 from typing import Callable, List, Optional, Tuple
@@ -355,12 +359,16 @@ def _operand_json(x) -> dict:
     return x.to_dict()
 
 
+def _json_value(v):
+    """``v`` with every operand in it, alone or in a list, serialized."""
+    if isinstance(v, (DenseTensor, TensorView)):
+        return _operand_json(v)
+    return list(map(_json_value, v)) if isinstance(v, list) else v
+
+
 def _counterexample(context: dict, **found) -> dict:
     """``context`` with its operands serialized, followed by ``found``."""
-    out = {
-        k: _operand_json(v) if isinstance(v, (DenseTensor, TensorView)) else v
-        for k, v in context.items()
-    }
+    out = {k: _json_value(v) for k, v in context.items()}
     out.update(found)
     return out
 
@@ -424,7 +432,8 @@ def _check_for_each(rng, cfg, cmp):
     alpha = _rand_value(rng, cfg.scalar_kind)
     f = lambda v: v * 2 + alpha
     expected = list(map(f, read_flat(x)))
-    return cmp.check_write(expected, shape, x, {"op": "for_each"}, ew.for_each, x, f)
+    ctx = {"op": "for_each", "alpha": alpha}
+    return cmp.check_write(expected, shape, x, ctx, ew.for_each, x, f)
 
 
 def _check_transform_unary(rng, cfg, cmp):
@@ -432,7 +441,7 @@ def _check_transform_unary(rng, cfg, cmp):
     alpha = _rand_value(rng, cfg.scalar_kind)
     f = lambda v: v * alpha
     expected = list(map(f, read_flat(src)))
-    ctx = {"op": "transform_unary", "src": src}
+    ctx = {"op": "transform_unary", "alpha": alpha, "src": src}
     return cmp.check_write(expected, shape, dst, ctx, ew.transform_unary, src, dst, f)
 
 
@@ -444,15 +453,15 @@ def _check_transform_binary(rng, cfg, cmp):
     name = rng.choice(sorted(ops))
     op = ops[name]
     expected = list(map(op, read_flat(a), read_flat(b)))
-    ctx = {"op": f"transform_binary[{name}]", "a": a}
+    ctx = {"op": f"transform_binary[{name}]", "a": a, "b": b}
     kernel = ew.transform_binary
     return cmp.check_write(expected, shape, dst, ctx, kernel, a, b, dst, op)
 
 
 def _check_copy(rng, cfg, cmp):
     shape, src, dst = _rand_operands(rng, cfg, 2)
-    values = read_flat(src)
-    return cmp.check_write(values, shape, dst, {"op": "copy"}, ew.copy, src, dst)
+    ctx = {"op": "copy", "src": src}
+    return cmp.check_write(read_flat(src), shape, dst, ctx, ew.copy, src, dst)
 
 
 def _check_copy_if(rng, cfg, cmp):
@@ -460,22 +469,22 @@ def _check_copy_if(rng, cfg, cmp):
     threshold = 0 if cfg.scalar_kind == "int64" else 1.0
     pred = lambda v: v > threshold
     expected = [s if pred(s) else d for s, d in zip(read_flat(src), read_flat(dst))]
-    ctx = {"op": "copy_if"}
+    ctx = {"op": "copy_if", "threshold": threshold, "src": src}
     return cmp.check_write(expected, shape, dst, ctx, ew.copy_if, src, dst, pred)
 
 
 def _check_fill(rng, cfg, cmp):
     shape, dst = _rand_operands(rng, cfg, 1)
     v = _rand_value(rng, cfg.scalar_kind)
-    expected = [v] * prod(shape)
-    return cmp.check_write(expected, shape, dst, {"op": "fill"}, ew.fill, dst, v)
+    ctx = {"op": "fill", "value": v}
+    return cmp.check_write([v] * prod(shape), shape, dst, ctx, ew.fill, dst, v)
 
 
 def _check_generate(rng, cfg, cmp):
     shape, dst = _rand_operands(rng, cfg, 1)
     (start,) = _randints(rng, 0, 5, 1)
     expected = list(range(start, start + prod(shape)))
-    gen, ctx = itertools.count(start).__next__, {"op": "generate"}
+    gen, ctx = itertools.count(start).__next__, {"op": "generate", "start": start}
     return cmp.check_write(expected, shape, dst, ctx, ew.generate, dst, gen)
 
 
@@ -483,110 +492,92 @@ def _check_iota(rng, cfg, cmp):
     shape, dst = _rand_operands(rng, cfg, 1)
     (start,) = _randints(rng, -3, 3, 1)
     expected = list(range(start, start + prod(shape)))
-    return cmp.check_write(expected, shape, dst, {"op": "iota"}, ew.iota, dst, start)
+    ctx = {"op": "iota", "start": start}
+    return cmp.check_write(expected, shape, dst, ctx, ew.iota, dst, start)
 
 
 def _check_count(rng, cfg, cmp):
     _, x = _rand_operands(rng, cfg, 1)
     values = read_flat(x)
     needle = rng.choice(sorted(values, key=repr))
-    got = ew.count_matching(x, value=needle)
-    bad = cmp.check_value(values.count(needle), got, {"op": "count_matching[value]"})
-    if bad is not None:
-        return bad
+    ctx = {"op": "count_matching[value]", "needle": needle, "a": x}
+    bad = cmp.check_value(values.count(needle), ew.count_matching(x, value=needle), ctx)
     threshold = 0 if cfg.scalar_kind == "int64" else 1.0
-    got = ew.count_matching(x, pred=lambda v: v <= threshold)
-    expected = sum(1 for v in values if v <= threshold)
-    return cmp.check_value(expected, got, {"op": "count_matching[pred]"})
+    pred = lambda v: v <= threshold
+    ctx = {"op": "count_matching[pred]", "threshold": threshold, "a": x}
+    expected = sum(map(pred, values))
+    return bad or cmp.check_value(expected, ew.count_matching(x, pred=pred), ctx)
 
 
 def _check_extremum(rng, cfg, cmp):
     shape, x = _rand_operands(rng, cfg, 1)
-    values = read_flat(x)
+    values, bad = read_flat(x), None
     for kind, pick in (("min", min), ("max", max)):
         # Both keep the first of equal elements, as the kernel must.
         k = pick(range(len(values)), key=values.__getitem__)
-        best_i, best_v = _unravel(k, shape), values[k]
-        got_i, got_v = ew.extremum_element(x, kind)
-        if got_i != best_i or got_v != best_v:
-            return {
-                "op": f"extremum_element[{kind}]",
-                "expected": [list(best_i), repr(best_v)],
-                "got": [list(got_i), repr(got_v)],
-            }
-    return None
+        ctx = {"op": f"extremum_element[{kind}]", "a": x}
+        expected = (_unravel(k, shape), values[k])
+        bad = bad or cmp.check_value(expected, ew.extremum_element(x, kind), ctx)
+    return bad
 
 
 def _check_find(rng, cfg, cmp):
     shape, x = _rand_operands(rng, cfg, 1)
     values = read_flat(x)
     needle = rng.choice(sorted(values, key=repr))
+    ctx = {"op": "find_first[present]", "needle": needle, "a": x}
     expected = _unravel(values.index(needle), shape)
-    got = ew.find_first(x, value=needle)
-    if got != expected:
-        return {
-            "op": "find_first[present]",
-            "expected": list(expected),
-            "got": None if got is None else list(got),
-        }
+    bad = cmp.check_value(expected, ew.find_first(x, value=needle), ctx)
     absent = 10**6 if cfg.scalar_kind == "int64" else -1.0
-    if ew.find_first(x, value=absent) is not None:
-        return {"op": "find_first[absent]", "expected": None}
-    return None
+    ctx = {"op": "find_first[absent]", "needle": absent, "a": x}
+    return bad or cmp.check_value(None, ew.find_first(x, value=absent), ctx)
 
 
 def _check_compare(rng, cfg, cmp):
     shape, a, b = _rand_operands(rng, cfg, 2)
-    ew.copy(a, b)
-    res = ew.compare_ranges(a, b)
-    if not res.equal or res.first_mismatch is not None:
-        return {"op": "compare_ranges[equal]", "got": str(res)}
-    va = read_flat(a)
     # Drawn from the sorted multi-indices; k is the zero_indices position.
-    victim = _unravel(rng.choice(range(len(va))), shape, range(len(shape), 0, -1))
+    victim = _unravel(rng.choice(range(prod(shape))), shape, range(len(shape), 0, -1))
     k = sum(i * prod(shape[:r]) for r, i in enumerate(victim))
+    ew.copy(a, b)
+    ctx = {"op": "compare_ranges[equal]", "a": a, "b": b}
+    bad = cmp.check_value(ew.CompareResult(True, None), ew.compare_ranges(a, b), ctx)
+    va = read_flat(a)
     root, _, positions = _positions(b)
     root.data[positions[k]] = va[k] + 1
-    vb = read_flat(b)
-    expected = _unravel(list(map(ne, va, vb)).index(True), shape)
-    res = ew.compare_ranges(a, b)
-    if res.equal or res.first_mismatch != expected:
-        return {
-            "op": "compare_ranges[mismatch]",
-            "expected": list(expected),
-            "got": str(res),
-        }
-    return None
+    first = _unravel(list(map(ne, va, read_flat(b))).index(True), shape)
+    ctx["op"] = "compare_ranges[mismatch]"
+    expected = ew.CompareResult(False, first)
+    return bad or cmp.check_value(expected, ew.compare_ranges(a, b), ctx)
 
 
 def _check_quantify(rng, cfg, cmp):
     _, x = _rand_operands(rng, cfg, 1)
-    values = read_flat(x)
+    values, bad = read_flat(x), None
     threshold = _rand_value(rng, cfg.scalar_kind)
     pred = lambda v: v >= threshold
     hits = [v for v in values if pred(v)]
     expect = {"all": len(hits) == len(values), "any": bool(hits), "none": not hits}
     for mode, exp in expect.items():
-        if ew.quantify(x, pred, mode) != exp:
-            return {"op": f"quantify[{mode}]", "expected": exp}
-    return None
+        ctx = {"op": f"quantify[{mode}]", "threshold": threshold, "a": x}
+        bad = bad or cmp.check_value(exp, ew.quantify(x, pred, mode), ctx)
+    return bad
 
 
 def _check_accumulate(rng, cfg, cmp):
     _, x = _rand_operands(rng, cfg, 1)
-    values = read_flat(x)
     init = _rand_value(rng, cfg.scalar_kind)
     got = ew.accumulate(x, init)
-    return cmp.check_value(reduce(add, values, init), got, {"op": "accumulate"})
+    ctx = {"op": "accumulate", "init": init, "a": x}
+    return cmp.check_value(reduce(add, read_flat(x), init), got, ctx)
 
 
 def _check_inner_flat(rng, cfg, cmp):
     _, a, b = _rand_operands(rng, cfg, 2)
-    va, vb = read_flat(a), read_flat(b)
     init = _rand_value(rng, cfg.scalar_kind)
     got = ew.inner_product_flat(a, b, init)
-    expected = sum(map(mul, va, vb), init)
-    return cmp.check_value(expected, got, {"op": "inner_product_flat"})
+    expected = sum(map(mul, read_flat(a), read_flat(b)), init)
+    ctx = {"op": "inner_product_flat", "init": init, "a": a, "b": b}
+    return cmp.check_value(expected, got, ctx)
 
 
 # -- contraction families -------------------------------------------------------------
@@ -594,32 +585,32 @@ def _check_inner_flat(rng, cfg, cmp):
 
 def _check_transpose(rng, cfg, cmp):
     shape, x = _rand_operands(rng, cfg, 1)
-    tau = list(range(1, len(shape) + 1))
-    rng.shuffle(tau)
+    tau = list(_rand_layout(rng, len(shape)))
     got = ct.transpose(x, tau)
     expected, out_shape = contract(tau, (), (read_flat(x), shape, sorted(tau)))
     ctx = {"op": "transpose", "tau": tau, "a": x}
     return cmp.check_list(expected, out_shape, got, ctx)
 
 
-def _check_ttv(rng, cfg, cmp):
-    shape, a = _rand_operands(rng, cfg, 1, min_order=2)
-    (m,) = _randints(rng, 1, len(shape), 1)
-    b = _rand_operand(rng, (shape[m - 1],), cfg.scalar_kind)
-    got = ct.ttv(a, b, m)
-    expected, out_shape = _times(read_flat(a), shape, read_flat(b), (shape[m - 1],), m)
-    ctx = {"op": "ttv", "mode": m, "a": a, "b": b}
-    return cmp.check_list(expected, out_shape, got, ctx)
+def _vector(rng, cfg, n: int):
+    """A random length-``n`` operand: ``ttv``'s."""
+    return _rand_operand(rng, (n,), cfg.scalar_kind)
 
 
-def _check_ttm(rng, cfg, cmp):
+def _matrix(rng, cfg, n: int):
+    """A random ``(rows, n)`` operand, ``rows`` drawn first: ``ttm``'s."""
+    (rows,) = _randints(rng, 1, cfg.max_extent, 1)
+    return _rand_operand(rng, (rows, n), cfg.scalar_kind)
+
+
+def _check_mode_product(op: str, draw, rng, cfg, cmp):
+    """``ttv`` (``draw``: :func:`_vector`) or ``ttm`` (:func:`_matrix`)."""
     shape, a = _rand_operands(rng, cfg, 1, min_order=2)
     (m,) = _randints(rng, 1, len(shape), 1)
-    (n_new,) = _randints(rng, 1, cfg.max_extent, 1)
-    b = _rand_operand(rng, (n_new, shape[m - 1]), cfg.scalar_kind)
-    got = ct.ttm(a, b, m)
+    b = draw(rng, cfg, shape[m - 1])
+    got = getattr(ct, op)(a, b, m)
     expected, out_shape = _times(read_flat(a), shape, read_flat(b), b.shape, m)
-    ctx = {"op": "ttm", "mode": m, "a": a, "b": b}
+    ctx = {"op": op, "mode": m, "a": a, "b": b}
     return cmp.check_list(expected, out_shape, got, ctx)
 
 
@@ -631,16 +622,13 @@ def _rand_ttt_instance(rng, cfg):
     (s,) = _randints(rng, s_min, max(s_min, cfg.max_order - q), 1)
     pb = q + s
     na = tuple(_randints(rng, 1, cfg.max_extent, pa))
-    phi = list(range(1, pa + 1))
-    rng.shuffle(phi)
-    psi = list(range(1, pb + 1))
-    rng.shuffle(psi)
+    phi, psi = _rand_layout(rng, pa), _rand_layout(rng, pb)
     nb = [0] * pb
     for d, n in zip(psi, _randints(rng, 1, cfg.max_extent, s)):
         nb[d - 1] = n
     for k in range(q):
         nb[psi[s + k] - 1] = na[phi[r + k] - 1]
-    return na, tuple(nb), ct.ContractionSpec(q, tuple(phi), tuple(psi))
+    return na, tuple(nb), ct.ContractionSpec(q, phi, psi)
 
 
 def _check_ttt(rng, cfg, cmp):
@@ -664,8 +652,7 @@ def _check_ttt(rng, cfg, cmp):
 
 
 def _check_outer(rng, cfg, cmp):
-    na = _rand_shape(rng, cfg)
-    nb = _rand_shape(rng, cfg)
+    na, nb = _rand_shape(rng, cfg), _rand_shape(rng, cfg)
     if len(na) + len(nb) > 6:
         nb = nb[: 6 - len(na)] or tuple(_randints(rng, 1, cfg.max_extent, 1))
     a = _rand_operand(rng, na, cfg.scalar_kind)
@@ -685,48 +672,32 @@ def _check_inner(rng, cfg, cmp):
     dims = range(1, len(shape) + 1)
     ta, tb = (read_flat(a), shape, dims), (read_flat(b), shape, dims)
     (expected,), _ = contract((), dims[::-1], ta, tb)
-    return cmp.check_value(expected, got, {"op": "inner_product_tensors"})
+    ctx = {"op": "inner_product_tensors", "a": a, "b": b}
+    return cmp.check_value(expected, got, ctx)
 
 
 def _check_norm(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg)
-    a = _rand_operand(rng, shape, "float64")
+    a = _rand_operand(rng, _rand_shape(rng, cfg), "float64")
     got = ct.frobenius_norm(a)
     expected = sqrt(sum(v * v for v in read_flat(a)))
-    return cmp.check_value(expected, got, {"op": "frobenius_norm"})
+    return cmp.check_value(expected, got, {"op": "frobenius_norm", "a": a})
 
 
-def _check_times_vectors(rng, cfg, cmp):
+def _check_chain(op: str, draw, rng, cfg, cmp):
+    """``times_vectors`` (``draw``: :func:`_vector`) or ``times_matrices``
+    (:func:`_matrix`), checked as ``ttv`` or ``ttm`` steps, highest mode first."""
     shape = _rand_shape(rng, cfg, min_order=2)
     p = len(shape)
     (k,) = _randints(rng, 1, p, 1)
     modes = sorted(rng.sample(range(1, p + 1), k))
     a = _rand_operand(rng, shape, cfg.scalar_kind)
-    vecs = [_rand_operand(rng, (shape[m - 1],), cfg.scalar_kind) for m in modes]
-    got = ct.times_vectors(a, vecs, modes)
+    bs = [draw(rng, cfg, shape[m - 1]) for m in modes]
+    got = getattr(ct, op)(a, bs, modes)
     values, cur = read_flat(a), shape
-    for m, v in sorted(zip(modes, vecs), reverse=True, key=lambda x: x[0]):
-        values, cur = _times(values, cur, read_flat(v), (cur[m - 1],), m)
-    ctx = {"op": "times_vectors", "modes": modes}
+    for m, b in sorted(zip(modes, bs), reverse=True, key=lambda x: x[0]):
+        values, cur = _times(values, cur, read_flat(b), b.shape, m)
+    ctx = {"op": op, "modes": modes, "a": a, "b": bs}
     return cmp.check_list(values, cur or (1,), got, ctx)
-
-
-def _check_times_matrices(rng, cfg, cmp):
-    shape = _rand_shape(rng, cfg, min_order=2)
-    p = len(shape)
-    (k,) = _randints(rng, 1, p, 1)
-    modes = sorted(rng.sample(range(1, p + 1), k))
-    a = _rand_operand(rng, shape, cfg.scalar_kind)
-    mats = []
-    for m in modes:
-        (rows,) = _randints(rng, 1, cfg.max_extent, 1)
-        mats.append(_rand_operand(rng, (rows, shape[m - 1]), cfg.scalar_kind))
-    got = ct.times_matrices(a, mats, modes)
-    values, cur = read_flat(a), shape
-    for m, bmat in sorted(zip(modes, mats), reverse=True, key=lambda x: x[0]):
-        values, cur = _times(values, cur, read_flat(bmat), bmat.shape, m)
-    ctx = {"op": "times_matrices", "modes": modes}
-    return cmp.check_list(values, cur, got, ctx)
 
 
 # -- driver -------------------------------------------------------------------------
@@ -748,14 +719,14 @@ FAMILIES: List[Tuple[str, Callable]] = [
     ("accumulate", _check_accumulate),
     ("inner_product_flat", _check_inner_flat),
     ("transpose", _check_transpose),
-    ("ttv", _check_ttv),
-    ("ttm", _check_ttm),
+    ("ttv", partial(_check_mode_product, "ttv", _vector)),
+    ("ttm", partial(_check_mode_product, "ttm", _matrix)),
     ("ttt", _check_ttt),
     ("outer_product", _check_outer),
     ("inner_product_tensors", _check_inner),
     ("frobenius_norm", _check_norm),
-    ("times_vectors", _check_times_vectors),
-    ("times_matrices", _check_times_matrices),
+    ("times_vectors", partial(_check_chain, "times_vectors", _vector)),
+    ("times_matrices", partial(_check_chain, "times_matrices", _matrix)),
 ]
 
 

@@ -76,25 +76,10 @@ class Range:
     def is_full(self) -> bool:
         return self.first is _FULL
 
-    def resolve(self, offset: int, extent: int, dim: int):
-        """Concrete (first, step, last) against one target dimension."""
-        return _fit(_resolve(self, offset, extent), offset, extent, dim)
-
     def __repr__(self):
         if self.is_full:
             return "Range()"
         return f"Range({self.first}, {self.step}, {self.last})"
-
-
-def _fit(triplet, offset: int, extent: int, dim: int):
-    """``triplet`` if its indices lie in ``[offset, offset + extent)``."""
-    first, step, last = triplet
-    if not (offset <= first and last < offset + extent):
-        raise IndexError(
-            f"range [{first}:{step}:{last}] out of bounds "
-            f"[{offset}, {offset + extent}) in dimension {dim}"
-        )
-    return triplet
 
 
 def _resolve(spec, offset: int, extent: int):
@@ -139,10 +124,13 @@ def _frame(ranges, meta: TensorMeta) -> _Frame:
             f"now of order {len(meta.shape)}"
         )
     extents, strides, gamma = [], [], meta.gamma
-    for dim, (rng, o, n, w) in enumerate(
+    for dim, ((f, t, l), o, n, w) in enumerate(
         zip(ranges, meta.offsets, meta.shape, meta.strides), start=1
     ):
-        f, t, l = _fit(rng, o, n, dim)
+        if not (o <= f and l < o + n):
+            raise IndexError(
+                f"range [{f}:{t}:{l}] out of bounds [{o}, {o + n}) in dimension {dim}"
+            )
         extents.append((l - f) // t + 1)
         strides.append(w * t)
         gamma += w * (f - o)

@@ -26,7 +26,8 @@ def all_layouts(p: int):
 
 def corrupt_call(monkeypatch, module, name, corrupt, at=1):
     """Make ``module.name`` give its caller a wrong result on call ``at``:
-    ``corrupt(out, *args)`` damages the output after the real call."""
+    ``corrupt(out, *args)`` damages the output after the real call, or
+    returns a wrong value to give instead (anything but ``None``)."""
     original = getattr(module, name)
     calls = [0]
 
@@ -34,7 +35,9 @@ def corrupt_call(monkeypatch, module, name, corrupt, at=1):
         out = original(*args, **kwargs)
         calls[0] += 1
         if calls[0] == at:
-            corrupt(out, *args)
+            instead = corrupt(out, *args)
+            if instead is not None:
+                return instead
         return out
 
     monkeypatch.setattr(module, name, wrong)

@@ -3,6 +3,9 @@ import itertools
 import math
 import random
 import re
+import sys
+import types
+from collections import Counter
 from dataclasses import fields
 from math import prod
 
@@ -114,21 +117,47 @@ class TestRunVerification:
         failure = bad[0].failure
         assert float(failure["got"]) == math.nextafter(float(failure["expected"]), math.inf)
 
-    @pytest.mark.parametrize(
-        "module, name, operands",
-        [
-            (contraction, "transpose", ["a"]),
-            (contraction, "ttv", ["a", "b"]),
-            (contraction, "ttt", ["a", "b"]),
-            (elementwise, "transform_binary", ["a"]),
-        ],
-    )
+    # The kernel argument each writing family writes; every other tensor
+    # argument is an operand it only reads.
+    WRITTEN = {"for_each": 0, "transform_unary": 1, "transform_binary": 2, "copy": 1,
+               "copy_if": 1, "fill": 0, "generate": 0, "iota": 0}
+    # A wrong value for each family whose kernel returns one (default: +1).
+    WRONG = {
+        "extremum_element": lambda out: (out[0], out[1] + 1),
+        "find_first": lambda out: (*out, 0),
+        "compare_ranges": lambda out: out._replace(equal=not out.equal),
+        "quantify": lambda out: not out,
+    }
+    # A scalar parameter or instance choice each family's context names.
+    PARAMS = {"for_each": "alpha", "transform_unary": "alpha", "copy_if": "threshold",
+              "fill": "value", "generate": "start", "iota": "start",
+              "count_matching": "needle", "find_first": "needle",
+              "quantify": "threshold", "accumulate": "init",
+              "inner_product_flat": "init", "transpose": "tau", "ttv": "mode",
+              "ttm": "mode", "ttt": "phi", "times_vectors": "modes",
+              "times_matrices": "modes"}
+    TENSOR_RESULTS = ("transpose", "ttv", "ttm", "ttt", "outer_product",
+                      "times_vectors", "times_matrices")
+
+    @pytest.mark.parametrize("name", [name for name, _ in FAMILIES])
     @pytest.mark.parametrize("kind", ["int64", "float64"])
     def test_wrong_kernel_output_is_reported_with_its_operands(
-        self, monkeypatch, module, name, operands, kind
+        self, monkeypatch, name, kind
     ):
+        module = contraction if name in contraction.__all__ else elementwise
+        written = self.WRITTEN.get(name)
+        read = []
+
         def corrupt(out, *args):
-            bump_first(args[2] if name == "transform_binary" else out)
+            for k, arg in enumerate(args):
+                for x in arg if isinstance(arg, list) else [arg]:
+                    if k != written and isinstance(x, (DenseTensor, TensorView)):
+                        read.append(verify._operand_json(x))
+            if written is not None:
+                return bump_first(args[written])
+            if name in self.TENSOR_RESULTS:
+                return bump_first(out)
+            return self.WRONG.get(name, lambda out: out + 1)(out)
 
         corrupt_call(monkeypatch, module, name, corrupt)
         rep = run_verification(RunConfig(seed=42, trials=2, scalar_kind=kind))
@@ -136,8 +165,55 @@ class TestRunVerification:
         assert [(f.name, f.passes) for f in bad] == [(name, 1)]
         failure = bad[0].failure
         assert failure["trial"] == 0
-        for key in operands:
-            assert {"shape", "layout", "offsets", "data"} <= set(failure[key])
+        assert failure["op"].startswith(name)
+        assert self.PARAMS.get(name, "op") in failure
+        reported = [x for v in failure.values() for x in (v if isinstance(v, list) else [v])]
+        assert bool(read) == (name not in ("for_each", "fill", "generate", "iota"))
+        for operand in read:
+            assert {"shape", "layout", "offsets", "data"} <= set(operand)
+            assert operand in reported
+
+    @pytest.mark.parametrize("name", TENSOR_RESULTS)
+    def test_wrong_result_shape_is_reported(self, monkeypatch, name):
+        corrupt_call(monkeypatch, contraction, name,
+                     lambda out, *args: DenseTensor((*out.shape, 2)))
+        rep = run_verification(RunConfig(seed=42, trials=2, scalar_kind="int64"))
+        bad = [f for f in rep.families if f.failure is not None]
+        assert [(f.name, f.passes) for f in bad] == [(name, 1)]
+        failure = bad[0].failure
+        assert failure["got_shape"] == failure["expected_shape"] + [2]
+        assert {"a", "b"} & set(failure)
+
+    def test_every_family_calls_its_kernel_through_its_module(self, monkeypatch):
+        # perfbench's tracer swaps every public kernel, in every tensorlib
+        # namespace that binds it, for a wrapper; a family that bound its
+        # kernel once at import would bypass it and read as no kernel time.
+        calls = Counter()
+
+        def spy(name, fn):
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return counted
+
+        spies = {}
+        for mod in (elementwise, contraction):
+            for attr in mod.__all__:
+                fn = getattr(mod, attr)
+                if isinstance(fn, types.FunctionType) and fn.__module__ == mod.__name__:
+                    spies[fn] = spy(attr, fn)
+        for modname, ns in list(sys.modules.items()):
+            if modname == "tensorlib" or modname.startswith("tensorlib."):
+                for attr, value in list(vars(ns).items()):
+                    if isinstance(value, types.FunctionType) and value in spies:
+                        monkeypatch.setattr(ns, attr, spies[value])
+        for kind in ("int64", "float64"):
+            cfg = RunConfig(seed=42, scalar_kind=kind)
+            for name, check in FAMILIES:
+                calls.clear()
+                rng = random.Random(f"42:{name}:{kind}")
+                assert check(rng, cfg, verify._Comparator(kind)) is None
+                assert calls[name] >= 1, name
 
     def test_passing_run_serializes_no_operand(self, monkeypatch):
         calls = []
