@@ -13,8 +13,14 @@ element objects.  The other operand is streamed over its free loops,
 planned jointly with the output's and ordered by the streamed operand's
 strides, smallest innermost, so consecutive outputs read adjacent bound
 fibers; each output element is one fiber dot product,
-``sum(map(mul, streamed_fiber, packed_fiber))``.  The loop order changes
-only the order in which outputs are visited, never any output's sum.
+``sum(map(mul, streamed_fiber, packed_fiber))``.  Where each output's
+streamed bound elements form one fiber (every ttv, ttm and ``times_*``
+step and most ttt specs), one comprehension step per output slices that
+fiber, ``data[p : p + span : step]``, and takes the dot product with each
+packed fiber; with one packed fiber (ttv) the step has no inner loop.
+Only bound pairs that merge into no single fiber gather each output's
+elements into one list first.  The loop order changes only the order in
+which outputs are visited, never any output's sum.
 Packing B exchanges the operands, which changes no bit: int and float
 products commute exactly.  ttm places B's row dimension at ``mode`` through the
 output strides the engine writes with, so no transpose follows.  Besides
@@ -218,19 +224,40 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
     # With no bound pair each fiber holds one element, and the output is
     # the product itself rather than 0 + a * b (which turns -0.0 into 0.0).
     reduce = sum if s_bound else next
-    data = out.data
-    for pc, ps in zip(*plan.starts):
-        # The fiber's outputs, packed fibers fastest, so that each streamed
-        # slice is made once.
-        streamed = _gather(
-            s.data, range(ps, ps + n * ws, ws), length, steps[0], offsets[0]
-        )
-        values = [reduce(map(mul, sf, kf)) for sf in streamed for kf in packed]
-        if k_outs is None:
-            data[pc : pc + n * wc : wc] = values
-        else:
-            for j, oc in enumerate(k_outs):
+    data, sdata, step = out.data, s.data, steps[0]
+    span, starts = length * step, zip(*plan.starts)
+    if len(offsets[0]) != 1:
+        # Each output's streamed bound elements lie on several fibers (ttt
+        # pairs that do not merge): gathered output by output.
+        for pc, ps in starts:
+            streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])
+            values = [reduce(map(mul, sf, kf)) for sf in streamed for kf in packed]
+            for j, oc in enumerate(k_outs or (0,)):
                 data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
+        return out
+    # One streamed fiber per output, sliced inline: each output is one
+    # comprehension step.
+    (first,) = offsets[0]
+    if k_outs is None:
+        (kf,) = packed
+        for pc, ps in starts:
+            lo = ps + first
+            data[pc : pc + n * wc : wc] = [
+                reduce(map(mul, sdata[p : p + span : step], kf))
+                for p in range(lo, lo + n * ws, ws)
+            ]
+        return out
+    for pc, ps in starts:
+        lo = ps + first
+        # Packed fibers fastest, so that each streamed slice is made once.
+        values = [
+            reduce(map(mul, sf, kf))
+            for p in range(lo, lo + n * ws, ws)
+            for sf in [sdata[p : p + span : step]]
+            for kf in packed
+        ]
+        for j, oc in enumerate(k_outs):
+            data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
     return out
 
 

@@ -103,9 +103,13 @@ def _fibers(plan: FiberPlan, k: int, it: MultiIterator) -> Iterable[list]:
     return map(data.__getitem__, plan.slices(k))
 
 
-def _values(plan: FiberPlan, k: int, it: MultiIterator) -> Iterator:
-    """Cursor ``k``'s elements, fiber after fiber."""
-    return chain.from_iterable(_fibers(plan, k, it))
+def _values(plan: FiberPlan, k: int, it: MultiIterator) -> Iterable:
+    """Cursor ``k``'s elements, fiber after fiber: a buffer that
+    :func:`_fibers` would read in place is returned as itself."""
+    data = it.data
+    if plan.length == len(data) and plan.strides[k] == 1 and len(plan.starts[k]) == 1:
+        return data
+    return chain.from_iterable(map(data.__getitem__, plan.slices(k)))
 
 
 def _store(plan: FiberPlan, dst: MultiIterator, fibers: Iterable) -> None:
@@ -159,7 +163,7 @@ def _unravel(k: int, extents) -> Tuple[int, ...]:
     return tuple(idx)
 
 
-def _in_order(src) -> Tuple[MultiIterator, Iterator]:
+def _in_order(src) -> Tuple[MultiIterator, Iterable]:
     """``src``'s cursor and its elements in iteration order."""
     it = _mit(src)
     return it, _values(plan_fibers((it,)), 0, it)

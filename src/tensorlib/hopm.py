@@ -38,7 +38,7 @@ from operator import sub
 from typing import List, Optional, Sequence
 
 from .contraction import frobenius_norm, times_vectors, ttv
-from .elementwise import _in_order, transform_binary
+from .elementwise import _in_order
 from .tensor import DenseTensor
 
 __all__ = ["DegenerateInputError", "HopmState", "hopm", "rank_one_compose", "residual"]
@@ -170,7 +170,16 @@ def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTenso
 
 
 def residual(a, state: HopmState) -> float:
-    """``||a - rank_one_compose(state.scale, state.u)||_F``."""
+    """``||a - rank_one_compose(state.scale, state.u)||_F``.
+
+    The composed tensor is first-order, so its buffer lists its elements in
+    iteration order: one pass subtracts it from ``a``'s elements read in
+    the same order (no joint plan over the two), and the norm sums the
+    differences in that order, whatever the layout of ``a``.
+    """
     diff = rank_one_compose(state.l[-1], state.u)
-    transform_binary(a, diff, diff, sub)
+    it, values = _in_order(a)
+    if it.extents != diff.shape:
+        raise ValueError(f"shape mismatch: {diff.shape} vs {it.extents}")
+    diff.data = list(map(sub, values, diff.data))
     return frobenius_norm(diff)

@@ -359,6 +359,17 @@ def _operand_json(x) -> dict:
     return x.to_dict()
 
 
+def _operand_json_with(x, buffer: list) -> dict:
+    """:func:`_operand_json` of ``x`` as it reads with its root's buffer
+    replaced by ``buffer``."""
+    root = _box_frame(x)[0]
+    live, root.data = root.data, buffer
+    try:
+        return _operand_json(x)
+    finally:
+        root.data = live
+
+
 def _json_value(v):
     """``v`` with every operand in it, alone or in a list, serialized."""
     if isinstance(v, (DenseTensor, TensorView)):
@@ -393,7 +404,8 @@ class _Comparator:
         the first unequal element.  ``before``, a copy of the buffer of
         ``got``'s root taken before a write (see :meth:`check_write`), gets
         the window's values written into it and must then equal the whole
-        buffer; a difference is reported at the root's multi-index."""
+        buffer; a difference is reported at the root's multi-index, and
+        ``before`` is left as it was given."""
         root, got_shape, positions = _positions(got)
         if tuple(shape) != got_shape:
             found = {"expected_shape": list(shape), "got_shape": list(got_shape)}
@@ -406,11 +418,14 @@ class _Comparator:
             return _counterexample(context, **found, index=list(_unravel(k, shape)))
         if before is None:
             return None
+        window = list(map(before.__getitem__, positions))
         for p, v in zip(positions, values):
             before[p] = v
         if before == data:
             return None
         k = list(map(ne, before, data)).index(True)
+        for p, v in zip(positions, window):
+            before[p] = v
         index = list(_unravel(k, root.shape, root.layout))
         found = {"expected": repr(before[k]), "got": repr(data[k]), "index": index}
         return _counterexample(context, **found, outside_view=True)
@@ -418,10 +433,17 @@ class _Comparator:
     def check_write(self, expected: list, shape, dst, context: dict, kernel, *args):
         """Run ``kernel(*args)``, which writes ``dst``, then
         :meth:`check_list` ``dst``; for a view, against a copy of its root's
-        buffer taken before the kernel (a tensor is all window)."""
-        before = dst.data[:] if isinstance(dst, TensorView) else None
+        buffer taken before the kernel (a tensor is all window).  A failure
+        also reports ``dst`` as it was before the kernel, under
+        ``dst_before``, so that expected values that depend on it (as
+        ``copy_if``'s do) can be rebuilt from the report."""
+        view = isinstance(dst, TensorView)
+        before = dst.data[:]  # a view's data is its root's buffer
         kernel(*args)
-        return self.check_list(expected, shape, dst, context, before)
+        bad = self.check_list(expected, shape, dst, context, before if view else None)
+        if bad is not None:
+            bad["dst_before"] = _operand_json_with(dst, before)
+        return bad
 
 
 # -- elementwise families ---------------------------------------------------------

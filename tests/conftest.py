@@ -1,13 +1,15 @@
 """Shared test helpers: the random instance builders of
 :mod:`tensorlib.verify` under short names, exhaustive shape and layout
-enumerations, a kernel corrupter for fault-injection tests, and a minimal
-MATLAB literal grammar used to validate emitted scripts."""
+enumerations, the same values at four layouts, a kernel corrupter for
+fault-injection tests, and a minimal MATLAB literal grammar used to
+validate emitted scripts."""
 
 from __future__ import annotations
 
 import itertools
 from typing import List
 
+from tensorlib import DenseTensor, Range, TensorView, copy
 from tensorlib.verify import _rand_layout as rand_layout
 from tensorlib.verify import _rand_offsets as rand_offsets
 from tensorlib.verify import _rand_operand as rand_operand
@@ -22,6 +24,23 @@ def all_shapes(p: int, max_extent: int):
 
 def all_layouts(p: int):
     return itertools.permutations(range(1, p + 1))
+
+
+def four_layouts(shape, values):
+    """The same values at first order, at last order, as a view stepping
+    by 2 through a first-order parent, and as a view of a view: every
+    other element of a window shifted by one inside a last-order root."""
+    p = len(shape)
+    first = DenseTensor.from_memory(shape, values)
+    last = DenseTensor(shape, layout=tuple(range(p, 0, -1)))
+    stepped = DenseTensor(tuple(2 * n for n in shape)).view(
+        [Range(0, 2, 2 * n - 2) for n in shape])
+    root = DenseTensor(tuple(2 * n + 3 for n in shape), layout=tuple(range(p, 0, -1)))
+    window = root.view([Range(1, 1, 2 * n + 1) for n in shape])
+    nested = TensorView(window, [Range(1, 2, 2 * n - 1) for n in shape])
+    for t in (last, stepped, nested):
+        copy(first, t)
+    return first, last, stepped, nested
 
 
 def corrupt_call(monkeypatch, module, name, corrupt, at=1):

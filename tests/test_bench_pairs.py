@@ -128,6 +128,32 @@ def test_writes_the_bench_file_from_alternating_pairs(tmp_path):
     assert (change / "perfbench" / "calls").read_text() == "5"
 
 
+def test_prints_the_verdict_from_the_summary(tmp_path, capsys):
+    parent = fake_checkout(tmp_path, "p", "a" * 40, {"hopm": [
+        {"unit_cost": 1.0, "throughput": 10.0}, {"unit_cost": 1.1, "throughput": 10.0},
+        {"unit_cost": 0.9, "throughput": 10.0}, {"unit_cost": 1.2, "throughput": 10.0},
+    ]})
+    change = fake_checkout(tmp_path, "c", "b" * 40, {"hopm": [
+        {"unit_cost": 0.8, "throughput": 12.0}, {"unit_cost": 0.9, "throughput": 9.0},
+        {"unit_cost": 1.0, "throughput": 10.0}, {"unit_cost": 0.7, "throughput": 0.0},
+    ]})
+    assert bench_pairs.main(["--parent", str(parent), "--change", str(change),
+                             "--workload", "hopm", "--seed", "5", "--pairs", "4",
+                             "--seconds", "0", "--out", str(tmp_path / "b.json")]) == 0
+    header, *rows = capsys.readouterr().out.splitlines()
+    assert header.split() == ["workload", "metric", "parent", "change", "change/parent",
+                              "wins", "parent_q1", "parent_q3"]
+    cells = [row.split() for row in rows]
+    # unit_cost: parent 1.0 1.1 0.9 1.2, change 0.8 0.9 1.0 0.7; throughput:
+    # parent all 10.0, change 12.0 9.0 10.0 0.0 (one win, one tie).
+    assert cells == [
+        ["hopm", "unit_cost", "1.05", "0.85", "0.8095", "3", "of", "4", "0.975", "1.125"],
+        ["hopm", "throughput", "10", "9.5", "0.9500", "1", "of", "4", "10", "10"],
+    ]
+    metrics = json.loads((tmp_path / "b.json").read_text())["workloads"]["hopm"]["metrics"]
+    assert metrics["unit_cost"]["median_ratio"] == pytest.approx(0.85 / 1.05)
+
+
 def test_a_failing_run_stops_the_script(tmp_path):
     parent = fake_checkout(tmp_path, "p", "a" * 40, {"hopm": [{"unit_cost": 1.0, "throughput": 1.0}]})
     change = tmp_path / "empty"

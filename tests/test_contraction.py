@@ -29,7 +29,14 @@ from tensorlib import (
     ttv,
 )
 
-from conftest import rand_dense, rand_layout, rand_offsets, rand_operand, read_box
+from conftest import (
+    four_layouts,
+    rand_dense,
+    rand_layout,
+    rand_offsets,
+    rand_operand,
+    read_box,
+)
 
 contraction = importlib.import_module("tensorlib.contraction")
 iterators = importlib.import_module("tensorlib.iterators")
@@ -401,6 +408,96 @@ class TestLayoutExactness:
             out, summed, (values[0], shapes[0], a_labels), (values[1], shapes[1], b_labels)
         )
         assert results[0].data == expected
+
+
+def ttt_reference(spec, a, b):
+    """``verify.contract`` of ``ttt(a, b, spec)`` on ``(values, shape)``
+    pairs, labelled as verify's ttt family labels them."""
+    (va, na), (vb, nb) = a, b
+    q, r, s = spec.q, spec.r, spec.s
+    la, lb = [0] * len(na), [0] * len(nb)
+    for k, d in enumerate(spec.phi):
+        la[d - 1] = k if k < r else s + k
+    for k, d in enumerate(spec.psi):
+        lb[d - 1] = r + k
+    return verify.contract(range(r + s), range(r + s, r + s + q), (va, na, la), (vb, nb, lb))
+
+
+class TestOneStepPerOutput:
+    """Each output is one comprehension step over its streamed bound fiber,
+    or a gathered list where that fiber is several; every product gives the
+    same bits at four layouts and the bits of ``verify.contract``."""
+
+    SHAPE = (3, 4, 2)
+    # q = 0, q = 1, and two q = 2 specs whose bound pairs (A's dimensions 1
+    # and 3) merge into no single fiber at any layout: with B's free side
+    # smaller (A streamed, several offsets) and larger (A packed).
+    SPECS = (
+        (ContractionSpec(0, (1, 2, 3), (1, 2)), (2, 3)),
+        (ContractionSpec(1, (1, 3, 2), (2, 1)), (4, 5)),
+        (ContractionSpec(2, (2, 1, 3), (1, 2)), (3, 2)),
+        (ContractionSpec(2, (2, 1, 3), (3, 1, 2)), (3, 2, 6)),
+    )
+
+    @staticmethod
+    def operand(rng, shape):
+        values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(prod(shape))]
+        return (values, shape), four_layouts(shape, values)
+
+    def cases(self):
+        """``(name, calls over the four layouts, expected values)``."""
+        rng = random.Random(19)
+        (va, na), a = self.operand(rng, self.SHAPE)
+        vectors = [self.operand(rng, (n,)) for n in self.SHAPE]
+        for m, ((vv, nv), v) in enumerate(vectors, start=1):
+            expected, _ = verify._times(va, na, vv, nv, m)
+            yield f"ttv.m{m}", [ttv(x, y, m) for x, y in zip(a, v)], expected
+        (vm, nm), mat = self.operand(rng, (5, 4))
+        expected, _ = verify._times(va, na, vm, nm, 2)
+        yield "ttm.m2", [ttm(x, y, 2) for x, y in zip(a, mat)], expected
+        for spec, nb in self.SPECS:
+            (vb, nb), b = self.operand(rng, nb)
+            expected, _ = ttt_reference(spec, (va, na), (vb, nb))
+            yield f"ttt.q{spec.q}{nb}", [ttt(x, y, spec) for x, y in zip(a, b)], expected
+        (vb, nb), b = self.operand(rng, (2, 3))
+        expected, _ = verify.contract(range(5), (), (va, na, range(3)), (vb, nb, range(3, 5)))
+        yield "outer_product", [outer_product(x, y) for x, y in zip(a, b)], expected
+        expected, shape = va, na
+        for m in (3, 2, 1):
+            expected, shape = verify._times(expected, shape, *vectors[m - 1][0], m)
+        yield "times_vectors", [
+            times_vectors(x, [v[k] for _, v in vectors], modes=(1, 2, 3))
+            for k, x in enumerate(a)
+        ], expected
+
+    def test_every_layout_gives_the_reference_bits(self):
+        names = []
+        for name, results, expected in self.cases():
+            names.append(name)
+            want = [x.hex() for x in expected]
+            for got in results:
+                assert [x.hex() for x in got.data] == want, name
+        assert len(names) == 10
+
+    @pytest.mark.parametrize("layout", range(4))
+    @pytest.mark.parametrize("mode", [1, 2, 3])
+    def test_a_full_tensor_ttv_gathers_only_to_pack(self, monkeypatch, mode, layout):
+        rng = random.Random(mode)
+        n = 32
+        _, a = self.operand(rng, (n, n, n))
+        _, v = self.operand(rng, (n,))
+        calls = []
+        gather = contraction._gather
+
+        def counted(*args):
+            calls.append(args)
+            return gather(*args)
+
+        monkeypatch.setattr(contraction, "_gather", counted)
+        out = ttv(a[layout], v[0], mode)
+        assert len(calls) <= 1
+        monkeypatch.setattr(contraction, "_gather", gather)
+        assert out.data == ttv(a[0], v[0], mode).data
 
 
 class TestReach:

@@ -1,7 +1,8 @@
 import importlib
 import random
 import re
-from math import inf, sqrt
+from math import inf, prod, sqrt
+from operator import sub
 
 import pytest
 
@@ -18,10 +19,11 @@ from tensorlib import (
     residual,
     tensors_equal,
     times_vectors,
+    transform_binary,
     ttv,
 )
 
-from conftest import rand_dense
+from conftest import four_layouts, rand_dense
 
 # The package rebinds the name ``hopm`` to the function.
 hopm_module = importlib.import_module("tensorlib.hopm")
@@ -213,6 +215,29 @@ class TestResidual:
         us = [unit_vector(rng, n) for n in a.shape]
         state = HopmState(u=us, l=[0.0, 0.0], sweeps=0, converged=False)
         assert abs(residual(a, state) - frobenius_norm(a)) < 1e-12
+
+    @pytest.mark.parametrize("p", [2, 3, 4])
+    def test_bits_of_the_three_cursor_formula(self, p):
+        # The residual once ran a joint transform_binary(a, diff, diff, sub)
+        # pass; one pass over a's elements in iteration order gives each
+        # a - c, and so the norm, with the same bits.
+        rng = random.Random(40 + p)
+        shape = (4, 3, 2, 3)[:p]
+        values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(prod(shape))]
+        for a in four_layouts(shape, values):
+            state = hopm(a, max_sweeps=2)
+            diff = rank_one_compose(state.l[-1], state.u)
+            transform_binary(a, diff, diff, sub)
+            assert residual(a, state).hex() == frobenius_norm(diff).hex()
+            assert residual(a, state).hex() == residual(four_layouts(shape, values)[0], state).hex()
+
+    def test_shape_mismatch_raises(self):
+        rng = random.Random(11)
+        a = rand_dense(rng, (3, 2), kind="float64")
+        state = HopmState(u=[unit_vector(rng, 3), unit_vector(rng, 3)], l=[1.0, 1.0],
+                          sweeps=1, converged=False)
+        with pytest.raises(ValueError, match="shape mismatch"):
+            residual(a, state)
 
 
 # -- prefix reuse -----------------------------------------------------------------

@@ -172,6 +172,10 @@ class TestRunVerification:
         for operand in read:
             assert {"shape", "layout", "offsets", "data"} <= set(operand)
             assert operand in reported
+        # A writing family also reports its written operand as it was.
+        assert ("dst_before" in failure) == (written is not None)
+        if written is not None:
+            assert {"shape", "layout", "offsets", "data"} <= set(failure["dst_before"])
 
     @pytest.mark.parametrize("name", TENSOR_RESULTS)
     def test_wrong_result_shape_is_reported(self, monkeypatch, name):
@@ -183,6 +187,34 @@ class TestRunVerification:
         failure = bad[0].failure
         assert failure["got_shape"] == failure["expected_shape"] + [2]
         assert {"a", "b"} & set(failure)
+
+    def test_copy_if_failure_replays_from_src_and_dst_before(self, monkeypatch):
+        # copy_if's expected values depend on its destination's contents
+        # before the kernel: the report's src and dst_before rebuild them,
+        # and the real kernel on those two gives the same list.
+        copy_if = elementwise.copy_if
+        layouts = set()
+        for kind in ("int64", "float64"):
+            for at in range(1, 7):
+                monkeypatch.setattr(elementwise, "copy_if", copy_if)
+                corrupt_call(monkeypatch, elementwise, "copy_if",
+                             lambda out, src, dst, pred: bump_first(dst), at=at)
+                rep = run_verification(RunConfig(seed=42, trials=at, scalar_kind=kind))
+                (bad,) = [f for f in rep.families if f.failure is not None]
+                failure = bad.failure
+                assert (bad.name, failure["trial"]) == ("copy_if", at - 1)
+                src = DenseTensor.from_dict(failure["src"])
+                dst = DenseTensor.from_dict(failure["dst_before"])
+                layouts.add(failure["dst_before"].get("view", False))
+                threshold = failure["threshold"]
+                expected = [s if s > threshold else d
+                            for s, d in zip(verify.read_flat(src), verify.read_flat(dst))]
+                k = sum(i * prod(dst.shape[:r]) for r, i in enumerate(failure["index"]))
+                assert failure["expected"] == repr(expected[k])
+                assert failure["got"] == repr(expected[k] + 1)
+                copy_if(src, dst, lambda v: v > threshold)
+                assert verify.read_flat(dst) == expected
+        assert layouts == {False, True}  # tensors and views as destinations
 
     def test_every_family_calls_its_kernel_through_its_module(self, monkeypatch):
         # perfbench's tracer swaps every public kernel, in every tensorlib

@@ -22,7 +22,10 @@ direction, every run's value in pair order, each side's median and
 quartiles, and how many pairs the change won (ties win for neither side).
 It also records every run's ``attempted`` operation count in pair order,
 because a faster change fits more operations into the same seconds and
-``peak_rss_mb`` grows with that count.
+``peak_rss_mb`` grows with that count.  Once the file is written, the
+script prints the verdict from the same summary: one row per workload and
+end-to-end metric with the parent's and the change's medians, their
+ratio, the pairs the change won and the parent's quartiles.
 
 With ``--trace-metric NAME`` (repeatable), each workload also gets one
 ``--trace 1`` run per side after its pairs, and the output records each
@@ -106,6 +109,22 @@ def summarize(pairs, metrics) -> dict:
             "median_ratio": cs["median"] / ps["median"] if ps["median"] else None,
         }
     return out
+
+
+def verdict(workloads: dict, pairs: int) -> str:
+    """One row per workload and end-to-end metric: both medians, the
+    change/parent ratio of the medians, the pairs the change won of
+    ``pairs``, and the parent's quartiles."""
+    lines = ["workload".ljust(10) + "metric".ljust(13)
+             + "".join(h.rjust(15) for h in ("parent", "change", "change/parent",
+                                             "wins", "parent_q1", "parent_q3"))]
+    for w, summary in workloads.items():
+        for name, m in summary["metrics"].items():
+            ratio = "n/a" if m["median_ratio"] is None else f"{m['median_ratio']:.4f}"
+            wins, p = f"{m['change_wins']} of {pairs}", m["parent"]
+            lines.append(f"{w:10}{name:13}{p['median']:15.5g}{m['change']['median']:15.5g}"
+                         f"{ratio:>15}{wins:>15}{p['q1']:15.5g}{p['q3']:15.5g}")
+    return "\n".join(lines)
 
 
 def traced_pass(sides, workload: str, seed: int, seconds: float, names):
@@ -202,6 +221,7 @@ def main(argv=None) -> int:
         "workloads": workloads,
     }
     args.out.write_text(json.dumps(bench, indent=1) + "\n")
+    print(verdict(workloads, args.pairs))
     return 0
 
 

@@ -8,7 +8,11 @@ Builds the ``bulk`` workload (``perfbench/workloads.py``'s ``Bulk``: single
 kernel calls on order-3 operands of extent ``N`` at first-order layout,
 last-order layout and a stepped view) twice in one process: once from this
 checkout, with its ``src/tensorlib`` and its ``perfbench/workloads.py``, and
-once from the checkout ``DIR``, with its own.  Each repetition times every
+once from the checkout ``DIR``, with its own.  The two sides' operands must
+hold equal values, and ``DIR``'s buffers are then pointed at this side's
+element objects: otherwise the side built first reads float objects better
+placed in memory, which in an A/A run made view contractions read 0.35-0.73
+against a copy of themselves.  Each repetition times every
 case once on each side, back to back, alternating which side goes first,
 and checks every output after its clock stops; a wrong output ends the
 script with exit status 1.  Nothing under ``perfbench/`` is changed.
@@ -29,7 +33,7 @@ import math
 import statistics
 import sys
 import time
-from operator import truediv
+from operator import ne, truediv
 from pathlib import Path
 from types import ModuleType, SimpleNamespace
 from typing import Dict, List
@@ -61,6 +65,42 @@ def workloads(checkout: Path, name: str) -> ModuleType:
     sys.modules[name] = module
     spec.loader.exec_module(module)
     return module
+
+
+def operand_buffers(bulk) -> List[list]:
+    """The element buffer of every tensor and view that ``bulk`` or its
+    inputs hold, alone or in a dict, each once, in attribute order."""
+    buffers, seen = [], set()
+    for holder in (bulk, bulk.inputs):
+        for value in vars(holder).values():
+            for x in value.values() if isinstance(value, dict) else (value,):
+                if hasattr(x, "miter"):
+                    data = x.miter().data
+                    if id(data) not in seen:
+                        seen.add(id(data))
+                        buffers.append(data)
+    return buffers
+
+
+def share_elements(first, second) -> None:
+    """Refill ``second``'s operand buffers, in place, with the element
+    objects of ``first``'s, once their values are checked equal."""
+    ours, theirs = operand_buffers(first), operand_buffers(second)
+    if len(ours) != len(theirs) or any(map(ne, ours, theirs)):
+        raise SystemExit("the two checkouts' bulk workloads hold different operands")
+    for mine, other in zip(ours, theirs):
+        other[:] = mine
+
+
+def build(checkouts, n: int, seed: int) -> list:
+    """The ``Bulk`` workload of each ``(checkout, name)``, the second
+    sharing the first's element objects."""
+    sides = []
+    for checkout, name in checkouts:
+        lib = library(checkout, f"tensorlib_{name}")
+        sides.append(workloads(checkout, f"workloads_{name}").Bulk(lib, seed, n=n))
+    share_elements(*sides)
+    return sides
 
 
 def measure(sides: List[list], reps: int) -> Dict[str, List[list]]:
@@ -116,12 +156,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.reps < 1 or args.n < 1:
         parser.error("--reps and --n must be >= 1")
-    sides = []
-    for checkout, name in ((HERE.parent, "this"), (args.against.resolve(), "against")):
-        lib = library(checkout, f"tensorlib_{name}")
-        bulk = workloads(checkout, f"workloads_{name}").Bulk(lib, args.seed, n=args.n)
-        sides.append(bulk.ops)
-    print(report(measure(sides, args.reps)))
+    checkouts = ((HERE.parent, "this"), (args.against.resolve(), "against"))
+    sides = build(checkouts, args.n, args.seed)
+    print(report(measure([bulk.ops for bulk in sides], args.reps)))
     return 0
 
 
