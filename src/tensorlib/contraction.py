@@ -232,7 +232,7 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         for pc, ps in starts:
             streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])
             values = [reduce(map(mul, sf, kf)) for sf in streamed for kf in packed]
-            for j, oc in enumerate(k_outs or (0,)):
+            for j, oc in enumerate((0,) if k_outs is None else k_outs):
                 data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
         return out
     # One streamed fiber per output, sliced inline: each output is one

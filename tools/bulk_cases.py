@@ -11,7 +11,7 @@ checkout, with its ``src/tensorlib`` and its ``perfbench/workloads.py``, and
 once from the checkout ``DIR``, with its own.  The two sides' operands must
 hold equal values, and ``DIR``'s buffers are then pointed at this side's
 element objects: otherwise the side built first reads float objects better
-placed in memory, which in an A/A run made view contractions read 0.35-0.73
+placed in memory, which in an A/A run made view contractions read 0.35-0.72
 against a copy of themselves.  Each repetition times every
 case once on each side, back to back, alternating which side goes first,
 and checks every output after its clock stops; a wrong output ends the
