@@ -59,12 +59,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
-from itertools import chain
-from math import prod, sqrt
+from itertools import chain, islice
+from math import hypot, prod
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
-from .elementwise import _copy, _mit, copy, inner_product_flat
+from .elementwise import _copy, _in_order, _mit, copy, inner_product_flat
 from .iterators import MultiIterator, _plan, _positions, check_reach
 from .layout import _as_indices
 from .tensor import DenseTensor
@@ -425,9 +425,24 @@ def inner_product_tensors(a, b):
     return inner_product_flat(a, b, 0)
 
 
-def frobenius_norm(a):
-    """``sqrt(<a, a>)``; requires real elements."""
-    return sqrt(inner_product_flat(a, a, 0))
+_NORM_CHUNK = 4096
+
+
+def frobenius_norm(a) -> float:
+    """``sqrt(<a, a>)`` as ``math.hypot`` of the ``hypot`` of each
+    4096-element run of ``a``'s elements in iteration order; requires real
+    elements.
+
+    Chunk boundaries count iteration-order positions, so the result is
+    bit-identical across layouts and views, and at most one chunk is held
+    at a time.  ``hypot`` is accurately rounded and scales its input, so
+    the result may differ from ``sqrt(inner_product_flat(a, a))`` in the
+    last bit, is usually closer to the exact norm, and neither overflows
+    nor underflows when the exact norm is a finite nonzero float.
+    """
+    it, values = _in_order(a)
+    values, chunks = iter(values), range(0, prod(it.extents), _NORM_CHUNK)
+    return hypot(*[hypot(*islice(values, _NORM_CHUNK)) for _ in chunks])
 
 
 # -- sequenced products ------------------------------------------------------------------

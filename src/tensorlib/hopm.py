@@ -33,8 +33,8 @@ Real (floating-point) elements only; norms need square roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import islice
 from math import inf
-from operator import sub
 from typing import List, Optional, Sequence
 
 from .contraction import frobenius_norm, times_vectors, ttv
@@ -170,16 +170,27 @@ def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTenso
 
 
 def residual(a, state: HopmState) -> float:
-    """``||a - rank_one_compose(state.scale, state.u)||_F``.
+    """``||a - rank_one_compose(state.scale, state.u)||_F``, in one pass.
 
-    The composed tensor is first-order, so its buffer lists its elements in
-    iteration order: one pass subtracts it from ``a``'s elements read in
-    the same order (no joint plan over the two), and the norm sums the
-    differences in that order, whatever the layout of ``a``.
+    The rows ``scale * u_1 o ... o u_{p-1}`` are built as in
+    :func:`rank_one_compose` (n^(p-1) elements for extents n); each
+    element of the last vector then scales them against the next row of
+    ``a``'s elements in iteration order, so every difference has the bits
+    of ``a - rank_one_compose(...)`` without the composed tensor, whatever
+    the layout of ``a``.  The norm reads the differences in that order.
     """
-    diff = rank_one_compose(state.l[-1], state.u)
+    vectors = state.u
+    shape = tuple(v.size for v in vectors)
     it, values = _in_order(a)
-    if it.extents != diff.shape:
-        raise ValueError(f"shape mismatch: {diff.shape} vs {it.extents}")
-    diff.data = list(map(sub, values, diff.data))
-    return frobenius_norm(diff)
+    if it.extents != shape:
+        raise ValueError(f"shape mismatch: {shape} vs {it.extents}")
+    rows = [state.l[-1]]
+    for v in vectors[:-1]:
+        rows = [y * x for x in _in_order(v)[1] for y in rows]
+    values, m = iter(values), len(rows)
+    diff = [
+        v - y * x
+        for x in _in_order(vectors[-1])[1]
+        for v, y in zip(islice(values, m), rows)
+    ]
+    return frobenius_norm(DenseTensor.from_memory((len(diff),), diff))

@@ -30,12 +30,13 @@ steps, ttv and ttm modes, start values) come from ``_randints``, which
 reproduces CPython's ``randint`` from ``getrandbits`` (for the elements,
 one Mersenne Twister word per ``getrandbits(5)``, redrawn while the word
 is 19 or more), so it yields the values ``randint`` would and leaves the
-stream in the same state; ``tests/test_verify.py`` checks that against
-``randint`` and pins every family's stream state after 20 trials.  The
-``times_*`` modes come from ``sample``; layouts, ``tau``, ``phi`` and
-``psi`` from ``shuffle``; needles, operator names and ``compare_ranges``'
-changed element from ``choice``; and whether an operand is a view from
-``random()``.
+stream in the same state.  Layouts, ``tau``, ``phi`` and ``psi`` come
+from ``_rand_layout``, which reproduces ``shuffle`` from ``getrandbits``
+the same way.  ``tests/test_verify.py`` checks both against the
+``random`` methods and pins every family's stream state after 20 trials.
+The ``times_*`` modes come from ``sample``; needles, operator names and
+``compare_ranges``' changed element from ``choice``; and whether an
+operand is a view from ``random()``.
 float64 trials draw positive values (``0.5 + 1.5 * random()``, the value
 ``uniform(0.5, 2.0)`` computes).  They too must match to the bit: the
 oracle sums in the engine's order with the engine's primitives (``sum``
@@ -54,7 +55,7 @@ import itertools
 import json
 from dataclasses import asdict, dataclass, field
 from functools import partial, reduce
-from math import prod, sqrt
+from math import hypot, prod
 from operator import add, mul, ne
 from typing import Callable, List, Optional, Tuple
 
@@ -147,8 +148,18 @@ def _rand_shape(rng, cfg: RunConfig, min_order: int = 1) -> Tuple[int, ...]:
 
 
 def _rand_layout(rng, p: int) -> Tuple[int, ...]:
+    """A permutation of 1..p, drawn as ``rng.shuffle`` draws it (CPython
+    3.11): each swap index from ``getrandbits``, redrawn while out of range,
+    as in :func:`_randints`, without ``_randbelow``'s frame per draw."""
     perm = list(range(1, p + 1))
-    rng.shuffle(perm)
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, p)):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        perm[i], perm[j] = perm[j], perm[i]
     return tuple(perm)
 
 
@@ -701,7 +712,9 @@ def _check_inner(rng, cfg, cmp):
 def _check_norm(rng, cfg, cmp):
     a = _rand_operand(rng, _rand_shape(rng, cfg), "float64")
     got = ct.frobenius_norm(a)
-    expected = sqrt(sum(v * v for v in read_flat(a)))
+    # hypot of the hypots of 4096-element runs in zero_indices order.
+    values = read_flat(a)
+    expected = hypot(*[hypot(*values[i : i + 4096]) for i in range(0, len(values), 4096)])
     return cmp.check_value(expected, got, {"op": "frobenius_norm", "a": a})
 
 

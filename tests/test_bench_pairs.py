@@ -240,3 +240,48 @@ def test_traced_metrics_are_also_recorded_per_attempted_operation(tmp_path):
                                          "change": 0.003, "ratio": pytest.approx(0.6)}
     assert per_op["views.getitem.calls"] == {"unit": "count/op", "parent": 1.25,
                                              "change": 0.0, "ratio": 0.0}
+
+
+def test_traced_pairs_alternate_and_divide_ns_figures_by_refop(tmp_path, monkeypatch):
+    # Three traced pairs at most, alternating which side runs first; every
+    # figure in ns is divided by its own run's refop_ns before the median.
+    calls = []
+    canned = {
+        "parent": [(100.0, 2.0, 10), (130.0, 2.5, 12), (90.0, 1.5, 11)],
+        "change": [(60.0, 2.0, 20), (80.0, 1.0, 22), (70.0, 1.4, 21)],
+    }
+
+    def fake_run_once(checkout, workload, seed, seconds, trace=0):
+        side = checkout.name
+        calls.append((side, trace))
+        assert trace == 1
+        ns, refop_ns, attempted = canned[side][sum(s == side for s, _ in calls) - 1]
+        metrics = {"contraction.ttv.m1.first.ns_per_madd": {"value": ns, "unit": "ns"},
+                   "hopm.residual.self_s": {"value": attempted / 10, "unit": "s"}}
+        return {"result": {"attempted": attempted, "metrics": metrics},
+                "provenance": {}, "refop_ns": refop_ns}
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run_once)
+    sides = {"parent": tmp_path / "parent", "change": tmp_path / "change"}
+    names = ["contraction.ttv.m1.first.ns_per_madd", "hopm.residual.self_s"]
+    got = bench_pairs.traced_pass(sides, "hopm", 5, 0.0, names, pairs=10)
+    assert [side for side, _ in calls] == ["parent", "change", "change", "parent",
+                                           "parent", "change"]
+    ttv = "contraction.ttv.m1.first.ns_per_madd"
+    assert got["traced_values"][ttv] == {"parent": [100.0, 130.0, 90.0],
+                                         "change": [60.0, 80.0, 70.0]}
+    assert got["traced"][ttv] == {"unit": "ns", "parent": 100.0, "change": 70.0,
+                                  "ratio": 0.7}
+    assert got["traced_attempted"] == {"parent": 11, "change": 21}
+    assert got["traced_attempted_values"] == {"parent": [10, 12, 11], "change": [20, 22, 21]}
+    # Per refop: parent 50, 52, 60 and change 30, 80, 50.
+    assert got["traced_per_refop"] == {ttv: {"unit": "refop", "parent": 52.0,
+                                             "change": 50.0, "ratio": 50.0 / 52.0}}
+    residual = got["traced_per_attempted"]["hopm.residual.self_s"]
+    assert residual["unit"] == "s/op"
+    assert residual["parent"] == residual["change"] == pytest.approx(0.1)
+
+    calls.clear()
+    got = bench_pairs.traced_pass(sides, "hopm", 5, 0.0, names[1:], pairs=1)
+    assert calls == [("parent", 1), ("change", 1)]
+    assert "traced_per_refop" not in got

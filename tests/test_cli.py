@@ -144,10 +144,10 @@ class TestHopmCommand:
         assert main(["hopm", "--in", path]) == 3
 
     @pytest.mark.parametrize(
-        "data", ["[1.0, NaN, 2.0, 3.0]", "[1.0, Infinity, 2.0, 3.0]", "[1e308, 1e308]"]
+        "data", ["[1.0, NaN, 2.0, 3.0]", "[1.0, Infinity, 2.0, 3.0]", "[1.5e308, 1.5e308]"]
     )
     def test_non_finite_exits_degenerate(self, tmp_path, capsys, data):
-        shape = [2] if data.startswith("[1e308") else [2, 2]
+        shape = [2] if data.startswith("[1.5e308") else [2, 2]
         path = tmp_path / "nf.json"
         path.write_text(f'{{"shape": {shape}, "data": {data}}}')
         assert main(["hopm", "--in", str(path)]) == 3

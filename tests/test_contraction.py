@@ -1,5 +1,6 @@
 import importlib
 import itertools
+import math
 import random
 import re
 from math import prod, sqrt
@@ -589,6 +590,47 @@ class TestNamedSpecialCases:
     def test_inner_shape_mismatch(self):
         with pytest.raises(ValueError):
             inner_product_tensors(DenseTensor((2, 3)), DenseTensor((3, 2)))
+
+
+class TestFrobeniusNorm:
+    """The norm is ``hypot`` of the ``hypot``s of 4096-element runs in
+    iteration order; these shapes put runs just below, at, above and well
+    past one chunk."""
+
+    SHAPES = [(5, 9, 91), (16, 16, 16), (17, 1, 241), (19, 647, 1)]
+
+    @staticmethod
+    def values(seed, shape):
+        rng = random.Random(seed)
+        return [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(prod(shape))]
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_bit_identical_across_layouts_and_views(self, shape):
+        values = self.values(50, shape)
+        rng = random.Random(51)
+        shifted = DenseTensor(shape, rand_offsets(rng, 3), rand_layout(rng, 3))
+        operands = four_layouts(shape, values) + (shifted,)
+        copy(operands[0], shifted)
+        got = {frobenius_norm(t).hex() for t in operands}
+        assert len(got) == 1
+
+    @pytest.mark.parametrize("n", [1, 2, 17, 4095, 4096])
+    def test_one_chunk_is_one_hypot(self, n):
+        values = self.values(52, (n,))
+        assert frobenius_norm(DenseTensor.from_memory((n,), values)) == math.hypot(*values)
+
+    @pytest.mark.parametrize("shape", SHAPES)
+    def test_within_two_ulp_of_the_exact_sum(self, shape):
+        for seed in range(53, 58):
+            values = self.values(seed, shape)
+            want = math.sqrt(math.fsum(x * x for x in values))
+            got = frobenius_norm(DenseTensor.from_memory(shape, values))
+            assert abs(got - want) <= 2 * math.ulp(want)
+
+    def test_squares_beyond_the_float_range(self):
+        assert frobenius_norm(DenseTensor((2,), fill_value=1e308)) == 1e308 * math.sqrt(2)
+        assert frobenius_norm(DenseTensor((4,), fill_value=1e-200)) == 2e-200
+        assert frobenius_norm(DenseTensor((2,), fill_value=1.5e308)) == math.inf
 
 
 class TestTimesVectors:

@@ -1,6 +1,8 @@
 import importlib
 import random
 import re
+import sys
+import tracemalloc
 from math import inf, prod, sqrt
 from operator import sub
 
@@ -70,7 +72,7 @@ class TestHopm:
         assert err.value.sweep == 1 and err.value.mode == 1
 
     @pytest.mark.parametrize(
-        "data", [[1.0, float("nan")], [float("inf"), 1.0], [1e308, 1e308]]
+        "data", [[1.0, float("nan")], [float("inf"), 1.0], [1.5e308, 1.5e308]]
     )
     def test_non_finite_norm_degenerates_immediately(self, data):
         # The last case is finite data whose norm overflows.
@@ -78,6 +80,17 @@ class TestHopm:
             hopm(DenseTensor.from_memory((2, 1), data))
         assert err.value.sweep == 1 and err.value.mode == 1
         assert "non-finite" in str(err.value)
+
+    @pytest.mark.parametrize(
+        "shape, data, scale",
+        [((2, 1), [1e308, 1e308], 1e308 * sqrt(2)), ((2, 2), [1e-200] * 4, 2e-200)],
+    )
+    def test_norms_near_the_float_limits_solve(self, shape, data, scale):
+        # Squares of these elements overflow or underflow; their norms do not.
+        state = hopm(DenseTensor.from_memory(shape, data))
+        assert state.converged
+        assert state.scale == pytest.approx(scale, rel=1e-15)
+        assert state.u[0].data == pytest.approx([2 ** -0.5] * 2)
 
     def test_unit_norm_after_every_sweep(self):
         rng = random.Random(2)
@@ -230,6 +243,22 @@ class TestResidual:
             transform_binary(a, diff, diff, sub)
             assert residual(a, state).hex() == frobenius_norm(diff).hex()
             assert residual(a, state).hex() == residual(four_layouts(shape, values)[0], state).hex()
+
+    def test_peak_memory_holds_one_difference_per_element(self):
+        # The differences are the one n^3 list: no composed tensor beside it.
+        rng = random.Random(12)
+        shape = (32, 32, 32)
+        a = DenseTensor.from_memory(shape, [rng.uniform(-1, 1) for _ in range(32 ** 3)])
+        state = HopmState(u=[unit_vector(rng, n) for n in shape], l=[1.0] * 3,
+                          sweeps=1, converged=False)
+        buffer = sys.getsizeof(a.data) + sum(map(sys.getsizeof, a.data))
+        tracemalloc.start()
+        try:
+            residual(a, state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * buffer
 
     def test_shape_mismatch_raises(self):
         rng = random.Random(11)

@@ -315,6 +315,29 @@ class TestIntDraws:
         assert all(-9 <= x <= 9 for x in t.data)
 
 
+class TestLayoutDraws:
+    """Layouts and the permutations of transpose and ttt come from
+    ``_rand_layout``, which must draw the permutation ``shuffle`` draws
+    from the same words, or the stream pin would change."""
+
+    @pytest.mark.parametrize("p", range(1, 7))
+    def test_rand_layout_reproduces_shuffle(self, p):
+        for seed in range(200):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            perm = list(range(1, p + 1))
+            theirs.shuffle(perm)
+            assert verify._rand_layout(ours, p) == tuple(perm)
+            assert ours.getstate() == theirs.getstate()
+
+    def test_layouts_are_not_drawn_by_shuffle(self, monkeypatch):
+        def no_shuffle(self, x):
+            raise AssertionError("layout drawn through shuffle")
+
+        monkeypatch.setattr(random.Random, "shuffle", no_shuffle)
+        t = verify._rand_tensor(random.Random(3), (4, 5, 3), "int64")
+        assert sorted(t.meta.layout) == [1, 2, 3]
+
+
 class TestOracleReads:
     """The oracle reads operands by its own stride arithmetic, so it sees
     the right elements even when the engine's planner or addressing core is

@@ -27,15 +27,19 @@ script prints the verdict from the same summary: one row per workload and
 end-to-end metric with the parent's and the change's medians, their
 ratio, the pairs the change won and the parent's quartiles.
 
-With ``--trace-metric NAME`` (repeatable), each workload also gets one
-``--trace 1`` run per side after its pairs, and the output records each
-named per-layer metric of those two runs: its unit, both values and the
-change/parent ratio, and each side's ``attempted`` count.  Traced totals
-such as ``verify.kernel_s`` sum over however many operations fit into the
-run, so each metric is also recorded per attempted operation (each side's
-value divided by its own traced ``attempted``), with the change/parent
-ratio of those.  Traced runs are single and slowed by the tracer, so they
-show where work moved (call counts, self times), not a timing claim.
+With ``--trace-metric NAME`` (repeatable), each workload also gets up to
+three alternating pairs of ``--trace 1`` runs after its pairs (no more
+pairs than ``--pairs``), and the output records, for each named per-layer
+metric, every traced run's value in pair order, each side's median and the
+change/parent ratio of the medians, and each side's ``attempted`` counts.
+Traced totals such as ``verify.kernel_s`` sum over however many operations
+fit into the run, so each metric is also recorded per attempted operation
+(each run's value divided by its own ``attempted``, then the median).
+Figures in ns, such as ``contraction.ttv.m1.first.ns_per_madd``, are also
+recorded in refops: each run's value divided by the ``refop_ns`` in its
+``perfbench/out`` record, which cancels the host's speed state during
+that run.  Traced runs are slowed by the tracer, so they show where work
+moved (call counts, self times), not a timing claim.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ class RunFailed(RuntimeError):
 def run_once(checkout: Path, workload: str, seed: int, seconds: float,
              trace: int = 0) -> dict:
     """One benchmark run in ``checkout``, untraced by default: its result
-    line and the provenance that ``run.py`` recorded."""
+    line, and the provenance and ``refop_ns`` that ``run.py`` recorded."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
@@ -67,7 +71,8 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
                         f"{proc.stderr.strip()[-500:]}")
     record = json.loads((checkout / "perfbench" / "out"
                          / f"{workload}-seed{seed}-trace{trace}.json").read_text())
-    return {"result": json.loads(lines[-1]), "provenance": record["provenance"]}
+    return {"result": json.loads(lines[-1]), "provenance": record["provenance"],
+            "refop_ns": record.get("refop_ns")}
 
 
 def git_head(checkout: Path):
@@ -127,35 +132,58 @@ def verdict(workloads: dict, pairs: int) -> str:
     return "\n".join(lines)
 
 
-def traced_pass(sides, workload: str, seed: int, seconds: float, names):
-    """One ``--trace 1`` run per side: the per-layer metrics ``names`` of
-    both runs, and each run's ``attempted`` count."""
-    got = {side: run_once(path, workload, seed, seconds, trace=1)["result"]
-           for side, path in sides.items()}
-    metrics = {side: r["metrics"] for side, r in got.items()}
-    out = {}
+TRACED_PAIRS = 3
+
+
+def traced_pass(sides, workload: str, seed: int, seconds: float, names, pairs: int):
+    """``min(pairs, TRACED_PAIRS)`` alternating pairs of ``--trace 1`` runs:
+    the workload's ``traced*`` entries (see the module docstring)."""
+    runs = {"parent": [], "change": []}
+    for i in range(min(pairs, TRACED_PAIRS)):
+        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+            run = run_once(sides[side], workload, seed, seconds, trace=1)
+            runs[side].append(dict(run["result"], refop_ns=run["refop_ns"]))
     for name in names:
-        if name not in metrics["parent"] or name not in metrics["change"]:
+        if any(name not in r["metrics"] for rs in runs.values() for r in rs):
             raise RunFailed(f"traced {workload} run reports no metric {name!r}")
-        p, c = metrics["parent"][name], metrics["change"][name]
-        out[name] = {
-            "unit": p["unit"],
-            "parent": p["value"],
-            "change": c["value"],
-            "ratio": c["value"] / p["value"] if p["value"] else None,
-        }
-    return out, {side: r["attempted"] for side, r in got.items()}
+    units = {name: runs["parent"][0]["metrics"][name]["unit"] for name in names}
+    ns = [name for name in names if units[name] == "ns"]
+    if ns and not all(r["refop_ns"] for rs in runs.values() for r in rs):
+        raise RunFailed(f"a traced {workload} run records no refop_ns")
 
+    def figures(value, keys):
+        """Every run's ``value(run, name)`` for each name in ``keys``, in
+        pair order."""
+        return {name: {side: [value(r, name) for r in rs] for side, rs in runs.items()}
+                for name in keys}
 
-def per_attempted(traced, attempted) -> dict:
-    """Each metric of ``traced`` divided by its side's ``attempted`` count,
-    and the change/parent ratio of those quotients."""
-    out = {}
-    for name, m in traced.items():
-        p = m["parent"] / attempted["parent"]
-        c = m["change"] / attempted["change"]
-        out[name] = {"unit": f"{m['unit']}/op", "parent": p, "change": c,
-                     "ratio": c / p if p else None}
+    def summary(figs, unit):
+        """Each side's median of ``figs`` and the change/parent ratio."""
+        out = {}
+        for name, got in figs.items():
+            p, c = statistics.median(got["parent"]), statistics.median(got["change"])
+            out[name] = {"unit": unit(units[name]), "parent": p, "change": c,
+                         "ratio": c / p if p else None}
+        return out
+
+    def raw(r, name):
+        return r["metrics"][name]["value"]
+
+    values = figures(raw, names)
+    out = {
+        "traced": summary(values, str),
+        "traced_values": values,
+        "traced_attempted": {side: statistics.median(r["attempted"] for r in rs)
+                             for side, rs in runs.items()},
+        "traced_attempted_values": {side: [r["attempted"] for r in rs]
+                                    for side, rs in runs.items()},
+        "traced_per_attempted": summary(
+            figures(lambda r, name: raw(r, name) / r["attempted"], names),
+            lambda u: f"{u}/op"),
+    }
+    if ns:
+        out["traced_per_refop"] = summary(
+            figures(lambda r, name: raw(r, name) / r["refop_ns"], ns), lambda u: "refop")
     return out
 
 
@@ -207,10 +235,8 @@ def main(argv=None) -> int:
             "metrics": summarize(pairs, spec["end_to_end"]),
         }
         if args.trace_metric:
-            traced, attempted = traced_pass(
-                sides, w, args.seed, args.seconds, args.trace_metric)
-            workloads[w].update(traced=traced, traced_attempted=attempted,
-                                traced_per_attempted=per_attempted(traced, attempted))
+            workloads[w].update(traced_pass(
+                sides, w, args.seed, args.seconds, args.trace_metric, args.pairs))
 
     bench = {
         "parent": side_provenance(runs["parent"], args.parent),
