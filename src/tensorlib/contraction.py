@@ -38,6 +38,14 @@ Either way the result is bit-identical across layouts, views and kernels
 within one Python version (ttv, ttm and their ttt specs agree bit for
 bit).  With no bound pair the element is the product ``a * b`` itself.
 
+``frobenius_norm`` is no dot product: it is ``math.hypot`` of the
+``hypot`` of each 4096-element run of the operand's elements in iteration
+order, a C loop that scales its input.  Runs are counted by iteration-order
+position, so the norm is bit-identical across layouts and views.  It is
+accurately rounded and neither overflows nor underflows where the exact
+norm is a finite nonzero float; it can differ from
+``sqrt(inner_product_tensors(a, a))`` by that sum's rounding error.
+
 Output tensors are always default-layout (first-order) with zero offsets;
 callers relayout if they need something else.  Contractions that consume
 every dimension return shape-(1,) tensors (read them with ``.item()``)
@@ -429,17 +437,9 @@ _NORM_CHUNK = 4096
 
 
 def frobenius_norm(a) -> float:
-    """``sqrt(<a, a>)`` as ``math.hypot`` of the ``hypot`` of each
-    4096-element run of ``a``'s elements in iteration order; requires real
-    elements.
-
-    Chunk boundaries count iteration-order positions, so the result is
-    bit-identical across layouts and views, and at most one chunk is held
-    at a time.  ``hypot`` is accurately rounded and scales its input, so
-    the result may differ from ``sqrt(inner_product_flat(a, a))`` in the
-    last bit, is usually closer to the exact norm, and neither overflows
-    nor underflows when the exact norm is a finite nonzero float.
-    """
+    """``sqrt(<a, a>)`` for real elements: ``math.hypot`` of the ``hypot``
+    of each 4096-element run of ``a``'s elements in iteration order, one
+    run held at a time (see the module docstring for its rounding)."""
     it, values = _in_order(a)
     values, chunks = iter(values), range(0, prod(it.extents), _NORM_CHUNK)
     return hypot(*[hypot(*islice(values, _NORM_CHUNK)) for _ in chunks])

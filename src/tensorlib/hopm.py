@@ -46,8 +46,9 @@ __all__ = ["DegenerateInputError", "HopmState", "hopm", "rank_one_compose", "res
 
 class DegenerateInputError(ArithmeticError):
     """A mode update has norm zero (e.g. the zero tensor) or a norm that is
-    not finite (NaN or infinite data, or a norm that overflows), so
-    normalization is impossible."""
+    not finite (NaN or infinite data, or a norm beyond the float range:
+    elements whose squares overflow are fine), so normalization is
+    impossible."""
 
     def __init__(self, sweep: int, mode: int):
         super().__init__(

@@ -135,12 +135,18 @@ def verdict(workloads: dict, pairs: int) -> str:
 TRACED_PAIRS = 3
 
 
+def pair_order(i: int):
+    """The sides of pair ``i`` in the order they run: parent first in even
+    pairs, change first in odd ones."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def traced_pass(sides, workload: str, seed: int, seconds: float, names, pairs: int):
     """``min(pairs, TRACED_PAIRS)`` alternating pairs of ``--trace 1`` runs:
     the workload's ``traced*`` entries (see the module docstring)."""
     runs = {"parent": [], "change": []}
     for i in range(min(pairs, TRACED_PAIRS)):
-        for side in ("parent", "change") if i % 2 == 0 else ("change", "parent"):
+        for side in pair_order(i):
             run = run_once(sides[side], workload, seed, seconds, trace=1)
             runs[side].append(dict(run["result"], refop_ns=run["refop_ns"]))
     for name in names:
@@ -219,7 +225,7 @@ def main(argv=None) -> int:
     for w in args.workload:
         pairs, firsts = [], []
         for i in range(args.pairs):
-            order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+            order = pair_order(i)
             firsts.append(order[0])
             got = {}
             for side in order:
