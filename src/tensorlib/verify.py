@@ -9,10 +9,12 @@ oracle, :func:`contract`.  Comparison is exact for both scalar kinds: a
 result passes on one ``==`` between the expected list and the result read
 as a list, and only a mismatch walks the elements to report the first
 unequal index.  A family that writes through a view also requires every
-element of the root tensor outside the view to be unchanged.  Trials
-randomize order, extents, layout (uniform over all permutations), offsets
-(in [-2, 2]), element kind, and whether each operand is a tensor or a
-strided view.
+element of the root tensor outside the view to be unchanged.  Every
+library call goes through :meth:`_Comparator.run`, which calls the kernel
+and judges it; a kernel that raises fails its trial with ``error`` and
+``where``, and the run goes on.  Trials randomize order, extents, layout
+(uniform over all permutations), offsets (in [-2, 2]), element kind, and
+whether each operand is a tensor or a strided view.
 
 The oracle shares no addressing code with the engine it checks.  It finds
 every element's memory position with its own stride arithmetic: a
@@ -23,6 +25,9 @@ frame (``meta``, ``strides``, ``gamma``, ``views._frame``).  It calls
 neither the fiber planner (``iterators._plan``, ``plan_fibers``,
 ``check_reach``) nor element access (``_Strided._key_to_memory``), so a
 wrong plan or a wrong view frame cannot also corrupt the expected values.
+It sets operands up and serializes counterexamples by the same reads,
+never through ``copy`` or ``materialize``, so a wrong kernel fails its
+own family alone.
 
 int64 trials draw small signed integers in [-9, 9].  Tensor elements and
 the other integers an instance draws (orders, extents, offsets, view
@@ -53,6 +58,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
+import traceback
 from dataclasses import asdict, dataclass, field
 from functools import partial, reduce
 from math import hypot, prod
@@ -362,23 +369,18 @@ def _times(values, shape, b, b_shape, m: int):
     return contract(dims, (0,), a, (b, b_shape, (m, 0)))
 
 
-def _operand_json(x) -> dict:
-    if isinstance(x, TensorView):
-        d = x.materialize().to_dict()
-        d["view"] = True
-        return d
-    return x.to_dict()
-
-
-def _operand_json_with(x, buffer: list) -> dict:
-    """:func:`_operand_json` of ``x`` as it reads with its root's buffer
-    replaced by ``buffer``."""
-    root = _box_frame(x)[0]
-    live, root.data = root.data, buffer
-    try:
-        return _operand_json(x)
-    finally:
-        root.data = live
+def _operand_json(x, buffer=None) -> dict:
+    """``x`` as tensor JSON, read from ``buffer`` in place of its root's
+    buffer when one is given.  A view reads as its materialization would
+    (first-order layout, zero offsets, its elements in ``zero_indices``
+    order), at the oracle's own positions, plus ``"view": True``."""
+    root, shape, positions = _positions(x)
+    data = root.data if buffer is None else buffer
+    if x is root:
+        return dict(x.to_dict(), data=list(data))
+    p = len(shape)
+    out = {"shape": list(shape), "layout": list(range(1, p + 1)), "offsets": [0] * p}
+    return dict(out, data=list(map(data.__getitem__, positions)), view=True)
 
 
 def _json_value(v):
@@ -396,25 +398,49 @@ def _counterexample(context: dict, **found) -> dict:
 
 
 class _Comparator:
-    """Exact result comparison, the same ``==`` for both scalar kinds
-    (``kind`` names the run's kind).  Stateless, so one instance serves
-    every trial; the operands in a context are serialized only on a
-    failure."""
+    """Exact judgement of every library call the oracle makes, all through
+    :meth:`run`, with the same ``==`` for both scalar kinds (``kind`` names
+    the run's kind); a kernel that raises is a failure, not the run's end.
+    Stateless, so one instance serves every trial; a context's operands
+    are serialized, by the oracle's own reads, only on a failure."""
 
     def __init__(self, kind: str):
         self.kind = kind
 
-    def check_value(self, expected, got, context: dict) -> Optional[dict]:
-        if expected == got:
-            return None
-        return _counterexample(context, expected=repr(expected), got=repr(got))
+    def run(self, context: dict, expected, kernel, args, shape=None, dst=None):
+        """Call ``kernel(*args)`` and judge the operand it writes (``dst``;
+        a view's against a copy of its root's buffer taken before the call)
+        or the tensor it returns (``shape`` given) by :meth:`check_list`, or
+        the value it returns by ``==``.  A raise fails with ``error`` (type
+        and message) and ``where`` (file and line of the innermost frame).
+        A failing write also reports ``dst`` as it was, under ``dst_before``,
+        from which expected values such as ``copy_if``'s can be rebuilt."""
+        before = None if dst is None else dst.data[:]  # a view's data is its root's buffer
+        try:
+            got = kernel(*args)
+        except Exception as exc:
+            frame = traceback.extract_tb(exc.__traceback__)[-1]
+            where = f"{os.path.basename(frame.filename)}:{frame.lineno}"
+            bad = _counterexample(context, error=f"{type(exc).__name__}: {exc}", where=where)
+        else:
+            if shape is not None:
+                window = before if isinstance(dst, TensorView) else None
+                got = got if dst is None else dst
+                bad = self.check_list(expected, shape, got, context, window)
+            elif expected == got:
+                return None
+            else:
+                bad = _counterexample(context, expected=repr(expected), got=repr(got))
+        if bad is not None and dst is not None:
+            bad["dst_before"] = _operand_json(dst, before)
+        return bad
 
     def check_list(self, expected: list, shape, got, context: dict, before=None):
         """Compare ``expected``, in ``zero_indices`` order, with ``got`` read
         by :func:`read_flat`: one ``==``, and only on a mismatch a walk to
         the first unequal element.  ``before``, a copy of the buffer of
-        ``got``'s root taken before a write (see :meth:`check_write`), gets
-        the window's values written into it and must then equal the whole
+        ``got``'s root taken before a write (see :meth:`run`), gets the
+        window's values written into it and must then equal the whole
         buffer; a difference is reported at the root's multi-index, and
         ``before`` is left as it was given."""
         root, got_shape, positions = _positions(got)
@@ -441,21 +467,6 @@ class _Comparator:
         found = {"expected": repr(before[k]), "got": repr(data[k]), "index": index}
         return _counterexample(context, **found, outside_view=True)
 
-    def check_write(self, expected: list, shape, dst, context: dict, kernel, *args):
-        """Run ``kernel(*args)``, which writes ``dst``, then
-        :meth:`check_list` ``dst``; for a view, against a copy of its root's
-        buffer taken before the kernel (a tensor is all window).  A failure
-        also reports ``dst`` as it was before the kernel, under
-        ``dst_before``, so that expected values that depend on it (as
-        ``copy_if``'s do) can be rebuilt from the report."""
-        view = isinstance(dst, TensorView)
-        before = dst.data[:]  # a view's data is its root's buffer
-        kernel(*args)
-        bad = self.check_list(expected, shape, dst, context, before if view else None)
-        if bad is not None:
-            bad["dst_before"] = _operand_json_with(dst, before)
-        return bad
-
 
 # -- elementwise families ---------------------------------------------------------
 
@@ -466,7 +477,7 @@ def _check_for_each(rng, cfg, cmp):
     f = lambda v: v * 2 + alpha
     expected = list(map(f, read_flat(x)))
     ctx = {"op": "for_each", "alpha": alpha}
-    return cmp.check_write(expected, shape, x, ctx, ew.for_each, x, f)
+    return cmp.run(ctx, expected, ew.for_each, (x, f), shape, x)
 
 
 def _check_transform_unary(rng, cfg, cmp):
@@ -475,7 +486,7 @@ def _check_transform_unary(rng, cfg, cmp):
     f = lambda v: v * alpha
     expected = list(map(f, read_flat(src)))
     ctx = {"op": "transform_unary", "alpha": alpha, "src": src}
-    return cmp.check_write(expected, shape, dst, ctx, ew.transform_unary, src, dst, f)
+    return cmp.run(ctx, expected, ew.transform_unary, (src, dst, f), shape, dst)
 
 
 def _check_transform_binary(rng, cfg, cmp):
@@ -487,14 +498,13 @@ def _check_transform_binary(rng, cfg, cmp):
     op = ops[name]
     expected = list(map(op, read_flat(a), read_flat(b)))
     ctx = {"op": f"transform_binary[{name}]", "a": a, "b": b}
-    kernel = ew.transform_binary
-    return cmp.check_write(expected, shape, dst, ctx, kernel, a, b, dst, op)
+    return cmp.run(ctx, expected, ew.transform_binary, (a, b, dst, op), shape, dst)
 
 
 def _check_copy(rng, cfg, cmp):
     shape, src, dst = _rand_operands(rng, cfg, 2)
     ctx = {"op": "copy", "src": src}
-    return cmp.check_write(read_flat(src), shape, dst, ctx, ew.copy, src, dst)
+    return cmp.run(ctx, read_flat(src), ew.copy, (src, dst), shape, dst)
 
 
 def _check_copy_if(rng, cfg, cmp):
@@ -503,14 +513,14 @@ def _check_copy_if(rng, cfg, cmp):
     pred = lambda v: v > threshold
     expected = [s if pred(s) else d for s, d in zip(read_flat(src), read_flat(dst))]
     ctx = {"op": "copy_if", "threshold": threshold, "src": src}
-    return cmp.check_write(expected, shape, dst, ctx, ew.copy_if, src, dst, pred)
+    return cmp.run(ctx, expected, ew.copy_if, (src, dst, pred), shape, dst)
 
 
 def _check_fill(rng, cfg, cmp):
     shape, dst = _rand_operands(rng, cfg, 1)
     v = _rand_value(rng, cfg.scalar_kind)
     ctx = {"op": "fill", "value": v}
-    return cmp.check_write([v] * prod(shape), shape, dst, ctx, ew.fill, dst, v)
+    return cmp.run(ctx, [v] * prod(shape), ew.fill, (dst, v), shape, dst)
 
 
 def _check_generate(rng, cfg, cmp):
@@ -518,7 +528,7 @@ def _check_generate(rng, cfg, cmp):
     (start,) = _randints(rng, 0, 5, 1)
     expected = list(range(start, start + prod(shape)))
     gen, ctx = itertools.count(start).__next__, {"op": "generate", "start": start}
-    return cmp.check_write(expected, shape, dst, ctx, ew.generate, dst, gen)
+    return cmp.run(ctx, expected, ew.generate, (dst, gen), shape, dst)
 
 
 def _check_iota(rng, cfg, cmp):
@@ -526,7 +536,7 @@ def _check_iota(rng, cfg, cmp):
     (start,) = _randints(rng, -3, 3, 1)
     expected = list(range(start, start + prod(shape)))
     ctx = {"op": "iota", "start": start}
-    return cmp.check_write(expected, shape, dst, ctx, ew.iota, dst, start)
+    return cmp.run(ctx, expected, ew.iota, (dst, start), shape, dst)
 
 
 def _check_count(rng, cfg, cmp):
@@ -534,12 +544,12 @@ def _check_count(rng, cfg, cmp):
     values = read_flat(x)
     needle = rng.choice(sorted(values, key=repr))
     ctx = {"op": "count_matching[value]", "needle": needle, "a": x}
-    bad = cmp.check_value(values.count(needle), ew.count_matching(x, value=needle), ctx)
+    bad = cmp.run(ctx, values.count(needle), partial(ew.count_matching, value=needle), (x,))
     threshold = 0 if cfg.scalar_kind == "int64" else 1.0
     pred = lambda v: v <= threshold
     ctx = {"op": "count_matching[pred]", "threshold": threshold, "a": x}
     expected = sum(map(pred, values))
-    return bad or cmp.check_value(expected, ew.count_matching(x, pred=pred), ctx)
+    return bad or cmp.run(ctx, expected, partial(ew.count_matching, pred=pred), (x,))
 
 
 def _check_extremum(rng, cfg, cmp):
@@ -550,7 +560,7 @@ def _check_extremum(rng, cfg, cmp):
         k = pick(range(len(values)), key=values.__getitem__)
         ctx = {"op": f"extremum_element[{kind}]", "a": x}
         expected = (_unravel(k, shape), values[k])
-        bad = bad or cmp.check_value(expected, ew.extremum_element(x, kind), ctx)
+        bad = bad or cmp.run(ctx, expected, ew.extremum_element, (x, kind))
     return bad
 
 
@@ -560,10 +570,10 @@ def _check_find(rng, cfg, cmp):
     needle = rng.choice(sorted(values, key=repr))
     ctx = {"op": "find_first[present]", "needle": needle, "a": x}
     expected = _unravel(values.index(needle), shape)
-    bad = cmp.check_value(expected, ew.find_first(x, value=needle), ctx)
+    bad = cmp.run(ctx, expected, partial(ew.find_first, value=needle), (x,))
     absent = 10**6 if cfg.scalar_kind == "int64" else -1.0
     ctx = {"op": "find_first[absent]", "needle": absent, "a": x}
-    return bad or cmp.check_value(None, ew.find_first(x, value=absent), ctx)
+    return bad or cmp.run(ctx, None, partial(ew.find_first, value=absent), (x,))
 
 
 def _check_compare(rng, cfg, cmp):
@@ -571,16 +581,14 @@ def _check_compare(rng, cfg, cmp):
     # Drawn from the sorted multi-indices; k is the zero_indices position.
     victim = _unravel(rng.choice(range(prod(shape))), shape, range(len(shape), 0, -1))
     k = sum(i * prod(shape[:r]) for r, i in enumerate(victim))
-    ew.copy(a, b)
+    va, (root, _, positions) = read_flat(a), _positions(b)
+    for p, v in zip(positions, va):  # b holds a's values
+        root.data[p] = v
     ctx = {"op": "compare_ranges[equal]", "a": a, "b": b}
-    bad = cmp.check_value(ew.CompareResult(True, None), ew.compare_ranges(a, b), ctx)
-    va = read_flat(a)
-    root, _, positions = _positions(b)
+    bad = cmp.run(ctx, ew.CompareResult(True, None), ew.compare_ranges, (a, b))
     root.data[positions[k]] = va[k] + 1
-    first = _unravel(list(map(ne, va, read_flat(b))).index(True), shape)
     ctx["op"] = "compare_ranges[mismatch]"
-    expected = ew.CompareResult(False, first)
-    return bad or cmp.check_value(expected, ew.compare_ranges(a, b), ctx)
+    return bad or cmp.run(ctx, ew.CompareResult(False, victim), ew.compare_ranges, (a, b))
 
 
 def _check_quantify(rng, cfg, cmp):
@@ -592,25 +600,23 @@ def _check_quantify(rng, cfg, cmp):
     expect = {"all": len(hits) == len(values), "any": bool(hits), "none": not hits}
     for mode, exp in expect.items():
         ctx = {"op": f"quantify[{mode}]", "threshold": threshold, "a": x}
-        bad = bad or cmp.check_value(exp, ew.quantify(x, pred, mode), ctx)
+        bad = bad or cmp.run(ctx, exp, ew.quantify, (x, pred, mode))
     return bad
 
 
 def _check_accumulate(rng, cfg, cmp):
     _, x = _rand_operands(rng, cfg, 1)
     init = _rand_value(rng, cfg.scalar_kind)
-    got = ew.accumulate(x, init)
     ctx = {"op": "accumulate", "init": init, "a": x}
-    return cmp.check_value(reduce(add, read_flat(x), init), got, ctx)
+    return cmp.run(ctx, reduce(add, read_flat(x), init), ew.accumulate, (x, init))
 
 
 def _check_inner_flat(rng, cfg, cmp):
     _, a, b = _rand_operands(rng, cfg, 2)
     init = _rand_value(rng, cfg.scalar_kind)
-    got = ew.inner_product_flat(a, b, init)
     expected = sum(map(mul, read_flat(a), read_flat(b)), init)
     ctx = {"op": "inner_product_flat", "init": init, "a": a, "b": b}
-    return cmp.check_value(expected, got, ctx)
+    return cmp.run(ctx, expected, ew.inner_product_flat, (a, b, init))
 
 
 # -- contraction families -------------------------------------------------------------
@@ -619,10 +625,9 @@ def _check_inner_flat(rng, cfg, cmp):
 def _check_transpose(rng, cfg, cmp):
     shape, x = _rand_operands(rng, cfg, 1)
     tau = list(_rand_layout(rng, len(shape)))
-    got = ct.transpose(x, tau)
     expected, out_shape = contract(tau, (), (read_flat(x), shape, sorted(tau)))
     ctx = {"op": "transpose", "tau": tau, "a": x}
-    return cmp.check_list(expected, out_shape, got, ctx)
+    return cmp.run(ctx, expected, ct.transpose, (x, tau), out_shape)
 
 
 def _vector(rng, cfg, n: int):
@@ -641,10 +646,9 @@ def _check_mode_product(op: str, draw, rng, cfg, cmp):
     shape, a = _rand_operands(rng, cfg, 1, min_order=2)
     (m,) = _randints(rng, 1, len(shape), 1)
     b = draw(rng, cfg, shape[m - 1])
-    got = getattr(ct, op)(a, b, m)
     expected, out_shape = _times(read_flat(a), shape, read_flat(b), b.shape, m)
     ctx = {"op": op, "mode": m, "a": a, "b": b}
-    return cmp.check_list(expected, out_shape, got, ctx)
+    return cmp.run(ctx, expected, getattr(ct, op), (a, b, m), out_shape)
 
 
 def _rand_ttt_instance(rng, cfg):
@@ -668,7 +672,6 @@ def _check_ttt(rng, cfg, cmp):
     na, nb, spec = _rand_ttt_instance(rng, cfg)
     a = _rand_operand(rng, na, cfg.scalar_kind)
     b = _rand_operand(rng, nb, cfg.scalar_kind)
-    got = ct.ttt(a, b, spec)
     # Labels: A's free dimensions 0..r-1 and B's r..r+s-1, in output order,
     # then the contracted pairs r+s.. in phi and psi order.
     q, phi, psi = spec.q, spec.phi, spec.psi
@@ -681,7 +684,7 @@ def _check_ttt(rng, cfg, cmp):
     ta, tb = (read_flat(a), na, la), (read_flat(b), nb, lb)
     expected, out_shape = contract(range(r + s), range(r + s, r + s + q), ta, tb)
     ctx = {"op": "ttt", "q": q, "phi": list(phi), "psi": list(psi), "a": a, "b": b}
-    return cmp.check_list(expected, out_shape or (1,), got, ctx)
+    return cmp.run(ctx, expected, ct.ttt, (a, b, spec), out_shape or (1,))
 
 
 def _check_outer(rng, cfg, cmp):
@@ -690,32 +693,29 @@ def _check_outer(rng, cfg, cmp):
         nb = nb[: 6 - len(na)] or tuple(_randints(rng, 1, cfg.max_extent, 1))
     a = _rand_operand(rng, na, cfg.scalar_kind)
     b = _rand_operand(rng, nb, cfg.scalar_kind)
-    got = ct.outer_product(a, b)
     pa, pc = len(na), len(na) + len(nb)
     ta, tb = (read_flat(a), na, range(pa)), (read_flat(b), nb, range(pa, pc))
     expected, out_shape = contract(range(pc), (), ta, tb)
     ctx = {"op": "outer_product", "a": a, "b": b}
-    return cmp.check_list(expected, out_shape, got, ctx)
+    return cmp.run(ctx, expected, ct.outer_product, (a, b), out_shape)
 
 
 def _check_inner(rng, cfg, cmp):
     shape, a, b = _rand_operands(rng, cfg, 2)
-    got = ct.inner_product_tensors(a, b)
     # Summing the labels highest first puts dimension 1 fastest.
     dims = range(1, len(shape) + 1)
     ta, tb = (read_flat(a), shape, dims), (read_flat(b), shape, dims)
     (expected,), _ = contract((), dims[::-1], ta, tb)
     ctx = {"op": "inner_product_tensors", "a": a, "b": b}
-    return cmp.check_value(expected, got, ctx)
+    return cmp.run(ctx, expected, ct.inner_product_tensors, (a, b))
 
 
 def _check_norm(rng, cfg, cmp):
     a = _rand_operand(rng, _rand_shape(rng, cfg), "float64")
-    got = ct.frobenius_norm(a)
     # hypot of the hypots of 4096-element runs in zero_indices order.
     values = read_flat(a)
     expected = hypot(*[hypot(*values[i : i + 4096]) for i in range(0, len(values), 4096)])
-    return cmp.check_value(expected, got, {"op": "frobenius_norm", "a": a})
+    return cmp.run({"op": "frobenius_norm", "a": a}, expected, ct.frobenius_norm, (a,))
 
 
 def _check_chain(op: str, draw, rng, cfg, cmp):
@@ -727,12 +727,11 @@ def _check_chain(op: str, draw, rng, cfg, cmp):
     modes = sorted(rng.sample(range(1, p + 1), k))
     a = _rand_operand(rng, shape, cfg.scalar_kind)
     bs = [draw(rng, cfg, shape[m - 1]) for m in modes]
-    got = getattr(ct, op)(a, bs, modes)
     values, cur = read_flat(a), shape
     for m, b in sorted(zip(modes, bs), reverse=True, key=lambda x: x[0]):
         values, cur = _times(values, cur, read_flat(b), b.shape, m)
     ctx = {"op": op, "modes": modes, "a": a, "b": bs}
-    return cmp.check_list(values, cur or (1,), got, ctx)
+    return cmp.run(ctx, values, getattr(ct, op), (a, bs, modes), cur or (1,))
 
 
 # -- driver -------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import pytest
 
 from tensorlib import DenseTensor, contraction, rank_one_compose
 from tensorlib.cli import _build_parser, main
+from tensorlib.verify import FAMILIES
 
 from conftest import bump_first, corrupt_call
 
@@ -217,6 +218,24 @@ class TestVerifyCommand:
         assert failure["op"] == "ttv" and failure["trial"] == 0
         for key in ("a", "b"):
             assert {"shape", "layout", "offsets", "data"} <= set(failure[key])
+
+    def test_raising_ttt_prints_the_full_report_and_exits_one(self, monkeypatch, capsys):
+        def broken(*args):
+            raise RuntimeError("ttt broke")
+
+        monkeypatch.setattr(contraction, "ttt", broken)
+        assert main(["verify", "--seed", "5", "--trials", "2"]) == 1
+        out = capsys.readouterr().out
+        rows = [l for l in out.splitlines() if l.endswith((" pass", " FAIL"))]
+        assert len(rows) == len(FAMILIES)
+        assert [l.split()[:3] for l in rows if l.endswith("FAIL")] == [["ttt", "0/2", "FAIL"]]
+        assert out.endswith(f"total: {len(FAMILIES)} families, {2 * len(FAMILIES)} trials, "
+                            "2 failures\n")
+        line = next(l for l in out.splitlines() if l.startswith("  counterexample: "))
+        failure = json.loads(line.split(": ", 1)[1])
+        assert failure["error"] == "RuntimeError: ttt broke"
+        assert failure["where"].startswith("test_cli.py:")
+        assert {"a", "b", "q", "phi", "psi"} <= set(failure)
 
     def test_inject_fault_flag_is_gone(self, capsys):
         assert exit_code(["verify", "--inject-fault"]) == 64

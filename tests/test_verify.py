@@ -279,6 +279,125 @@ class TestRunVerification:
         assert {"name", "trials", "passes", "failure"} <= set(obj["families"][0])
 
 
+class TestOneCallSite:
+    """The oracle calls library kernels in one place, ``_Comparator.run``,
+    which turns a raise into that trial's counterexample; it sets operands
+    up without them, so a wrong kernel fails its own family alone."""
+
+    WRITTEN = TestRunVerification.WRITTEN
+
+    @staticmethod
+    def raising(monkeypatch, name, seen):
+        """Make ``name``'s kernel raise when called from outside its module
+        (``times_matrices`` runs ``ttm`` steps), after appending each
+        tensor argument's serialization, with its position, to ``seen``."""
+        module = contraction if name in contraction.__all__ else elementwise
+        real = getattr(module, name)
+
+        def broken(*args, **kwargs):
+            if sys._getframe(1).f_globals["__name__"] == module.__name__:
+                return real(*args, **kwargs)
+            seen.append([(k, verify._operand_json(x)) for k, arg in enumerate(args)
+                         for x in (arg if isinstance(arg, list) else [arg])
+                         if isinstance(x, (DenseTensor, TensorView))])
+            raise RuntimeError(f"{name} broke")
+
+        monkeypatch.setattr(module, name, broken)
+
+    @pytest.mark.parametrize("name", [name for name, _ in FAMILIES])
+    @pytest.mark.parametrize("kind", ["int64", "float64"])
+    def test_raising_kernel_fails_each_trial_with_its_instance(
+        self, monkeypatch, name, kind
+    ):
+        check, cfg = dict(FAMILIES)[name], RunConfig(seed=42, scalar_kind=kind)
+        clean, states = random.Random(f"42:{name}:{kind}"), []
+        for _ in range(10):
+            assert check(clean, cfg, verify._Comparator(kind)) is None
+            states.append(clean.getstate())
+        seen = []
+        self.raising(monkeypatch, name, seen)
+        rng = random.Random(f"42:{name}:{kind}")
+        for state in states:
+            seen.clear()
+            failure = check(rng, cfg, verify._Comparator(kind))
+            # Every draw comes before the first call, so the stream goes on
+            # as in a clean run.
+            assert rng.getstate() == state
+            assert failure["op"].startswith(name)
+            assert failure["error"] == f"RuntimeError: {name} broke"
+            assert re.fullmatch(r"test_verify\.py:\d+", failure["where"])
+            (operands,) = seen  # a family stops calling at its first failure
+            assert operands
+            reported = [x for v in failure.values() for x in (v if isinstance(v, list) else [v])]
+            for k, operand in operands:
+                if k == self.WRITTEN.get(name):
+                    assert failure["dst_before"] == operand
+                else:
+                    assert operand in reported
+            assert ("dst_before" in failure) == (name in self.WRITTEN)
+
+    @pytest.mark.parametrize("name", [name for name, _ in FAMILIES])
+    @pytest.mark.parametrize("kind", ["int64", "float64"])
+    def test_raising_kernel_leaves_every_other_family_reported(
+        self, monkeypatch, name, kind
+    ):
+        self.raising(monkeypatch, name, [])
+        rep = run_verification(RunConfig(seed=42, trials=3, scalar_kind=kind))
+        assert [f.name for f in rep.families] == [n for n, _ in FAMILIES]
+        bad = [f for f in rep.families if f.passes < f.trials]
+        assert [(f.name, f.passes) for f in bad] == [(name, 0)]
+        assert bad[0].failure["trial"] == 0 and "error" in bad[0].failure
+        assert all(f.failure is None for f in rep.families if f is not bad[0])
+
+    def test_every_library_call_comes_from_run(self, monkeypatch):
+        # Each call that enters elementwise or contraction from outside
+        # them (their own nested calls aside) has _Comparator.run as its
+        # caller: no family body calls a kernel, and no oracle plumbing
+        # sets operands up through one.
+        callers, depth = Counter(), [0]
+
+        def spy(fn):
+            def watched(*args, **kwargs):
+                if depth[0] == 0:
+                    callers[sys._getframe(1).f_code] += 1
+                depth[0] += 1
+                try:
+                    return fn(*args, **kwargs)
+                finally:
+                    depth[0] -= 1
+            return watched
+
+        spies = {}
+        for mod in (elementwise, contraction):
+            for attr in mod.__all__:
+                fn = getattr(mod, attr)
+                if isinstance(fn, types.FunctionType) and fn.__module__ == mod.__name__:
+                    spies[fn] = spy(fn)
+        for modname, ns in list(sys.modules.items()):
+            if modname == "tensorlib" or modname.startswith("tensorlib."):
+                for attr, value in list(vars(ns).items()):
+                    if isinstance(value, types.FunctionType) and value in spies:
+                        monkeypatch.setattr(ns, attr, spies[value])
+        for kind in ("int64", "float64"):
+            assert run_verification(RunConfig(seed=42, trials=20, scalar_kind=kind)).ok
+        assert set(callers) == {verify._Comparator.run.__code__}
+        # At least one call per trial of every family, for both kinds.
+        assert sum(callers.values()) >= 2 * 20 * len(FAMILIES)
+
+    def test_wrong_copy_fails_the_copy_family_alone(self, monkeypatch):
+        copy = elementwise.copy
+
+        def wrong_copy(src, dst):
+            copy(src, dst)
+            bump_first(dst)
+
+        monkeypatch.setattr(elementwise, "copy", wrong_copy)
+        for kind in ("int64", "float64"):
+            rep = run_verification(RunConfig(seed=42, trials=20, scalar_kind=kind))
+            bad = [(f.name, f.passes) for f in rep.families if f.failure is not None]
+            assert bad == [("copy", 0)]
+
+
 class TestIntDraws:
     """int64 tensor elements come from ``_randints``, which must match
     ``randint`` value for value and word for word, or every int64 replay
@@ -391,6 +510,38 @@ class TestOracleReads:
             assert bad["index"] == list(last)
             assert bad["expected"] == repr(box[last] + 1)
             assert bad["got"] == repr(box[last])
+
+    @pytest.mark.parametrize("layout", [(1, 2, 3), (3, 2, 1), (2, 3, 1)])
+    def test_counterexample_operands_bypass_planner_and_materialize(
+        self, monkeypatch, layout
+    ):
+        # A tensor serializes as to_dict; a stepped view and a view of a
+        # view as their materialization, plus "view": True.  Both are read
+        # by the oracle's own positions, for an operand and for a write's
+        # dst_before alike.
+        operands = self.operands(layout)
+        wanted = [operands[0].to_dict()]
+        wanted += [dict(x.materialize().to_dict(), view=True) for x in operands[1:]]
+        shapes = [x.shape for x in operands]
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the oracle used the engine to serialize")
+
+        monkeypatch.setattr(iterators, "_plan", banned)
+        monkeypatch.setattr(iterators, "plan_fibers", banned)
+        monkeypatch.setattr(tensor._Strided, "_key_to_memory", banned)
+        monkeypatch.setattr(views, "_frame", banned)
+        monkeypatch.setattr(views.TensorView, "materialize", banned)
+        cmp = verify._Comparator("int64")
+        for x, shape, want in zip(operands, shapes, wanted):
+            assert verify._operand_json(x) == want
+            data = x.data  # the root's buffer, which v and w share
+            saved = data[:]
+            clobber = lambda: data.__setitem__(slice(None), [1000] * len(data))
+            bad = cmp.run({"op": "write"}, verify.read_flat(x), clobber, (), shape, x)
+            assert bad["got"] == "1000"
+            assert bad["dst_before"] == want
+            data[:] = saved
 
     @pytest.mark.parametrize("new_shape", [(3, 2), (6,)])
     def test_stale_view_raises(self, new_shape):

@@ -12,15 +12,20 @@ once from the checkout ``DIR``, with its own.  The two sides' operands must
 hold equal values, and ``DIR``'s buffers are then pointed at this side's
 element objects: otherwise the side built first reads float objects better
 placed in memory, which in an A/A run made view contractions read 0.35-0.72
-against a copy of themselves.  Each repetition times every
-case once on each side, back to back, alternating which side goes first,
-and checks every output after its clock stops; a wrong output ends the
-script with exit status 1.  Nothing under ``perfbench/`` is changed.
+against a copy of themselves.  Before any sample, each case's call count
+k is fixed from one call on this side, so that a sample of k calls lasts
+at least about 20 ms (k = 1 where one call already does); a case whose
+first call is slower than the rest (a first ``fill`` also frees the
+previous contents) gets shorter samples.  Both sides use the same k.
+Each repetition takes one sample of every case on each side, back to
+back, alternating which side goes first, and checks every output after
+its call's clock stops; a wrong output ends the script with exit status
+1.  Nothing under ``perfbench/`` is changed.
 
 The report gives, per case, each side's minimum over repetitions in
-milliseconds and the median over repetitions of the ratio ``this /
-against`` of the two back-to-back timings, then the geometric mean of those
-median ratios over all cases.
+milliseconds per call and the median over repetitions of the ratio ``this
+/ against`` of the two back-to-back samples, then the geometric mean of
+those median ratios over all cases.
 """
 
 from __future__ import annotations
@@ -103,30 +108,39 @@ def build(checkouts, n: int, seed: int) -> list:
     return sides
 
 
+SAMPLE_S = 0.02  # shortest timed sample of one case, in seconds
+
+
+def timed_call(op, side: str) -> float:
+    """Seconds one call of ``op`` takes; its output is checked after the
+    clock stops."""
+    t0 = time.perf_counter()
+    out = op.call()
+    elapsed = time.perf_counter() - t0
+    if op.check(out) is None:
+        raise SystemExit(f"{op.kind}: wrong output on the {side} side")
+    return elapsed
+
+
 def measure(sides: List[list], reps: int) -> Dict[str, List[list]]:
     """Every repetition's ms per call of every case on both sides, the
-    sides timed back to back within each repetition."""
+    sides sampled back to back within each repetition, each sample the
+    mean of the case's k calls."""
     kinds = [op.kind for op in sides[0]]
     if [op.kind for op in sides[1]] != kinds:
         raise SystemExit("the two checkouts' bulk workloads list different cases")
     samples: Dict[str, List[list]] = {kind: [[], []] for kind in kinds}
-    clock = time.perf_counter
     gc.collect()
     gc.disable()
     try:
+        calls = [max(1, math.ceil(SAMPLE_S / timed_call(op, "this"))) for op in sides[0]]
         for rep in range(reps):
             order = (1, 0) if rep % 2 else (0, 1)
             for j, kind in enumerate(kinds):
                 for k in order:
-                    op = sides[k][j]
-                    t0 = clock()
-                    out = op.call()
-                    elapsed = clock() - t0
-                    if op.check(out) is None:
-                        side = "this" if k == 0 else "against"
-                        raise SystemExit(f"{kind}: wrong output on the {side} side")
-                    del out
-                    samples[kind][k].append(elapsed * 1e3)
+                    op, side = sides[k][j], "this" if k == 0 else "against"
+                    total = sum(timed_call(op, side) for _ in range(calls[j]))
+                    samples[kind][k].append(total * 1e3 / calls[j])
     finally:
         gc.enable()
     return samples
