@@ -72,10 +72,10 @@ from math import hypot, prod
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
-from .elementwise import _copy, _in_order, _mit, copy, inner_product_flat
+from .elementwise import _in_order, _mit, inner_product_flat
 from .iterators import MultiIterator, _plan, _positions, check_reach
-from .layout import _as_indices
-from .tensor import DenseTensor
+from .layout import _as_indices, _permutation
+from .tensor import DenseTensor, _materialize
 
 __all__ = [
     "ContractionSpec",
@@ -118,14 +118,8 @@ def transpose(a, tau: Sequence[int]) -> DenseTensor:
     dimension tau[r].
     """
     ia = _mit(a)
-    p = ia.order
-    tau = _as_indices(tau, "tau")
-    if sorted(tau) != list(range(1, p + 1)):
-        raise ValueError(f"tau {tau} is not a permutation of 1..{p}")
-    permuted = _sub(ia, [t - 1 for t in tau])
-    out = DenseTensor(permuted.extents)
-    _copy(permuted, out.miter())
-    return out
+    tau = _permutation(tau, "tau", ia.order)
+    return _materialize(_sub(ia, [t - 1 for t in tau]))
 
 
 # -- the contraction engine ------------------------------------------------------
@@ -343,14 +337,10 @@ class ContractionSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "q", _as_indices((self.q,), "q")[0])
-        object.__setattr__(self, "phi", _as_indices(self.phi, "phi"))
-        object.__setattr__(self, "psi", _as_indices(self.psi, "psi"))
+        object.__setattr__(self, "phi", _permutation(self.phi, "phi"))
+        object.__setattr__(self, "psi", _permutation(self.psi, "psi"))
         if self.q < 0:
             raise ValueError("q must be nonnegative")
-        if sorted(self.phi) != list(range(1, len(self.phi) + 1)):
-            raise ValueError(f"phi {self.phi} is not a permutation")
-        if sorted(self.psi) != list(range(1, len(self.psi) + 1)):
-            raise ValueError(f"psi {self.psi} is not a permutation")
         if self.q > len(self.phi) or self.q > len(self.psi):
             raise ValueError("q exceeds an operand's order")
         if len(self.phi) == 0 or len(self.psi) == 0:
@@ -375,14 +365,11 @@ def ttt(a, b, spec: ContractionSpec) -> DenseTensor:
     """
     ia, ib = _mit(a), _mit(b)
     q, r, s = spec.q, spec.r, spec.s
-    if len(spec.phi) != ia.order:
-        raise ValueError(
-            f"phi length {len(spec.phi)} does not match order {ia.order}"
-        )
-    if len(spec.psi) != ib.order:
-        raise ValueError(
-            f"psi length {len(spec.psi)} does not match order {ib.order}"
-        )
+    for name, perm, it in (("phi", spec.phi, ia), ("psi", spec.psi, ib)):
+        if len(perm) != it.order:
+            raise ValueError(
+                f"{name} length {len(perm)} does not match order {it.order}"
+            )
     phi = tuple(x - 1 for x in spec.phi)
     psi = tuple(x - 1 for x in spec.psi)
     for k in range(q):
@@ -460,9 +447,7 @@ def _chain(it: MultiIterator, operands, modes, what: str, step) -> DenseTensor:
     if any(m2 <= m1 for m1, m2 in zip(modes, modes[1:])):
         raise ValueError(f"{what}: modes {modes} must be strictly increasing")
     if not operands:
-        out = DenseTensor(it.extents)
-        copy(it, out)
-        return out
+        return _materialize(it)
     result = it
     for m, x in zip(modes[::-1], operands[::-1]):
         result = step(_mit(result), x, m)

@@ -122,8 +122,8 @@ def _store(plan: FiberPlan, dst: MultiIterator, fibers: Iterable) -> None:
 
 
 # Cursor-level kernels of copy, fill and compare_ranges (and ``_equal``, its
-# flag alone); the container paths (relayout, assign, materialize,
-# tensors_equal, transpose) call them directly on cursors they have built.
+# flag alone); the container paths (relayout, assign, tensors_equal and
+# ``tensor._materialize``) call them directly on cursors they have built.
 
 
 def _copy(a: MultiIterator, c: MultiIterator) -> None:

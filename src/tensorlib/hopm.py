@@ -39,6 +39,7 @@ from typing import List, Optional, Sequence
 
 from .contraction import frobenius_norm, times_vectors, ttv
 from .elementwise import _in_order
+from .layout import _as_indices
 from .tensor import DenseTensor
 
 __all__ = ["DegenerateInputError", "HopmState", "hopm", "rank_one_compose", "residual"]
@@ -102,6 +103,7 @@ def hopm(
     """
     p = a.order
     shape = a.shape
+    (max_sweeps,) = _as_indices((max_sweeps,), "max_sweeps")
     if max_sweeps < 1:
         raise ValueError("max_sweeps must be >= 1")
     if not tol >= 0.0:
@@ -160,20 +162,24 @@ def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTenso
     """Tensor with ``B(i_1, .., i_p) = scale * u_1(i_1) * ... * u_p(i_p)``."""
     if len(vectors) == 0:
         raise ValueError("need at least one vector")
+    return DenseTensor.from_memory(tuple(v.size for v in vectors), _rows(scale, vectors))
+
+
+def _rows(scale: float, vectors: Sequence[DenseTensor]) -> list:
     # Dimension 1 varies fastest in the default layout, so each pass
     # multiplies the rows built so far by one more vector's elements, read
     # in iteration order (views included): the same ((scale * u_1) * u_2)
     # * ... order as chained outer products.
-    data = [scale]
+    rows = [scale]
     for v in vectors:
-        data = [y * x for x in _in_order(v)[1] for y in data]
-    return DenseTensor.from_memory(tuple(v.size for v in vectors), data)
+        rows = [y * x for x in _in_order(v)[1] for y in rows]
+    return rows
 
 
 def residual(a, state: HopmState) -> float:
     """``||a - rank_one_compose(state.scale, state.u)||_F``, in one pass.
 
-    The rows ``scale * u_1 o ... o u_{p-1}`` are built as in
+    The rows ``scale * u_1 o ... o u_{p-1}`` are built by ``_rows``, as in
     :func:`rank_one_compose` (n^(p-1) elements for extents n); each
     element of the last vector then scales them against the next row of
     ``a``'s elements in iteration order, so every difference has the bits
@@ -185,9 +191,7 @@ def residual(a, state: HopmState) -> float:
     it, values = _in_order(a)
     if it.extents != shape:
         raise ValueError(f"shape mismatch: {shape} vs {it.extents}")
-    rows = [state.l[-1]]
-    for v in vectors[:-1]:
-        rows = [y * x for x in _in_order(v)[1] for y in rows]
+    rows = _rows(state.l[-1], vectors[:-1])
     values, m = iter(values), len(rows)
     diff = [
         v - y * x

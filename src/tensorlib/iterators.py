@@ -124,10 +124,7 @@ class MultiIterator:
         return StrideIterator(self.data, self.pos, self.strides[r])
 
     def end(self, r: int) -> StrideIterator:
-        if not 0 <= r < self.order:
-            raise ValueError(f"depth {r} out of range for order {self.order}")
-        w = self.strides[r]
-        return StrideIterator(self.data, self.pos + self.extents[r] * w, w)
+        return self.begin(r).advance(self.extents[r])
 
     def move_to(self, it) -> "MultiIterator":
         """Adopt a stride iterator's (or raw) position; returns self."""

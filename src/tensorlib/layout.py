@@ -95,12 +95,17 @@ def _checked_shape(extents: Iterable[int]) -> Tuple[Tuple[int, ...], int]:
 
 def validate_layout(perm: Iterable[int], order: int) -> Tuple[int, ...]:
     """Normalize a one-based layout permutation of ``(1, ..., order)``."""
-    layout = _as_indices(perm, "layout")
-    if len(layout) != order:
-        raise ValueError(f"layout {layout} does not match order {order}")
-    if sorted(layout) != list(range(1, order + 1)):
-        raise ValueError(f"layout {layout} is not a permutation of 1..{order}")
-    return layout
+    return _permutation(perm, "layout", order)
+
+
+def _permutation(values: Iterable[int], name: str, order=None) -> Tuple[int, ...]:
+    """``values`` as a one-based permutation of ``(1, ..., order or len(values))``."""
+    perm = _as_indices(values, name)
+    if order is not None and len(perm) != order:
+        raise ValueError(f"{name} {perm} does not match order {order}")
+    if sorted(perm) != [*range(1, len(perm) + 1)]:
+        raise ValueError(f"{name} {perm} is not a permutation of 1..{len(perm)}")
+    return perm
 
 
 def validate_offsets(offsets: Iterable[int], order: int) -> Tuple[int, ...]:
@@ -184,7 +189,7 @@ class TensorMeta:
         shape, size = _checked_shape(shape)
         p = len(shape)
         layout = (
-            first_order_layout(p) if layout is None else validate_layout(layout, p)
+            first_order_layout(p) if layout is None else _permutation(layout, "layout", p)
         )
         offsets = (0,) * p if offsets is None else validate_offsets(offsets, p)
         object.__setattr__(self, "shape", shape)

@@ -96,25 +96,23 @@ class _Strided:
         for ``dim`` is ignored); by default the range starts at the first
         element.
         """
-        return StrideIterator(self.data, self._dim_base(dim, at), self.strides[dim - 1])
+        return self._dim_cursor(dim, at).begin(dim - 1)
 
     def dim_end(self, dim: int, at: Optional[Sequence[int]] = None) -> StrideIterator:
-        pos = self._dim_base(dim, at)
-        w = self.strides[dim - 1]
-        return StrideIterator(self.data, pos + self.shape[dim - 1] * w, w)
+        return self._dim_cursor(dim, at).end(dim - 1)
 
-    def _dim_base(self, dim: int, at: Optional[Sequence[int]]) -> int:
+    def _dim_cursor(self, dim: int, at: Optional[Sequence[int]]) -> MultiIterator:
         meta = self.meta
         p = len(meta.shape)
         if not 1 <= dim <= p:
             raise ValueError(f"dimension {dim} out of range 1..{p}")
         if at is None:
-            return meta.gamma
+            return self.miter()
         if len(at) != p:
             raise ValueError(f"expected {p} indices, got {len(at)}")
         at = list(at)
         at[dim - 1] = meta.offsets[dim - 1]
-        return self._key_to_memory(at)
+        return self.miter().move_to(self._key_to_memory(at))
 
 
 class DenseTensor(_Strided):
@@ -290,6 +288,14 @@ class DenseTensor(_Strided):
             f"DenseTensor(shape={self.shape}, offsets={self.offsets}, "
             f"layout={self.layout})"
         )
+
+
+def _materialize(src: MultiIterator) -> DenseTensor:
+    """Fresh default-layout, zero-offset tensor holding the cursor ``src``'s
+    elements, for ``materialize``, ``transpose`` and empty ``times_*`` chains."""
+    out = DenseTensor(src.extents)
+    _copy(src, out.miter())
+    return out
 
 
 def tensors_equal(a, b) -> bool:

@@ -29,8 +29,9 @@ It sets operands up and serializes counterexamples by the same reads,
 never through ``copy`` or ``materialize``, so a wrong kernel fails its
 own family alone.
 
-int64 trials draw small signed integers in [-9, 9].  Tensor elements and
-the other integers an instance draws (orders, extents, offsets, view
+Elements of operands and scalar parameters come from ``_rand_values``:
+int64 trials draw small signed integers in [-9, 9].  Those and the
+other integers an instance draws (orders, extents, offsets, view
 steps, ttv and ttm modes, start values) come from ``_randints``, which
 reproduces CPython's ``randint`` from ``getrandbits`` (for the elements,
 one Mersenne Twister word per ``getrandbits(5)``, redrawn while the word
@@ -68,7 +69,7 @@ from typing import Callable, List, Optional, Tuple
 
 from . import contraction as ct
 from . import elementwise as ew
-from .layout import compute_strides, zero_indices
+from .layout import _as_indices, compute_strides, zero_indices
 from .tensor import DenseTensor
 from .views import Range, TensorView
 
@@ -86,6 +87,8 @@ class RunConfig:
     scalar_kind: str = "float64"
 
     def __post_init__(self):
+        for name in ("seed", "trials", "max_order", "max_extent"):
+            setattr(self, name, _as_indices((getattr(self, name),), name)[0])
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
         if not 2 <= self.max_order <= 6:
@@ -174,10 +177,12 @@ def _rand_offsets(rng, p: int) -> Tuple[int, ...]:
     return tuple(_randints(rng, -2, 2, p))
 
 
-def _rand_value(rng, kind: str):
+def _rand_values(rng, kind: str, count: int) -> list:
+    """``count`` elements of ``kind``: every element an instance draws."""
     if kind == "int64":
-        return _randints(rng, -9, 9, 1)[0]
-    return 0.5 + 1.5 * rng.random()
+        return _randints(rng, -9, 9, count)
+    rand = rng.random
+    return [0.5 + 1.5 * rand() for _ in range(count)]
 
 
 def _randints(rng, lo: int, hi: int, count: int) -> List[int]:
@@ -209,11 +214,7 @@ def _randints(rng, lo: int, hi: int, count: int) -> List[int]:
 def _rand_tensor(rng, shape, kind: str = "int64") -> DenseTensor:
     p = len(shape)
     offsets, layout = _rand_offsets(rng, p), _rand_layout(rng, p)
-    if kind == "int64":
-        data = _randints(rng, -9, 9, prod(shape))
-    else:
-        rand = rng.random
-        data = [0.5 + 1.5 * rand() for _ in range(prod(shape))]
+    data = _rand_values(rng, kind, prod(shape))
     return DenseTensor.from_memory(shape, data, offsets, layout)
 
 
@@ -473,7 +474,7 @@ class _Comparator:
 
 def _check_for_each(rng, cfg, cmp):
     shape, x = _rand_operands(rng, cfg, 1)
-    alpha = _rand_value(rng, cfg.scalar_kind)
+    (alpha,) = _rand_values(rng, cfg.scalar_kind, 1)
     f = lambda v: v * 2 + alpha
     expected = list(map(f, read_flat(x)))
     ctx = {"op": "for_each", "alpha": alpha}
@@ -482,7 +483,7 @@ def _check_for_each(rng, cfg, cmp):
 
 def _check_transform_unary(rng, cfg, cmp):
     shape, src, dst = _rand_operands(rng, cfg, 2)
-    alpha = _rand_value(rng, cfg.scalar_kind)
+    (alpha,) = _rand_values(rng, cfg.scalar_kind, 1)
     f = lambda v: v * alpha
     expected = list(map(f, read_flat(src)))
     ctx = {"op": "transform_unary", "alpha": alpha, "src": src}
@@ -518,25 +519,19 @@ def _check_copy_if(rng, cfg, cmp):
 
 def _check_fill(rng, cfg, cmp):
     shape, dst = _rand_operands(rng, cfg, 1)
-    v = _rand_value(rng, cfg.scalar_kind)
+    (v,) = _rand_values(rng, cfg.scalar_kind, 1)
     ctx = {"op": "fill", "value": v}
     return cmp.run(ctx, [v] * prod(shape), ew.fill, (dst, v), shape, dst)
 
 
-def _check_generate(rng, cfg, cmp):
+def _check_count_up(op: str, lo: int, hi: int, rng, cfg, cmp):
+    """``generate`` from a counter or ``iota``, from a start in [lo, hi]."""
     shape, dst = _rand_operands(rng, cfg, 1)
-    (start,) = _randints(rng, 0, 5, 1)
+    (start,) = _randints(rng, lo, hi, 1)
     expected = list(range(start, start + prod(shape)))
-    gen, ctx = itertools.count(start).__next__, {"op": "generate", "start": start}
-    return cmp.run(ctx, expected, ew.generate, (dst, gen), shape, dst)
-
-
-def _check_iota(rng, cfg, cmp):
-    shape, dst = _rand_operands(rng, cfg, 1)
-    (start,) = _randints(rng, -3, 3, 1)
-    expected = list(range(start, start + prod(shape)))
-    ctx = {"op": "iota", "start": start}
-    return cmp.run(ctx, expected, ew.iota, (dst, start), shape, dst)
+    arg = itertools.count(start).__next__ if op == "generate" else start
+    ctx = {"op": op, "start": start}
+    return cmp.run(ctx, expected, getattr(ew, op), (dst, arg), shape, dst)
 
 
 def _check_count(rng, cfg, cmp):
@@ -594,7 +589,7 @@ def _check_compare(rng, cfg, cmp):
 def _check_quantify(rng, cfg, cmp):
     _, x = _rand_operands(rng, cfg, 1)
     values, bad = read_flat(x), None
-    threshold = _rand_value(rng, cfg.scalar_kind)
+    (threshold,) = _rand_values(rng, cfg.scalar_kind, 1)
     pred = lambda v: v >= threshold
     hits = [v for v in values if pred(v)]
     expect = {"all": len(hits) == len(values), "any": bool(hits), "none": not hits}
@@ -606,14 +601,14 @@ def _check_quantify(rng, cfg, cmp):
 
 def _check_accumulate(rng, cfg, cmp):
     _, x = _rand_operands(rng, cfg, 1)
-    init = _rand_value(rng, cfg.scalar_kind)
+    (init,) = _rand_values(rng, cfg.scalar_kind, 1)
     ctx = {"op": "accumulate", "init": init, "a": x}
     return cmp.run(ctx, reduce(add, read_flat(x), init), ew.accumulate, (x, init))
 
 
 def _check_inner_flat(rng, cfg, cmp):
     _, a, b = _rand_operands(rng, cfg, 2)
-    init = _rand_value(rng, cfg.scalar_kind)
+    (init,) = _rand_values(rng, cfg.scalar_kind, 1)
     expected = sum(map(mul, read_flat(a), read_flat(b)), init)
     ctx = {"op": "inner_product_flat", "init": init, "a": a, "b": b}
     return cmp.run(ctx, expected, ew.inner_product_flat, (a, b, init))
@@ -743,8 +738,8 @@ FAMILIES: List[Tuple[str, Callable]] = [
     ("copy", _check_copy),
     ("copy_if", _check_copy_if),
     ("fill", _check_fill),
-    ("generate", _check_generate),
-    ("iota", _check_iota),
+    ("generate", partial(_check_count_up, "generate", 0, 5)),
+    ("iota", partial(_check_count_up, "iota", -3, 3)),
     ("count_matching", _check_count),
     ("extremum_element", _check_extremum),
     ("find_first", _check_find),

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
-from .elementwise import _copy
 from .layout import TensorMeta, _as_indices
-from .tensor import DenseTensor, _Strided
+from .tensor import DenseTensor, _materialize, _Strided
 
 __all__ = ["Range", "TensorView", "classify_view"]
 
@@ -88,11 +87,12 @@ def _resolve(spec, offset: int, extent: int):
     ``[offset, offset + extent)``, not yet checked against it."""
     if not isinstance(spec, Range):
         if spec is None:
-            return offset, 1, offset + extent - 1
-        if not hasattr(type(spec), "__index__"):
+            spec = Range()
+        elif not hasattr(type(spec), "__index__"):
             raise ValueError(f"cannot interpret {spec!r} as a range")
-        # An int or a NumPy integer; Range rejects bool.
-        spec = Range(spec)
+        else:
+            # An int or a NumPy integer; Range rejects bool.
+            spec = Range(spec)
     if spec.first is _FULL:
         return offset, 1, offset + extent - 1
     return spec.first, spec.step, spec.last
@@ -188,9 +188,7 @@ class TensorView(_Strided):
     def materialize(self) -> DenseTensor:
         """Fresh default-layout, zero-offset tensor holding the view's
         elements."""
-        out = DenseTensor(self.shape)
-        _copy(self.miter(), out.miter())
-        return out
+        return _materialize(self.miter())
 
     def __repr__(self):
         return f"TensorView(target={self.target!r}, ranges={self.ranges})"

@@ -8,9 +8,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = [
-    "DenseTensor", "TensorView", "plan_fibers", "copy", "fill",
-    "compare_ranges", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
-    "transpose",
+    "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy", "fill",
+    "compare_ranges", "ContractionSpec", "ttv", "ttm", "ttt", "outer_product",
+    "times_vectors", "transpose",
 ]
 
 

@@ -5,9 +5,10 @@ Usage, from anywhere::
     python3 tools/tiny_calls.py [--against DIR] [--reps R] [--number N]
 
 Times the calls the randomized oracle makes most, each on (3, 4, 2)
-operands: constructing a ``DenseTensor`` and a ``TensorView``, planning
-two cursors with ``plan_fibers``, the elementwise ``copy``, ``fill`` and
-``compare_ranges``, and the contractions ``ttv``, ``ttm``, ``ttt``,
+operands: constructing a ``DenseTensor`` and a ``TensorView``,
+materializing a stepped view, planning two cursors with ``plan_fibers``,
+the elementwise ``copy``, ``fill`` and ``compare_ranges``, constructing a
+``ContractionSpec``, and the contractions ``ttv``, ``ttm``, ``ttt``,
 ``outer_product``, a ``times_vectors`` over all three modes and
 ``transpose``.  Each figure is the minimum, over ``R`` repetitions, of the
 mean time of ``N`` back-to-back calls, in microseconds per call.
@@ -38,9 +39,9 @@ from typing import Callable, Dict, List, Tuple
 HERE = Path(__file__).resolve().parent.parent
 
 CALLS = (
-    "DenseTensor", "TensorView", "plan_fibers", "copy", "fill",
-    "compare_ranges", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
-    "transpose",
+    "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy", "fill",
+    "compare_ranges", "ContractionSpec", "ttv", "ttm", "ttt", "outer_product",
+    "times_vectors", "transpose",
 )
 
 
@@ -66,6 +67,7 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     b = from_memory((3, 4, 2), [1.5 - k / 9 for k in range(24)], layout=(3, 2, 1))
     parent = tl.DenseTensor((5, 8, 3), offsets=(-1, 0, 1), layout=(2, 3, 1))
     ranges = (tl.Range(0, 1, 2), tl.Range(0, 2, 6), tl.Range(1, 1, 2))
+    view = tl.TensorView(parent, ranges)
     vec = from_memory((4,), [0.25, 1.0, 1.75, 2.5])
     vectors = [from_memory((3,), [0.5, -1.0, 2.0]), vec, from_memory((2,), [3.0, 0.75])]
     mat = from_memory((5, 4), [k / 3 for k in range(20)], layout=(2, 1))
@@ -76,10 +78,12 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     return {
         "DenseTensor": lambda: tl.DenseTensor((3, 4, 2)),
         "TensorView": lambda: tl.TensorView(parent, ranges),
+        "materialize": view.materialize,
         "plan_fibers": lambda: plan_fibers(cursors),
         "copy": lambda: tl.copy(a, b),
         "fill": lambda: tl.fill(b, 1.0),
         "compare_ranges": lambda: tl.compare_ranges(a, b),
+        "ContractionSpec": lambda: tl.ContractionSpec(1, (1, 3, 2), (2, 1)),
         "ttv": lambda: tl.ttv(a, vec, 2),
         "ttm": lambda: tl.ttm(a, mat, 2),
         "ttt": lambda: tl.ttt(a, other, spec),
