@@ -7,10 +7,15 @@ this interface; the kernels translate to zero-based dimensions internally.
 ``ttv``, ``ttm``, ``ttt`` and ``outer_product`` check their arguments and
 make one call to an engine built on :func:`~tensorlib.iterators.plan_fibers`,
 which allocates the output.  Of the two operands, the one with fewer free
-positions is packed: the bound (contracted) elements of each of its free
-positions are taken once as list slices, which hold references, not new
-element objects.  The other operand is streamed over its free loops,
-planned jointly with the output's and ordered by the streamed operand's
+positions is packed and the other streamed; every product is taken as
+streamed element times packed element.  With no bound pair
+(``outer_product``, ttt with q = 0) the streamed side's outputs for one
+packed element ``x`` form one run of the output: the streamed elements are
+read once, in output order, and each ``x`` stores ``[v * x for v in
+streamed]`` with one slice assignment.  Otherwise the bound (contracted)
+elements of each packed free position are taken once as list slices,
+which hold references, not new element objects.  The streamed operand's
+free loops are planned jointly with the output's and ordered by its
 strides, smallest innermost, so consecutive outputs read adjacent bound
 fibers; each output element is one fiber dot product,
 ``sum(map(mul, streamed_fiber, packed_fiber))``.  Where each output's
@@ -26,7 +31,8 @@ products commute exactly.  ttm places B's row dimension at ``mode`` through the
 output strides the engine writes with, so no transpose follows.  Besides
 the output tensor, the engine holds the packed fibers of the smaller
 side, one bound fiber of the streamed side at a time, and the values of
-one output fiber per packed fiber before they are stored.  Each operand's
+one output fiber per packed fiber before they are stored (with no bound
+pair: the streamed elements and one list of products).  Each operand's
 reach is checked once per call: a cursor that would read outside its
 buffer raises ``IndexError`` before anything is written.
 
@@ -143,8 +149,6 @@ def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
     last pair fastest: fiber after fiber, each starting ``offsets[j]``
     from operand j's position.
     """
-    if not s_bound:
-        return 1, (1, 1), ([0], [0])
     ws, wk = s.strides[s_bound[0]], k.strides[k_bound[0]]
     if len(s_bound) == 1 and ws > 0 and wk > 0:
         # One pair with positive strides is a single fiber: no plan needed.
@@ -206,34 +210,37 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         sides.reverse()
     (s, s_free, s_bound, s_ext, s_out), (k, k_free, k_bound, k_ext, k_out) = sides
     # ``s`` and ``k`` were checked whole and the output is fresh, so the
-    # sub-cursors planned below need no check of their own.  The reorder
-    # keys on the last cursor, the streamed one: consecutive outputs then
-    # read adjacent bound fibers.
-    cursors = (
-        MultiIterator(out.data, 0, s_out, s_ext),
-        MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext),
-    )
-    plan = _plan(cursors, reorder=True, check=False)
-    length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
+    # sub-cursors planned below need no check of their own.
+    sc = MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext)
     if k_free:
         k_pos = _positions(k.pos, [k.strides[d] for d in k_free], k_ext)
         k_outs = _positions(0, k_out, k_ext)
     else:
         # One packed fiber: its outputs are each output fiber, in order.
         k_pos, k_outs = (k.pos,), None
+    data, sdata = out.data, s.data
+    if not s_bound:
+        # No bound pair: each output is the product itself, not 0 + a * b
+        # (which turns -0.0 into 0.0).  Without ``dims`` (every q = 0 call)
+        # the streamed side's outputs are one run of the fresh output.
+        sf, w = list(_in_order(sc)[1]), s_out[0]
+        for x, oc in zip(map(k.data.__getitem__, k_pos), k_outs):
+            data[oc : oc + len(sf) * w : w] = [v * x for v in sf]
+        return out
+    # The reorder keys on the last cursor, the streamed one: consecutive
+    # outputs then read adjacent bound fibers.
+    plan = _plan((MultiIterator(data, 0, s_out, s_ext), sc), reorder=True, check=False)
+    n, (wc, ws), starts = plan.length, plan.strides, zip(*plan.starts)
+    length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
     packed = list(_gather(k.data, k_pos, length, steps[1], offsets[1]))
-    nk, n, (wc, ws) = len(packed), plan.length, plan.strides
-    # With no bound pair each fiber holds one element, and the output is
-    # the product itself rather than 0 + a * b (which turns -0.0 into 0.0).
-    reduce = sum if s_bound else next
-    data, sdata, step = out.data, s.data, steps[0]
-    span, starts = length * step, zip(*plan.starts)
+    nk, step = len(packed), steps[0]
+    span = length * step
     if len(offsets[0]) != 1:
         # Each output's streamed bound elements lie on several fibers (ttt
         # pairs that do not merge): gathered output by output.
         for pc, ps in starts:
             streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])
-            values = [reduce(map(mul, sf, kf)) for sf in streamed for kf in packed]
+            values = [sum(map(mul, sf, kf)) for sf in streamed for kf in packed]
             for j, oc in enumerate((0,) if k_outs is None else k_outs):
                 data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
         return out
@@ -245,7 +252,7 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         for pc, ps in starts:
             lo = ps + first
             data[pc : pc + n * wc : wc] = [
-                reduce(map(mul, sdata[p : p + span : step], kf))
+                sum(map(mul, sdata[p : p + span : step], kf))
                 for p in range(lo, lo + n * ws, ws)
             ]
         return out
@@ -253,7 +260,7 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         lo = ps + first
         # Packed fibers fastest, so that each streamed slice is made once.
         values = [
-            reduce(map(mul, sf, kf))
+            sum(map(mul, sf, kf))
             for p in range(lo, lo + n * ws, ws)
             for sf in [sdata[p : p + span : step]]
             for kf in packed

@@ -192,11 +192,11 @@ class TensorMeta:
             first_order_layout(p) if layout is None else _permutation(layout, "layout", p)
         )
         offsets = (0,) * p if offsets is None else validate_offsets(offsets, p)
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "layout", layout)
-        object.__setattr__(self, "offsets", offsets)
-        object.__setattr__(self, "strides", compute_strides(shape, layout))
-        object.__setattr__(self, "size", size)
+        _set_shape(self, shape)
+        _set_layout(self, layout)
+        _set_offsets(self, offsets)
+        _set_strides(self, compute_strides(shape, layout))
+        _set_size(self, size)
 
     def __setattr__(self, name, value):
         raise AttributeError("TensorMeta is immutable")
@@ -233,6 +233,12 @@ class TensorMeta:
             f"TensorMeta(shape={self.shape}, offsets={self.offsets}, "
             f"layout={self.layout})"
         )
+
+
+# Each slot's own store, past the immutability guard of ``__setattr__``.
+_set_shape, _set_layout, _set_offsets, _set_strides, _set_size = (
+    getattr(TensorMeta, name).__set__ for name in TensorMeta.__slots__
+)
 
 
 def inverse_memory_index(meta: TensorMeta, j: int) -> Tuple[int, ...]:

@@ -21,10 +21,12 @@ every element's memory position with its own stride arithmetic: a
 tensor's strides come from ``compute_strides`` of its shape and layout,
 and a view's, at any depth of views of views, from its target's strides
 derived the same way and the view's resolved ranges, never from a view's
-frame (``meta``, ``strides``, ``gamma``, ``views._frame``).  It calls
-neither the fiber planner (``iterators._plan``, ``plan_fibers``,
-``check_reach``) nor element access (``_Strided._key_to_memory``), so a
-wrong plan or a wrong view frame cannot also corrupt the expected values.
+frame (``meta``, ``strides``, ``gamma``, ``views._frame``), and turns
+them into positions by strided runs of its own (:func:`_grid`).  It calls
+and shares no code with the fiber planner (``iterators._plan``,
+``plan_fibers``, ``check_reach``) or element access
+(``_Strided._key_to_memory``), so a wrong plan or a wrong view frame
+cannot also corrupt the expected values.
 It sets operands up and serializes counterexamples by the same reads,
 never through ``copy`` or ``materialize``, so a wrong kernel fails its
 own family alone.
@@ -61,6 +63,7 @@ import itertools
 import json
 import os
 import traceback
+from collections import deque
 from dataclasses import asdict, dataclass, field
 from functools import partial, reduce
 from math import hypot, prod
@@ -286,14 +289,28 @@ def _box_frame(x):
     return root, tuple(shape), strides, gamma
 
 
-def _grid(gamma: int, strides, shape) -> list:
+def _grid(gamma: int, strides, shape):
     """``gamma + sum_r strides[r] * i[r]`` for every zero-based multi-index
-    ``i`` of ``shape``, in ``zero_indices`` order (dimension 1 fastest)."""
-    positions = [gamma]
-    for w, n in zip(reversed(strides), reversed(shape)):
-        if n != 1:
+    ``i`` of ``shape``, in ``zero_indices`` order (dimension 1 fastest).
+
+    Extent-1 dimensions are skipped, and dimension r+1 joins the strided
+    run of dimension r when ``strides[r+1] == strides[r] * shape[r]``; a
+    grid that is one run of nonzero stride comes back as a ``range``, and
+    an outer run of stride 0 repeats the positions inside it."""
+    runs = []  # [stride, extent], innermost first
+    for w, n in zip(strides, shape):
+        if runs and w == runs[-1][0] * runs[-1][1]:
+            runs[-1][1] *= n
+        elif n != 1:
+            runs.append([w, n])
+    (w, n), *outer = runs or [(1, 1)]
+    positions = range(gamma, gamma + n * w, w) if w else [gamma] * n
+    for w, n in outer:
+        if w:
             steps = [w * i for i in range(n)]
-            positions = [b + s for b in positions for s in steps]
+            positions = [p + s for s in steps for p in positions]
+        else:
+            positions = [*positions] * n
     return positions
 
 
@@ -457,13 +474,11 @@ class _Comparator:
         if before is None:
             return None
         window = list(map(before.__getitem__, positions))
-        for p, v in zip(positions, values):
-            before[p] = v
+        deque(map(before.__setitem__, positions, values), maxlen=0)
         if before == data:
             return None
         k = list(map(ne, before, data)).index(True)
-        for p, v in zip(positions, window):
-            before[p] = v
+        deque(map(before.__setitem__, positions, window), maxlen=0)
         index = list(_unravel(k, root.shape, root.layout))
         found = {"expected": repr(before[k]), "got": repr(data[k]), "index": index}
         return _counterexample(context, **found, outside_view=True)

@@ -592,6 +592,61 @@ class TestNamedSpecialCases:
             inner_product_tensors(DenseTensor((2, 3)), DenseTensor((3, 2)))
 
 
+class TestNoBoundPair:
+    """``outer_product`` and ttt with q = 0 store each output as the product
+    ``a * b`` itself: the same bits, type and sign of zero as the product
+    of the operands' ``read_box`` values, at every layout, offset and view,
+    whichever operand the engine packs."""
+
+    # |A| < |B| (A packed, B streamed) and |A| > |B|, with extent-1 dimensions.
+    SHAPES = [((2, 3), (3, 1, 4)), ((4, 1, 3), (2, 3)), ((1,), (5,)), ((3, 2), (1,))]
+
+    @staticmethod
+    def ways(rng, shape, values):
+        """``values`` at first and last order, at a random layout with
+        nonzero offsets, and as views and a view of a view."""
+        return (*four_layouts(shape, values), *three_ways(rng, shape, values)[1:])
+
+    @staticmethod
+    def draw(rng, kind, count):
+        if kind == "int64":
+            return [rng.randint(-9, 9) for _ in range(count)]
+        pool = (0.0, -0.0, 1.5, -2.25, 1e-300, -3e200)
+        return [rng.choice(pool) * rng.uniform(0.5, 2) for _ in range(count)]
+
+    @staticmethod
+    def bits(v):
+        return (type(v), v.hex() if isinstance(v, float) else v)
+
+    @pytest.mark.parametrize("kind", ["int64", "float64"])
+    @pytest.mark.parametrize("shapes", SHAPES, ids=str)
+    def test_products_match_read_box(self, shapes, kind):
+        rng = random.Random(f"{shapes}:{kind}")
+        na, nb = shapes
+        va, vb = (self.draw(rng, kind, prod(n)) for n in shapes)
+        if kind == "float64":
+            # -0.0 against a positive and a negative factor, 0.0 against both.
+            va[0], vb[-1] = -0.0, 0.0
+        phi = tuple(rng.sample(range(1, len(na) + 1), len(na)))
+        psi = tuple(rng.sample(range(1, len(nb) + 1), len(nb)))
+        calls = [
+            (lambda a, b: outer_product(a, b), lambda i, j: i + j),
+            (
+                lambda a, b: ttt(a, b, ContractionSpec(0, phi, psi)),
+                lambda i, j: tuple(i[d - 1] for d in phi) + tuple(j[d - 1] for d in psi),
+            ),
+        ]
+        for a in self.ways(rng, na, va):
+            for b in self.ways(rng, nb, vb):
+                ba, bb = read_box(a), read_box(b)
+                for call, at in calls:
+                    got = {k: self.bits(v) for k, v in read_box(call(a, b)).items()}
+                    want = {
+                        at(i, j): self.bits(x * y) for i, x in ba.items() for j, y in bb.items()
+                    }
+                    assert got == want
+
+
 class TestFrobeniusNorm:
     """The norm is ``hypot`` of the ``hypot``s of 4096-element runs in
     iteration order; these shapes put runs just below, at, above and well

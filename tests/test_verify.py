@@ -595,6 +595,52 @@ class TestOracleReads:
         assert sum(f.trials - f.passes for f in rep.families) > 0
 
 
+class TestGrid:
+    """``verify._grid`` against a brute force over every multi-index: runs
+    merge where a stride continues the run inside it, and a grid that is
+    one run of nonzero stride is a ``range``."""
+
+    @staticmethod
+    def brute(gamma, strides, shape):
+        indices = itertools.product(*(range(n) for n in reversed(shape)))
+        return [gamma + sum(map(math.prod, zip(strides, i[::-1]))) for i in indices]
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_random_strides_and_shapes(self, seed):
+        rng = random.Random(seed)
+        for _ in range(500):
+            p = rng.randint(1, 5)
+            shape = [rng.choice((1, 1, 2, 3, 4)) for _ in range(p)]
+            strides = [rng.choice((0, 0, 1, 2, 3, 5, -1, -4)) for _ in range(p)]
+            # Half the cases continue the run inside, so that runs merge.
+            for r in range(1, p):
+                if rng.random() < 0.5:
+                    strides[r] = strides[r - 1] * shape[r - 1]
+            gamma = rng.randint(-3, 40)
+            got = verify._grid(gamma, strides, shape)
+            assert list(got) == self.brute(gamma, strides, shape)
+
+    @pytest.mark.parametrize(
+        "gamma, strides, shape",
+        [
+            (0, (1, 3, 12), (3, 4, 2)),
+            (7, (2, 9, 6), (3, 1, 4)),
+            (5, (4, 0, 0), (1, 1, 1)),
+            (2, (0, 5, 15), (1, 3, 2)),
+            (9, (-2, -6), (3, 2)),
+        ],
+    )
+    def test_one_run_is_a_range(self, gamma, strides, shape):
+        got = verify._grid(gamma, strides, shape)
+        assert isinstance(got, range)
+        assert list(got) == self.brute(gamma, strides, shape)
+
+    def test_several_runs_or_stride_zero_are_lists(self):
+        for strides, shape in (((2, 5), (2, 3)), ((0, 1), (3, 2)), ((0,), (4,))):
+            got = verify._grid(1, strides, shape)
+            assert type(got) is list and got == self.brute(1, strides, shape)
+
+
 class TestLabelOracle:
     """``verify.contract`` against ``numpy.einsum`` on int64 operands, where
     both are exact, so any difference is a wrong index map."""
