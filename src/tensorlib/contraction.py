@@ -5,8 +5,8 @@ is unfolded or transposed.  Modes and permutation tuples are one-based at
 this interface; the kernels translate to zero-based dimensions internally.
 
 ``ttv``, ``ttm``, ``ttt`` and ``outer_product`` check their arguments and
-make one call to an engine built on :func:`~tensorlib.iterators.plan_fibers`,
-which allocates the output.  Of the two operands, the one with fewer free
+make one call to an engine built on the fiber planner, which allocates the
+output.  Of the two operands, the one with fewer free
 positions is packed and the other streamed; every product is taken as
 streamed element times packed element.  With no bound pair
 (``outer_product``, ttt with q = 0) the streamed side's outputs for one
@@ -32,9 +32,10 @@ output strides the engine writes with, so no transpose follows.  Besides
 the output tensor, the engine holds the packed fibers of the smaller
 side, one bound fiber of the streamed side at a time, and the values of
 one output fiber per packed fiber before they are stored (with no bound
-pair: the streamed elements and one list of products).  Each operand's
-reach is checked once per call: a cursor that would read outside its
-buffer raises ``IndexError`` before anything is written.
+pair: the streamed elements and one list of products).  Every operand
+takes its cursor from :func:`~tensorlib.elementwise._mit`, which checks
+once per call that it stays inside its buffer (``IndexError`` before
+anything is written); the engine checks nothing again.
 
 Every output element sums its bound elements in ascending index order,
 with the last contracted pair fastest, left to right from 0, through the
@@ -79,7 +80,7 @@ from operator import mul
 from typing import Iterable, Sequence, Tuple
 
 from .elementwise import _in_order, _mit, inner_product_flat
-from .iterators import MultiIterator, _plan, _positions, check_reach
+from .iterators import MultiIterator, _plan, _positions
 from .layout import _as_indices, _permutation
 from .tensor import DenseTensor, _materialize
 
@@ -155,7 +156,7 @@ def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
         return s.extents[s_bound[0]], (ws, wk), ([0], [0])
     # Planned in iteration order, so the last pair (dimension 1) is fastest.
     cursors = (_sub(s, s_bound[::-1]), _sub(k, k_bound[::-1]))
-    plan = _plan(cursors, reorder=False, check=False)
+    plan = _plan(cursors)
     offsets = tuple(
         [p - it.pos for p in starts] for starts, it in zip(plan.starts, cursors)
     )
@@ -187,8 +188,6 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
     or at the output positions ``dims`` lists; with none free the output
     has shape (1,).
     """
-    check_reach(ia)
-    check_reach(ib)
     free = [ia.extents[d] for d in a_free] + [ib.extents[d] for d in b_free]
     if dims is None:
         out = DenseTensor(free or (1,))
@@ -209,8 +208,6 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
     if prod(free[r:]) > prod(free[:r]):
         sides.reverse()
     (s, s_free, s_bound, s_ext, s_out), (k, k_free, k_bound, k_ext, k_out) = sides
-    # ``s`` and ``k`` were checked whole and the output is fresh, so the
-    # sub-cursors planned below need no check of their own.
     sc = MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext)
     if k_free:
         k_pos = _positions(k.pos, [k.strides[d] for d in k_free], k_ext)
@@ -229,7 +226,7 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         return out
     # The reorder keys on the last cursor, the streamed one: consecutive
     # outputs then read adjacent bound fibers.
-    plan = _plan((MultiIterator(data, 0, s_out, s_ext), sc), reorder=True, check=False)
+    plan = _plan((MultiIterator(data, 0, s_out, s_ext), sc), reorder=True)
     n, (wc, ws), starts = plan.length, plan.strides, zip(*plan.starts)
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
     packed = list(_gather(k.data, k_pos, length, steps[1], offsets[1]))
@@ -314,7 +311,11 @@ def ttm(a, bmat, mode: int) -> DenseTensor:
     The result keeps the order of ``a`` with extent n_new at ``mode``.
     No implicit transposition: rows of B index the new dimension.
     """
-    ia = _mit(a)
+    return _ttm(_mit(a), bmat, mode)
+
+
+def _ttm(ia: MultiIterator, bmat, mode) -> DenseTensor:
+    """:func:`ttm` of the cursor ``ia``."""
     m = _mode(ia, mode, "ttm") - 1
     ib = _mit(bmat)
     if ib.order != 2:
@@ -455,9 +456,9 @@ def _chain(it: MultiIterator, operands, modes, what: str, step) -> DenseTensor:
         raise ValueError(f"{what}: modes {modes} must be strictly increasing")
     if not operands:
         return _materialize(it)
-    result = it
-    for m, x in zip(modes[::-1], operands[::-1]):
-        result = step(_mit(result), x, m)
+    result = step(it, operands[-1], modes[-1])
+    for m, x in zip(modes[-2::-1], operands[-2::-1]):
+        result = step(result.miter(), x, m)
     return result
 
 
@@ -490,4 +491,4 @@ def times_vectors(a, vectors, modes=None, skip=None) -> DenseTensor:
 def times_matrices(a, matrices, modes) -> DenseTensor:
     """Apply ``ttm`` for each (matrix, mode) pair, highest mode first; the
     order of ``a`` is preserved."""
-    return _chain(_mit(a), list(matrices), modes, "times_matrices", ttm)
+    return _chain(_mit(a), list(matrices), modes, "times_matrices", _ttm)

@@ -2,8 +2,13 @@
 
 Every function here accepts tensors, views, or raw
 :class:`~tensorlib.iterators.MultiIterator` cursors, and combines operands
-of identical shape but arbitrary (and mutually different) layouts.  All of
-them run on one traversal, :func:`~tensorlib.iterators.plan_fibers`: the
+of identical shape but arbitrary (and mutually different) layouts.  Each
+operand enters through :func:`_mit`, the one door of every kernel,
+contraction and container path, which checks once that it stays inside
+its buffer: a raw cursor with :func:`~tensorlib.iterators.check_reach`, a
+tensor by its buffer's length, a view by the reach its frame records.  An
+operand that would reach outside raises ``IndexError`` before anything is
+written.  All of them then run on one traversal, the fiber planner: the
 loop nest is merged into innermost fibers, and a thin kernel handles each
 fiber with slice operations (slice assignment for ``copy``/``fill``,
 ``map`` into a slice for transforms, ``map`` over the fibers for
@@ -47,7 +52,8 @@ from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter, mul, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .iterators import FiberPlan, MultiIterator, plan_fibers
+from .iterators import FiberPlan, MultiIterator, _outside, _plan, check_reach
+from .layout import TensorMeta
 
 __all__ = [
     "CompareResult",
@@ -80,10 +86,17 @@ class CompareResult(NamedTuple):
 
 
 def _mit(source) -> MultiIterator:
-    """Normalize to a MultiIterator cursor."""
+    """The cursor of a tensor, view or raw cursor, checked once to stay
+    inside its buffer: every operand enters the kernels here."""
     if isinstance(source, MultiIterator):
+        check_reach(source)
         return source
-    return source.miter()
+    it, meta = source.miter(), source.meta
+    # A tensor reaches exactly 0 .. size - 1; a view's frame records its reach.
+    last = it.pos + (meta.size - 1 if type(meta) is TensorMeta else meta.reach)
+    if last >= len(it.data):
+        raise _outside(it.pos, last, it.data)
+    return it
 
 
 # -- fiber kernels -------------------------------------------------------------
@@ -123,16 +136,17 @@ def _store(plan: FiberPlan, dst: MultiIterator, fibers: Iterable) -> None:
 
 # Cursor-level kernels of copy, fill and compare_ranges (and ``_equal``, its
 # flag alone); the container paths (relayout, assign, tensors_equal and
-# ``tensor._materialize``) call them directly on cursors they have built.
+# ``tensor._materialize``) call them on cursors from ``_mit``, or on fresh
+# outputs.
 
 
 def _copy(a: MultiIterator, c: MultiIterator) -> None:
-    plan = plan_fibers((a, c), reorder=True)
+    plan = _plan((a, c), reorder=True)
     _store(plan, c, _fibers(plan, 0, a))
 
 
 def _fill(c: MultiIterator, value) -> None:
-    plan = plan_fibers((c,), reorder=True)
+    plan = _plan((c,), reorder=True)
     _store(plan, c, repeat([value] * plan.length))
 
 
@@ -142,11 +156,11 @@ def _differs(plan: FiberPlan, ia: MultiIterator, ib: MultiIterator) -> Iterator[
 
 
 def _equal(ia: MultiIterator, ib: MultiIterator) -> bool:
-    return not any(_differs(plan_fibers((ia, ib)), ia, ib))
+    return not any(_differs(_plan((ia, ib)), ia, ib))
 
 
 def _compare(ia: MultiIterator, ib: MultiIterator) -> CompareResult:
-    plan = plan_fibers((ia, ib))
+    plan = _plan((ia, ib))
     if not any(_differs(plan, ia, ib)):
         return CompareResult(True, None)
     # Only a mismatch pays for counting positions: walk again to find it.
@@ -166,7 +180,7 @@ def _unravel(k: int, extents) -> Tuple[int, ...]:
 def _in_order(src) -> Tuple[MultiIterator, Iterable]:
     """``src``'s cursor and its elements in iteration order."""
     it = _mit(src)
-    return it, _values(plan_fibers((it,)), 0, it)
+    return it, _values(_plan((it,)), 0, it)
 
 
 # -- mutating suite ----------------------------------------------------------
@@ -175,7 +189,7 @@ def _in_order(src) -> Tuple[MultiIterator, Iterable]:
 def for_each(a, fn: Callable) -> None:
     """Replace every element ``x`` with ``fn(x)``, exactly once per element."""
     it = _mit(a)
-    plan = plan_fibers((it,), reorder=True)
+    plan = _plan((it,), reorder=True)
     _store(plan, it, map(map, repeat(fn), _fibers(plan, 0, it)))
 
 
@@ -188,7 +202,7 @@ def generate(dst, gen: Callable) -> None:
     """Fill with successive results of the nullary ``gen``, in iteration
     order.  Index-dependent values are expressible as iota + transform."""
     it = _mit(dst)
-    plan = plan_fibers((it,))
+    plan = _plan((it,))
     n = plan.length
     for sl in plan.slices(0):
         it.data[sl] = [gen() for _ in range(n)]
@@ -202,14 +216,14 @@ def iota(dst, start=0) -> None:
 def transform_unary(src, dst, fn: Callable) -> None:
     """``dst[i] = fn(src[i])`` for every zero-based multi-index ``i``."""
     a, c = _mit(src), _mit(dst)
-    plan = plan_fibers((a, c), reorder=True)
+    plan = _plan((a, c), reorder=True)
     _store(plan, c, map(map, repeat(fn), _fibers(plan, 0, a)))
 
 
 def transform_binary(a, b, dst, op: Callable) -> None:
     """``dst[i] = op(a[i], b[i])`` with all three iterated in lockstep."""
     ia, ib, ic = _mit(a), _mit(b), _mit(dst)
-    plan = plan_fibers((ia, ib, ic), reorder=True)
+    plan = _plan((ia, ib, ic), reorder=True)
     fibers = map(map, repeat(op), _fibers(plan, 0, ia), _fibers(plan, 1, ib))
     _store(plan, ic, fibers)
 
@@ -223,7 +237,7 @@ def copy_if(src, dst, pred: Callable) -> None:
     """Copy only elements satisfying ``pred``; other destination elements
     stay untouched."""
     a, c = _mit(src), _mit(dst)
-    plan = plan_fibers((a, c), reorder=True)
+    plan = _plan((a, c), reorder=True)
 
     def pick(v, w):
         return v if pred(v) else w
@@ -317,5 +331,5 @@ def accumulate(src, init=0, op: Optional[Callable] = None):
 def inner_product_flat(a, b, init=0):
     """``init + sum_i a[i] * b[i]`` over all shared multi-indices."""
     ia, ib = _mit(a), _mit(b)
-    plan = plan_fibers((ia, ib))
+    plan = _plan((ia, ib))
     return sum(map(mul, _values(plan, 0, ia), _values(plan, 1, ib)), init)

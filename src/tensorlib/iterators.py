@@ -7,13 +7,15 @@ cursor over a whole multi-index set and acts as a factory: ``begin(r)`` /
 (zero-based, depth r covers dimension r+1).  Assigning a stride iterator
 back to the cursor moves only the current position.
 
-:func:`plan_fibers` is the one traversal behind every elementwise kernel,
+The fiber planner is the one traversal behind every elementwise kernel,
 container path and contraction: it flattens the loop nest of N cursors of
 equal extents into innermost fibers (a start position per cursor, a stride
 per cursor and a shared length), merging dimensions wherever every cursor
 is contiguous across them, so a kernel can work on whole fibers with slice
-operations.  It checks each cursor's reach as it plans it;
-:func:`check_reach` is the same bounds check for one whole cursor.
+operations.  It only plans.  :func:`check_reach` is the one reach rule:
+the kernels apply it (or, for tensors and views, a constant-time form of
+it) where an operand enters, and :func:`plan_fibers`, the planner's public
+form, applies it to each cursor before planning.
 
 Both iterator types are cheap value objects over a shared buffer;
 dereferencing follows the owning container's single-writer contract.
@@ -147,7 +149,14 @@ class MultiIterator:
 
 
 def fill_range(first: StrideIterator, last: StrideIterator, value) -> None:
-    """Set every element of the half-open range ``[first, last)``."""
+    """Set every element of the half-open range ``[first, last)``.
+
+    ``last`` must lie a whole, nonnegative number of ``first``'s steps on
+    in its buffer (else ``ValueError``; stride 0 only for an empty range),
+    and the range must stay inside the buffer (else ``IndexError``, as
+    :func:`check_reach` raises it).  Both are checked before any write.
+    """
+    _check_ranges(first, last)
     data, pos, stride = first.data, first.pos, first.stride
     end = last.pos
     while pos != end:
@@ -158,7 +167,12 @@ def fill_range(first: StrideIterator, last: StrideIterator, value) -> None:
 def inner_product_range(
     first1: StrideIterator, last1: StrideIterator, first2: StrideIterator, init
 ):
-    """Fold ``init + sum(a_k * b_k)`` over two equally long ranges."""
+    """Fold ``init + sum(a_k * b_k)`` over two equally long ranges.
+
+    ``[first1, last1)`` is checked as :func:`fill_range` checks its range,
+    and the range as long from ``first2`` must stay inside its buffer.
+    """
+    _check_ranges(first1, last1, first2)
     d1, p1, s1 = first1.data, first1.pos, first1.stride
     d2, p2, s2 = first2.data, first2.pos, first2.stride
     end = last1.pos
@@ -168,6 +182,16 @@ def inner_product_range(
         p1 += s1
         p2 += s2
     return acc
+
+
+def _check_ranges(first: StrideIterator, last: StrideIterator, *others) -> None:
+    """Check ``[first, last)``, and the ranges as long from ``others``."""
+    span, w = last.pos - first.pos, first.stride
+    n = span // w if w else 0
+    if last.data is not first.data or last.stride != w or n < 0 or n * w != span:
+        raise ValueError(f"{last} lies no whole number of steps on from {first}")
+    for it in (first, *others):
+        check_reach(MultiIterator(it.data, it.pos, (it.stride,), (n,)))
 
 
 class FiberPlan(NamedTuple):
@@ -201,27 +225,24 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
     (the destination), for operations whose result does not depend on
     visit order.
 
-    Raises ``IndexError`` when some cursor would reach outside its buffer;
-    one check per call, since a slice would silently clip (reading) or
+    Raises ``IndexError`` when some cursor would reach outside its buffer
+    (:func:`check_reach`), since a slice would silently clip (reading) or
     resize the list (writing).
     """
-    return _plan(cursors, reorder, check=True)
+    for c in cursors:
+        check_reach(c)
+    return _plan(cursors, reorder)
 
 
-def _plan(cursors: Sequence[MultiIterator], reorder: bool, check: bool) -> FiberPlan:
-    """:func:`plan_fibers`; without the reach check when ``check`` is false,
-    for callers that have checked every cursor it is given, or cursors
-    covering them."""
+def _plan(cursors: Sequence[MultiIterator], reorder: bool = False) -> FiberPlan:
+    """:func:`plan_fibers` for cursors already known to stay inside their
+    buffers: it plans and checks nothing but the shared extents."""
     extents = cursors[0].extents
     for c in cursors:
         if c.extents != extents:
             raise ValueError(f"shape mismatch: {c.extents} vs {extents}")
     if not extents:
         # No dimensions: one fiber of one element at each cursor's position.
-        if check:
-            for c in cursors:
-                if not 0 <= c.pos < len(c.data):
-                    raise _outside(c.pos, c.pos, c.data)
         return FiberPlan(1, (1,) * len(cursors), tuple([[c.pos] for c in cursors]))
     if 0 in extents:
         return FiberPlan(0, (1,) * len(cursors), tuple([] for _ in cursors))
@@ -242,28 +263,17 @@ def _plan(cursors: Sequence[MultiIterator], reorder: bool, check: bool) -> Fiber
         loops.insert(0, (1, (1,) * len(cursors)))
     length, steps = loops[0]
     outer = loops[1:]
+    if not outer:
+        return FiberPlan(length, steps, tuple([[c.pos] for c in cursors]))
     # Per cursor, inline: at these sizes a call, or a comprehension, per
     # cursor costs as much as the arithmetic of the plan.
     starts = []
     for k, c in enumerate(cursors):
-        pos = c.pos
-        if check:
-            lo = hi = pos
-            for n, ws in loops:
-                reach = (n - 1) * ws[k]
-                if reach < 0:
-                    lo += reach
-                else:
-                    hi += reach
-            if lo < 0 or hi >= len(c.data):
-                raise _outside(lo, hi, c.data)
-        if not outer:
-            starts.append([pos])
-            continue
         # Dimension 1 fastest: the first outer loop as a range, then each
         # further loop repeats the positions so far.
         n, ws = outer[0]
         w = ws[k]
+        pos = c.pos
         positions = list(range(pos, pos + n * w, w)) if w else [pos] * n
         for n, ws in outer[1:]:
             w = ws[k]

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from .elementwise import _copy, _equal, _fill
+from .elementwise import _copy, _equal, _fill, _mit
 from .iterators import MultiIterator, StrideIterator
 from .layout import TensorMeta, validate_layout, validate_shape, volume
 
@@ -176,7 +176,7 @@ class DenseTensor(_Strided):
     # -- whole-tensor operations --------------------------------------------
 
     def fill(self, value) -> None:
-        _fill(self.miter(), value)
+        _fill(_mit(self), value)
 
     def assign(self, src) -> None:
         """Copy ``src``'s values so that both hold equal elements per
@@ -194,7 +194,7 @@ class DenseTensor(_Strided):
             meta = TensorMeta(src.shape, self.offsets, self.layout)
         else:
             meta = TensorMeta(src.shape, src.offsets, src.layout)
-        self._rewrite(src.miter(), meta)
+        self._rewrite(_mit(src), meta)
 
     def relayout(self, new_layout) -> None:
         """Switch to ``new_layout``, physically reordering the buffer so the
@@ -202,7 +202,7 @@ class DenseTensor(_Strided):
         new_layout = validate_layout(new_layout, self.order)
         if new_layout == self.layout:
             return
-        self._rewrite(self.miter(), TensorMeta(self.shape, self.offsets, new_layout))
+        self._rewrite(_mit(self), TensorMeta(self.shape, self.offsets, new_layout))
 
     def _rewrite(self, src: MultiIterator, meta: TensorMeta) -> None:
         """Adopt ``meta`` with a fresh buffer holding ``src``'s elements."""
@@ -308,4 +308,4 @@ def tensors_equal(a, b) -> bool:
     """
     if a.order != b.order or a.shape != b.shape:
         return False
-    return _equal(a.miter(), b.miter())
+    return _equal(_mit(a), _mit(b))

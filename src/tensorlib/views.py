@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from typing import NamedTuple, Tuple
 
+from .elementwise import _mit
 from .layout import TensorMeta, _as_indices
 from .tensor import DenseTensor, _materialize, _Strided
 
@@ -100,14 +101,16 @@ def _resolve(spec, offset: int, extent: int):
 
 class _Frame(NamedTuple):
     """A view's ``meta``: its extents and scaled strides, the target's
-    offsets and layout, and the memory index ``gamma`` of its lower-bound
-    corner in the target's buffer."""
+    offsets and layout, the memory index ``gamma`` of its lower-bound
+    corner in the target's buffer, and the ``reach`` from there to its
+    upper-bound corner."""
 
     shape: Tuple[int, ...]
     offsets: Tuple[int, ...]
     layout: Tuple[int, ...]
     strides: Tuple[int, ...]
     gamma: int
+    reach: int
 
 
 def _frame(ranges, meta: TensorMeta) -> _Frame:
@@ -123,18 +126,19 @@ def _frame(ranges, meta: TensorMeta) -> _Frame:
             f"{min(len(ranges), len(meta.shape)) + 1} of its target, "
             f"now of order {len(meta.shape)}"
         )
-    extents, strides, gamma = [], [], meta.gamma
-    for dim, ((f, t, l), o, n, w) in enumerate(
-        zip(ranges, meta.offsets, meta.shape, meta.strides), start=1
-    ):
+    extents, strides, gamma, reach = [], [], meta.gamma, 0
+    for (f, t, l), o, n, w in zip(ranges, meta.offsets, meta.shape, meta.strides):
         if not (o <= f and l < o + n):
             raise IndexError(
-                f"range [{f}:{t}:{l}] out of bounds [{o}, {o + n}) in dimension {dim}"
+                f"range [{f}:{t}:{l}] out of bounds [{o}, {o + n}) "
+                f"in dimension {len(extents) + 1}"
             )
-        extents.append((l - f) // t + 1)
-        strides.append(w * t)
+        e, s = (l - f) // t + 1, w * t
+        extents.append(e)
+        strides.append(s)
         gamma += w * (f - o)
-    return _Frame(tuple(extents), meta.offsets, meta.layout, tuple(strides), gamma)
+        reach += (e - 1) * s
+    return _Frame(tuple(extents), meta.offsets, meta.layout, tuple(strides), gamma, reach)
 
 
 class TensorView(_Strided):
@@ -188,7 +192,7 @@ class TensorView(_Strided):
     def materialize(self) -> DenseTensor:
         """Fresh default-layout, zero-offset tensor holding the view's
         elements."""
-        return _materialize(self.miter())
+        return _materialize(_mit(self))
 
     def __repr__(self):
         return f"TensorView(target={self.target!r}, ranges={self.ranges})"

@@ -1,6 +1,7 @@
 import importlib
 import itertools
 import math
+import operator
 import random
 import re
 from math import prod, sqrt
@@ -15,7 +16,9 @@ from tensorlib import (
     DenseTensor,
     MultiIterator,
     Range,
+    compare_ranges,
     copy,
+    fill,
     frobenius_norm,
     inner_product_tensors,
     outer_product,
@@ -24,6 +27,8 @@ from tensorlib import (
     tensors_equal,
     times_matrices,
     times_vectors,
+    transform_binary,
+    transform_unary,
     transpose,
     ttm,
     ttt,
@@ -40,6 +45,7 @@ from conftest import (
 )
 
 contraction = importlib.import_module("tensorlib.contraction")
+elementwise = importlib.import_module("tensorlib.elementwise")
 iterators = importlib.import_module("tensorlib.iterators")
 verify = importlib.import_module("tensorlib.verify")
 
@@ -535,7 +541,96 @@ class TestReach:
         assert ttt(b, a, spec).data == ttt(b, dense, spec).data
         assert outer_product(a, v).data == outer_product(dense, v).data
 
-    def test_each_operand_checked_once_per_call(self, monkeypatch):
+
+# Every public kernel and container path, with the shapes of its operands
+# and the operand kinds it accepts (raw cursors have no shape or layout, so
+# the container paths take tensors and views only).
+ALL_KINDS = ("tensor", "view", "cursor")
+SHAPE = (3, 4, 2)
+DOOR_CALLS = {
+    "ttv": ([SHAPE, (4,)], ALL_KINDS, lambda a, b: ttv(a, b, 2)),
+    "ttm": ([SHAPE, (5, 4)], ALL_KINDS, lambda a, b: ttm(a, b, 2)),
+    "ttt": ([SHAPE, (4, 3)], ALL_KINDS,
+            lambda a, b: ttt(a, b, ContractionSpec(1, (1, 3, 2), (2, 1)))),
+    "outer_product": ([(3, 2), (4,)], ALL_KINDS, outer_product),
+    "transpose": ([SHAPE], ALL_KINDS, lambda a: transpose(a, (3, 1, 2))),
+    "times_vectors": ([SHAPE, (3,), (4,), (2,)], ALL_KINDS,
+                      lambda a, *v: times_vectors(a, v, modes=(1, 2, 3))),
+    "times_matrices": ([SHAPE, (2, 3), (5, 4)], ALL_KINDS,
+                       lambda a, *m: times_matrices(a, m, modes=(1, 2))),
+    "copy": ([SHAPE, SHAPE], ALL_KINDS, copy),
+    "fill": ([SHAPE], ALL_KINDS, lambda d: fill(d, 7.0)),
+    "transform_unary": ([SHAPE, SHAPE], ALL_KINDS,
+                        lambda a, d: transform_unary(a, d, abs)),
+    "transform_binary": ([SHAPE, SHAPE, SHAPE], ALL_KINDS,
+                         lambda a, b, d: transform_binary(a, b, d, operator.add)),
+    "compare_ranges": ([SHAPE, SHAPE], ALL_KINDS, compare_ranges),
+    "DenseTensor.fill": ([SHAPE], ("tensor",), lambda t: t.fill(7.0)),
+    "relayout": ([SHAPE], ("tensor",), lambda t: t.relayout((3, 2, 1))),
+    "assign": ([SHAPE], ("tensor", "view"), lambda src: DenseTensor(SHAPE).assign(src)),
+    "tensors_equal": ([SHAPE, SHAPE], ("tensor", "view"), tensors_equal),
+    "materialize": ([SHAPE], ("view",), lambda v: v.materialize()),
+}
+
+
+def door_operand(kind, shape):
+    """An operand of ``shape`` whose reach ends at its buffer's last
+    element, and that buffer: a tensor, a view of the corner of a root one
+    larger in every dimension, or a raw cursor running backwards from the
+    end of its buffer in every dimension."""
+    values = [0.5 + k for k in range(prod(shape))]
+    if kind == "tensor":
+        t = DenseTensor.from_memory(shape, values)
+        return t, t.data
+    if kind == "view":
+        last_order = tuple(range(len(shape), 0, -1))
+        root = DenseTensor(tuple(n + 1 for n in shape), layout=last_order)
+        v = root.view([Range(1, n) for n in shape])
+        copy(DenseTensor.from_memory(shape, values), v)
+        return v, root.data
+    strides = DenseTensor(shape).strides
+    return MultiIterator(values, len(values) - 1, [-w for w in strides], shape), values
+
+
+def reach_message(x, data):
+    """``IndexError`` text for ``x``, by definition: the lowest and highest
+    position any of its multi-indices addresses."""
+    it = x if isinstance(x, MultiIterator) else x.miter()
+    positions = [
+        it.pos + sum(i * w for i, w in zip(index, it.strides))
+        for index in itertools.product(*map(range, it.extents))
+    ]
+    return (f"cursor reaches [{min(positions)}, {max(positions)}] outside its "
+            f"buffer of {len(data)} elements")
+
+
+DOOR_CASES = [
+    (name, k, kind)
+    for name, (shapes, kinds, _) in DOOR_CALLS.items()
+    for k in range(len(shapes))
+    for kind in kinds
+]
+
+
+class TestDoor:
+    @pytest.mark.parametrize("name, k, kind", DOOR_CASES)
+    def test_short_buffer_raises_before_any_write(self, name, k, kind):
+        shapes, kinds, call = DOOR_CALLS[name]
+        made = [door_operand(kind if j == k else kinds[0], shape)
+                for j, shape in enumerate(shapes)]
+        operands = [x for x, _ in made]
+        buffers = [data for _, data in made]
+        buffers[k].pop()
+        before = [data[:] for data in buffers]
+        with pytest.raises(IndexError) as raised:
+            call(*operands)
+        assert str(raised.value) == reach_message(operands[k], buffers[k])
+        assert [data[:] for data in buffers] == before
+
+    @pytest.mark.parametrize(
+        "name", [name for name, (_, kinds, _) in DOOR_CALLS.items() if "cursor" in kinds]
+    )
+    def test_each_raw_cursor_checked_once_per_call(self, monkeypatch, name):
         checked = []
         check = iterators.check_reach
 
@@ -543,22 +638,13 @@ class TestReach:
             checked.append(c)
             check(c)
 
-        for module in (iterators, contraction):
-            monkeypatch.setattr(module, "check_reach", spy)
-        rng = random.Random(23)
-        a = rand_operand(rng, (3, 4, 2), "float64")
-        reversed_a = MultiIterator(list(range(6)), 5, (-1, -2), (2, 3))
-        calls = [
-            lambda: ttv(a, DenseTensor((4,), fill_value=1.0), 2),
-            lambda: ttv(reversed_a, DenseTensor((3,), fill_value=1), 2),
-            lambda: ttm(a, rand_operand(rng, (5, 2), "float64"), 3),
-            lambda: ttt(a, rand_operand(rng, (4, 2), "float64"),
-                        ContractionSpec(2, (1, 2, 3), (1, 2))),
-        ]
-        for call in calls:
-            checked.clear()
-            call()
-            assert len(checked) == 2
+        for module in (iterators, elementwise, contraction):
+            if hasattr(module, "check_reach"):
+                monkeypatch.setattr(module, "check_reach", spy)
+        shapes, _, call = DOOR_CALLS[name]
+        cursors = [door_operand("cursor", shape)[0] for shape in shapes]
+        call(*cursors)
+        assert [sum(c is x for c in checked) for x in cursors] == [1] * len(cursors)
 
 
 class TestNamedSpecialCases:

@@ -2,7 +2,7 @@ import random
 import re
 import sys
 import tracemalloc
-from operator import sub
+from operator import add, sub
 
 import pytest
 
@@ -25,10 +25,14 @@ from tensorlib import (
     inner_product_flat,
     iota,
     none_of,
+    outer_product,
     quantify,
     tensors_equal,
     transform_binary,
     transform_unary,
+    transpose,
+    ttv,
+    walk_positions,
     zero_indices,
 )
 from tensorlib.contraction import frobenius_norm
@@ -523,3 +527,59 @@ class TestOverrun:
             else:
                 transform_unary(src, dst, lambda x: x)
         assert len(data) == 4 and len(dst.data) == dst.size
+
+
+class TestZeroExtentCursors:
+    """A cursor with a zero extent addresses no element, so its position is
+    never read and may lie anywhere: here a raw (0, 3) cursor positioned
+    past the end of its two-element buffer."""
+
+    @staticmethod
+    def empty():
+        return MultiIterator([1.0, 2.0], 5, (1, 2), (0, 3))
+
+    def test_writes_do_nothing(self):
+        z = self.empty
+        writes = [
+            lambda d: fill(d, 9),
+            lambda d: copy(z(), d),
+            lambda d: transform_unary(z(), d, abs),
+            lambda d: transform_binary(z(), z(), d, add),
+            lambda d: for_each(d, abs),
+            lambda d: copy_if(z(), d, bool),
+            lambda d: generate(d, lambda: 3),
+            lambda d: iota(d),
+        ]
+        for write in writes:
+            dst = z()
+            write(dst)
+            assert dst.data == [1.0, 2.0]
+
+    def test_queries_and_reductions_see_no_element(self):
+        z = self.empty
+        assert count_matching(z(), 1.0) == 0
+        assert find_first(z(), 1.0) is None
+        assert extremum_element(z()) == (None, None)
+        assert [quantify(z(), bool, m) for m in ("all", "any", "none")] == [True, False, True]
+        assert compare_ranges(z(), z()) == (True, None)
+        assert accumulate(z(), 7) == 7
+        assert inner_product_flat(z(), z(), 7) == 7
+        assert frobenius_norm(z()) == 0.0
+        assert walk_positions(z()) == []
+
+    def test_zero_bound_extent_in_ttv_gives_zeros(self):
+        a = MultiIterator([1.0], 5, (1, 3), (3, 0))
+        out = ttv(a, MultiIterator([], 4, (1,), (0,)), 2)
+        assert (out.shape, out.data) == ((3,), [0, 0, 0])
+
+    def test_zero_free_extent_raises(self):
+        # The output would have a zero extent, which no tensor has.
+        a = MultiIterator([1.0], 5, (1, 3), (0, 3))
+        calls = [
+            lambda: ttv(a, DenseTensor((3,)), 2),
+            lambda: transpose(self.empty(), (2, 1)),
+            lambda: outer_product(self.empty(), DenseTensor((2,))),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match="extents must be positive"):
+                call()

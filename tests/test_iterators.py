@@ -1,4 +1,9 @@
+import os
 import random
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -16,6 +21,9 @@ from tensorlib import (
 from tensorlib.iterators import _plan, fill_range, inner_product_range, plan_fibers
 
 from conftest import all_layouts, rand_dense
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
 
 
 def iota_tensor(shape, **kw):
@@ -139,6 +147,81 @@ class TestDimRanges:
             a.dim_begin(2, at=(4, -1, 0))
         with pytest.raises(IndexError, match="dimension 3"):
             v.dim_end(1, at=(0, -1, -1))
+
+
+class TestRangeChecks:
+    """``fill_range`` and ``inner_product_range`` check both ends of every
+    range before they touch an element."""
+
+    def test_stride_zero_range_raises_instead_of_running_forever(self):
+        # Run apart, so that a range that never ends cannot hang the suite.
+        code = (
+            "from tensorlib.iterators import StrideIterator as S, fill_range\n"
+            "d = [0] * 4\n"
+            "fill_range(S(d, 0, 0), S(d, 1, 0), 1)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=30, env=env)
+        assert proc.returncode == 1
+        assert "ValueError" in proc.stderr
+
+    def test_range_below_the_buffer_raises_without_writing(self):
+        # Positions 4, 0 and -4: the last would write position 8 through
+        # Python's negative indexing.
+        d = list(range(12))
+        with pytest.raises(IndexError, match=re.escape(
+                "cursor reaches [-4, 4] outside its buffer of 12 elements")):
+            fill_range(StrideIterator(d, 4, -4), StrideIterator(d, -8, -4), 3)
+        assert d == list(range(12))
+
+    @pytest.mark.parametrize("first, last", [
+        ((0, 4), (10, 4)),   # off the stride lattice
+        ((8, 4), (0, 4)),    # a negative number of steps
+        ((0, 4), (8, 2)),    # another stride
+        ((0, 0), (1, 0)),    # stride 0 with a nonempty span
+    ])
+    def test_end_that_is_no_whole_number_of_steps_on_raises(self, first, last):
+        d = list(range(12))
+        with pytest.raises(ValueError):
+            fill_range(StrideIterator(d, *first), StrideIterator(d, *last), 3)
+        with pytest.raises(ValueError):
+            inner_product_range(StrideIterator(d, *first), StrideIterator(d, *last),
+                                StrideIterator(d, 0, 1), 0)
+        assert d == list(range(12))
+
+    def test_end_in_another_buffer_raises(self):
+        d = list(range(12))
+        with pytest.raises(ValueError):
+            fill_range(StrideIterator(d, 0, 1), StrideIterator(d[:], 3, 1), 3)
+        assert d == list(range(12))
+
+    def test_range_past_the_buffer_raises(self):
+        d = list(range(12))
+        with pytest.raises(IndexError, match=re.escape("reaches [4, 12]")):
+            fill_range(StrideIterator(d, 4, 4), StrideIterator(d, 16, 4), 3)
+        assert d == list(range(12))
+
+    @pytest.mark.parametrize("first2, message", [
+        ((9, 1), "reaches [9, 12]"),
+        ((2, -1), "reaches [-1, 2]"),
+    ])
+    def test_second_range_leaving_its_buffer_raises(self, first2, message):
+        d = list(range(12))
+        with pytest.raises(IndexError, match=re.escape(message)):
+            inner_product_range(StrideIterator(d, 0, 1), StrideIterator(d, 4, 1),
+                                StrideIterator(d, *first2), 0)
+
+    def test_backward_and_empty_ranges_still_run(self):
+        d = list(range(12))
+        fill_range(StrideIterator(d, 8, -4), StrideIterator(d, -4, -4), 0)
+        assert [j for j, v in enumerate(d) if v == 0] == [0, 4, 8]
+        fill_range(StrideIterator(d, 5, 0), StrideIterator(d, 5, 0), 99)
+        assert 99 not in d
+        e = list(range(12))
+        got = inner_product_range(StrideIterator(e, 11, -1), StrideIterator(e, 8, -1),
+                                  StrideIterator(e, 0, 2), 0)
+        assert got == 11 * 0 + 10 * 2 + 9 * 4
 
 
 class TestMultiIterator:
@@ -368,7 +451,7 @@ class TestPlanner:
                 cursors.append(MultiIterator([0] * size, rng.randrange(size), (), ()))
             want = [brute_positions(c) for c in cursors]
             for reorder in (False, True):
-                for plan in (plan_fibers(cursors, reorder), _plan(cursors, reorder, False)):
+                for plan in (plan_fibers(cursors, reorder), _plan(cursors, reorder)):
                     assert plan.length == 1
                     assert [flat(plan, k) for k in range(len(cursors))] == want
         for pos in (-1, 4):

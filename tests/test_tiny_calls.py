@@ -8,9 +8,10 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = [
-    "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy", "fill",
-    "compare_ranges", "ContractionSpec", "ttv", "ttm", "ttt", "outer_product",
-    "times_vectors", "transpose",
+    "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy",
+    "copy_view", "fill", "transform_binary", "compare_ranges",
+    "ContractionSpec", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
+    "times_matrices", "transpose",
 ]
 
 

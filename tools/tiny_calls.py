@@ -7,10 +7,11 @@ Usage, from anywhere::
 Times the calls the randomized oracle makes most, each on (3, 4, 2)
 operands: constructing a ``DenseTensor`` and a ``TensorView``,
 materializing a stepped view, planning two cursors with ``plan_fibers``,
-the elementwise ``copy``, ``fill`` and ``compare_ranges``, constructing a
+the elementwise ``copy`` (between tensors, and from the stepped view),
+``fill``, ``transform_binary`` and ``compare_ranges``, constructing a
 ``ContractionSpec``, and the contractions ``ttv``, ``ttm``, ``ttt``,
-``outer_product``, a ``times_vectors`` over all three modes and
-``transpose``.  Each figure is the minimum, over ``R`` repetitions, of the
+``outer_product``, a ``times_vectors`` and a ``times_matrices`` over all
+three modes and ``transpose``.  Each figure is the minimum, over ``R`` repetitions, of the
 mean time of ``N`` back-to-back calls, in microseconds per call.
 
 The library timed is this checkout's ``src/tensorlib``.  With
@@ -31,7 +32,7 @@ import importlib.util
 import statistics
 import sys
 import time
-from operator import truediv
+from operator import add, truediv
 from pathlib import Path
 from types import ModuleType
 from typing import Callable, Dict, List, Tuple
@@ -39,9 +40,10 @@ from typing import Callable, Dict, List, Tuple
 HERE = Path(__file__).resolve().parent.parent
 
 CALLS = (
-    "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy", "fill",
-    "compare_ranges", "ContractionSpec", "ttv", "ttm", "ttt", "outer_product",
-    "times_vectors", "transpose",
+    "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy",
+    "copy_view", "fill", "transform_binary", "compare_ranges",
+    "ContractionSpec", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
+    "times_matrices", "transpose",
 )
 
 
@@ -70,7 +72,10 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     view = tl.TensorView(parent, ranges)
     vec = from_memory((4,), [0.25, 1.0, 1.75, 2.5])
     vectors = [from_memory((3,), [0.5, -1.0, 2.0]), vec, from_memory((2,), [3.0, 0.75])]
+    c = tl.DenseTensor((3, 4, 2))
     mat = from_memory((5, 4), [k / 3 for k in range(20)], layout=(2, 1))
+    matrices = [from_memory((2, 3), [k / 4 for k in range(6)]), mat,
+                from_memory((3, 2), [1.0 - k / 6 for k in range(6)], layout=(2, 1))]
     other = from_memory((4, 3), [k / 5 for k in range(12)])
     spec = tl.ContractionSpec(1, (1, 3, 2), (2, 1))
     cursors = (a.miter(), b.miter())
@@ -81,7 +86,9 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "materialize": view.materialize,
         "plan_fibers": lambda: plan_fibers(cursors),
         "copy": lambda: tl.copy(a, b),
+        "copy_view": lambda: tl.copy(view, c),
         "fill": lambda: tl.fill(b, 1.0),
+        "transform_binary": lambda: tl.transform_binary(a, b, c, add),
         "compare_ranges": lambda: tl.compare_ranges(a, b),
         "ContractionSpec": lambda: tl.ContractionSpec(1, (1, 3, 2), (2, 1)),
         "ttv": lambda: tl.ttv(a, vec, 2),
@@ -89,6 +96,7 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "ttt": lambda: tl.ttt(a, other, spec),
         "outer_product": lambda: tl.outer_product(a, vec),
         "times_vectors": lambda: tl.times_vectors(a, vectors, modes=(1, 2, 3)),
+        "times_matrices": lambda: tl.times_matrices(a, matrices, modes=(1, 2, 3)),
         "transpose": lambda: tl.transpose(a, (3, 1, 2)),
     }
 
