@@ -35,7 +35,8 @@ one output fiber per packed fiber before they are stored (with no bound
 pair: the streamed elements and one list of products).  Every operand
 takes its cursor from :func:`~tensorlib.elementwise._mit`, which checks
 once per call that it stays inside its buffer (``IndexError`` before
-anything is written); the engine checks nothing again.
+anything is written; the ``times_*`` chains check every vector or matrix
+before their first step); the engine checks nothing again.
 
 Every output element sums its bound elements in ascending index order,
 with the last contracted pair fastest, left to right from 0, through the
@@ -73,7 +74,6 @@ match pairwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
 from itertools import chain, islice
 from math import hypot, prod
 from operator import mul
@@ -281,13 +281,15 @@ def _mode(ia: MultiIterator, mode, what: str) -> int:
     return mode
 
 
-def _ttv(ia: MultiIterator, b, mode: int, what: str) -> DenseTensor:
-    """ttv at the checked ``mode`` of ``ia`` of any order, with ``b``
-    checked as ``what``; an order-1 ``ia`` gives shape (1,)."""
-    m = mode - 1
-    ib = _vector_mit(b, ia.extents[m], what)
+def _mode_product(ia: MultiIterator, ib: MultiIterator, m: int) -> DenseTensor:
+    """ttv (``ib`` a checked vector cursor) or ttm (a checked matrix
+    cursor) at the zero-based mode ``m`` of ``ia``; ttv of an order-1
+    ``ia`` gives shape (1,)."""
     a_free = (*range(m), *range(m + 1, ia.order))
-    return _contract(ia, ib, a_free, (m,), (), (0,))
+    if ib.order == 1:
+        return _contract(ia, ib, a_free, (m,), (), (0,))
+    # B's row dimension goes to the output at mode m.
+    return _contract(ia, ib, a_free, (m,), (0,), (1,), a_free + (m,))
 
 
 def ttv(a, b, mode: int) -> DenseTensor:
@@ -299,7 +301,8 @@ def ttv(a, b, mode: int) -> DenseTensor:
     ``a`` must have order >= 2; the result drops the contracted dimension.
     """
     ia = _mit(a)
-    return _ttv(ia, b, _mode(ia, mode, "ttv"), "ttv vector")
+    m = _mode(ia, mode, "ttv") - 1
+    return _mode_product(ia, _vector_mit(b, ia.extents[m], "ttv vector"), m)
 
 
 def ttm(a, bmat, mode: int) -> DenseTensor:
@@ -311,23 +314,22 @@ def ttm(a, bmat, mode: int) -> DenseTensor:
     The result keeps the order of ``a`` with extent n_new at ``mode``.
     No implicit transposition: rows of B index the new dimension.
     """
-    return _ttm(_mit(a), bmat, mode)
-
-
-def _ttm(ia: MultiIterator, bmat, mode) -> DenseTensor:
-    """:func:`ttm` of the cursor ``ia``."""
+    ia = _mit(a)
     m = _mode(ia, mode, "ttm") - 1
+    return _mode_product(ia, _matrix_mit(bmat, ia.extents[m], m), m)
+
+
+def _matrix_mit(bmat, n: int, m: int) -> MultiIterator:
+    """Read ``bmat`` as ttm's matrix against the zero-based mode ``m``, of
+    extent ``n``."""
     ib = _mit(bmat)
     if ib.order != 2:
         raise ValueError(f"ttm matrix must have order 2, got {ib.order}")
-    if ib.extents[1] != ia.extents[m]:
+    if ib.extents[1] != n:
         raise ValueError(
-            f"matrix columns {ib.extents[1]} do not match extent "
-            f"{ia.extents[m]} of mode {m + 1}"
+            f"matrix columns {ib.extents[1]} do not match extent {n} of mode {m + 1}"
         )
-    a_free = (*range(m), *range(m + 1, ia.order))
-    # B's row dimension goes to the output at ``mode``.
-    return _contract(ia, ib, a_free, (m,), (0,), (1,), a_free + (m,))
+    return ib
 
 
 # -- tensor times tensor ----------------------------------------------------------------
@@ -443,10 +445,10 @@ def frobenius_norm(a) -> float:
 # -- sequenced products ------------------------------------------------------------------
 
 
-def _chain(it: MultiIterator, operands, modes, what: str, step) -> DenseTensor:
-    """Apply ``step(cursor, operand, mode)`` to each operand at its one-based
-    mode, highest mode first so that lower modes keep their positions;
-    with no operands, a copy of ``it``."""
+def _chain(it: MultiIterator, operands, modes, what: str, check) -> DenseTensor:
+    """Check every operand by ``check(operand, m)`` (``m`` its zero-based
+    mode), highest mode first, then take the mode products in that order,
+    so that lower modes keep their positions; no operands: a copy of ``it``."""
     modes, p = list(_as_indices(modes, f"{what} modes")), it.order
     if len(modes) != len(operands):
         raise ValueError(f"{what}: got {len(operands)} operands for modes {modes}")
@@ -456,9 +458,10 @@ def _chain(it: MultiIterator, operands, modes, what: str, step) -> DenseTensor:
         raise ValueError(f"{what}: modes {modes} must be strictly increasing")
     if not operands:
         return _materialize(it)
-    result = step(it, operands[-1], modes[-1])
-    for m, x in zip(modes[-2::-1], operands[-2::-1]):
-        result = step(result.miter(), x, m)
+    steps = [(check(x, m - 1), m - 1) for m, x in zip(modes[::-1], operands[::-1])]
+    result = _mode_product(it, *steps[0])
+    for ib, m in steps[1:]:
+        result = _mode_product(result.miter(), ib, m)
     return result
 
 
@@ -484,11 +487,18 @@ def times_vectors(a, vectors, modes=None, skip=None) -> DenseTensor:
         if len(vectors) == p:
             vectors = vectors[: skip - 1] + vectors[skip:]
         modes = [m for m in range(1, p + 1) if m != skip]
-    step = partial(_ttv, what="times_vectors vector")
-    return _chain(it, vectors, modes, "times_vectors", step)
+    check = lambda v, m: _vector_mit(v, it.extents[m], "times_vectors vector")
+    return _chain(it, vectors, modes, "times_vectors", check)
 
 
 def times_matrices(a, matrices, modes) -> DenseTensor:
     """Apply ``ttm`` for each (matrix, mode) pair, highest mode first; the
     order of ``a`` is preserved."""
-    return _chain(_mit(a), list(matrices), modes, "times_matrices", _ttm)
+    it = _mit(a)
+
+    def check(bmat, m):
+        if it.order < 2:  # raise as ttm does
+            _mode(it, m + 1, "ttm")
+        return _matrix_mit(bmat, it.extents[m], m)
+
+    return _chain(it, list(matrices), modes, "times_matrices", check)

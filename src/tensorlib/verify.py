@@ -22,8 +22,9 @@ tensor's strides come from ``compute_strides`` of its shape and layout,
 and a view's, at any depth of views of views, from its target's strides
 derived the same way and the view's resolved ranges, never from a view's
 frame (``meta``, ``strides``, ``gamma``, ``views._frame``), and turns
-them into positions by strided runs of its own (:func:`_grid`).  It calls
-and shares no code with the fiber planner (``iterators._plan``,
+them into positions by strided runs of its own (:func:`_grid`), reading
+a grid that is one run of positive step as one slice.  It calls and
+shares no code with the fiber planner (``iterators._plan``,
 ``plan_fibers``, ``check_reach``) or element access
 (``_Strided._key_to_memory``), so a wrong plan or a wrong view frame
 cannot also corrupt the expected values.
@@ -37,11 +38,13 @@ other integers an instance draws (orders, extents, offsets, view
 steps, ttv and ttm modes, start values) come from ``_randints``, which
 reproduces CPython's ``randint`` from ``getrandbits`` (for the elements,
 one Mersenne Twister word per ``getrandbits(5)``, redrawn while the word
-is 19 or more), so it yields the values ``randint`` would and leaves the
-stream in the same state.  Layouts, ``tau``, ``phi`` and ``psi`` come
-from ``_rand_layout``, which reproduces ``shuffle`` from ``getrandbits``
-the same way.  ``tests/test_verify.py`` checks both against the
-``random`` methods and pins every family's stream state after 20 trials.
+is 19 or more; a buffer of 64 or more elements takes the same words a
+batch per round, through one ``getrandbits(32 * w)``), so it yields the
+values ``randint`` would and leaves the stream in the same state.
+Layouts, ``tau``, ``phi`` and ``psi`` come from ``_rand_layout``, which
+reproduces ``shuffle`` from ``getrandbits`` the same way.
+``tests/test_verify.py`` checks both against the ``random`` methods and
+pins every family's stream state after 20 trials.
 The ``times_*`` modes come from ``sample``; needles, operator names and
 ``compare_ranges``' changed element from ``choice``; and whether an
 operand is a view from ``random()``.
@@ -65,7 +68,7 @@ import os
 import traceback
 from collections import deque
 from dataclasses import asdict, dataclass, field
-from functools import partial, reduce
+from functools import cache, partial, reduce
 from math import hypot, prod
 from operator import add, mul, ne
 from typing import Callable, List, Optional, Tuple
@@ -198,12 +201,27 @@ def _randints(rng, lo: int, hi: int, count: int) -> List[int]:
     the word is ``>= n``.  Every instance draw goes through here, so an
     empty range raises ``ValueError`` as ``randint`` does, instead of
     redrawing forever.
+
+    ``getrandbits(k)``, ``k <= 32``, is the top ``k`` bits of one word and
+    ``getrandbits(32 * w)`` is ``w`` words, the first lowest.  So from 64
+    values (below, the loop is faster) of at most 8 bits that fit a signed
+    byte, each round takes as many words as values are missing, which the
+    loop would take too, and one ``bytes.translate`` maps each word's top
+    byte to its value or deletes it.
     """
     n = hi - lo + 1
     if n < 1:
         raise ValueError(f"empty range for randint: [{lo}, {hi}]")
     k = n.bit_length()
     getrandbits = rng.getrandbits
+    if count >= 64 and k <= 8 and -128 <= lo and hi <= 127:
+        table, delete = _byte_draws(lo, n)
+        got = b""
+        while len(got) < count:
+            need = count - len(got)
+            words = getrandbits(32 * need).to_bytes(4 * need, "little")
+            got += words[3::4].translate(table, delete)
+        return memoryview(got).cast("b").tolist()
     out = []
     append = out.append
     for _ in range(count):
@@ -212,6 +230,15 @@ def _randints(rng, lo: int, hi: int, count: int) -> List[int]:
             r = getrandbits(k)
         append(lo + r)
     return out
+
+
+@cache
+def _byte_draws(lo: int, n: int) -> Tuple[bytes, bytes]:
+    """:func:`_randints`' ``bytes.translate`` arguments: top byte ``b`` maps
+    to the byte of ``lo + (b >> (8 - n.bit_length()))``; draws ``>= n`` go."""
+    shift = 8 - n.bit_length()
+    table = bytes((lo + (b >> shift)) & 255 for b in range(256))
+    return table, bytes(range(n << shift, 256))
 
 
 def _rand_tensor(rng, shape, kind: str = "int64") -> DenseTensor:
@@ -321,18 +348,26 @@ def _positions(x):
     return root, shape, _grid(gamma, strides, shape)
 
 
+def _read(data: list, positions) -> list:
+    """``[data[p] for p in positions]``: one slice where ``positions`` is a
+    ``range`` of positive step that ends inside ``data``."""
+    if type(positions) is range and positions.step > 0 and positions[-1] < len(data):
+        return data[positions.start : positions.stop : positions.step]
+    return list(map(data.__getitem__, positions))
+
+
 def read_flat(x) -> list:
     """A tensor's or view's elements in ``zero_indices`` order, read from
     its buffer at positions from the oracle's own stride arithmetic (see
     the module docstring)."""
     root, _, positions = _positions(x)
-    return list(map(root.data.__getitem__, positions))
+    return _read(root.data, positions)
 
 
 def read_box(x) -> dict:
     """:func:`read_flat` as a dict keyed by zero-based multi-index."""
     root, shape, positions = _positions(x)
-    return dict(zip(zero_indices(shape), map(root.data.__getitem__, positions)))
+    return dict(zip(zero_indices(shape), _read(root.data, positions)))
 
 
 def _unravel(k: int, shape, order=None) -> Tuple[int, ...]:
@@ -351,29 +386,49 @@ def contract(out, summed, *operands):
     ``zero_indices`` order and one distinct label per dimension.  Output
     dimension ``r`` carries label ``out[r]`` (none: one element).  The loop
     nest runs the output labels, dimension 1 fastest, then the ``summed``
-    labels, the last fastest.  Each operand's positions over the nest come
-    from its own dense strides through :func:`_grid`, independent of the
-    engine's plans.  The operands' elements are multiplied with
-    ``map(mul, ...)`` in operand order and each output's block is added by
-    ``sum`` in nest order, which up to Python 3.11 gives the bits of
-    ``acc = 0; acc += a * b`` loops.
+    labels, the last fastest.  Each operand is read once over the nest
+    labels it has, at positions from its own dense strides through
+    :func:`_grid`, independent of the engine's plans.  Then each nest
+    label it lacks, innermost first, repeats what lies inside it: each
+    value (an innermost label), each block (one in between) or the whole
+    column (an outermost one).  The operands' elements are multiplied
+    with ``map(mul, ...)`` in operand order and each output's block is
+    added by ``sum`` in nest order, which up to Python 3.11 gives the
+    bits of ``acc = 0; acc += a * b`` loops.
     """
     sizes = {}
     for _, shape, labels in operands:
         sizes.update(zip(labels, shape))
     nest = [*reversed(summed), *out]  # innermost first, as _grid takes it
-    extents = [sizes[l] for l in nest]
     terms = None
     for values, shape, labels in operands:
         stride, w = {}, 1
         for label, n in zip(labels, shape):
             stride[label], w = w, w * n
-        positions = _grid(0, [stride.get(l, 0) for l in nest], extents)
-        column = map(values.__getitem__, positions)
+        strides = [stride[l] for l in nest if l in stride]
+        extents = [sizes[l] for l in nest if l in stride]
+        positions = _grid(0, strides, extents)
+        if len(extents) == len(nest) and type(positions) is list:
+            # Nothing to repeat: the products read the elements lazily.
+            column = map(values.__getitem__, positions)
+        else:
+            column = _read(values, positions)
+            inner = 1  # the nest's size inside label l: column's block size
+            for l in nest:
+                n = sizes[l]
+                if l not in stride and n > 1:
+                    if inner == 1:
+                        column = list(itertools.chain.from_iterable(zip(*[column] * n)))
+                    elif inner == len(column):
+                        column *= n
+                    else:
+                        blocks = zip(*[iter(column)] * inner)
+                        column = list(itertools.chain.from_iterable(b * n for b in blocks))
+                inner *= n
         terms = column if terms is None else map(mul, terms, column)
     block = prod(sizes[l] for l in summed)
     if block > 1:
-        terms = map(sum, zip(*[terms] * block))
+        terms = map(sum, zip(*[iter(terms)] * block))
     return list(terms), tuple(sizes[l] for l in out)
 
 
@@ -398,7 +453,7 @@ def _operand_json(x, buffer=None) -> dict:
         return dict(x.to_dict(), data=list(data))
     p = len(shape)
     out = {"shape": list(shape), "layout": list(range(1, p + 1)), "offsets": [0] * p}
-    return dict(out, data=list(map(data.__getitem__, positions)), view=True)
+    return dict(out, data=_read(data, positions), view=True)
 
 
 def _json_value(v):
@@ -466,14 +521,14 @@ class _Comparator:
             found = {"expected_shape": list(shape), "got_shape": list(got_shape)}
             return _counterexample(context, **found)
         data = root.data
-        values = list(map(data.__getitem__, positions))
+        values = _read(data, positions)
         if values != expected:
             k = list(map(ne, expected, values)).index(True)
             found = {"expected": repr(expected[k]), "got": repr(values[k])}
             return _counterexample(context, **found, index=list(_unravel(k, shape)))
         if before is None:
             return None
-        window = list(map(before.__getitem__, positions))
+        window = _read(before, positions)
         deque(map(before.__setitem__, positions, values), maxlen=0)
         if before == data:
             return None

@@ -854,6 +854,55 @@ class TestTimesMatrices:
         assert c is not a and c.data is not a.data
 
 
+class TestChainsCheckFirst:
+    """``times_vectors`` and ``times_matrices`` check every operand before
+    the first step, so a bad low-mode operand raises before any contraction
+    runs, with the message its own ttv or ttm raises."""
+
+    @staticmethod
+    def count_contractions(monkeypatch):
+        calls = []
+        contract = contraction._contract
+
+        def spy(*args):
+            calls.append(args)
+            return contract(*args)
+
+        monkeypatch.setattr(contraction, "_contract", spy)
+        return calls
+
+    def test_short_mode_1_vector(self, monkeypatch):
+        rng = random.Random(31)
+        a = rand_dense(rng, (3, 4, 2))
+        v1, v2, v3 = (rand_dense(rng, (n,)) for n in a.shape)
+        v1.data.pop()
+        with pytest.raises(IndexError) as alone:
+            ttv(a, v1, 1)
+        calls = self.count_contractions(monkeypatch)
+        with pytest.raises(IndexError) as chained:
+            times_vectors(a, [v1, v2, v3], modes=(1, 2, 3))
+        assert str(chained.value) == str(alone.value)
+        assert calls == []
+
+    def test_mismatched_mode_1_matrix(self, monkeypatch):
+        rng = random.Random(32)
+        a = rand_dense(rng, (3, 4, 2))
+        mats = [rand_dense(rng, shape) for shape in ((2, 4), (5, 4), (3, 2))]
+        calls = self.count_contractions(monkeypatch)
+        message = "matrix columns 4 do not match extent 3 of mode 1"
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            times_matrices(a, mats, modes=(1, 2, 3))
+        assert calls == []
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            ttm(a, mats[0], 1)
+
+    def test_order_1_tensor_raises_as_ttm_does(self):
+        a = rand_dense(random.Random(33), (3,))
+        with pytest.raises(ValueError, match=r"^ttm requires order >= 2, got 1$"):
+            times_matrices(a, [rand_dense(random.Random(34), (2, 3))], modes=(1,))
+        assert tensors_equal(times_matrices(a, [], []), a)
+
+
 def three_d():
     return DenseTensor((3, 4, 2))
 

@@ -11,7 +11,8 @@ CALLS = [
     "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy",
     "copy_view", "fill", "transform_binary", "compare_ranges",
     "ContractionSpec", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
-    "times_matrices", "transpose",
+    "times_matrices", "transpose", "randints_625", "contract_outer",
+    "times_matrices_mid",
 ]
 
 

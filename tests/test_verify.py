@@ -412,6 +412,30 @@ class TestIntDraws:
             assert verify._randints(ours, lo, hi, count) == want
             assert ours.getstate() == theirs.getstate()
 
+    @pytest.mark.parametrize("count", [63, 64, 65, 625, 14641])
+    def test_batched_element_draws_reproduce_randint(self, count):
+        # From 64 values the elements' words are drawn a batch per round.
+        for seed in (0, 1, 42, "7:ttv:int64"):
+            ours, theirs = random.Random(seed), random.Random(seed)
+            want = [theirs.randint(-9, 9) for _ in range(count)]
+            assert verify._randints(ours, -9, 9, count) == want
+            assert ours.getstate() == theirs.getstate()
+
+    @pytest.mark.parametrize("lo, hi", [(-200, 200), (0, 200), (-128, 127)])
+    def test_ranges_wider_than_a_signed_byte_keep_the_loop(self, lo, hi):
+        # 9 bits, or 8 that overflow a signed byte: one word per draw.
+        class Recording(random.Random):
+            def getrandbits(self, k):
+                self.asked.append(k)
+                return super().getrandbits(k)
+
+        ours, theirs = Recording(3), random.Random(3)
+        ours.asked = []
+        want = [theirs.randint(lo, hi) for _ in range(100)]
+        assert verify._randints(ours, lo, hi, 100) == want
+        assert ours.getstate() == theirs.getstate()
+        assert set(ours.asked) == {(hi - lo + 1).bit_length()}
+
     @pytest.mark.parametrize("count", [0, 1])
     def test_randints_rejects_an_empty_range(self, count):
         # randint raises here too; redrawing getrandbits(0) would never end.
@@ -475,6 +499,18 @@ class TestOracleReads:
         return [t, v, w]
 
     @staticmethod
+    def ban_engine(monkeypatch, banned):
+        """Replace the fiber planner, the reach check and the cursor door
+        by ``banned``, in ``iterators`` and wherever they are bound by name."""
+        monkeypatch.setattr(iterators, "_plan", banned)
+        monkeypatch.setattr(iterators, "plan_fibers", banned)
+        monkeypatch.setattr(iterators, "check_reach", banned)
+        for module in (elementwise, contraction):
+            monkeypatch.setattr(module, "_plan", banned)
+            monkeypatch.setattr(module, "_mit", banned)
+        monkeypatch.setattr(elementwise, "check_reach", banned)
+
+    @staticmethod
     def plain_box(x):
         """Zero-based multi-index -> element, by plain element access."""
         o = x.offsets
@@ -487,21 +523,37 @@ class TestOracleReads:
     def test_reads_bypass_planner_and_element_access(self, monkeypatch, layout):
         operands = self.operands(layout)
         cases = [(x, x.shape, self.plain_box(x)) for x in operands]
+        t, v, w = operands
+
+        def oracle_calls():
+            # The label oracle on the reads: a transpose of t, an outer
+            # product of v and w, and a ttv and a ttm of t.
+            ta = (verify.read_flat(t), t.shape, (1, 2, 3))
+            tv = (verify.read_flat(v), v.shape, (4, 5, 6))
+            tw = (verify.read_flat(w), w.shape, (7, 8, 9))
+            return [
+                verify.contract((3, 1, 2), (), ta),
+                verify.contract(range(4, 10), (), tv, tw),
+                verify._times(ta[0], t.shape, tw[0][:2], (2,), 3),
+                verify._times(ta[0], t.shape, tw[0][:8], (2, 4), 2),
+            ]
+
+        want = oracle_calls()
 
         def banned(*args, **kwargs):
             raise AssertionError("the oracle used the engine's addressing")
 
-        monkeypatch.setattr(iterators, "_plan", banned)
-        monkeypatch.setattr(iterators, "plan_fibers", banned)
-        monkeypatch.setattr(iterators, "check_reach", banned)
+        self.ban_engine(monkeypatch, banned)
         monkeypatch.setattr(tensor._Strided, "_key_to_memory", banned)
         monkeypatch.setattr(views, "_frame", banned)
+        assert oracle_calls() == want
         cmp = verify._Comparator("int64")
         for x, shape, box in cases:
             assert read_box(x) == box
             flat = [box[i] for i in zero_indices(shape)]
             assert verify.read_flat(x) == flat
             assert cmp.check_list(flat, shape, x, {"op": "read"}) is None
+            assert cmp.check_list(flat, shape, x, {"op": "read"}, x.data[:]) is None
             # The last multi-index in sorted order is also the last in
             # zero_indices order.
             last = max(box)
@@ -527,8 +579,7 @@ class TestOracleReads:
         def banned(*args, **kwargs):
             raise AssertionError("the oracle used the engine to serialize")
 
-        monkeypatch.setattr(iterators, "_plan", banned)
-        monkeypatch.setattr(iterators, "plan_fibers", banned)
+        self.ban_engine(monkeypatch, banned)
         monkeypatch.setattr(tensor._Strided, "_key_to_memory", banned)
         monkeypatch.setattr(views, "_frame", banned)
         monkeypatch.setattr(views.TensorView, "materialize", banned)
@@ -698,6 +749,31 @@ class TestLabelOracle:
             values, shape = verify.contract(out, summed, *operands)
             assert len(values) == prod(shape)
             assert values == self.einsum(out, *operands)
+
+    def test_operands_lacking_nest_labels(self):
+        # The nest runs labels 1 (innermost) to 4.  Each b lacks some of
+        # them and is read once, then repeated inside each label it lacks,
+        # whether it comes first or second.
+        rng = random.Random(13)
+        sizes = {1: 2, 2: 3, 3: 2, 4: 3}
+        a = self.operand(rng, (3, 1, 4, 2), sizes)
+        for labels in ((2, 3, 4), (1, 3, 4), (1, 2, 4), (4, 1), (1, 2, 3), (3,)):
+            b = self.operand(rng, labels, sizes)
+            for operands in ([a, b], [b, a]):
+                values, shape = verify.contract((1, 2, 3, 4), (), *operands)
+                assert shape == (2, 3, 2, 3)
+                assert values == self.einsum((1, 2, 3, 4), *operands)
+                # With the two innermost labels summed.
+                values, _ = verify.contract((3, 4), (2, 1), *operands)
+                assert values == self.einsum((3, 4), *operands)
+
+    def test_single_operand_with_a_summed_label(self):
+        rng = random.Random(14)
+        a = self.operand(rng, (1, 2, 3), {1: 3, 2: 4, 3: 2})
+        for out, summed in (((1, 3), (2,)), ((2,), (1, 3)), ((), (3, 1, 2))):
+            values, shape = verify.contract(out, summed, a)
+            assert len(values) == prod(shape)
+            assert values == self.einsum(out, a)
 
     @pytest.mark.parametrize("modes", [(1,), (2,), (1, 3), (1, 2, 3)])
     def test_chained_ttv_and_ttm(self, modes):

@@ -11,8 +11,13 @@ the elementwise ``copy`` (between tensors, and from the stepped view),
 ``fill``, ``transform_binary`` and ``compare_ranges``, constructing a
 ``ContractionSpec``, and the contractions ``ttv``, ``ttm``, ``ttt``,
 ``outer_product``, a ``times_vectors`` and a ``times_matrices`` over all
-three modes and ``transpose``.  Each figure is the minimum, over ``R`` repetitions, of the
-mean time of ``N`` back-to-back calls, in microseconds per call.
+three modes and ``transpose``.  Three rows time the oracle's own work at
+the size of its slowest trials: ``randints_625`` draws 625 elements in
+[-9, 9] with ``verify._randints``, ``contract_outer`` is the label oracle's
+(5, 5, 5) x (5, 5) outer product, and ``times_matrices_mid`` applies four
+5 x 5 matrices to a stepped 5^4 view.  Each figure is the minimum, over
+``R`` repetitions, of the mean time of ``N`` back-to-back calls, in
+microseconds per call.
 
 The library timed is this checkout's ``src/tensorlib``.  With
 ``--against DIR`` the ``src/tensorlib`` of a second checkout is loaded
@@ -29,6 +34,7 @@ from __future__ import annotations
 import argparse
 import gc
 import importlib.util
+import random
 import statistics
 import sys
 import time
@@ -43,7 +49,8 @@ CALLS = (
     "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy",
     "copy_view", "fill", "transform_binary", "compare_ranges",
     "ContractionSpec", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
-    "times_matrices", "transpose",
+    "times_matrices", "transpose", "randints_625", "contract_outer",
+    "times_matrices_mid",
 )
 
 
@@ -80,6 +87,15 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     spec = tl.ContractionSpec(1, (1, 3, 2), (2, 1))
     cursors = (a.miter(), b.miter())
     plan_fibers = sys.modules[tl.__name__ + ".iterators"].plan_fibers
+    verify = sys.modules[tl.__name__ + ".verify"]
+    rng = random.Random(7)
+    cube = ([k / 11 for k in range(125)], (5, 5, 5), (0, 1, 2))
+    square = ([1 - k / 13 for k in range(25)], (5, 5), (3, 4))
+    parent4 = tl.DenseTensor((9, 5, 6, 5), offsets=(1, 0, -1, 2), layout=(3, 1, 4, 2))
+    parent4.data = [k / 17 for k in range(parent4.size)]
+    ranges4 = (tl.Range(1, 2, 9), None, tl.Range(0, 1, 4), None)
+    view4 = tl.TensorView(parent4, ranges4)
+    squares = [from_memory((5, 5), [(k + j) / 7 for k in range(25)]) for j in range(4)]
     return {
         "DenseTensor": lambda: tl.DenseTensor((3, 4, 2)),
         "TensorView": lambda: tl.TensorView(parent, ranges),
@@ -98,6 +114,9 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "times_vectors": lambda: tl.times_vectors(a, vectors, modes=(1, 2, 3)),
         "times_matrices": lambda: tl.times_matrices(a, matrices, modes=(1, 2, 3)),
         "transpose": lambda: tl.transpose(a, (3, 1, 2)),
+        "randints_625": lambda: verify._randints(rng, -9, 9, 625),
+        "contract_outer": lambda: verify.contract(range(5), (), cube, square),
+        "times_matrices_mid": lambda: tl.times_matrices(view4, squares, (1, 2, 3, 4)),
     }
 
 
@@ -134,14 +153,14 @@ def report(samples: Dict[str, List[list]], headers: Tuple[str, ...]) -> str:
     """One row per call: each library's minimum, and with two libraries
     the median over repetitions of the ratio of their timings, which
     were taken back to back."""
-    lines = ["call".ljust(16) + "".join(h.rjust(12) for h in headers)]
+    lines = ["call".ljust(20) + "".join(h.rjust(12) for h in headers)]
     for name in CALLS:
         runs = samples[name]
         cells = [f"{min(us):12.2f}" for us in runs]
         if len(runs) == 2:
             ratio = statistics.median(map(truediv, *runs))
             cells.append(f"{ratio:12.3f}")
-        lines.append(name.ljust(16) + "".join(cells))
+        lines.append(name.ljust(20) + "".join(cells))
     return "\n".join(lines)
 
 
