@@ -22,7 +22,8 @@ fibers; each output element is one fiber dot product,
 streamed bound elements form one fiber (every ttv, ttm and ``times_*``
 step and most ttt specs), one comprehension step per output slices that
 fiber, ``data[p : p + span : step]``, and takes the dot product with each
-packed fiber; with one packed fiber (ttv) the step has no inner loop.
+packed fiber; with one packed fiber (ttv, one-row ttm) the step has no
+inner loop.
 Only bound pairs that merge into no single fiber gather each output's
 elements into one list first.  The loop order changes only the order in
 which outputs are visited, never any output's sum.
@@ -79,9 +80,9 @@ from math import hypot, prod
 from operator import mul
 from typing import Iterable, Sequence, Tuple
 
-from .elementwise import _in_order, _mit, inner_product_flat
+from .elementwise import _in_order, _mit, _values, inner_product_flat
 from .iterators import MultiIterator, _plan, _positions
-from .layout import _as_indices, _permutation
+from .layout import _as_indices, _index, _permutation
 from .tensor import DenseTensor, _materialize
 
 __all__ = [
@@ -214,13 +215,13 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         k_outs = _positions(0, k_out, k_ext)
     else:
         # One packed fiber: its outputs are each output fiber, in order.
-        k_pos, k_outs = (k.pos,), None
+        k_pos, k_outs = (k.pos,), (0,)
     data, sdata = out.data, s.data
     if not s_bound:
         # No bound pair: each output is the product itself, not 0 + a * b
         # (which turns -0.0 into 0.0).  Without ``dims`` (every q = 0 call)
         # the streamed side's outputs are one run of the fresh output.
-        sf, w = list(_in_order(sc)[1]), s_out[0]
+        sf, w = list(_values(_plan((sc,)), 0, sc)), s_out[0]
         for x, oc in zip(map(k.data.__getitem__, k_pos), k_outs):
             data[oc : oc + len(sf) * w : w] = [v * x for v in sf]
         return out
@@ -238,13 +239,13 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         for pc, ps in starts:
             streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])
             values = [sum(map(mul, sf, kf)) for sf in streamed for kf in packed]
-            for j, oc in enumerate((0,) if k_outs is None else k_outs):
+            for j, oc in enumerate(k_outs):
                 data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
         return out
     # One streamed fiber per output, sliced inline: each output is one
     # comprehension step.
     (first,) = offsets[0]
-    if k_outs is None:
+    if nk == 1:
         (kf,) = packed
         for pc, ps in starts:
             lo = ps + first
@@ -275,10 +276,7 @@ def _mode(ia: MultiIterator, mode, what: str) -> int:
     p = ia.order
     if p < 2:
         raise ValueError(f"{what} requires order >= 2, got {p}")
-    (mode,) = _as_indices((mode,), "mode")
-    if not 1 <= mode <= p:
-        raise ValueError(f"mode {mode} out of range 1..{p}")
-    return mode
+    return _index(mode, "mode", 1, p)
 
 
 def _mode_product(ia: MultiIterator, ib: MultiIterator, m: int) -> DenseTensor:
@@ -346,11 +344,9 @@ class ContractionSpec:
     psi: Tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "q", _as_indices((self.q,), "q")[0])
+        object.__setattr__(self, "q", _index(self.q, "q", 0))
         object.__setattr__(self, "phi", _permutation(self.phi, "phi"))
         object.__setattr__(self, "psi", _permutation(self.psi, "psi"))
-        if self.q < 0:
-            raise ValueError("q must be nonnegative")
         if self.q > len(self.phi) or self.q > len(self.psi):
             raise ValueError("q exceeds an operand's order")
         if len(self.phi) == 0 or len(self.psi) == 0:
@@ -395,8 +391,8 @@ def ttt(a, b, spec: ContractionSpec) -> DenseTensor:
 def _free_then(p: int, m: int) -> Tuple[int, ...]:
     """The one-based phi listing an order-p operand's dimensions except
     ``m`` in order, then ``m``."""
-    if not 1 <= m <= p:
-        raise ValueError(f"mode {m} out of range 1..{p}")
+    p = _index(p, "order", 1)
+    m = _index(m, "mode", 1, p)
     return tuple(k for k in range(1, p + 1) if k != m) + (m,)
 
 
@@ -482,8 +478,7 @@ def times_vectors(a, vectors, modes=None, skip=None) -> DenseTensor:
     vectors = list(vectors)
     if skip is not None:
         (skip,) = _as_indices((skip,), "skip")
-        if not 1 <= skip <= p:
-            raise ValueError(f"skip mode {skip} out of range 1..{p}")
+        _index(skip, "skip mode", 1, p)
         if len(vectors) == p:
             vectors = vectors[: skip - 1] + vectors[skip:]
         modes = [m for m in range(1, p + 1) if m != skip]

@@ -39,7 +39,7 @@ from typing import List, Optional, Sequence
 
 from .contraction import frobenius_norm, times_vectors, ttv
 from .elementwise import _in_order
-from .layout import _as_indices
+from .layout import _index
 from .tensor import DenseTensor
 
 __all__ = ["DegenerateInputError", "HopmState", "hopm", "rank_one_compose", "residual"]
@@ -103,9 +103,7 @@ def hopm(
     """
     p = a.order
     shape = a.shape
-    (max_sweeps,) = _as_indices((max_sweeps,), "max_sweeps")
-    if max_sweeps < 1:
-        raise ValueError("max_sweeps must be >= 1")
+    max_sweeps = _index(max_sweeps, "max_sweeps", 1)
     if not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     if u0 is None:

@@ -27,6 +27,8 @@ from itertools import repeat
 from operator import add
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
+from .layout import _index
+
 __all__ = [
     "FiberPlan",
     "MultiIterator",
@@ -121,8 +123,7 @@ class MultiIterator:
         return len(self.extents)
 
     def begin(self, r: int) -> StrideIterator:
-        if not 0 <= r < self.order:
-            raise ValueError(f"depth {r} out of range for order {self.order}")
+        r = _index(r, "depth", 0, len(self.extents) - 1)
         return StrideIterator(self.data, self.pos, self.strides[r])
 
     def end(self, r: int) -> StrideIterator:

@@ -51,7 +51,8 @@ __all__ = [
 MAX_INDEX = 2**63 - 1
 
 
-_INT = frozenset((int,))
+# True iff every type in an iterable is ``int``: plain ints, not bools.
+_all_ints = frozenset((int,)).issuperset
 
 
 def _as_indices(values: Iterable[int], name: str) -> Tuple[int, ...]:
@@ -59,7 +60,7 @@ def _as_indices(values: Iterable[int], name: str) -> Tuple[int, ...]:
     NumPy integers pass; floats, strings and ``bool`` (as in
     ``DenseTensor.from_dict``) raise ``ValueError`` naming ``name``."""
     values = tuple(values)
-    if _INT.issuperset(map(type, values)):
+    if _all_ints(map(type, values)):
         # Plain ints, the common case: every kernel output builds a meta.
         return values
     try:
@@ -68,6 +69,21 @@ def _as_indices(values: Iterable[int], name: str) -> Tuple[int, ...]:
     except TypeError:
         pass
     raise ValueError(f"{name} must be integers, got {values!r}")
+
+
+def _index(value, name: str, lo: int, hi=None, error=ValueError) -> int:
+    """``value`` as an int by :func:`_as_indices`' rule, checked to lie in
+    ``lo..hi`` (``hi`` None: at least ``lo``); else ``error`` naming
+    ``name``.  The range rule of every scalar index, mode, order and count
+    argument."""
+    if type(value) is not int:
+        (value,) = _as_indices((value,), name)
+    if hi is None:
+        if value < lo:
+            raise error(f"{name} must be >= {lo}, got {value}")
+    elif not lo <= value <= hi:
+        raise error(f"{name} {value} out of range {lo}..{hi}")
+    return value
 
 
 def validate_shape(extents: Iterable[int]) -> Tuple[int, ...]:
@@ -118,16 +134,12 @@ def validate_offsets(offsets: Iterable[int], order: int) -> Tuple[int, ...]:
 
 def first_order_layout(p: int) -> Tuple[int, ...]:
     """Layout ``(1, 2, ..., p)``: dimension 1 has the highest precedence."""
-    if p < 1:
-        raise ValueError("order must be positive")
-    return tuple(range(1, p + 1))
+    return tuple(range(1, _index(p, "order", 1) + 1))
 
 
 def last_order_layout(p: int) -> Tuple[int, ...]:
     """Layout ``(p, ..., 2, 1)``: dimension p has the highest precedence."""
-    if p < 1:
-        raise ValueError("order must be positive")
-    return tuple(range(p, 0, -1))
+    return tuple(range(_index(p, "order", 1), 0, -1))
 
 
 def volume(shape: Sequence[int]) -> int:
@@ -189,7 +201,7 @@ class TensorMeta:
         shape, size = _checked_shape(shape)
         p = len(shape)
         layout = (
-            first_order_layout(p) if layout is None else _permutation(layout, "layout", p)
+            tuple(range(1, p + 1)) if layout is None else _permutation(layout, "layout", p)
         )
         offsets = (0,) * p if offsets is None else validate_offsets(offsets, p)
         _set_shape(self, shape)
@@ -247,8 +259,7 @@ def inverse_memory_index(meta: TensorMeta, j: int) -> Tuple[int, ...]:
     Peels dimensions in decreasing precedence order, so it is the exact
     inverse of ``memory_index`` restricted to the zero-based index box.
     """
-    if not 0 <= j < meta.size:
-        raise ValueError(f"memory index {j} out of range [0, {meta.size})")
+    j = _index(j, "memory index", 0, meta.size - 1)
     idx = [0] * meta.order
     for q in reversed(meta.layout):
         w = meta.strides[q - 1]

@@ -23,7 +23,9 @@ from typing import Optional, Sequence
 
 from .elementwise import _copy, _equal, _fill, _mit
 from .iterators import MultiIterator, StrideIterator
-from .layout import TensorMeta, validate_layout, validate_shape, volume
+from .layout import (
+    TensorMeta, _all_ints, _as_indices, _index, validate_layout, validate_shape, volume
+)
 
 __all__ = ["DenseTensor", "tensors_equal"]
 
@@ -65,21 +67,18 @@ class _Strided:
         return volume(self.meta.shape)
 
     def _key_to_memory(self, key) -> int:
-        if isinstance(key, int):
-            key = (key,)
-        else:
-            key = tuple(key)
+        if type(key) is not tuple or not _all_ints(map(type, key)):
+            # A tuple of plain ints needs no call; anything else (one index,
+            # a list, NumPy integers, floats, bools) takes the integer rule.
+            key = _as_indices(key if hasattr(key, "__iter__") else (key,), "index")
         meta = self.meta
-        if len(key) != len(meta.shape):
-            raise ValueError(f"expected {len(meta.shape)} indices, got {len(key)}")
+        shape = meta.shape
+        if len(key) != len(shape):
+            raise ValueError(f"expected {len(shape)} indices, got {len(key)}")
         j = meta.gamma
-        for r, (i, o, n, w) in enumerate(
-            zip(key, meta.offsets, meta.shape, meta.strides)
-        ):
+        for i, o, n, w in zip(key, meta.offsets, shape, meta.strides):
             if not o <= i < o + n:
-                raise IndexError(
-                    f"index {i} out of bounds [{o}, {o + n}) in dimension {r + 1}"
-                )
+                raise _out_of_bounds(key, meta)
             j += w * (i - o)
         return j
 
@@ -104,8 +103,7 @@ class _Strided:
     def _dim_cursor(self, dim: int, at: Optional[Sequence[int]]) -> MultiIterator:
         meta = self.meta
         p = len(meta.shape)
-        if not 1 <= dim <= p:
-            raise ValueError(f"dimension {dim} out of range 1..{p}")
+        dim = _index(dim, "dimension", 1, p)
         if at is None:
             return self.miter()
         if len(at) != p:
@@ -113,6 +111,13 @@ class _Strided:
         at = list(at)
         at[dim - 1] = meta.offsets[dim - 1]
         return self.miter().move_to(self._key_to_memory(at))
+
+
+def _out_of_bounds(key, meta) -> IndexError:
+    """The error for the first index of ``key`` outside ``meta``'s box."""
+    for r, (i, o, n) in enumerate(zip(key, meta.offsets, meta.shape), 1):
+        if not o <= i < o + n:
+            return IndexError(f"index {i} out of bounds [{o}, {o + n}) in dimension {r}")
 
 
 class DenseTensor(_Strided):
@@ -158,14 +163,10 @@ class DenseTensor(_Strided):
 
     def get_memory(self, j: int):
         """Read element ``j`` of the buffer, no index transformation."""
-        if not 0 <= j < len(self.data):
-            raise IndexError(f"memory index {j} out of range [0, {len(self.data)})")
-        return self.data[j]
+        return self.data[_index(j, "memory index", 0, len(self.data) - 1, IndexError)]
 
     def set_memory(self, j: int, value) -> None:
-        if not 0 <= j < len(self.data):
-            raise IndexError(f"memory index {j} out of range [0, {len(self.data)})")
-        self.data[j] = value
+        self.data[_index(j, "memory index", 0, len(self.data) - 1, IndexError)] = value
 
     def item(self):
         """The single element of a one-element tensor."""

@@ -75,7 +75,7 @@ from typing import Callable, List, Optional, Tuple
 
 from . import contraction as ct
 from . import elementwise as ew
-from .layout import _as_indices, compute_strides, zero_indices
+from .layout import _as_indices, _index, compute_strides, zero_indices
 from .tensor import DenseTensor
 from .views import Range, TensorView
 
@@ -93,15 +93,11 @@ class RunConfig:
     scalar_kind: str = "float64"
 
     def __post_init__(self):
-        for name in ("seed", "trials", "max_order", "max_extent"):
-            setattr(self, name, _as_indices((getattr(self, name),), name)[0])
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
-        if not 2 <= self.max_order <= 6:
-            # ttv, ttm and the times_* chains need order 2 or more.
-            raise ValueError("max_order must be in 2..6")
-        if self.max_extent < 1:
-            raise ValueError("max_extent must be >= 1")
+        (self.seed,) = _as_indices((self.seed,), "seed")
+        self.trials = _index(self.trials, "trials", 1)
+        # ttv, ttm and the times_* chains need order 2 or more.
+        self.max_order = _index(self.max_order, "max_order", 2, 6)
+        self.max_extent = _index(self.max_extent, "max_extent", 1)
         if self.scalar_kind not in ("int64", "float64"):
             raise ValueError(f"unknown scalar kind {self.scalar_kind!r}")
 

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import NamedTuple, Tuple
 
 from .elementwise import _mit
-from .layout import TensorMeta, _as_indices
+from .layout import TensorMeta, _as_indices, _index
 from .tensor import DenseTensor, _materialize, _Strided
 
 __all__ = ["Range", "TensorView", "classify_view"]
@@ -50,22 +50,17 @@ class Range:
     __slots__ = ("first", "step", "last")
 
     def __init__(self, *args):
-        if len(args) == 0:
+        if not args:
             self.first = self.last = _FULL
             self.step = 1
             return
-        if len(args) == 1:
-            first, step, last = args[0], 1, args[0]
-        elif len(args) == 2:
-            first, step, last = args[0], 1, args[1]
-        elif len(args) == 3:
-            first, step, last = args
-        else:
+        if len(args) > 3:
             raise ValueError("Range takes at most three indices")
-        if not type(first) is type(step) is type(last) is int:
+        first, step, last = args if len(args) == 3 else (args[0], 1, args[-1])
+        if not type(first) is type(step) is type(last) is int or step < 1:
+            # Anything but plain ints with a positive step: the shared rules.
             first, step, last = _as_indices((first, step, last), "Range indices")
-        if step < 1:
-            raise ValueError(f"step must be >= 1, got {step}")
+            _index(step, "step", 1)
         if first > last:
             raise ValueError(f"range first {first} exceeds last {last}")
         self.first = first

@@ -8,7 +8,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = [
-    "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy",
+    "DenseTensor", "TensorView", "getitem", "Range", "materialize", "plan_fibers", "copy",
     "copy_view", "fill", "transform_binary", "compare_ranges",
     "ContractionSpec", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
     "times_matrices", "transpose", "randints_625", "contract_outer",

@@ -5,7 +5,8 @@ Usage, from anywhere::
     python3 tools/tiny_calls.py [--against DIR] [--reps R] [--number N]
 
 Times the calls the randomized oracle makes most, each on (3, 4, 2)
-operands: constructing a ``DenseTensor`` and a ``TensorView``,
+operands: constructing a ``DenseTensor`` and a ``TensorView``, reading
+one element with ``t[1, 2, 0]``, constructing a stepped ``Range``,
 materializing a stepped view, planning two cursors with ``plan_fibers``,
 the elementwise ``copy`` (between tensors, and from the stepped view),
 ``fill``, ``transform_binary`` and ``compare_ranges``, constructing a
@@ -46,7 +47,7 @@ from typing import Callable, Dict, List, Tuple
 HERE = Path(__file__).resolve().parent.parent
 
 CALLS = (
-    "DenseTensor", "TensorView", "materialize", "plan_fibers", "copy",
+    "DenseTensor", "TensorView", "getitem", "Range", "materialize", "plan_fibers", "copy",
     "copy_view", "fill", "transform_binary", "compare_ranges",
     "ContractionSpec", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
     "times_matrices", "transpose", "randints_625", "contract_outer",
@@ -99,6 +100,8 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     return {
         "DenseTensor": lambda: tl.DenseTensor((3, 4, 2)),
         "TensorView": lambda: tl.TensorView(parent, ranges),
+        "getitem": lambda: a[1, 2, 0],
+        "Range": lambda: tl.Range(0, 2, 6),
         "materialize": view.materialize,
         "plan_fibers": lambda: plan_fibers(cursors),
         "copy": lambda: tl.copy(a, b),
