@@ -6,38 +6,32 @@ this interface; the kernels translate to zero-based dimensions internally.
 
 ``ttv``, ``ttm``, ``ttt`` and ``outer_product`` check their arguments and
 make one call to an engine built on the fiber planner, which allocates the
-output.  Of the two operands, the one with fewer free
-positions is packed and the other streamed; every product is taken as
-streamed element times packed element.  With no bound pair
-(``outer_product``, ttt with q = 0) the streamed side's outputs for one
-packed element ``x`` form one run of the output: the streamed elements are
-read once, in output order, and each ``x`` stores ``[v * x for v in
-streamed]`` with one slice assignment.  Otherwise the bound (contracted)
-elements of each packed free position are taken once as list slices,
-which hold references, not new element objects.  The streamed operand's
-free loops are planned jointly with the output's and ordered by its
-strides, smallest innermost, so consecutive outputs read adjacent bound
-fibers; each output element is one fiber dot product,
-``sum(map(mul, streamed_fiber, packed_fiber))``.  Where each output's
-streamed bound elements form one fiber (every ttv, ttm and ``times_*``
-step and most ttt specs), one comprehension step per output slices that
-fiber, ``data[p : p + span : step]``, and takes the dot product with each
-packed fiber; with one packed fiber (ttv, one-row ttm) the step has no
-inner loop.
-Only bound pairs that merge into no single fiber gather each output's
-elements into one list first.  The loop order changes only the order in
-which outputs are visited, never any output's sum.
-Packing B exchanges the operands, which changes no bit: int and float
-products commute exactly.  ttm places B's row dimension at ``mode`` through the
-output strides the engine writes with, so no transpose follows.  Besides
-the output tensor, the engine holds the packed fibers of the smaller
-side, one bound fiber of the streamed side at a time, and the values of
-one output fiber per packed fiber before they are stored (with no bound
-pair: the streamed elements and one list of products).  Every operand
-takes its cursor from :func:`~tensorlib.elementwise._mit`, which checks
-once per call that it stays inside its buffer (``IndexError`` before
-anything is written; the ``times_*`` chains check every vector or matrix
-before their first step); the engine checks nothing again.
+output.  The operand with fewer free positions is packed, the other
+streamed; every product is streamed element times packed element.  The
+engine has three output loops.  With no bound pair (``outer_product``,
+ttt with q = 0) the streamed elements are read once, in output order, and
+each packed element ``x`` stores ``[v * x for v in streamed]`` into one
+run of the output.  Otherwise each output element is one fiber dot
+product, ``sum(map(mul, streamed_fiber, packed_fiber))``; the streamed
+free loops are planned jointly with the output's, smallest streamed
+stride innermost, so consecutive outputs read adjacent fibers (the order
+never changes any output's sum).  One reader, ``_gather``, takes each
+packed free position's bound elements once, as one list of references: a
+slice, or the concatenation of several where the bound pairs merge into
+no single fiber.  With one packed fiber and one streamed fiber per output
+(every ttv and ``times_vectors`` step, one-row ttm) each output is one
+comprehension step over the inline slice ``data[p : p + span : step]``;
+every other step (ttm with more rows, every ``times_matrices`` step, most
+ttt specs) reads each row of outputs' streamed elements through
+``_gather`` too.  Packing B exchanges the operands, which changes no bit:
+int and float products commute exactly.  ttm places B's row dimension at
+``mode`` through the output strides, so no transpose follows.  Besides
+the output, the engine holds the packed fibers, one row's streamed fibers
+(one fiber at a time in the one-fiber loop) and one row's values.  Every
+operand takes its cursor from :func:`~tensorlib.elementwise._mit`, which
+checks once per call that it stays inside its buffer (``IndexError``
+before anything is written; the ``times_*`` chains check every vector or
+matrix before their first step); the engine checks nothing again.
 
 Every output element sums its bound elements in ascending index order,
 with the last contracted pair fastest, left to right from 0, through the
@@ -164,24 +158,24 @@ def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
     return plan.length, plan.strides, offsets
 
 
-def _gather(
-    data: list, positions: Iterable[int], length: int, step: int, offsets
-):
-    """For each free position, its bound elements as one list of
-    references: a slice, or the concatenation of several."""
+def _gather(data: list, positions: Iterable[int], length: int, step: int, offsets):
+    """A list of each free position's bound elements as one list of
+    references (a slice, or the concatenation of several): the reader of
+    all bound elements but the one-fiber loop's streamed ones."""
     span = length * step
     if len(offsets) == 1:
         first = offsets[0]
         stop = first + span
-        return (data[p + first : p + stop : step] for p in positions)
-    return (
+        return [data[p + first : p + stop : step] for p in positions]
+    return [
         list(chain.from_iterable(data[p + o : p + o + span : step] for o in offsets))
         for p in positions
-    )
+    ]
 
 
 def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTensor:
-    """``sum_bound A * B`` as a new tensor (see the module docstring).
+    """``sum_bound A * B`` as a new tensor, written by one of three output
+    loops (see the module docstring).
 
     ``a_free``/``b_free`` (zero-based) are A's and B's free dimensions and
     ``a_bound[k]``/``b_bound[k]`` form contracted pair k.  The free
@@ -230,23 +224,11 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
     plan = _plan((MultiIterator(data, 0, s_out, s_ext), sc), reorder=True)
     n, (wc, ws), starts = plan.length, plan.strides, zip(*plan.starts)
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
-    packed = list(_gather(k.data, k_pos, length, steps[1], offsets[1]))
-    nk, step = len(packed), steps[0]
-    span = length * step
-    if len(offsets[0]) != 1:
-        # Each output's streamed bound elements lie on several fibers (ttt
-        # pairs that do not merge): gathered output by output.
-        for pc, ps in starts:
-            streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])
-            values = [sum(map(mul, sf, kf)) for sf in streamed for kf in packed]
-            for j, oc in enumerate(k_outs):
-                data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
-        return out
-    # One streamed fiber per output, sliced inline: each output is one
-    # comprehension step.
-    (first,) = offsets[0]
-    if nk == 1:
-        (kf,) = packed
+    packed, step = _gather(k.data, k_pos, length, steps[1], offsets[1]), steps[0]
+    if len(packed) == 1 and len(offsets[0]) == 1:
+        # One packed fiber, one streamed fiber per output (ttv, one-row
+        # ttm): each output is one comprehension step over an inline slice.
+        (kf,), (first,), span = packed, offsets[0], length * step
         for pc, ps in starts:
             lo = ps + first
             data[pc : pc + n * wc : wc] = [
@@ -254,15 +236,12 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
                 for p in range(lo, lo + n * ws, ws)
             ]
         return out
+    # Each row of outputs gathers its streamed fibers once; packed fibers
+    # run fastest, so output j of a row is every nk-th value from j.
+    nk = len(packed)
     for pc, ps in starts:
-        lo = ps + first
-        # Packed fibers fastest, so that each streamed slice is made once.
-        values = [
-            sum(map(mul, sf, kf))
-            for p in range(lo, lo + n * ws, ws)
-            for sf in [sdata[p : p + span : step]]
-            for kf in packed
-        ]
+        streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])
+        values = [sum(map(mul, sf, kf)) for sf in streamed for kf in packed]
         for j, oc in enumerate(k_outs):
             data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
     return out

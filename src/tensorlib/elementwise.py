@@ -53,7 +53,7 @@ from operator import add, eq, itemgetter, mul, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .iterators import FiberPlan, MultiIterator, _outside, _plan, check_reach
-from .layout import TensorMeta
+from .layout import TensorMeta, _as_indices
 
 __all__ = [
     "CompareResult",
@@ -87,8 +87,11 @@ class CompareResult(NamedTuple):
 
 def _mit(source) -> MultiIterator:
     """The cursor of a tensor, view or raw cursor, checked once to stay
-    inside its buffer: every operand enters the kernels here."""
+    inside its buffer (a raw cursor also to hold integers only): every
+    operand enters the kernels here."""
     if isinstance(source, MultiIterator):
+        fields = (source.pos, *source.strides, *source.extents)
+        _as_indices(fields, "cursor position, strides and extents")
         check_reach(source)
         return source
     it, meta = source.miter(), source.meta

@@ -160,7 +160,15 @@ def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTenso
     """Tensor with ``B(i_1, .., i_p) = scale * u_1(i_1) * ... * u_p(i_p)``."""
     if len(vectors) == 0:
         raise ValueError("need at least one vector")
-    return DenseTensor.from_memory(tuple(v.size for v in vectors), _rows(scale, vectors))
+    return DenseTensor.from_memory(_lengths(vectors), _rows(scale, vectors))
+
+
+def _lengths(vectors: Sequence[DenseTensor]) -> tuple:
+    """Each vector's length; ``ValueError`` naming the first not of order 1."""
+    for r, v in enumerate(vectors, start=1):
+        if v.order != 1:
+            raise ValueError(f"vector {r} must have order 1, got shape {v.shape}")
+    return tuple(v.size for v in vectors)
 
 
 def _rows(scale: float, vectors: Sequence[DenseTensor]) -> list:
@@ -185,7 +193,7 @@ def residual(a, state: HopmState) -> float:
     the layout of ``a``.  The norm reads the differences in that order.
     """
     vectors = state.u
-    shape = tuple(v.size for v in vectors)
+    shape = _lengths(vectors)
     it, values = _in_order(a)
     if it.extents != shape:
         raise ValueError(f"shape mismatch: {shape} vs {it.extents}")

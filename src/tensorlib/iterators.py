@@ -27,7 +27,7 @@ from itertools import repeat
 from operator import add
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
-from .layout import _index
+from .layout import _as_indices, _index
 
 __all__ = [
     "FiberPlan",
@@ -66,6 +66,8 @@ class StrideIterator:
 
     def advance(self, k: int = 1) -> "StrideIterator":
         """Move by ``k`` steps of the stride (mutating); returns self."""
+        if type(k) is not int:
+            (k,) = _as_indices((k,), "steps")
         self.pos += k * self.stride
         return self
 
@@ -131,7 +133,11 @@ class MultiIterator:
 
     def move_to(self, it) -> "MultiIterator":
         """Adopt a stride iterator's (or raw) position; returns self."""
-        self.pos = it.pos if isinstance(it, StrideIterator) else int(it)
+        if isinstance(it, StrideIterator):
+            it = it.pos
+        elif type(it) is not int:
+            (it,) = _as_indices((it,), "position")
+        self.pos = it
         return self
 
     def clone(self) -> "MultiIterator":
@@ -187,6 +193,8 @@ def inner_product_range(
 
 def _check_ranges(first: StrideIterator, last: StrideIterator, *others) -> None:
     """Check ``[first, last)``, and the ranges as long from ``others``."""
+    fields = [x for it in (first, last, *others) for x in (it.pos, it.stride)]
+    _as_indices(fields, "range positions and strides")
     span, w = last.pos - first.pos, first.stride
     n = span // w if w else 0
     if last.data is not first.data or last.stride != w or n < 0 or n * w != span:

@@ -436,14 +436,16 @@ class TestOneStepPerOutput:
     same bits at four layouts and the bits of ``verify.contract``."""
 
     SHAPE = (3, 4, 2)
-    # q = 0, q = 1, and two q = 2 specs whose bound pairs (A's dimensions 1
-    # and 3) merge into no single fiber at any layout: with B's free side
-    # smaller (A streamed, several offsets) and larger (A packed).
+    # q = 0, q = 1, and three q = 2 specs whose bound pairs (A's dimensions
+    # 1 and 3) merge into no single fiber at any layout: with B's free side
+    # smaller (A streamed, several offsets; one packed fiber, then two) and
+    # larger (A packed).
     SPECS = (
         (ContractionSpec(0, (1, 2, 3), (1, 2)), (2, 3)),
         (ContractionSpec(1, (1, 3, 2), (2, 1)), (4, 5)),
         (ContractionSpec(2, (2, 1, 3), (1, 2)), (3, 2)),
         (ContractionSpec(2, (2, 1, 3), (3, 1, 2)), (3, 2, 6)),
+        (ContractionSpec(2, (2, 1, 3), (3, 1, 2)), (3, 2, 2)),
     )
 
     @staticmethod
@@ -484,7 +486,7 @@ class TestOneStepPerOutput:
             want = [x.hex() for x in expected]
             for got in results:
                 assert [x.hex() for x in got.data] == want, name
-        assert len(names) == 10
+        assert len(names) == 11
 
     @pytest.mark.parametrize("layout", range(4))
     @pytest.mark.parametrize("mode", [1, 2, 3])

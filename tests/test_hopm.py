@@ -214,6 +214,37 @@ class TestRankOneCompose:
         assert tensors_equal(direct, chained)
 
 
+class TestVectorsOnly:
+    """``rank_one_compose`` and ``residual`` take order-1 vectors, as
+    ``hopm`` takes its start vectors: a matrix is not read as its elements."""
+
+    MATRICES = {
+        "tensor": lambda: DenseTensor((2, 2), fill_value=1.0),
+        "view": lambda: DenseTensor((3, 3), fill_value=1.0).view(Range(0, 1), Range(1, 2)),
+        "column": lambda: DenseTensor((4, 1), fill_value=1.0),
+    }
+
+    @pytest.mark.parametrize("kind", MATRICES)
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_compose_rejects_a_matrix(self, kind, at):
+        vectors = [DenseTensor((3,), fill_value=1.0)]
+        vectors.insert(at, self.MATRICES[kind]())
+        message = f"vector {at + 1} must have order 1, got shape {vectors[at].shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            rank_one_compose(2.0, vectors)
+
+    @pytest.mark.parametrize("kind", MATRICES)
+    @pytest.mark.parametrize("at", [0, 1])
+    def test_residual_rejects_a_matrix(self, kind, at):
+        u = [DenseTensor((3,), fill_value=1.0)]
+        u.insert(at, self.MATRICES[kind]())
+        a = DenseTensor(tuple(v.size for v in u), fill_value=1.0)
+        state = HopmState(u=u, l=[1.0, 1.0], sweeps=1, converged=True)
+        message = f"vector {at + 1} must have order 1, got shape {u[at].shape}"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            residual(a, state)
+
+
 class TestResidual:
     def test_exact_fit_is_tiny(self):
         rng = random.Random(9)

@@ -14,17 +14,25 @@ import pytest
 from tensorlib import (
     ContractionSpec,
     DenseTensor,
+    MultiIterator,
     Range,
+    StrideIterator,
+    copy,
+    fill,
     first_order_layout,
+    frobenius_norm,
     hopm,
     inverse_memory_index,
     last_order_layout,
     reduce_ttm_to_ttt,
     reduce_ttv_to_ttt,
+    times_matrices,
     times_vectors,
     ttv,
 )
+from tensorlib import elementwise, iterators
 from tensorlib.cli import EXIT_USAGE, main
+from tensorlib.iterators import fill_range, inner_product_range
 from tensorlib.verify import RunConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tensorlib"
@@ -229,3 +237,95 @@ def test_tensor_meta_builds_its_default_layout_without_the_helper():
     (meta,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "TensorMeta"]
     names = {n.id for n in ast.walk(meta) if isinstance(n, ast.Name)}
     assert not names & {"_index", "first_order_layout", "last_order_layout"}
+
+
+# Raw cursors take the rule where they enter a kernel (``elementwise._mit``),
+# not when they are built: ``(pos, strides, extents)`` with one bad field.
+RAW = {
+    "pos_bool": (True, (1,), (3,)),
+    "pos_float": (1.0, (1,), (3,)),
+    "stride_bool": (0, (True,), (3,)),
+    "stride_float": (0, (2.0,), (3,)),
+    "extent_float": (0, (1,), (3.0,)),
+    "extent_bool": (0, (1, 3), (3, True)),
+}
+KERNELS = {
+    "copy_from": lambda c: copy(c, DenseTensor(tuple(map(int, c.extents)))),
+    "fill": lambda c: fill(c, -1),
+    "frobenius_norm": frobenius_norm,
+}
+
+
+@pytest.mark.parametrize("kernel", KERNELS)
+@pytest.mark.parametrize("fields", RAW.values(), ids=list(RAW))
+def test_raw_cursor_fields_must_be_integers(kernel, fields):
+    data = list(range(6))
+    cursor = MultiIterator(data, *fields)
+    with pytest.raises(ValueError, match="^cursor position, strides and extents must be integers"):
+        KERNELS[kernel](cursor)
+    assert data == list(range(6))
+
+
+def test_raw_cursor_of_numpy_integers_is_accepted():
+    got, want = DenseTensor((3,)), DenseTensor((3,))
+    copy(MultiIterator(list(range(6)), np.int64(1), (np.int64(2),), (np.int8(3),)), got)
+    copy(MultiIterator(list(range(6)), 1, (2,), (3,)), want)
+    assert got.data == want.data == [1, 3, 5]
+
+
+@pytest.mark.parametrize("bad", [2.7, 2.0, True, "2"])
+def test_move_to_a_raw_position_takes_the_rule(bad):
+    it = three_d().miter()
+    with pytest.raises(ValueError, match="^position must be integers"):
+        it.move_to(bad)
+    assert it.pos == 0
+    assert it.move_to(np.int64(2)).pos == 2 and type(it.pos) is int
+
+
+@pytest.mark.parametrize("bad", [1.5, 1.0, True])
+def test_advance_takes_the_rule(bad):
+    st = StrideIterator(list(range(12)), 0, 2)
+    with pytest.raises(ValueError, match="^steps must be integers"):
+        st.advance(bad)
+    assert st.pos == 0
+    assert st.advance(np.int64(3)).pos == 6 and st.value == 6
+
+
+@pytest.mark.parametrize("bad, value", [
+    ("first_pos", True), ("first_pos", 1.0), ("first_stride", True), ("first_stride", 1.0),
+    ("last_pos", True), ("last_pos", 3.0), ("other_pos", True), ("other_pos", 2.0),
+])
+def test_range_algorithms_take_the_rule(bad, value):
+    data = list(range(6))
+    fields = {"first_pos": 0, "first_stride": 1, "last_pos": 3, "other_pos": 0, bad: value}
+    first = StrideIterator(data, fields["first_pos"], fields["first_stride"])
+    last = StrideIterator(data, fields["last_pos"], 1)
+    other = StrideIterator(data, fields["other_pos"], 1)
+    message = "^range positions and strides must be integers"
+    with pytest.raises(ValueError, match=message):
+        inner_product_range(first, last, other, 0)
+    if bad != "other_pos":
+        with pytest.raises(ValueError, match=message):
+            fill_range(first, last, -1)
+    assert data == list(range(6))
+
+
+def test_cursors_built_by_the_kernels_skip_the_rule(monkeypatch):
+    """Neither ``MultiIterator.__init__`` nor the planner applies the rule:
+    a contraction chain of tensors applies it nowhere, and a raw operand
+    once, at the door."""
+    calls = []
+    rule = iterators._as_indices
+
+    def spy(values, name):
+        calls.append(name)
+        return rule(values, name)
+
+    for module in (iterators, elementwise):
+        monkeypatch.setattr(module, "_as_indices", spy)
+    matrices = [DenseTensor((2, n), fill_value=1.0) for n in (3, 4, 2)]
+    times_matrices(three_d(), matrices, (1, 2, 3))
+    ttv(three_d(), DenseTensor((4,), fill_value=1.0), 2)
+    assert calls == []
+    ttv(three_d().miter(), DenseTensor((4,), fill_value=1.0), 2)
+    assert calls == ["cursor position, strides and extents"]

@@ -10,7 +10,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CALLS = [
     "DenseTensor", "TensorView", "getitem", "Range", "materialize", "plan_fibers", "copy",
     "copy_view", "fill", "transform_binary", "compare_ranges",
-    "ContractionSpec", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
+    "ContractionSpec", "ttv", "ttm", "ttt", "ttt_pairs", "outer_product", "times_vectors",
     "times_matrices", "transpose", "randints_625", "contract_outer",
     "times_matrices_mid",
 ]

@@ -11,8 +11,10 @@ materializing a stepped view, planning two cursors with ``plan_fibers``,
 the elementwise ``copy`` (between tensors, and from the stepped view),
 ``fill``, ``transform_binary`` and ``compare_ranges``, constructing a
 ``ContractionSpec``, and the contractions ``ttv``, ``ttm``, ``ttt``,
-``outer_product``, a ``times_vectors`` and a ``times_matrices`` over all
-three modes and ``transpose``.  Three rows time the oracle's own work at
+``ttt_pairs`` (a q = 2 ttt with a (3, 2, 2) operand whose contracted
+pairs merge into no single fiber on either side), ``outer_product``, a
+``times_vectors`` and a ``times_matrices`` over all three modes and
+``transpose``.  Three rows time the oracle's own work at
 the size of its slowest trials: ``randints_625`` draws 625 elements in
 [-9, 9] with ``verify._randints``, ``contract_outer`` is the label oracle's
 (5, 5, 5) x (5, 5) outer product, and ``times_matrices_mid`` applies four
@@ -49,7 +51,7 @@ HERE = Path(__file__).resolve().parent.parent
 CALLS = (
     "DenseTensor", "TensorView", "getitem", "Range", "materialize", "plan_fibers", "copy",
     "copy_view", "fill", "transform_binary", "compare_ranges",
-    "ContractionSpec", "ttv", "ttm", "ttt", "outer_product", "times_vectors",
+    "ContractionSpec", "ttv", "ttm", "ttt", "ttt_pairs", "outer_product", "times_vectors",
     "times_matrices", "transpose", "randints_625", "contract_outer",
     "times_matrices_mid",
 )
@@ -86,6 +88,8 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
                 from_memory((3, 2), [1.0 - k / 6 for k in range(6)], layout=(2, 1))]
     other = from_memory((4, 3), [k / 5 for k in range(12)])
     spec = tl.ContractionSpec(1, (1, 3, 2), (2, 1))
+    pairs = from_memory((3, 2, 2), [1 - k / 8 for k in range(12)])
+    spec_pairs = tl.ContractionSpec(2, (2, 1, 3), (3, 1, 2))
     cursors = (a.miter(), b.miter())
     plan_fibers = sys.modules[tl.__name__ + ".iterators"].plan_fibers
     verify = sys.modules[tl.__name__ + ".verify"]
@@ -113,6 +117,7 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "ttv": lambda: tl.ttv(a, vec, 2),
         "ttm": lambda: tl.ttm(a, mat, 2),
         "ttt": lambda: tl.ttt(a, other, spec),
+        "ttt_pairs": lambda: tl.ttt(a, pairs, spec_pairs),
         "outer_product": lambda: tl.outer_product(a, vec),
         "times_vectors": lambda: tl.times_vectors(a, vectors, modes=(1, 2, 3)),
         "times_matrices": lambda: tl.times_matrices(a, matrices, modes=(1, 2, 3)),
