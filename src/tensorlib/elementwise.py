@@ -5,7 +5,8 @@ Every function here accepts tensors, views, or raw
 of identical shape but arbitrary (and mutually different) layouts.  Each
 operand enters through :func:`_mit`, the one door of every kernel,
 contraction and container path, which checks once that it stays inside
-its buffer: a raw cursor with :func:`~tensorlib.iterators.check_reach`, a
+its buffer: a raw cursor by the raw-cursor rule, ``iterators._check_raw``
+(integer fields, then the reach rule; ``plan_fibers`` applies it too), a
 tensor by its buffer's length, a view by the reach its frame records.  An
 operand that would reach outside raises ``IndexError`` before anything is
 written.  All of them then run on one traversal, the fiber planner: the
@@ -52,8 +53,8 @@ from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter, mul, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .iterators import FiberPlan, MultiIterator, _outside, _plan, check_reach
-from .layout import TensorMeta, _as_indices
+from .iterators import FiberPlan, MultiIterator, _check_raw, _outside, _plan
+from .layout import TensorMeta
 
 __all__ = [
     "CompareResult",
@@ -90,9 +91,7 @@ def _mit(source) -> MultiIterator:
     inside its buffer (a raw cursor also to hold integers only): every
     operand enters the kernels here."""
     if isinstance(source, MultiIterator):
-        fields = (source.pos, *source.strides, *source.extents)
-        _as_indices(fields, "cursor position, strides and extents")
-        check_reach(source)
+        _check_raw(source)
         return source
     it, meta = source.miter(), source.meta
     # A tensor reaches exactly 0 .. size - 1; a view's frame records its reach.
@@ -137,8 +136,8 @@ def _store(plan: FiberPlan, dst: MultiIterator, fibers: Iterable) -> None:
     deque(map(dst.data.__setitem__, plan.slices(-1), fibers), maxlen=0)
 
 
-# Cursor-level kernels of copy, fill and compare_ranges (and ``_equal``, its
-# flag alone); the container paths (relayout, assign, tensors_equal and
+# Cursor-level kernels of copy, fill and equality (``compare_ranges``' flag
+# alone); the container paths (relayout, assign, tensors_equal and
 # ``tensor._materialize``) call them on cursors from ``_mit``, or on fresh
 # outputs.
 
@@ -160,15 +159,6 @@ def _differs(plan: FiberPlan, ia: MultiIterator, ib: MultiIterator) -> Iterator[
 
 def _equal(ia: MultiIterator, ib: MultiIterator) -> bool:
     return not any(_differs(_plan((ia, ib)), ia, ib))
-
-
-def _compare(ia: MultiIterator, ib: MultiIterator) -> CompareResult:
-    plan = _plan((ia, ib))
-    if not any(_differs(plan, ia, ib)):
-        return CompareResult(True, None)
-    # Only a mismatch pays for counting positions: walk again to find it.
-    k = next(compress(count(), _differs(plan, ia, ib)))
-    return CompareResult(False, _unravel(k, ia.extents))
 
 
 def _unravel(k: int, extents) -> Tuple[int, ...]:
@@ -296,7 +286,13 @@ def compare_ranges(a, b) -> CompareResult:
     """Elementwise equality with the first differing multi-index (iteration
     order) on mismatch.  Elements are compared with ``!=`` one by one, so a
     NaN never equals anything, itself included."""
-    return _compare(_mit(a), _mit(b))
+    ia, ib = _mit(a), _mit(b)
+    plan = _plan((ia, ib))
+    if not any(_differs(plan, ia, ib)):
+        return CompareResult(True, None)
+    # Only a mismatch pays for counting positions: walk again to find it.
+    k = next(compress(count(), _differs(plan, ia, ib)))
+    return CompareResult(False, _unravel(k, ia.extents))
 
 
 def quantify(src, pred: Callable, mode: str = "all") -> bool:

@@ -12,10 +12,10 @@ container path and contraction: it flattens the loop nest of N cursors of
 equal extents into innermost fibers (a start position per cursor, a stride
 per cursor and a shared length), merging dimensions wherever every cursor
 is contiguous across them, so a kernel can work on whole fibers with slice
-operations.  It only plans.  :func:`check_reach` is the one reach rule:
-the kernels apply it (or, for tensors and views, a constant-time form of
-it) where an operand enters, and :func:`plan_fibers`, the planner's public
-form, applies it to each cursor before planning.
+operations.  It only plans.  :func:`check_reach` is the one reach rule
+and ``_check_raw`` the one raw-cursor rule (integer fields, then the reach
+rule): the kernels apply it where a raw cursor enters (a tensor or view
+takes a constant-time reach test), and :func:`plan_fibers` to each cursor.
 
 Both iterator types are cheap value objects over a shared buffer;
 dereferencing follows the owning container's single-writer contract.
@@ -234,12 +234,12 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
     (the destination), for operations whose result does not depend on
     visit order.
 
-    Raises ``IndexError`` when some cursor would reach outside its buffer
-    (:func:`check_reach`), since a slice would silently clip (reading) or
-    resize the list (writing).
+    Raises ``ValueError`` for a field that is no integer, and ``IndexError``
+    when some cursor would reach outside its buffer (:func:`check_reach`),
+    since a slice would silently clip (reading) or resize the list (writing).
     """
     for c in cursors:
-        check_reach(c)
+        _check_raw(c)
     return _plan(cursors, reorder)
 
 
@@ -299,6 +299,12 @@ def _positions(pos: int, strides, extents) -> List[int]:
     for n, w in zip(extents[1:], strides[1:]):
         positions = [p + i * w for i in range(n) for p in positions]
     return positions
+
+
+def _check_raw(c: MultiIterator) -> None:
+    """The raw-cursor rule: integer fields, then :func:`check_reach`."""
+    _as_indices((c.pos, *c.strides, *c.extents), "cursor position, strides and extents")
+    check_reach(c)
 
 
 def check_reach(c: MultiIterator) -> None:

@@ -173,9 +173,10 @@ def memory_index(
 ) -> int:
     """Memory index of the absolute multi-index ``index``.
 
-    Computes ``sum_r strides[r] * (index[r] - offsets[r])``.  Bounds are not
-    checked here; the container layer checks them.
+    Computes ``sum_r strides[r] * (index[r] - offsets[r])`` for an ``index``
+    of integers (:func:`_as_indices`); the container layer checks bounds.
     """
+    index = _as_indices(index, "index")
     if not (len(strides) == len(index) == len(offsets)):
         raise ValueError("strides, index and offsets must have equal length")
     j = 0
@@ -223,7 +224,7 @@ class TensorMeta:
     def with_shape(self, shape) -> "TensorMeta":
         """Meta for a new shape: layout and offsets survive only if the
         order is unchanged."""
-        shape = validate_shape(shape)
+        shape = tuple(shape)
         if len(shape) == self.order:
             return TensorMeta(shape, self.offsets, self.layout)
         return TensorMeta(shape)

@@ -23,9 +23,7 @@ from typing import Optional, Sequence
 
 from .elementwise import _copy, _equal, _fill, _mit
 from .iterators import MultiIterator, StrideIterator
-from .layout import (
-    TensorMeta, _all_ints, _as_indices, _index, validate_layout, validate_shape, volume
-)
+from .layout import TensorMeta, _all_ints, _as_indices, _index, volume
 
 __all__ = ["DenseTensor", "tensors_equal"]
 
@@ -200,10 +198,9 @@ class DenseTensor(_Strided):
     def relayout(self, new_layout) -> None:
         """Switch to ``new_layout``, physically reordering the buffer so the
         multi-index to value mapping is unchanged."""
-        new_layout = validate_layout(new_layout, self.order)
-        if new_layout == self.layout:
-            return
-        self._rewrite(_mit(self), TensorMeta(self.shape, self.offsets, new_layout))
+        meta = self.meta.with_layout(new_layout)
+        if meta.layout != self.layout:
+            self._rewrite(_mit(self), meta)
 
     def _rewrite(self, src: MultiIterator, meta: TensorMeta) -> None:
         """Adopt ``meta`` with a fresh buffer holding ``src``'s elements."""
@@ -220,13 +217,12 @@ class DenseTensor(_Strided):
         changes they reset to the default layout and zero offsets (the old
         tuples have the wrong length).
         """
-        new_shape = validate_shape(new_shape)
-        if volume(new_shape) != len(self.data):
+        meta = self.meta.with_shape(new_shape)
+        if meta.size != len(self.data):
             raise ValueError(
-                f"reshape to {new_shape} changes volume "
-                f"({volume(new_shape)} != {len(self.data)})"
+                f"reshape to {meta.shape} changes volume ({meta.size} != {len(self.data)})"
             )
-        self.meta = self.meta.with_shape(new_shape)
+        self.meta = meta
 
     # -- views ----------------------------------------------------------------
 

@@ -24,15 +24,17 @@ from tensorlib import (
     hopm,
     inverse_memory_index,
     last_order_layout,
+    memory_index,
     reduce_ttm_to_ttt,
     reduce_ttv_to_ttt,
     times_matrices,
     times_vectors,
     ttv,
+    walk_positions,
 )
 from tensorlib import elementwise, iterators
 from tensorlib.cli import EXIT_USAGE, main
-from tensorlib.iterators import fill_range, inner_product_range
+from tensorlib.iterators import fill_range, inner_product_range, plan_fibers
 from tensorlib.verify import RunConfig
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "tensorlib"
@@ -322,10 +324,39 @@ def test_cursors_built_by_the_kernels_skip_the_rule(monkeypatch):
         return rule(values, name)
 
     for module in (iterators, elementwise):
-        monkeypatch.setattr(module, "_as_indices", spy)
+        monkeypatch.setattr(module, "_as_indices", spy, raising=False)
     matrices = [DenseTensor((2, n), fill_value=1.0) for n in (3, 4, 2)]
     times_matrices(three_d(), matrices, (1, 2, 3))
     ttv(three_d(), DenseTensor((4,), fill_value=1.0), 2)
     assert calls == []
     ttv(three_d().miter(), DenseTensor((4,), fill_value=1.0), 2)
     assert calls == ["cursor position, strides and extents"]
+
+
+# The planner's public forms read raw cursors too, and take the same rule
+# as the kernels' door (``iterators._check_raw``).
+READERS = {
+    "plan_fibers": lambda c: plan_fibers((c,)),
+    "walk_positions": walk_positions,
+}
+
+
+@pytest.mark.parametrize("reader", READERS)
+@pytest.mark.parametrize("fields", RAW.values(), ids=list(RAW))
+def test_raw_cursor_readers_take_the_rule(reader, fields):
+    cursor = MultiIterator(list(range(6)), *fields)
+    with pytest.raises(ValueError, match="^cursor position, strides and extents must be integers"):
+        READERS[reader](cursor)
+
+
+def test_raw_cursor_readers_accept_numpy_integers():
+    cursor = MultiIterator(list(range(6)), np.int64(1), (np.int64(2),), (np.int8(3),))
+    assert walk_positions(cursor) == [1, 3, 5]
+    assert plan_fibers((cursor,)).starts == ([1],)
+
+
+@pytest.mark.parametrize("bad", [(1.5, 0), (True, 0), (1, 2.0), ("1", 0)])
+def test_memory_index_takes_the_rule(bad):
+    with pytest.raises(ValueError, match="^index must be integers"):
+        memory_index((1, 3), bad, (0, 0))
+    assert memory_index((1, 3), (np.int64(1), np.int8(2)), (0, 0)) == 7

@@ -6,6 +6,7 @@ import pytest
 from tensorlib import (
     DenseTensor,
     inverse_memory_index,
+    layout,
     tensors_equal,
     zero_indices,
 )
@@ -321,3 +322,50 @@ class TestItem:
         assert t.item() == 42
         with pytest.raises(ValueError):
             DenseTensor((2,)).item()
+
+
+class TestValidatedOnce:
+    """``relayout`` and ``reshape`` check their argument once, where the
+    new meta is built, with the messages of the shared rules."""
+
+    @pytest.mark.parametrize("method, arg, message", [
+        ("relayout", (1, 2), "layout (1, 2) does not match order 3"),
+        ("relayout", (0, 1, 2), "layout (0, 1, 2) is not a permutation of 1..3"),
+        ("relayout", (True, 2, 3), "layout must be integers, got (True, 2, 3)"),
+        ("reshape", (5, 5), "reshape to (5, 5) changes volume (25 != 24)"),
+        ("reshape", (4, 3, 3), "reshape to (4, 3, 3) changes volume (36 != 24)"),
+        ("reshape", (0, 24), "extents must be positive, got (0, 24)"),
+        ("reshape", (), "shape must have at least one dimension"),
+        ("reshape", (2.0, 12), "shape must be integers, got (2.0, 12)"),
+        ("reshape", (2**40,) * 3,
+         f"shape {(2**40,) * 3} overflows the 64-bit index space"),
+    ])
+    def test_messages(self, method, arg, message):
+        t = iota_tensor((2, 3, 4), offsets=(1, -1, 0), layout=(2, 3, 1))
+        with pytest.raises(ValueError) as raised:
+            getattr(t, method)(arg)
+        assert str(raised.value) == message
+        assert (t.shape, t.layout, t.data) == ((2, 3, 4), (2, 3, 1), list(range(24)))
+
+    @pytest.mark.parametrize("method, arg, want", [
+        ("relayout", (3, 1, 2), ["_checked_shape", "_permutation"]),
+        ("relayout", (2, 3, 1), ["_checked_shape", "_permutation"]),
+        ("reshape", (6, 4), ["_checked_shape"]),
+        ("reshape", (4, 3, 2), ["_checked_shape", "_permutation"]),
+    ])
+    def test_each_rule_runs_once(self, monkeypatch, method, arg, want):
+        t = iota_tensor((2, 3, 4), layout=(2, 3, 1))
+        calls = []
+
+        def spy(name):
+            rule = getattr(layout, name)
+
+            def checked(*args):
+                calls.append(name)
+                return rule(*args)
+            return checked
+
+        for name in ("_checked_shape", "_permutation"):
+            monkeypatch.setattr(layout, name, spy(name))
+        getattr(t, method)(arg)
+        assert calls == want

@@ -17,36 +17,32 @@ k is fixed from one call on this side, so that a sample of k calls lasts
 at least about 20 ms (k = 1 where one call already does); a case whose
 first call is slower than the rest (a first ``fill`` also frees the
 previous contents) gets shorter samples.  Both sides use the same k.
-Each repetition takes one sample of every case on each side, back to
-back, alternating which side goes first, and checks every output after
-its call's clock stops; a wrong output ends the script with exit status
-1.  Nothing under ``perfbench/`` is changed.
+Every output is checked after its call's clock stops; a wrong output
+ends the script with exit status 1.  Nothing under ``perfbench/`` is
+changed.
 
-The report gives, per case, each side's minimum over repetitions in
-milliseconds per call and the median over repetitions of the ratio ``this
-/ against`` of the two back-to-back samples, then the geometric mean of
-those median ratios over all cases.
+Loading, sampling and the report are ``tools/tiny_calls.py``'s, in
+milliseconds per call; a last line adds the geometric mean of the
+per-case median ratios.
 """
 
 from __future__ import annotations
 
 import argparse
-import gc
 import importlib
-import importlib.util
 import math
 import statistics
 import sys
 import time
-from operator import ne, truediv
+from operator import ne
 from pathlib import Path
-from types import ModuleType, SimpleNamespace
-from typing import Dict, List
+from types import SimpleNamespace
+from typing import List
 
 HERE = Path(__file__).resolve().parent
 sys.path.insert(0, str(HERE))
 
-from tiny_calls import load  # noqa: E402
+from tiny_calls import load, measure, ratio, report  # noqa: E402
 
 
 def library(checkout: Path, name: str) -> SimpleNamespace:
@@ -58,18 +54,6 @@ def library(checkout: Path, name: str) -> SimpleNamespace:
         p.stem: importlib.import_module(f"{name}.{p.stem}")
         for p in sorted(pkg.glob("*.py")) if p.stem != "__init__"
     })
-
-
-def workloads(checkout: Path, name: str) -> ModuleType:
-    """``checkout/perfbench/workloads.py`` as the module ``name``."""
-    path = checkout / "perfbench" / "workloads.py"
-    spec = importlib.util.spec_from_file_location(name, path)
-    if spec is None:
-        raise SystemExit(f"no perfbench/workloads.py under {checkout}")
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def operand_buffers(bulk) -> List[list]:
@@ -103,7 +87,8 @@ def build(checkouts, n: int, seed: int) -> list:
     sides = []
     for checkout, name in checkouts:
         lib = library(checkout, f"tensorlib_{name}")
-        sides.append(workloads(checkout, f"workloads_{name}").Bulk(lib, seed, n=n))
+        module = load(checkout, f"workloads_{name}", "perfbench/workloads.py")
+        sides.append(module.Bulk(lib, seed, n=n))
     share_elements(*sides)
     return sides
 
@@ -122,42 +107,22 @@ def timed_call(op, side: str) -> float:
     return elapsed
 
 
-def measure(sides: List[list], reps: int) -> Dict[str, List[list]]:
-    """Every repetition's ms per call of every case on both sides, the
-    sides sampled back to back within each repetition, each sample the
-    mean of the case's k calls."""
+def sample_bulk(sides: List[list], reps: int):
+    """Every repetition's ms per call of every case on both sides, each
+    sample the mean of the case's k calls."""
     kinds = [op.kind for op in sides[0]]
     if [op.kind for op in sides[1]] != kinds:
         raise SystemExit("the two checkouts' bulk workloads list different cases")
-    samples: Dict[str, List[list]] = {kind: [[], []] for kind in kinds}
-    gc.collect()
-    gc.disable()
-    try:
-        calls = [max(1, math.ceil(SAMPLE_S / timed_call(op, "this"))) for op in sides[0]]
-        for rep in range(reps):
-            order = (1, 0) if rep % 2 else (0, 1)
-            for j, kind in enumerate(kinds):
-                for k in order:
-                    op, side = sides[k][j], "this" if k == 0 else "against"
-                    total = sum(timed_call(op, side) for _ in range(calls[j]))
-                    samples[kind][k].append(total * 1e3 / calls[j])
-    finally:
-        gc.enable()
-    return samples
+    ops = [dict(zip(kinds, ops)) for ops in sides]
+    calls = {kind: max(1, math.ceil(SAMPLE_S / timed_call(op, "this")))
+             for kind, op in ops[0].items()}
 
+    def sample(k: int, kind: str) -> float:
+        side = "this" if k == 0 else "against"
+        total = sum(timed_call(ops[k][kind], side) for _ in range(calls[kind]))
+        return total * 1e3 / calls[kind]
 
-def report(samples: Dict[str, List[list]]) -> str:
-    """One row per case, then the geometric mean of the median ratios."""
-    lines = ["case".ljust(28) + "this_ms".rjust(12) + "against_ms".rjust(12)
-             + "ratio".rjust(10)]
-    ratios = []
-    for kind, (this, against) in samples.items():
-        ratio = statistics.median(map(truediv, this, against))
-        ratios.append(ratio)
-        lines.append(f"{kind:28}{min(this):12.3f}{min(against):12.3f}{ratio:10.3f}")
-    geomean = math.exp(statistics.fmean(map(math.log, ratios)))
-    lines.append(f"{'geometric mean':28}{'':24}{geomean:10.3f}")
-    return "\n".join(lines)
+    return measure(kinds, 2, reps, sample)
 
 
 def main(argv=None) -> int:
@@ -172,7 +137,10 @@ def main(argv=None) -> int:
         parser.error("--reps and --n must be >= 1")
     checkouts = ((HERE.parent, "this"), (args.against.resolve(), "against"))
     sides = build(checkouts, args.n, args.seed)
-    print(report(measure([bulk.ops for bulk in sides], args.reps)))
+    samples = sample_bulk([bulk.ops for bulk in sides], args.reps)
+    geomean = math.exp(statistics.fmean(math.log(ratio(runs)) for runs in samples.values()))
+    table = report(samples, "case", "ms")
+    print(table, "geometric mean" + f"{geomean:.3f}".rjust(table.index("\n") - 14), sep="\n")
     return 0
 
 

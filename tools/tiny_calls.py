@@ -1,4 +1,5 @@
-"""Per-call timer for the small calls that dominate ``tensorlib verify``.
+"""Per-call timer for the small calls that dominate ``tensorlib verify``,
+and the A/B harness both in-process timers share.
 
 Usage, from anywhere::
 
@@ -7,20 +8,21 @@ Usage, from anywhere::
 Times the calls the randomized oracle makes most, each on (3, 4, 2)
 operands: constructing a ``DenseTensor`` and a ``TensorView``, reading
 one element with ``t[1, 2, 0]``, constructing a stepped ``Range``,
-materializing a stepped view, planning two cursors with ``plan_fibers``,
-the elementwise ``copy`` (between tensors, and from the stepped view),
-``fill``, ``transform_binary`` and ``compare_ranges``, constructing a
-``ContractionSpec``, and the contractions ``ttv``, ``ttm``, ``ttt``,
-``ttt_pairs`` (a q = 2 ttt with a (3, 2, 2) operand whose contracted
-pairs merge into no single fiber on either side), ``outer_product``, a
-``times_vectors`` and a ``times_matrices`` over all three modes and
-``transpose``.  Three rows time the oracle's own work at
-the size of its slowest trials: ``randints_625`` draws 625 elements in
-[-9, 9] with ``verify._randints``, ``contract_outer`` is the label oracle's
-(5, 5, 5) x (5, 5) outer product, and ``times_matrices_mid`` applies four
-5 x 5 matrices to a stepped 5^4 view.  Each figure is the minimum, over
-``R`` repetitions, of the mean time of ``N`` back-to-back calls, in
-microseconds per call.
+materializing a stepped view, a tensor's ``relayout`` and ``reshape``
+(each there and back), planning two cursors with ``plan_fibers``,
+``walk_positions`` on a raw cursor, the elementwise ``copy`` (between
+tensors, and from the stepped view), ``fill``, ``transform_binary`` and
+``compare_ranges``, constructing a ``ContractionSpec``, and the
+contractions ``ttv``, ``ttm``, ``ttt``, ``ttt_pairs`` (a q = 2 ttt with a
+(3, 2, 2) operand whose contracted pairs merge into no single fiber on
+either side), ``outer_product``, a ``times_vectors`` and a
+``times_matrices`` over all three modes and ``transpose``.  Three rows
+time the oracle's own work at the size of its slowest trials:
+``randints_625`` draws 625 elements in [-9, 9] with ``verify._randints``,
+``contract_outer`` is the label oracle's (5, 5, 5) x (5, 5) outer
+product, and ``times_matrices_mid`` applies four 5 x 5 matrices to a
+stepped 5^4 view.  Each figure is the minimum, over ``R`` repetitions, of
+the mean time of ``N`` back-to-back calls, in microseconds per call.
 
 The library timed is this checkout's ``src/tensorlib``.  With
 ``--against DIR`` the ``src/tensorlib`` of a second checkout is loaded
@@ -30,6 +32,9 @@ touches both columns alike.  The report then adds the ratio
 ``this / against`` per call: the median, over repetitions, of the ratio
 of the two back-to-back timings, which a burst of host speed on one side
 moves less than it moves either minimum.
+
+:func:`load`, :func:`measure` and :func:`report` are that policy, and
+``tools/bulk_cases.py`` times the benchmark's ``bulk`` cases through them.
 """
 
 from __future__ import annotations
@@ -44,27 +49,21 @@ import time
 from operator import add, truediv
 from pathlib import Path
 from types import ModuleType
-from typing import Callable, Dict, List, Tuple
+from typing import Callable, Dict, Iterable, List
 
 HERE = Path(__file__).resolve().parent.parent
 
-CALLS = (
-    "DenseTensor", "TensorView", "getitem", "Range", "materialize", "plan_fibers", "copy",
-    "copy_view", "fill", "transform_binary", "compare_ranges",
-    "ContractionSpec", "ttv", "ttm", "ttt", "ttt_pairs", "outer_product", "times_vectors",
-    "times_matrices", "transpose", "randints_625", "contract_outer",
-    "times_matrices_mid",
-)
-
-
-def load(checkout: Path, name: str) -> ModuleType:
-    """Import ``checkout/src/tensorlib`` as the package ``name``."""
-    pkg = checkout / "src" / "tensorlib"
+def load(checkout: Path, name: str, path: str = "src/tensorlib") -> ModuleType:
+    """Import ``checkout/path``, a package directory or one ``.py`` file,
+    as the module ``name``."""
+    target = checkout / path
+    if not target.exists():
+        raise SystemExit(f"no {path} under {checkout}")
+    package = target.is_dir()
     spec = importlib.util.spec_from_file_location(
-        name, pkg / "__init__.py", submodule_search_locations=[str(pkg)]
+        name, target / "__init__.py" if package else target,
+        submodule_search_locations=[str(target)] if package else None,
     )
-    if spec is None:
-        raise SystemExit(f"no tensorlib package under {checkout}")
     module = importlib.util.module_from_spec(spec)
     sys.modules[name] = module
     spec.loader.exec_module(module)
@@ -72,7 +71,7 @@ def load(checkout: Path, name: str) -> ModuleType:
 
 
 def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
-    """One zero-argument callable per entry of :data:`CALLS`, with its
+    """One zero-argument callable per call timed, in report order, with its
     operands built beforehand by the library ``tl``."""
     from_memory = tl.DenseTensor.from_memory
     a = from_memory((3, 4, 2), [0.5 + k / 7 for k in range(24)])
@@ -92,6 +91,7 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     spec_pairs = tl.ContractionSpec(2, (2, 1, 3), (3, 1, 2))
     cursors = (a.miter(), b.miter())
     plan_fibers = sys.modules[tl.__name__ + ".iterators"].plan_fibers
+    moved = from_memory((3, 4, 2), [k / 3 for k in range(24)])
     verify = sys.modules[tl.__name__ + ".verify"]
     rng = random.Random(7)
     cube = ([k / 11 for k in range(125)], (5, 5, 5), (0, 1, 2))
@@ -107,7 +107,10 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "getitem": lambda: a[1, 2, 0],
         "Range": lambda: tl.Range(0, 2, 6),
         "materialize": view.materialize,
+        "relayout": lambda: (moved.relayout((3, 1, 2)), moved.relayout((1, 2, 3))),
+        "reshape": lambda: (moved.reshape((6, 4)), moved.reshape((3, 4, 2))),
         "plan_fibers": lambda: plan_fibers(cursors),
+        "walk_positions": lambda: tl.walk_positions(cursors[1]),
         "copy": lambda: tl.copy(a, b),
         "copy_view": lambda: tl.copy(view, c),
         "fill": lambda: tl.fill(b, 1.0),
@@ -128,47 +131,42 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     }
 
 
-def per_call_us(fn: Callable[[], object], number: int) -> float:
-    clock = time.perf_counter
-    t0 = clock()
-    for _ in range(number):
-        fn()
-    return (clock() - t0) / number * 1e6
-
-
-def measure(libs: List[ModuleType], reps: int, number: int) -> Dict[str, List[list]]:
-    """Every repetition's µs per call of every case on every library, the
-    libraries timed in turn within each repetition."""
-    suites = [cases(tl) for tl in libs]
-    samples: Dict[str, List[list]] = {name: [[] for _ in libs] for name in CALLS}
+def measure(names: Iterable[str], sides: int, reps: int,
+            sample: Callable[[int, str], float]) -> Dict[str, List[list]]:
+    """Every repetition's ``sample(k, name)`` of every case ``name`` on
+    every side ``k`` in ``range(sides)``, the sides sampled in turn within
+    each repetition."""
+    samples: Dict[str, List[list]] = {name: [[] for _ in range(sides)] for name in names}
     # As in timeit: a collection would land on whichever call is running.
     gc.collect()
     gc.disable()
     try:
         for rep in range(reps):
-            # Alternate which library goes first, so neither side keeps
-            # the slot right after the other's calls.
-            order = range(len(suites))[:: -1 if rep % 2 else 1]
-            for name in CALLS:
+            # Alternate which side goes first, so neither side keeps the
+            # slot right after the other's calls.
+            order = range(sides)[:: -1 if rep % 2 else 1]
+            for name, runs in samples.items():
                 for k in order:
-                    samples[name][k].append(per_call_us(suites[k][name], number))
+                    runs[k].append(sample(k, name))
     finally:
         gc.enable()
     return samples
 
 
-def report(samples: Dict[str, List[list]], headers: Tuple[str, ...]) -> str:
-    """One row per call: each library's minimum, and with two libraries
-    the median over repetitions of the ratio of their timings, which
-    were taken back to back."""
-    lines = ["call".ljust(20) + "".join(h.rjust(12) for h in headers)]
-    for name in CALLS:
-        runs = samples[name]
-        cells = [f"{min(us):12.2f}" for us in runs]
-        if len(runs) == 2:
-            ratio = statistics.median(map(truediv, *runs))
-            cells.append(f"{ratio:12.3f}")
-        lines.append(name.ljust(20) + "".join(cells))
+def ratio(runs: List[list]) -> float:
+    """The median over repetitions of two sides' back-to-back ratios."""
+    return statistics.median(map(truediv, *runs))
+
+
+def report(samples: Dict[str, List[list]], title: str, unit: str) -> str:
+    """One row per case: each side's minimum, in ``unit`` per call, and
+    with two sides their :func:`ratio`."""
+    width = max(map(len, (title, *samples))) + 2
+    rows = {name: [min(t) for t in runs] + ([ratio(runs)] if len(runs) == 2 else [])
+            for name, runs in samples.items()}
+    heads = ("this_" + unit, "against_" + unit, "ratio")[: len(next(iter(rows.values())))]
+    lines = [title.ljust(width) + "".join(h.rjust(12) for h in heads)]
+    lines += [name.ljust(width) + "".join(f"{x:12.3f}" for x in row) for name, row in rows.items()]
     return "\n".join(lines)
 
 
@@ -181,11 +179,19 @@ def main(argv=None) -> int:
     if args.reps < 1 or args.number < 1:
         parser.error("--reps and --number must be >= 1")
     libs = [load(HERE, "tensorlib")]
-    headers: Tuple[str, ...] = ("this_us",)
     if args.against is not None:
         libs.append(load(args.against.resolve(), "tensorlib_against"))
-        headers = ("this_us", "against_us", "ratio")
-    print(report(measure(libs, args.reps, args.number), headers))
+    suites = [cases(tl) for tl in libs]
+
+    def sample(k: int, name: str) -> float:
+        """µs per call, the mean of ``--number`` back-to-back calls."""
+        fn, clock = suites[k][name], time.perf_counter
+        t0 = clock()
+        for _ in range(args.number):
+            fn()
+        return (clock() - t0) / args.number * 1e6
+
+    print(report(measure(suites[0], len(suites), args.reps, sample), "call", "us"))
     return 0
 
 
