@@ -23,15 +23,15 @@ no single fiber.  With one packed fiber and one streamed fiber per output
 comprehension step over the inline slice ``data[p : p + span : step]``;
 every other step (ttm with more rows, every ``times_matrices`` step, most
 ttt specs) reads each row of outputs' streamed elements through
-``_gather`` too.  Packing B exchanges the operands, which changes no bit:
-int and float products commute exactly.  ttm places B's row dimension at
-``mode`` through the output strides, so no transpose follows.  Besides
-the output, the engine holds the packed fibers, one row's streamed fibers
-(one fiber at a time in the one-fiber loop) and one row's values.  Every
-operand takes its cursor from :func:`~tensorlib.elementwise._mit`, which
-checks once per call that it stays inside its buffer (``IndexError``
-before anything is written; the ``times_*`` chains check every vector or
-matrix before their first step); the engine checks nothing again.
+``_gather`` too, one fiber at a time.  Packing B exchanges the operands,
+which changes no bit: int and float products commute exactly.  ttm
+places B's row dimension at ``mode`` through the output strides, so no
+transpose follows.  Besides the output, the engine holds the packed
+fibers, one streamed fiber and one row's values.  Every operand takes
+its cursor from :func:`~tensorlib.elementwise._mit`, which checks once
+per call that it stays inside its buffer (``IndexError`` before anything
+is written; the ``times_*`` chains check every vector or matrix before
+their first step); the engine checks nothing again.
 
 Every output element sums its bound elements in ascending index order,
 with the last contracted pair fastest, left to right from 0, through the
@@ -159,18 +159,19 @@ def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
 
 
 def _gather(data: list, positions: Iterable[int], length: int, step: int, offsets):
-    """A list of each free position's bound elements as one list of
-    references (a slice, or the concatenation of several): the reader of
+    """Yield, one at a time, each free position's bound elements as one list
+    of references (a slice, or the concatenation of several): the reader of
     all bound elements but the one-fiber loop's streamed ones."""
     span = length * step
     if len(offsets) == 1:
         first = offsets[0]
         stop = first + span
-        return [data[p + first : p + stop : step] for p in positions]
-    return [
-        list(chain.from_iterable(data[p + o : p + o + span : step] for o in offsets))
-        for p in positions
-    ]
+        for p in positions:
+            yield data[p + first : p + stop : step]
+    else:
+        for p in positions:
+            fibers = (data[p + o : p + o + span : step] for o in offsets)
+            yield list(chain.from_iterable(fibers))
 
 
 def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTensor:
@@ -224,7 +225,7 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
     plan = _plan((MultiIterator(data, 0, s_out, s_ext), sc), reorder=True)
     n, (wc, ws), starts = plan.length, plan.strides, zip(*plan.starts)
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
-    packed, step = _gather(k.data, k_pos, length, steps[1], offsets[1]), steps[0]
+    packed, step = list(_gather(k.data, k_pos, length, steps[1], offsets[1])), steps[0]
     if len(packed) == 1 and len(offsets[0]) == 1:
         # One packed fiber, one streamed fiber per output (ttv, one-row
         # ttm): each output is one comprehension step over an inline slice.
@@ -236,8 +237,8 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
                 for p in range(lo, lo + n * ws, ws)
             ]
         return out
-    # Each row of outputs gathers its streamed fibers once; packed fibers
-    # run fastest, so output j of a row is every nk-th value from j.
+    # Each row of outputs gathers its streamed fibers once, one at a time;
+    # packed fibers run fastest, so output j of a row is every nk-th value.
     nk = len(packed)
     for pc, ps in starts:
         streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])

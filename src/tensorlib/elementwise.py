@@ -120,11 +120,9 @@ def _fibers(plan: FiberPlan, k: int, it: MultiIterator) -> Iterable[list]:
 
 def _values(plan: FiberPlan, k: int, it: MultiIterator) -> Iterable:
     """Cursor ``k``'s elements, fiber after fiber: a buffer that
-    :func:`_fibers` would read in place is returned as itself."""
-    data = it.data
-    if plan.length == len(data) and plan.strides[k] == 1 and len(plan.starts[k]) == 1:
-        return data
-    return chain.from_iterable(map(data.__getitem__, plan.slices(k)))
+    :func:`_fibers` reads in place is returned as itself."""
+    fibers = _fibers(plan, k, it)
+    return fibers[0] if type(fibers) is tuple else chain.from_iterable(fibers)
 
 
 def _store(plan: FiberPlan, dst: MultiIterator, fibers: Iterable) -> None:

@@ -5,7 +5,8 @@ shifts the position by the dimension's stride.  :class:`MultiIterator` is a
 cursor over a whole multi-index set and acts as a factory: ``begin(r)`` /
 ``end(r)`` hand out stride iterator pairs for recursion depth ``r``
 (zero-based, depth r covers dimension r+1).  Assigning a stride iterator
-back to the cursor moves only the current position.
+back to the cursor moves only the current position.  The range
+algorithms check their ranges, then write or read each as one slice.
 
 The fiber planner is the one traversal behind every elementwise kernel,
 container path and contraction: it flattens the loop nest of N cursors of
@@ -24,7 +25,7 @@ dereferencing follows the owning container's single-writer contract.
 from __future__ import annotations
 
 from itertools import repeat
-from operator import add
+from operator import add, mul
 from typing import Iterator, List, NamedTuple, Sequence, Tuple
 
 from .layout import _as_indices, _index
@@ -156,51 +157,49 @@ class MultiIterator:
 
 
 def fill_range(first: StrideIterator, last: StrideIterator, value) -> None:
-    """Set every element of the half-open range ``[first, last)``.
+    """Set every element of the half-open range ``[first, last)`` by one
+    slice assignment.
 
     ``last`` must lie a whole, nonnegative number of ``first``'s steps on
     in its buffer (else ``ValueError``; stride 0 only for an empty range),
     and the range must stay inside the buffer (else ``IndexError``, as
     :func:`check_reach` raises it).  Both are checked before any write.
     """
-    _check_ranges(first, last)
-    data, pos, stride = first.data, first.pos, first.stride
-    end = last.pos
-    while pos != end:
-        data[pos] = value
-        pos += stride
+    n, (sl,) = _check_ranges(first, last)
+    first.data[sl] = [value] * n
 
 
 def inner_product_range(
     first1: StrideIterator, last1: StrideIterator, first2: StrideIterator, init
 ):
-    """Fold ``init + sum(a_k * b_k)`` over two equally long ranges.
+    """``sum(map(mul, a, b), init)`` over two equally long ranges, each read
+    as one slice: the sum of :func:`~tensorlib.elementwise.inner_product_flat`.
 
     ``[first1, last1)`` is checked as :func:`fill_range` checks its range,
     and the range as long from ``first2`` must stay inside its buffer.
     """
-    _check_ranges(first1, last1, first2)
-    d1, p1, s1 = first1.data, first1.pos, first1.stride
-    d2, p2, s2 = first2.data, first2.pos, first2.stride
-    end = last1.pos
-    acc = init
-    while p1 != end:
-        acc += d1[p1] * d2[p2]
-        p1 += s1
-        p2 += s2
-    return acc
+    n, (sl1, sl2) = _check_ranges(first1, last1, first2)
+    b = first2.data[sl2]
+    return sum(map(mul, first1.data[sl1], b if first2.stride else b * n), init)
 
 
-def _check_ranges(first: StrideIterator, last: StrideIterator, *others) -> None:
-    """Check ``[first, last)``, and the ranges as long from ``others``."""
+def _check_ranges(first: StrideIterator, last: StrideIterator, *others):
+    """Check ``[first, last)``, and the ranges as long from ``others``; return
+    that length and each range as one slice of its buffer (a stride-0 range:
+    its one element; a backward range ending at index 0 stops at None)."""
     fields = [x for it in (first, last, *others) for x in (it.pos, it.stride)]
     _as_indices(fields, "range positions and strides")
     span, w = last.pos - first.pos, first.stride
     n = span // w if w else 0
     if last.data is not first.data or last.stride != w or n < 0 or n * w != span:
         raise ValueError(f"{last} lies no whole number of steps on from {first}")
+    slices = []
     for it in (first, *others):
-        check_reach(MultiIterator(it.data, it.pos, (it.stride,), (n,)))
+        p, w = it.pos, it.stride
+        check_reach(MultiIterator(it.data, p, (w,), (n,)))
+        stop = p + n * w if w else p + 1
+        slices.append(slice(p, stop if stop >= 0 else None, w or 1) if n else slice(0))
+    return n, slices
 
 
 class FiberPlan(NamedTuple):

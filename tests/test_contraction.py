@@ -4,6 +4,8 @@ import math
 import operator
 import random
 import re
+import sys
+import tracemalloc
 from math import prod, sqrt
 
 import numpy as np
@@ -985,6 +987,26 @@ class TestAllocationDiscipline:
         counter[0] = 0
         transpose(a, (2, 3, 1))
         assert counter[0] == 1
+
+    def test_gathered_loop_holds_one_streamed_fiber_at_a_time(self):
+        # Both calls run the gathered loop (several packed fibers) on rows
+        # of 1,024 outputs with 32 bound elements each.  Holding a row's
+        # streamed fibers at once costs more than the output itself; one
+        # fiber at a time, the row's values are the engine's largest hold.
+        n = 32
+        a = DenseTensor.from_memory((n, n, n), [k / 7 for k in range(n**3)])
+        b = DenseTensor.from_memory((n, 4), [k / 3 for k in range(4 * n)])
+        mat = DenseTensor.from_memory((8, n), [k / 5 for k in range(8 * n)])
+        spec = ContractionSpec(1, (2, 3, 1), (2, 1))
+        for call in (lambda: ttt(a, b, spec), lambda: ttm(a, mat, 1)):
+            tracemalloc.start()
+            try:
+                out = call()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            held = sys.getsizeof(out.data) + sum(map(sys.getsizeof, out.data))
+            assert peak < 2 * held
 
 
 class TestIntegerModes:

@@ -1,6 +1,8 @@
+import inspect
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -222,6 +224,105 @@ class TestRangeChecks:
         got = inner_product_range(StrideIterator(e, 11, -1), StrideIterator(e, 8, -1),
                                   StrideIterator(e, 0, 2), 0)
         assert got == 11 * 0 + 10 * 2 + 9 * 4
+
+
+def range_sum_mismatches(seed, cases):
+    """The random float cases on which ``inner_product_range`` and
+    ``inner_product_flat`` over the same elements differ in any bit.
+
+    Cases cycle through forward ranges, backward ranges, ranges against a
+    stride-0 partner, and ranges from ``dim_begin``/``dim_end`` on views
+    of tensors of random layouts.  Self-contained, so that it can run under
+    another interpreter too.
+    """
+    import random
+    from itertools import permutations
+
+    from tensorlib import DenseTensor, Range, inner_product_flat
+    from tensorlib.iterators import StrideIterator, inner_product_range
+
+    rng = random.Random(seed)
+    layouts = list(permutations((1, 2, 3)))
+
+    def draw():
+        # Magnitudes 2**-30 .. 2**30 apart, so that rounding shows.
+        return rng.uniform(-1, 1) * 2.0 ** rng.randint(-30, 30)
+
+    def raw_range(n, w):
+        data = [draw() for _ in range(40)]
+        reach = (n - 1) * abs(w)
+        p = rng.randint(0, 39 - reach) + (reach if w < 0 else 0)
+        return StrideIterator(data, p, w), StrideIterator(data, p + n * w, w)
+
+    def view_range(r, at):
+        o = tuple(rng.randint(-2, 2) for _ in range(3))
+        t = DenseTensor((7, 5, 4), offsets=o, layout=rng.choice(layouts))
+        t.data = [draw() for _ in range(t.size)]
+        v = t.view(Range(o[0] + 1, 2, o[0] + 6), None, Range(o[2], o[2] + 2))
+        at = tuple(x + k % n for x, k, n in zip(o, at, v.shape))
+        return v.dim_begin(r, at=at), v.dim_end(r, at=at)
+
+    def values(first, last):
+        it, out = first.clone(), []
+        while it != last:
+            out.append(it.value)
+            it.advance()
+        return out
+
+    bad = []
+    for case in range(cases):
+        kind, init = case % 4, draw()
+        if kind < 3:
+            n = rng.randint(1, 12)
+            w = rng.randint(1, 3) * (-1 if kind == 1 else 1)
+            first1, last1 = raw_range(n, w)
+            first2, _ = raw_range(n, 0 if kind == 2 else rng.choice((-2, -1, 1, 3)))
+        else:
+            r, at = rng.randint(1, 3), [rng.randint(0, 9) for _ in range(3)]
+            first1, last1 = view_range(r, at)
+            first2, _ = view_range(r, at)
+        xs = values(first1, last1)
+        ys = [first2.value] * len(xs) if first2.stride == 0 else values(
+            first2, first2.clone().advance(len(xs)))
+        flat = inner_product_flat(
+            DenseTensor.from_memory((len(xs),), xs),
+            DenseTensor.from_memory((len(ys),), ys), init)
+        got = inner_product_range(first1, last1, first2, init)
+        if got.hex() != flat.hex():
+            bad.append((case, got.hex(), flat.hex()))
+    return bad
+
+
+def newer_python():
+    """The first of ``python3.13`` and ``python3.12`` that starts, or None."""
+    for name in ("python3.13", "python3.12"):
+        exe = shutil.which(name)
+        if exe and subprocess.run([exe, "-c", "pass"], capture_output=True,
+                                  timeout=60).returncode == 0:
+            return exe
+    return None
+
+
+class TestRangeSums:
+    """``inner_product_range`` reduces through the builtin ``sum`` as
+    ``inner_product_flat`` does: from Python 3.12 that sum compensates
+    float rounding, where a plain ``acc += a * b`` loop does not."""
+
+    def test_range_sum_equals_flat_sum_bit_for_bit(self):
+        assert range_sum_mismatches(seed=5, cases=200) == []
+
+    def test_range_sum_equals_flat_sum_on_a_newer_python(self):
+        exe = newer_python()
+        if exe is None:
+            pytest.skip("neither python3.13 nor python3.12 starts")
+        code = (inspect.getsource(range_sum_mismatches)
+                + "\nimport sys\nprint(sys.version_info >= (3, 12))"
+                + "\nprint(range_sum_mismatches(seed=5, cases=200))\n")
+        env = dict(os.environ, PYTHONPATH=str(SRC))
+        proc = subprocess.run([exe, "-c", code], capture_output=True, text=True,
+                              timeout=120, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split("\n")[:2] == ["True", "[]"]
 
 
 class TestMultiIterator:

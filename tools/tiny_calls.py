@@ -10,7 +10,10 @@ operands: constructing a ``DenseTensor`` and a ``TensorView``, reading
 one element with ``t[1, 2, 0]``, constructing a stepped ``Range``,
 materializing a stepped view, a tensor's ``relayout`` and ``reshape``
 (each there and back), planning two cursors with ``plan_fibers``,
-``walk_positions`` on a raw cursor, the elementwise ``copy`` (between
+``walk_positions`` on a raw cursor, the range algorithms ``fill_range``
+and ``inner_product_range`` on stride-3 ranges of 3 elements and stride-2
+ranges of 1024 (the 1024-element inner product runs backward to index 0
+against a forward unit-stride range), the elementwise ``copy`` (between
 tensors, and from the stepped view), ``fill``, ``transform_binary`` and
 ``compare_ranges``, constructing a ``ContractionSpec``, and the
 contractions ``ttv``, ``ttm``, ``ttt``, ``ttt_pairs`` (a q = 2 ttt with a
@@ -90,7 +93,15 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     pairs = from_memory((3, 2, 2), [1 - k / 8 for k in range(12)])
     spec_pairs = tl.ContractionSpec(2, (2, 1, 3), (3, 1, 2))
     cursors = (a.miter(), b.miter())
-    plan_fibers = sys.modules[tl.__name__ + ".iterators"].plan_fibers
+    iterators = sys.modules[tl.__name__ + ".iterators"]
+    plan_fibers, fill_range = iterators.plan_fibers, iterators.fill_range
+    inner_product_range, stride = iterators.inner_product_range, tl.StrideIterator
+    short, long = [k / 3 for k in range(9)], [k / 7 for k in range(2048)]
+    filled_short, filled_long = [0.0] * 9, [0.0] * 2048
+    short_fill = (stride(filled_short, 0, 3), stride(filled_short, 9, 3))
+    long_fill = (stride(filled_long, 0, 2), stride(filled_long, 2048, 2))
+    short_dot = (stride(short, 0, 3), stride(short, 9, 3), stride(a.data, 0, 1))
+    long_dot = (stride(long, 2046, -2), stride(long, -2, -2), stride(long, 1, 1))
     moved = from_memory((3, 4, 2), [k / 3 for k in range(24)])
     verify = sys.modules[tl.__name__ + ".verify"]
     rng = random.Random(7)
@@ -111,6 +122,10 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "reshape": lambda: (moved.reshape((6, 4)), moved.reshape((3, 4, 2))),
         "plan_fibers": lambda: plan_fibers(cursors),
         "walk_positions": lambda: tl.walk_positions(cursors[1]),
+        "fill_range_3": lambda: fill_range(*short_fill, 0.5),
+        "fill_range_1024": lambda: fill_range(*long_fill, 0.5),
+        "inner_range_3": lambda: inner_product_range(*short_dot, 0.0),
+        "inner_range_1024": lambda: inner_product_range(*long_dot, 0.0),
         "copy": lambda: tl.copy(a, b),
         "copy_view": lambda: tl.copy(view, c),
         "fill": lambda: tl.fill(b, 1.0),
