@@ -127,11 +127,12 @@ def transpose(a, tau: Sequence[int]) -> DenseTensor:
 # -- the contraction engine ------------------------------------------------------
 
 
-def _sub(it: MultiIterator, dims) -> MultiIterator:
-    """Cursor over ``it``'s dimensions ``dims`` (zero-based), in that order."""
+def _sub(it: MultiIterator, dims, pos=None) -> MultiIterator:
+    """Cursor over ``it``'s dimensions ``dims`` (zero-based), in that order,
+    from ``it``'s position or from ``pos``."""
     return MultiIterator(
         it.data,
-        it.pos,
+        it.pos if pos is None else pos,
         [it.strides[d] for d in dims],
         [it.extents[d] for d in dims],
     )
@@ -149,13 +150,8 @@ def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
     if len(s_bound) == 1 and ws > 0 and wk > 0:
         # One pair with positive strides is a single fiber: no plan needed.
         return s.extents[s_bound[0]], (ws, wk), ([0], [0])
-    # Planned in iteration order, so the last pair (dimension 1) is fastest.
-    cursors = (_sub(s, s_bound[::-1]), _sub(k, k_bound[::-1]))
-    plan = _plan(cursors)
-    offsets = tuple(
-        [p - it.pos for p in starts] for starts, it in zip(plan.starts, cursors)
-    )
-    return plan.length, plan.strides, offsets
+    # From position 0 in iteration order: the last pair (dimension 1) fastest.
+    return _plan((_sub(s, s_bound[::-1], 0), _sub(k, k_bound[::-1], 0)))
 
 
 def _gather(data: list, positions: Iterable[int], length: int, step: int, offsets):

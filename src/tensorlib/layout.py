@@ -143,29 +143,22 @@ def last_order_layout(p: int) -> Tuple[int, ...]:
 
 
 def volume(shape: Sequence[int]) -> int:
-    """Number of elements; the memory index set is ``range(volume)``."""
+    """Number of elements: the memory index set is ``range(volume)``.
+    ``shape`` is a cursor's extents, nonnegative integers: ``volume(()) == 1``."""
+    shape = _as_indices(shape, "shape")
+    if shape and min(shape) < 0:
+        raise ValueError(f"shape extents must be nonnegative, got {shape}")
     v = prod(shape)
     if v > MAX_INDEX:
-        raise ValueError(f"shape {tuple(shape)} overflows the 64-bit index space")
+        raise ValueError(f"shape {shape} overflows the 64-bit index space")
     return v
 
 
 def compute_strides(shape: Sequence[int], layout: Sequence[int]) -> Tuple[int, ...]:
-    """Derive the stride tuple for ``shape`` under the one-based ``layout``.
-
-    The result is indexed by dimension (``w[0]`` belongs to dimension 1),
-    not by precedence rank.  The highest-precedence dimension gets stride 1;
-    walking the layout, each next dimension's stride is the running product
-    of the previous extents.
-    """
-    if len(layout) != len(shape):
-        raise ValueError("shape and layout must have the same length")
-    strides = [0] * len(shape)
-    running = 1
-    for q in layout:
-        strides[q - 1] = running
-        running *= shape[q - 1]
-    return tuple(strides)
+    """The strides of ``shape`` under the one-based ``layout``, indexed by
+    dimension (``w[0]`` belongs to dimension 1): ``TensorMeta``'s, so both
+    arguments obey, and raise the ``ValueError``s of, every tensor's rules."""
+    return TensorMeta(shape, layout=layout).strides
 
 
 def memory_index(
@@ -205,10 +198,16 @@ class TensorMeta:
             tuple(range(1, p + 1)) if layout is None else _permutation(layout, "layout", p)
         )
         offsets = (0,) * p if offsets is None else validate_offsets(offsets, p)
+        # The stride rule (module docstring), walking the layout.
+        strides = [0] * p
+        running = 1
+        for q in layout:
+            strides[q - 1] = running
+            running *= shape[q - 1]
         _set_shape(self, shape)
         _set_layout(self, layout)
         _set_offsets(self, offsets)
-        _set_strides(self, compute_strides(shape, layout))
+        _set_strides(self, tuple(strides))
         _set_size(self, size)
 
     def __setattr__(self, name, value):
@@ -274,6 +273,6 @@ def zero_indices(shape: Sequence[int]) -> Iterator[Tuple[int, ...]]:
     This is the canonical iteration order of the kernels (dimension p
     outermost, dimension 1 innermost).
     """
-    volume(shape)  # raises on index-space overflow
+    volume(shape)  # raises on a bad extent and on index-space overflow
     for rev in product(*[range(n) for n in reversed(shape)]):
         yield rev[::-1]

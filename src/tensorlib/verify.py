@@ -18,16 +18,16 @@ whether each operand is a tensor or a strided view.
 
 The oracle shares no addressing code with the engine it checks.  It finds
 every element's memory position with its own stride arithmetic: a
-tensor's strides come from ``compute_strides`` of its shape and layout,
-and a view's, at any depth of views of views, from its target's strides
-derived the same way and the view's resolved ranges, never from a view's
-frame (``meta``, ``strides``, ``gamma``, ``views._frame``), and turns
-them into positions by strided runs of its own (:func:`_grid`), reading
-a grid that is one run of positive step as one slice.  It calls and
-shares no code with the fiber planner (``iterators._plan``,
-``plan_fibers``, ``check_reach``) or element access
-(``_Strided._key_to_memory``), so a wrong plan or a wrong view frame
-cannot also corrupt the expected values.
+tensor's strides from its shape and layout by its own loop (never
+``meta.strides`` or ``compute_strides``), and a view's, at any depth of
+views of views, from its target's strides found the same way and the
+view's resolved ranges, never from a view's frame (``meta``, ``strides``,
+``gamma``, ``views._frame``), and turns them into positions by strided
+runs of its own (:func:`_grid`), reading a grid that is one run of
+positive step as one slice.  It calls and shares no code with the fiber
+planner (``iterators._plan``, ``plan_fibers``, ``check_reach``), element
+access (``_Strided._key_to_memory``) or ``TensorMeta``'s stride loop, so
+a wrong plan, view frame or stride cannot also corrupt the expected values.
 It sets operands up and serializes counterexamples by the same reads,
 never through ``copy`` or ``materialize``, so a wrong kernel fails its
 own family alone.
@@ -42,7 +42,7 @@ is 19 or more; a buffer of 64 or more elements takes the same words a
 batch per round, through one ``getrandbits(32 * w)``), so it yields the
 values ``randint`` would and leaves the stream in the same state.
 Layouts, ``tau``, ``phi`` and ``psi`` come from ``_rand_layout``, which
-reproduces ``shuffle`` from ``getrandbits`` the same way.
+reproduces ``shuffle`` the same way; both match on CPython 3.10 to 3.13.
 ``tests/test_verify.py`` checks both against the ``random`` methods and
 pins every family's stream state after 20 trials.
 The ``times_*`` modes come from ``sample``; needles, operator names and
@@ -75,7 +75,7 @@ from typing import Callable, List, Optional, Tuple
 
 from . import contraction as ct
 from . import elementwise as ew
-from .layout import _as_indices, _index, compute_strides, zero_indices
+from .layout import _as_indices, _index, zero_indices
 from .tensor import DenseTensor
 from .views import Range, TensorView
 
@@ -161,8 +161,8 @@ def _rand_shape(rng, cfg: RunConfig, min_order: int = 1) -> Tuple[int, ...]:
 
 def _rand_layout(rng, p: int) -> Tuple[int, ...]:
     """A permutation of 1..p, drawn as ``rng.shuffle`` draws it (CPython
-    3.11): each swap index from ``getrandbits``, redrawn while out of range,
-    as in :func:`_randints`, without ``_randbelow``'s frame per draw."""
+    3.10 to 3.13): each swap index from ``getrandbits``, redrawn while out
+    of range, as in :func:`_randints`, without ``_randbelow``'s frame per draw."""
     perm = list(range(1, p + 1))
     getrandbits = rng.getrandbits
     for i in reversed(range(1, p)):
@@ -280,16 +280,20 @@ def _box_frame(x):
     ``gamma + sum_r strides[r] * i[r]`` in the buffer of the tensor
     ``root``.
 
-    A tensor is its own root, with the strides ``compute_strides`` gives
-    its shape and layout and ``gamma`` 0.  A view, at any depth, takes its
-    target's frame and its own resolved ranges over the target's index box
-    (the root's offsets ``o`` and the target's extents): extent
-    ``(last - first) // step + 1``, stride ``w * step`` and ``gamma`` plus
-    ``sum_r w[r] * (first[r] - o[r])``.  A range that no longer fits that
-    box raises ``IndexError`` naming the dimension.
+    A tensor is its own root, with ``gamma`` 0 and the strides of its
+    shape and layout, found by the oracle's own loop over the stride rule,
+    never read from ``meta.strides`` or ``compute_strides``.  A view, at
+    any depth, takes its target's frame and its own resolved ranges over
+    the target's index box (the root's offsets ``o`` and the target's
+    extents): extent ``(last - first) // step + 1``, stride ``w * step``
+    and ``gamma`` plus ``sum_r w[r] * (first[r] - o[r])``.  A range that no
+    longer fits that box raises ``IndexError`` naming the dimension.
     """
     if not isinstance(x, TensorView):
-        return x, x.shape, compute_strides(x.shape, x.layout), 0
+        shape, strides, w = x.shape, [0] * len(x.shape), 1
+        for q in x.layout:  # the stride rule, walking the layout
+            strides[q - 1], w = w, w * shape[q - 1]
+        return x, shape, strides, 0
     root, t_shape, t_strides, gamma = _box_frame(x.target)
     if len(x.ranges) != len(t_shape):
         raise IndexError(

@@ -8,12 +8,12 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = [
-    "DenseTensor", "TensorView", "getitem", "Range", "materialize", "relayout", "reshape",
-    "plan_fibers", "walk_positions", "fill_range_3", "fill_range_1024", "inner_range_3",
-    "inner_range_1024", "copy", "copy_view", "fill", "transform_binary",
-    "compare_ranges", "ContractionSpec", "ttv", "ttm", "ttt", "ttt_pairs", "outer_product",
-    "times_vectors", "times_matrices", "transpose", "randints_625", "contract_outer",
-    "times_matrices_mid",
+    "DenseTensor", "compute_strides", "TensorView", "getitem", "Range", "materialize",
+    "relayout", "reshape", "plan_fibers", "walk_positions", "fill_range_3",
+    "fill_range_1024", "inner_range_3", "inner_range_1024", "copy", "copy_view", "fill",
+    "transform_binary", "compare_ranges", "ContractionSpec", "ttv", "ttm", "ttt",
+    "ttt_pairs", "outer_product", "times_vectors", "times_matrices", "transpose",
+    "read_flat", "randints_625", "contract_outer", "times_matrices_mid",
 ]
 
 

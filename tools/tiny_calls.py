@@ -6,8 +6,9 @@ Usage, from anywhere::
     python3 tools/tiny_calls.py [--against DIR] [--reps R] [--number N]
 
 Times the calls the randomized oracle makes most, each on (3, 4, 2)
-operands: constructing a ``DenseTensor`` and a ``TensorView``, reading
-one element with ``t[1, 2, 0]``, constructing a stepped ``Range``,
+operands: constructing a ``DenseTensor``, deriving last-order strides
+with ``compute_strides``, constructing a ``TensorView``, reading one
+element with ``t[1, 2, 0]``, constructing a stepped ``Range``,
 materializing a stepped view, a tensor's ``relayout`` and ``reshape``
 (each there and back), planning two cursors with ``plan_fibers``,
 ``walk_positions`` on a raw cursor, the range algorithms ``fill_range``
@@ -19,7 +20,8 @@ tensors, and from the stepped view), ``fill``, ``transform_binary`` and
 contractions ``ttv``, ``ttm``, ``ttt``, ``ttt_pairs`` (a q = 2 ttt with a
 (3, 2, 2) operand whose contracted pairs merge into no single fiber on
 either side), ``outer_product``, a ``times_vectors`` and a
-``times_matrices`` over all three modes and ``transpose``.  Three rows
+``times_matrices`` over all three modes and ``transpose``.  The oracle's
+own read of a last-order tensor, ``read_flat``, follows, and three rows
 time the oracle's own work at the size of its slowest trials:
 ``randints_625`` draws 625 elements in [-9, 9] with ``verify._randints``,
 ``contract_outer`` is the label oracle's (5, 5, 5) x (5, 5) outer
@@ -114,6 +116,7 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     squares = [from_memory((5, 5), [(k + j) / 7 for k in range(25)]) for j in range(4)]
     return {
         "DenseTensor": lambda: tl.DenseTensor((3, 4, 2)),
+        "compute_strides": lambda: tl.compute_strides((3, 4, 2), (3, 2, 1)),
         "TensorView": lambda: tl.TensorView(parent, ranges),
         "getitem": lambda: a[1, 2, 0],
         "Range": lambda: tl.Range(0, 2, 6),
@@ -140,6 +143,7 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "times_vectors": lambda: tl.times_vectors(a, vectors, modes=(1, 2, 3)),
         "times_matrices": lambda: tl.times_matrices(a, matrices, modes=(1, 2, 3)),
         "transpose": lambda: tl.transpose(a, (3, 1, 2)),
+        "read_flat": lambda: verify.read_flat(b),
         "randints_625": lambda: verify._randints(rng, -9, 9, 625),
         "contract_outer": lambda: verify.contract(range(5), (), cube, square),
         "times_matrices_mid": lambda: tl.times_matrices(view4, squares, (1, 2, 3, 4)),
