@@ -5,9 +5,9 @@ Exit codes: 0 success; 1 verification/processing failure, a malformed
 tensor file or an unwritable ``--out``; 2 power method hit the sweep limit
 without converging; 3 degenerate input (a mode norm zero or not finite, as
 from NaN or infinite data); 64 usage error, an option value out of range
-included, as is an ``emit --name`` that is no MATLAB identifier.
-``TENSORLIB_SEED`` provides the seed when ``--seed`` is absent.
-Identical seed and options produce byte-identical output.
+included, as is an ``emit --name`` that is no MATLAB identifier.  Defaults
+are ``RunConfig``'s and ``hopm``'s; ``TENSORLIB_SEED``, when set, is the
+seed's.  Identical seed and options produce byte-identical output.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from typing import NoReturn, Optional, Sequence
 from .hopm import DegenerateInputError, hopm, residual
 from .matlab_io import MatlabScript
 from .tensor import DenseTensor
-from .verify import RunConfig, run_verification
+from .verify import _SCALAR_KINDS, RunConfig, run_verification
 
 EXIT_OK = 0
 EXIT_FAIL = 1
@@ -43,10 +43,10 @@ def _build_parser() -> _Parser:
 
     v = sub.add_parser("verify", help="run the randomized oracle suites")
     v.add_argument("--seed", type=int, default=None)
-    v.add_argument("--trials", type=int, default=100)
-    v.add_argument("--max-order", type=int, default=4)
-    v.add_argument("--max-extent", type=int, default=5)
-    v.add_argument("--scalar", choices=["int64", "float64"], default="float64")
+    v.add_argument("--trials", type=int, default=RunConfig.trials)
+    v.add_argument("--max-order", type=int, default=RunConfig.max_order)
+    v.add_argument("--max-extent", type=int, default=RunConfig.max_extent)
+    v.add_argument("--scalar", choices=_SCALAR_KINDS, default=RunConfig.scalar_kind)
     v.add_argument("--out", default=None, help="also write the report here")
     v.add_argument("--json", action="store_true", help="emit a JSON report")
 
@@ -55,11 +55,12 @@ def _build_parser() -> _Parser:
     e.add_argument("--name", default="A", help="MATLAB variable name")
     e.add_argument("--out", default=None, help="script path (default: stdout)")
 
-    h = sub.add_parser("hopm", help="best rank-one approximation")
+    h = sub.add_parser("hopm", help="best rank-one approximation",
+                       argument_default=argparse.SUPPRESS)  # hopm's defaults apply
     h.add_argument("--in", dest="input", required=True, help="tensor JSON file")
-    h.add_argument("--sweeps", type=int, default=50)
-    h.add_argument("--tol", type=float, default=1e-10)
-    h.add_argument("--json", action="store_true")
+    h.add_argument("--sweeps", dest="max_sweeps", metavar="SWEEPS", type=int)
+    h.add_argument("--tol", type=float)
+    h.add_argument("--json", action="store_true", default=False)
     return parser
 
 
@@ -72,7 +73,7 @@ def _seed_from(args) -> int:
             return int(env)
         except ValueError:
             raise ValueError(f"invalid TENSORLIB_SEED {env!r}") from None
-    return 42
+    return RunConfig.seed
 
 
 def _fail(message: str) -> NoReturn:
@@ -143,8 +144,9 @@ def _cmd_emit(parser, args) -> int:
 
 def _cmd_hopm(parser, args) -> int:
     t = _load_tensor(args.input)
+    options = {k: v for k, v in vars(args).items() if k in ("max_sweeps", "tol")}
     try:
-        state = hopm(t, max_sweeps=args.sweeps, tol=args.tol)
+        state = hopm(t, **options)
     except DegenerateInputError as exc:
         print(f"tensorlib: degenerate input: {exc}", file=sys.stderr)
         return EXIT_DEGENERATE

@@ -6,10 +6,11 @@ of identical shape but arbitrary (and mutually different) layouts.  Each
 operand enters through :func:`_mit`, the one door of every kernel,
 contraction and container path, which checks once that it stays inside
 its buffer: a raw cursor by the raw-cursor rule, ``iterators._check_raw``
-(integer fields, then the reach rule; ``plan_fibers`` applies it too), a
-tensor by its buffer's length, a view by the reach its frame records.  An
-operand that would reach outside raises ``IndexError`` before anything is
-written.  All of them then run on one traversal, the fiber planner: the
+(integer fields, extents >= 0, then the reach rule; ``plan_fibers``
+applies it too), a tensor by its buffer's length, a view by the reach its
+frame records.  An operand that would reach outside raises ``IndexError``,
+and a raw cursor with a negative extent ``ValueError``, before anything
+is written.  All of them then run on one traversal, the fiber planner: the
 loop nest is merged into innermost fibers, and a thin kernel handles each
 fiber with slice operations (slice assignment for ``copy``/``fill``,
 ``map`` into a slice for transforms, ``map`` over the fibers for

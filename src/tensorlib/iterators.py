@@ -14,9 +14,9 @@ equal extents into innermost fibers (a start position per cursor, a stride
 per cursor and a shared length), merging dimensions wherever every cursor
 is contiguous across them, so a kernel can work on whole fibers with slice
 operations.  It only plans.  :func:`check_reach` is the one reach rule
-and ``_check_raw`` the one raw-cursor rule (integer fields, then the reach
-rule): the kernels apply it where a raw cursor enters (a tensor or view
-takes a constant-time reach test), and :func:`plan_fibers` to each cursor.
+and ``_check_raw`` the one raw-cursor rule (integer fields, extents >= 0,
+then reach): the kernels apply it where a raw cursor enters (a tensor or
+view takes a constant-time reach test), and :func:`plan_fibers` to each.
 
 Both iterator types are cheap value objects over a shared buffer;
 dereferencing follows the owning container's single-writer contract.
@@ -233,9 +233,9 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
     (the destination), for operations whose result does not depend on
     visit order.
 
-    Raises ``ValueError`` for a field that is no integer, and ``IndexError``
-    when some cursor would reach outside its buffer (:func:`check_reach`),
-    since a slice would silently clip (reading) or resize the list (writing).
+    Raises ``ValueError`` for a field that is no integer or a negative
+    extent, ``IndexError`` when some cursor would reach outside its buffer
+    (:func:`check_reach`): a slice would clip (reading) or resize (writing).
     """
     for c in cursors:
         _check_raw(c)
@@ -301,8 +301,10 @@ def _positions(pos: int, strides, extents) -> List[int]:
 
 
 def _check_raw(c: MultiIterator) -> None:
-    """The raw-cursor rule: integer fields, then :func:`check_reach`."""
+    """The raw-cursor rule: integer fields, extents >= 0, :func:`check_reach`."""
     _as_indices((c.pos, *c.strides, *c.extents), "cursor position, strides and extents")
+    if c.extents and min(c.extents) < 0:
+        raise ValueError(f"cursor extents must be nonnegative, got {c.extents}")
     check_reach(c)
 
 

@@ -19,11 +19,12 @@ mutation requires exclusive access.
 
 from __future__ import annotations
 
+from math import prod
 from typing import Optional, Sequence
 
 from .elementwise import _copy, _equal, _fill, _mit
 from .iterators import MultiIterator, StrideIterator
-from .layout import TensorMeta, _all_ints, _as_indices, _index, volume
+from .layout import TensorMeta, _all_ints, _as_indices, _index
 
 __all__ = ["DenseTensor", "tensors_equal"]
 
@@ -32,9 +33,9 @@ class _Strided:
     """Element addressing and structure shared by tensors and views.
 
     Everything here reads two attributes: ``data``, the element buffer,
-    and ``meta``, which carries ``shape``, ``offsets``, ``layout``,
-    ``strides`` and the base position ``gamma`` of the element at the
-    lower-bound corner.  The bounds-checked layout function is
+    and ``meta``, checked when made, which carries ``shape``, ``offsets``,
+    ``layout``, ``strides`` and the base position ``gamma`` of the element
+    at the lower-bound corner.  The bounds-checked layout function is
     ``j = gamma + sum_r w[r] * (i[r] - o[r])``.
     """
 
@@ -62,7 +63,7 @@ class _Strided:
 
     @property
     def size(self) -> int:
-        return volume(self.meta.shape)
+        return prod(self.meta.shape)
 
     def _key_to_memory(self, key) -> int:
         if type(key) is not tuple or not _all_ints(map(type, key)):

@@ -40,11 +40,10 @@ reproduces CPython's ``randint`` from ``getrandbits`` (for the elements,
 one Mersenne Twister word per ``getrandbits(5)``, redrawn while the word
 is 19 or more; a buffer of 64 or more elements takes the same words a
 batch per round, through one ``getrandbits(32 * w)``), so it yields the
-values ``randint`` would and leaves the stream in the same state.
-Layouts, ``tau``, ``phi`` and ``psi`` come from ``_rand_layout``, which
-reproduces ``shuffle`` the same way; both match on CPython 3.10 to 3.13.
-``tests/test_verify.py`` checks both against the ``random`` methods and
-pins every family's stream state after 20 trials.
+values ``randint`` would and leaves the stream in the same state (CPython
+3.10 to 3.13).  Layouts, ``tau``, ``phi`` and ``psi`` come from
+``rng.shuffle``.  ``tests/test_verify.py`` checks ``_randints`` against
+``randint`` and pins every family's stream state after 20 trials.
 The ``times_*`` modes come from ``sample``; needles, operator names and
 ``compare_ranges``' changed element from ``choice``; and whether an
 operand is a view from ``random()``.
@@ -80,6 +79,7 @@ from .tensor import DenseTensor
 from .views import Range, TensorView
 
 __all__ = ["RunConfig", "VerifyReport", "FamilyResult", "run_verification", "FAMILIES"]
+_SCALAR_KINDS = ("int64", "float64")
 
 
 @dataclass
@@ -98,7 +98,7 @@ class RunConfig:
         # ttv, ttm and the times_* chains need order 2 or more.
         self.max_order = _index(self.max_order, "max_order", 2, 6)
         self.max_extent = _index(self.max_extent, "max_extent", 1)
-        if self.scalar_kind not in ("int64", "float64"):
+        if self.scalar_kind not in _SCALAR_KINDS:
             raise ValueError(f"unknown scalar kind {self.scalar_kind!r}")
 
 
@@ -160,18 +160,9 @@ def _rand_shape(rng, cfg: RunConfig, min_order: int = 1) -> Tuple[int, ...]:
 
 
 def _rand_layout(rng, p: int) -> Tuple[int, ...]:
-    """A permutation of 1..p, drawn as ``rng.shuffle`` draws it (CPython
-    3.10 to 3.13): each swap index from ``getrandbits``, redrawn while out
-    of range, as in :func:`_randints`, without ``_randbelow``'s frame per draw."""
+    """A permutation of 1..p, drawn by ``rng.shuffle``."""
     perm = list(range(1, p + 1))
-    getrandbits = rng.getrandbits
-    for i in reversed(range(1, p)):
-        n = i + 1
-        k = n.bit_length()
-        j = getrandbits(k)
-        while j >= n:
-            j = getrandbits(k)
-        perm[i], perm[j] = perm[j], perm[i]
+    rng.shuffle(perm)
     return tuple(perm)
 
 

@@ -1,12 +1,13 @@
 import argparse
 import json
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
-from tensorlib import DenseTensor, contraction, rank_one_compose
+from tensorlib import DenseTensor, cli, contraction, hopm, rank_one_compose
 from tensorlib.cli import _build_parser, main
-from tensorlib.verify import FAMILIES
+from tensorlib.verify import FAMILIES, RunConfig
 
 from conftest import bump_first, corrupt_call
 
@@ -195,6 +196,25 @@ class TestHopmCommand:
         assert obj["converged"] is True
         assert abs(obj["scale"] - 1.5) < 1e-10
 
+    @pytest.mark.parametrize("options, keywords", [
+        ([], {}),
+        (["--sweeps", "3"], {"max_sweeps": 3}),
+        (["--tol", "0.5"], {"tol": 0.5}),
+        (["--sweeps", "2", "--tol", "0"], {"max_sweeps": 2, "tol": 0.0}),
+    ])
+    def test_passes_hopm_only_the_options_given(self, tmp_path, monkeypatch, capsys,
+                                                options, keywords):
+        seen = []
+
+        def spy(t, **kw):
+            seen.append(kw)
+            return hopm(t, **kw)
+
+        monkeypatch.setattr(cli, "hopm", spy)
+        path = write_tensor(tmp_path / "t.json", iota_tensor((2, 2)))
+        main(["hopm", "--in", path, *options])
+        assert seen == [keywords]
+
 
 class TestVerifyCommand:
     def test_small_run_exits_zero(self, capsys):
@@ -273,6 +293,21 @@ class TestVerifyCommand:
         out = tmp_path / "report.txt"
         assert main(["verify", "--seed", "5", "--trials", "1", "--out", str(out)]) == 0
         assert out.read_text() == capsys.readouterr().out
+
+    def test_defaults_are_run_configs(self, capsys, monkeypatch):
+        @dataclass
+        class Small(RunConfig):
+            seed: int = 3
+            trials: int = 2
+            max_order: int = 2
+            max_extent: int = 2
+            scalar_kind: str = "int64"
+
+        monkeypatch.delenv("TENSORLIB_SEED", raising=False)
+        monkeypatch.setattr(cli, "RunConfig", Small)
+        assert main(["verify"]) == 0
+        head = capsys.readouterr().out.splitlines()[0]
+        assert head == "verify seed=3 trials=2 max-order=2 max-extent=2 scalar=int64"
 
     def test_env_seed_fallback(self, capsys, monkeypatch):
         monkeypatch.setenv("TENSORLIB_SEED", "123")

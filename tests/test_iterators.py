@@ -16,6 +16,9 @@ from tensorlib import (
     MultiIterator,
     Range,
     StrideIterator,
+    copy,
+    count_matching,
+    fill,
     memory_index,
     walk_positions,
     zero_indices,
@@ -582,3 +585,39 @@ class TestPlanner:
     def test_zero_volume_has_no_fibers(self):
         plan = plan_fibers((MultiIterator([], 0, (1, 0), (0, 3)),))
         assert plan.starts == ([],)
+
+
+class TestNegativeExtents:
+    """A raw cursor with a negative extent is no empty cursor: the door and
+    the planner's public forms reject it before any buffer is touched
+    (zero extents stay legal: ``TestZeroExtentCursors`` in ``test_elementwise.py``)."""
+
+    FIELDS = [(5, (1,), (-2,)), (0, (1, 3), (3, -1))]
+    HEALTHY = {(-2,): (0, (1,), (2,)), (3, -1): (0, (1, 3), (3, 1))}
+
+    @staticmethod
+    def cursor(fields):
+        return MultiIterator(list(range(10)), *fields)
+
+    def calls(self, fields):
+        bad, other = self.cursor(fields), self.cursor(fields)
+        healthy = self.cursor(self.HEALTHY[fields[2]])
+        return [bad, other, healthy], {
+            "fill": lambda: fill(bad, 9),
+            "copy_from": lambda: copy(bad, healthy),
+            "copy_into": lambda: copy(healthy, bad),
+            "copy_between": lambda: copy(bad, other),
+            "count_matching": lambda: count_matching(bad, value=5),
+            "walk_positions": lambda: walk_positions(bad),
+            "plan_fibers": lambda: plan_fibers((bad,)),
+        }
+
+    @pytest.mark.parametrize("fields", FIELDS, ids=["(-2,)", "(3, -1)"])
+    @pytest.mark.parametrize("call", ["fill", "copy_from", "copy_into", "copy_between",
+                                      "count_matching", "walk_positions", "plan_fibers"])
+    def test_rejected_before_anything_is_written(self, fields, call):
+        cursors, calls = self.calls(fields)
+        with pytest.raises(ValueError, match=re.escape(f"nonnegative, got {fields[2]}")):
+            calls[call]()
+        for c in cursors:
+            assert c.data == list(range(10))

@@ -5,8 +5,11 @@ import pytest
 
 from tensorlib import (
     DenseTensor,
+    Range,
+    TensorView,
     inverse_memory_index,
     layout,
+    tensor,
     tensors_equal,
     zero_indices,
 )
@@ -369,3 +372,21 @@ class TestValidatedOnce:
             monkeypatch.setattr(layout, name, spy(name))
         getattr(t, method)(arg)
         assert calls == want
+
+
+class TestSize:
+    """``size`` multiplies the extents its record checked when it was made,
+    and checks nothing again."""
+
+    def test_size_calls_no_volume(self, monkeypatch):
+        def no_volume(shape):
+            raise AssertionError("size re-checked its shape")
+
+        t = DenseTensor((5, 8, 3), offsets=(-1, 0, 1), layout=(2, 3, 1))
+        view = t.view(Range(-1, 2, 3), Range(0, 2, 6), None)
+        inner = TensorView(view, (Range(0, 1), None, Range(2, 3)))
+        monkeypatch.setattr(layout, "volume", no_volume)
+        monkeypatch.setattr(tensor, "volume", no_volume, raising=False)
+        assert (t.size, view.size, inner.size) == (120, 36, 16)
+        monkeypatch.undo()
+        assert [len(v.materialize().data) for v in (view, inner)] == [36, 16]

@@ -8,7 +8,8 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CALLS = [
-    "DenseTensor", "compute_strides", "TensorView", "getitem", "Range", "materialize",
+    "DenseTensor", "compute_strides", "TensorView", "getitem", "size", "view_size",
+    "Range", "materialize",
     "relayout", "reshape", "plan_fibers", "walk_positions", "fill_range_3",
     "fill_range_1024", "inner_range_3", "inner_range_1024", "copy", "copy_view", "fill",
     "transform_binary", "compare_ranges", "ContractionSpec", "ttv", "ttm", "ttt",

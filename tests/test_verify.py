@@ -472,14 +472,6 @@ class TestLayoutDraws:
             assert verify._rand_layout(ours, p) == tuple(perm)
             assert ours.getstate() == theirs.getstate()
 
-    def test_layouts_are_not_drawn_by_shuffle(self, monkeypatch):
-        def no_shuffle(self, x):
-            raise AssertionError("layout drawn through shuffle")
-
-        monkeypatch.setattr(random.Random, "shuffle", no_shuffle)
-        t = verify._rand_tensor(random.Random(3), (4, 5, 3), "int64")
-        assert sorted(t.meta.layout) == [1, 2, 3]
-
 
 class TestOracleReads:
     """The oracle reads operands by its own stride arithmetic, so it sees

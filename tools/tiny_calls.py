@@ -8,7 +8,8 @@ Usage, from anywhere::
 Times the calls the randomized oracle makes most, each on (3, 4, 2)
 operands: constructing a ``DenseTensor``, deriving last-order strides
 with ``compute_strides``, constructing a ``TensorView``, reading one
-element with ``t[1, 2, 0]``, constructing a stepped ``Range``,
+element with ``t[1, 2, 0]``, the ``size`` of a tensor and of a stepped
+view, constructing a stepped ``Range``,
 materializing a stepped view, a tensor's ``relayout`` and ``reshape``
 (each there and back), planning two cursors with ``plan_fibers``,
 ``walk_positions`` on a raw cursor, the range algorithms ``fill_range``
@@ -119,6 +120,8 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "compute_strides": lambda: tl.compute_strides((3, 4, 2), (3, 2, 1)),
         "TensorView": lambda: tl.TensorView(parent, ranges),
         "getitem": lambda: a[1, 2, 0],
+        "size": lambda: a.size,
+        "view_size": lambda: view.size,
         "Range": lambda: tl.Range(0, 2, 6),
         "materialize": view.materialize,
         "relayout": lambda: (moved.relayout((3, 1, 2)), moved.relayout((1, 2, 3))),
