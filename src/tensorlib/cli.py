@@ -49,11 +49,13 @@ def _build_parser() -> _Parser:
     v.add_argument("--scalar", choices=_SCALAR_KINDS, default=RunConfig.scalar_kind)
     v.add_argument("--out", default=None, help="also write the report here")
     v.add_argument("--json", action="store_true", help="emit a JSON report")
+    v.set_defaults(run=lambda args: _cmd_verify(v, args))
 
     e = sub.add_parser("emit", help="emit a tensor as a MATLAB script")
     e.add_argument("--in", dest="input", required=True, help="tensor JSON file")
     e.add_argument("--name", default="A", help="MATLAB variable name")
     e.add_argument("--out", default=None, help="script path (default: stdout)")
+    e.set_defaults(run=lambda args: _cmd_emit(e, args))
 
     h = sub.add_parser("hopm", help="best rank-one approximation",
                        argument_default=argparse.SUPPRESS)  # hopm's defaults apply
@@ -61,6 +63,7 @@ def _build_parser() -> _Parser:
     h.add_argument("--sweeps", dest="max_sweeps", metavar="SWEEPS", type=int)
     h.add_argument("--tol", type=float)
     h.add_argument("--json", action="store_true", default=False)
+    h.set_defaults(run=lambda args: _cmd_hopm(h, args))
     return parser
 
 
@@ -174,13 +177,8 @@ def _cmd_hopm(parser, args) -> int:
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "verify":
-        return _cmd_verify(parser, args)
-    if args.command == "emit":
-        return _cmd_emit(parser, args)
-    return _cmd_hopm(parser, args)
+    args = _build_parser().parse_args(argv)
+    return args.run(args)
 
 
 def entry() -> None:

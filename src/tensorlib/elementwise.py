@@ -1,25 +1,23 @@
 """Elementwise algorithm suite over multidimensional iterators.
 
-Every function here accepts tensors, views, or raw
-:class:`~tensorlib.iterators.MultiIterator` cursors, and combines operands
-of identical shape but arbitrary (and mutually different) layouts.  Each
-operand enters through :func:`_mit`, the one door of every kernel,
-contraction and container path, which checks once that it stays inside
-its buffer: a raw cursor by the raw-cursor rule, ``iterators._check_raw``
-(integer fields, extents >= 0, then the reach rule; ``plan_fibers``
-applies it too), a tensor by its buffer's length, a view by the reach its
-frame records.  An operand that would reach outside raises ``IndexError``,
-and a raw cursor with a negative extent ``ValueError``, before anything
-is written.  All of them then run on one traversal, the fiber planner: the
-loop nest is merged into innermost fibers, and a thin kernel handles each
-fiber with slice operations (slice assignment for ``copy``/``fill``,
-``map`` into a slice for transforms, ``map`` over the fibers for
-comparisons and reductions).  A fiber is read as a list slice, except
-that an operand whose plan is one stride-1 fiber as long as its buffer is
-read in place, as the buffer itself.  Multi-operand operations plan all
-cursors jointly, so combined elements always share a zero-based
-multi-index.  Comparisons decide equality with one pass of ``!=`` and
-count positions only when some element differs.
+Every function here takes its operands (tensors, views, raw
+:class:`~tensorlib.iterators.MultiIterator` cursors, or any type keeping
+the rule stated at :func:`_mit`) through that one door of every kernel,
+contraction and container path, and combines operands of one shape at
+any, mutually different, layouts.  The door checks once that an operand
+stays inside its buffer (a raw cursor by ``iterators._check_raw``, which
+``plan_fibers`` applies too): one that would reach outside raises
+``IndexError``, a raw cursor with a negative extent ``ValueError`` and a
+non-operand ``TypeError``, before anything is written.  All of them then
+run on one traversal, the fiber planner: the loop nest is merged into
+innermost fibers, and a thin kernel handles each fiber with slice
+operations (slice assignment for ``copy``/``fill``, ``map`` into a slice
+for transforms, ``map`` over the fibers for comparisons and reductions).
+A fiber is read as a list slice, except that an operand whose plan is one
+stride-1 fiber as long as its buffer is read in place, as the buffer
+itself.  Multi-operand operations plan all cursors jointly, so combined
+elements share a zero-based multi-index.  Comparisons decide equality
+with one pass of ``!=`` and count positions only when some differ.
 
 Iteration order is dimension p outermost, dimension 1 innermost, by
 dimension number, not storage precedence.  It is kept by every operation
@@ -41,9 +39,9 @@ and from 3.12 it compensates float rounding.  The promise is that
 floating-point results are bit-identical across layouts, views and
 kernels within one Python version.
 
-In-place use with identical source and destination (for example
-``transform_unary(t, t, f)``) is supported.  Source and destination that
-overlap only partially give unspecified results.
+A source that is the destination's own cursor (``transform_unary(t, t,
+f)``) runs in place; any other source over the destination's buffer is
+read in full before the first store: overlap gives the copy-first result.
 """
 
 from __future__ import annotations
@@ -89,13 +87,21 @@ class CompareResult(NamedTuple):
 
 def _mit(source) -> MultiIterator:
     """The cursor of a tensor, view or raw cursor, checked once to stay
-    inside its buffer (a raw cursor also to hold integers only): every
-    operand enters the kernels here."""
+    inside its buffer: the library reads a caller's operand here only.  An
+    operand is a :class:`MultiIterator` (held to the raw-cursor rule) or
+    any object with ``miter()``, its cursor at the first element, and
+    ``meta``, whose reach is ``size - 1`` for a :class:`TensorMeta` and
+    ``reach`` for any other meta; anything else raises ``TypeError``."""
     if isinstance(source, MultiIterator):
         _check_raw(source)
         return source
-    it, meta = source.miter(), source.meta
-    # A tensor reaches exactly 0 .. size - 1; a view's frame records its reach.
+    try:
+        it, meta = source.miter(), source.meta
+    except AttributeError:
+        if hasattr(source, "miter") and hasattr(source, "meta"):
+            raise  # raised inside the operand's own code: not masked
+        raise TypeError("operand must be a tensor, view or MultiIterator, "
+                        f"got {type(source).__name__}") from None
     last = it.pos + (meta.size - 1 if type(meta) is TensorMeta else meta.reach)
     if last >= len(it.data):
         raise _outside(it.pos, last, it.data)
@@ -117,6 +123,15 @@ def _fibers(plan: FiberPlan, k: int, it: MultiIterator) -> Iterable[list]:
     if plan.length == len(data) and plan.strides[k] == 1 and len(plan.starts[k]) == 1:
         return (data,)
     return map(data.__getitem__, plan.slices(k))
+
+
+def _sources(plan: FiberPlan, k: int, it: MultiIterator, dst: MultiIterator) -> Iterable[list]:
+    """:func:`_fibers` of the source cursor ``k``, read in full before any
+    store wherever ``it`` shares ``dst``'s buffer at other positions."""
+    fibers = _fibers(plan, k, it)
+    if it.data is dst.data and (it.pos, it.strides) != (dst.pos, dst.strides):
+        return list(fibers)
+    return fibers
 
 
 def _values(plan: FiberPlan, k: int, it: MultiIterator) -> Iterable:
@@ -143,7 +158,7 @@ def _store(plan: FiberPlan, dst: MultiIterator, fibers: Iterable) -> None:
 
 def _copy(a: MultiIterator, c: MultiIterator) -> None:
     plan = _plan((a, c), reorder=True)
-    _store(plan, c, _fibers(plan, 0, a))
+    _store(plan, c, _sources(plan, 0, a, c))
 
 
 def _fill(c: MultiIterator, value) -> None:
@@ -209,14 +224,14 @@ def transform_unary(src, dst, fn: Callable) -> None:
     """``dst[i] = fn(src[i])`` for every zero-based multi-index ``i``."""
     a, c = _mit(src), _mit(dst)
     plan = _plan((a, c), reorder=True)
-    _store(plan, c, map(map, repeat(fn), _fibers(plan, 0, a)))
+    _store(plan, c, map(map, repeat(fn), _sources(plan, 0, a, c)))
 
 
 def transform_binary(a, b, dst, op: Callable) -> None:
     """``dst[i] = op(a[i], b[i])`` with all three iterated in lockstep."""
     ia, ib, ic = _mit(a), _mit(b), _mit(dst)
     plan = _plan((ia, ib, ic), reorder=True)
-    fibers = map(map, repeat(op), _fibers(plan, 0, ia), _fibers(plan, 1, ib))
+    fibers = map(map, repeat(op), _sources(plan, 0, ia, ic), _sources(plan, 1, ib, ic))
     _store(plan, ic, fibers)
 
 
@@ -234,7 +249,7 @@ def copy_if(src, dst, pred: Callable) -> None:
     def pick(v, w):
         return v if pred(v) else w
 
-    fibers = map(map, repeat(pick), _fibers(plan, 0, a), _fibers(plan, 1, c))
+    fibers = map(map, repeat(pick), _sources(plan, 0, a, c), _fibers(plan, 1, c))
     _store(plan, c, fibers)
 
 

@@ -38,7 +38,7 @@ from math import inf
 from typing import List, Optional, Sequence
 
 from .contraction import frobenius_norm, times_vectors, ttv
-from .elementwise import _in_order
+from .elementwise import _in_order, _mit
 from .layout import _index
 from .tensor import DenseTensor
 
@@ -81,8 +81,9 @@ class HopmState:
 
 
 def _normalized(vec, norm: float) -> DenseTensor:
-    """``vec / norm`` as a new vector; ``vec`` may be a view."""
-    return DenseTensor.from_memory(vec.shape, [x / norm for x in _in_order(vec)[1]])
+    """``vec / norm`` as a new vector; ``vec`` may be a view or cursor."""
+    it, values = _in_order(vec)
+    return DenseTensor.from_memory(it.extents, [x / norm for x in values])
 
 
 def hopm(
@@ -94,32 +95,29 @@ def hopm(
 ) -> HopmState:
     """Run up to ``max_sweeps`` alternating sweeps on ``a``.
 
-    ``u0`` optionally provides the p starting vectors (tensors or views,
-    nonzero, matching lengths); the default is normalized all-ones.  The
-    run stops early once the scale moves by less than ``tol`` between
-    sweeps; ``tol`` must be >= 0 (``inf`` stops after the second sweep).
+    ``a`` and the optional p starting vectors ``u0`` (nonzero, matching
+    lengths; the default is normalized all-ones) are tensors, views or
+    cursors.  The run stops early once the scale moves by less than
+    ``tol`` between sweeps; ``tol`` must be an int or float >= 0 (``inf``
+    stops after the second sweep).
     Raises :class:`DegenerateInputError` when a mode update has norm zero
     or a norm that is not finite.
     """
-    p = a.order
-    shape = a.shape
+    shape = _mit(a).extents
+    p = len(shape)
     max_sweeps = _index(max_sweeps, "max_sweeps", 1)
-    if not tol >= 0.0:
+    if isinstance(tol, bool) or not isinstance(tol, (int, float)) or not tol >= 0.0:
         raise ValueError(f"tol must be >= 0, got {tol!r}")
     if u0 is None:
-        u = []
-        for n in shape:
-            v = n ** -0.5
-            u.append(DenseTensor.from_memory((n,), [v] * n))
+        u = [DenseTensor.from_memory((n,), [n ** -0.5] * n) for n in shape]
     else:
         u = list(u0)
         if len(u) != p:
             raise ValueError(f"expected {p} start vectors, got {len(u)}")
         for r, (v, n) in enumerate(zip(u, shape), start=1):
-            if v.order != 1 or v.shape != (n,):
-                raise ValueError(
-                    f"start vector {r} must have shape ({n},), got {v.shape}"
-                )
+            extents = _mit(v).extents
+            if extents != (n,):
+                raise ValueError(f"start vector {r} must have shape ({n},), got {extents}")
             norm = frobenius_norm(v)
             if norm == 0.0:
                 raise ValueError(f"start vector {r} is zero")
@@ -157,7 +155,8 @@ def hopm(
 
 
 def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTensor:
-    """Tensor with ``B(i_1, .., i_p) = scale * u_1(i_1) * ... * u_p(i_p)``."""
+    """Tensor with ``B(i_1, .., i_p) = scale * u_1(i_1) * ... * u_p(i_p)``;
+    the vectors may be tensors, views or cursors."""
     if len(vectors) == 0:
         raise ValueError("need at least one vector")
     return DenseTensor.from_memory(_lengths(vectors), _rows(scale, vectors))
@@ -165,10 +164,11 @@ def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTenso
 
 def _lengths(vectors: Sequence[DenseTensor]) -> tuple:
     """Each vector's length; ``ValueError`` naming the first not of order 1."""
-    for r, v in enumerate(vectors, start=1):
-        if v.order != 1:
-            raise ValueError(f"vector {r} must have order 1, got shape {v.shape}")
-    return tuple(v.size for v in vectors)
+    shapes = [_mit(v).extents for v in vectors]
+    for r, shape in enumerate(shapes, start=1):
+        if len(shape) != 1:
+            raise ValueError(f"vector {r} must have order 1, got shape {shape}")
+    return tuple(shape[0] for shape in shapes)
 
 
 def _rows(scale: float, vectors: Sequence[DenseTensor]) -> list:
@@ -183,7 +183,8 @@ def _rows(scale: float, vectors: Sequence[DenseTensor]) -> list:
 
 
 def residual(a, state: HopmState) -> float:
-    """``||a - rank_one_compose(state.scale, state.u)||_F``, in one pass.
+    """``||a - rank_one_compose(state.scale, state.u)||_F``, in one pass;
+    ``a`` may be a tensor, view or cursor.
 
     The rows ``scale * u_1 o ... o u_{p-1}`` are built by ``_rows``, as in
     :func:`rank_one_compose` (n^(p-1) elements for extents n); each

@@ -335,5 +335,7 @@ def walk_positions(it: MultiIterator) -> List[int]:
 
     Every addressable element is visited exactly once for any layout.
     """
+    if not isinstance(it, MultiIterator):
+        raise TypeError(f"walk_positions needs a MultiIterator, got {type(it).__name__}")
     plan = plan_fibers((it,))
     return [p for sl in plan.slices(0) for p in range(sl.start, sl.stop, sl.step)]

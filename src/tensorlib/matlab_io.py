@@ -1,6 +1,6 @@
 """MATLAB script emission for external verification of tensor values.
 
-``emit_tensor`` renders a tensor (or view) as one executable MATLAB
+``emit_tensor`` renders a tensor, view or cursor as one executable MATLAB
 assignment.  The literal is built from one read of the operand in
 iteration order (dimension 1 fastest), so tensors holding equal values
 emit identical text no matter their layout or offsets (MATLAB has neither,
@@ -42,18 +42,19 @@ _IDENTIFIER = re.compile(r"[A-Za-z][A-Za-z0-9_]{0,62}")
 
 
 def emit_tensor(t, name: str) -> str:
-    """Single MATLAB statement assigning ``t``'s values to ``name``.
+    """Single MATLAB statement assigning the values of ``t``, a tensor,
+    view or cursor, to ``name``.
 
     Raises ``ValueError`` unless ``name`` is a MATLAB identifier: an ASCII
-    letter followed by ASCII letters, digits or underscores, at most 63
-    characters in all.
+    letter, then ASCII letters, digits or underscores, at most 63 in all.
     """
     if not _IDENTIFIER.fullmatch(name):
         raise ValueError(
             f"invalid MATLAB name {name!r}: need an ASCII letter, then letters, "
             "digits or underscores, at most 63 characters"
         )
-    shape = t.shape
+    it, values = _in_order(t)
+    shape = it.extents
     n = shape[0]
 
     def literal(block: List[str], dims: int) -> str:
@@ -69,7 +70,6 @@ def emit_tensor(t, name: str) -> str:
         ]
         return f"cat({dims}, " + ", ".join(slices) + ")"
 
-    _, values = _in_order(t)
     return f"{name} = {literal(list(map(format_value, values)), len(shape))};"
 
 

@@ -183,18 +183,20 @@ class DenseTensor(_Strided):
         zero-based multi-index.
 
         If the orders match, this tensor keeps its own layout and offsets
-        (values are layout-converted on copy; the shape is adopted and
-        strides recomputed if the shapes differ).  If the orders differ,
-        layout and offsets are adopted from ``src`` as well.  ``src`` may
-        be a tensor or a view.  Self-assignment is a no-op.
+        and adopts ``src``'s shape.  If they differ, it adopts the layout
+        and offsets of ``src``'s ``meta`` too, or, from a raw cursor, the
+        default layout and zero offsets.  ``src`` may be a tensor, view or
+        cursor.  Self-assignment is a no-op.
         """
         if src is self:
             return
-        if self.order == src.order:
-            meta = TensorMeta(src.shape, self.offsets, self.layout)
+        it = _mit(src)
+        if self.order == it.order:
+            meta = TensorMeta(it.extents, self.offsets, self.layout)
         else:
-            meta = TensorMeta(src.shape, src.offsets, src.layout)
-        self._rewrite(_mit(src), meta)
+            adopt = () if it is src else (src.meta.offsets, src.meta.layout)
+            meta = TensorMeta(it.extents, *adopt)
+        self._rewrite(it, meta)
 
     def relayout(self, new_layout) -> None:
         """Switch to ``new_layout``, physically reordering the buffer so the
@@ -301,9 +303,8 @@ def tensors_equal(a, b) -> bool:
     elements at every zero-based multi-index.
 
     Layout, strides and offsets are deliberately ignored: equality is a
-    statement about the abstract array, not its storage.  Accepts tensors
-    and views alike.
+    statement about the abstract array, not its storage.  Accepts tensors,
+    views and cursors alike.
     """
-    if a.order != b.order or a.shape != b.shape:
-        return False
-    return _equal(_mit(a), _mit(b))
+    ia, ib = _mit(a), _mit(b)
+    return ia.extents == ib.extents and _equal(ia, ib)

@@ -151,7 +151,11 @@ class TensorView(_Strided):
 
     def __init__(self, target: DenseTensor, ranges):
         ranges = tuple(ranges)
-        meta = target.meta
+        try:
+            meta = target.meta
+        except AttributeError:
+            raise TypeError("view target must be a tensor or view, "
+                            f"got {type(target).__name__}") from None
         if len(ranges) != len(meta.shape):
             raise ValueError(
                 f"expected {len(meta.shape)} ranges, got {len(ranges)}"
@@ -197,11 +201,9 @@ def classify_view(v: TensorView) -> str:
     """``"slice"`` if exactly two extents exceed one and each matches its
     target extent, ``"fiber"`` if exactly one extent exceeds one, else
     ``"general"``."""
-    wide = [
-        (nv, nt)
-        for nv, nt in zip(v.shape, v.target.shape)
-        if nv > 1
-    ]
+    if not isinstance(v, TensorView):
+        raise TypeError(f"classify_view needs a TensorView, got {type(v).__name__}")
+    wide = [(nv, nt) for nv, nt in zip(v.shape, v.target.shape) if nv > 1]
     if len(wide) == 2 and all(nv == nt for nv, nt in wide):
         return "slice"
     if len(wide) == 1:

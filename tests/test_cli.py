@@ -271,7 +271,7 @@ class TestVerifyCommand:
     )
     def test_out_of_range_option_is_usage_error(self, capsys, option, value):
         assert exit_code(["verify", option, value]) == 64
-        assert "tensorlib: error: " in capsys.readouterr().err
+        assert "tensorlib verify: error: " in capsys.readouterr().err
 
     def test_unwritable_out_exits_one(self, tmp_path, capsys):
         out = str(tmp_path / "no-such-dir" / "report.txt")
@@ -346,3 +346,17 @@ class TestUsage:
             a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)
         ]
         assert synopsis == set(sub.choices)
+
+    @pytest.mark.parametrize("argv", [
+        ["hopm", "--in", "{t}", "--sweeps", "0"],
+        ["hopm", "--in", "{t}", "--tol", "-1"],
+        ["verify", "--trials", "0"],
+        ["emit", "--in", "{t}", "--name", "1x"],
+    ])
+    def test_out_of_range_values_print_the_subcommands_usage(self, tmp_path, capsys, argv):
+        path = write_tensor(tmp_path / "t.json", iota_tensor((2, 2)))
+        assert exit_code([a.format(t=path) for a in argv]) == 64
+        out, err = capsys.readouterr()
+        usage, error = err.splitlines()[0], err.splitlines()[-1]
+        assert out == "" and usage.startswith(f"usage: tensorlib {argv[0]} [-h] ")
+        assert error.startswith(f"tensorlib {argv[0]}: error: ")

@@ -11,8 +11,9 @@ CALLS = [
     "DenseTensor", "compute_strides", "TensorView", "getitem", "size", "view_size",
     "Range", "materialize",
     "relayout", "reshape", "plan_fibers", "walk_positions", "fill_range_3",
-    "fill_range_1024", "inner_range_3", "inner_range_1024", "copy", "copy_view", "fill",
-    "transform_binary", "compare_ranges", "ContractionSpec", "ttv", "ttm", "ttt",
+    "fill_range_1024", "inner_range_3", "inner_range_1024", "copy", "copy_view",
+    "copy_overlap", "fill", "transform_binary", "compare_ranges", "tensors_equal",
+    "ContractionSpec", "ttv", "ttm", "ttt",
     "ttt_pairs", "outer_product", "times_vectors", "times_matrices", "transpose",
     "read_flat", "randints_625", "contract_outer", "times_matrices_mid",
 ]

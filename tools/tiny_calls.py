@@ -16,8 +16,10 @@ materializing a stepped view, a tensor's ``relayout`` and ``reshape``
 and ``inner_product_range`` on stride-3 ranges of 3 elements and stride-2
 ranges of 1024 (the 1024-element inner product runs backward to index 0
 against a forward unit-stride range), the elementwise ``copy`` (between
-tensors, and from the stepped view), ``fill``, ``transform_binary`` and
-``compare_ranges``, constructing a ``ContractionSpec``, and the
+tensors, from the stepped view, and ``copy_overlap`` between two
+overlapping views of one (4, 4, 2) tensor, which reads its source before
+the first store), ``fill``, ``transform_binary``, ``compare_ranges`` and
+``tensors_equal``, constructing a ``ContractionSpec``, and the
 contractions ``ttv``, ``ttm``, ``ttt``, ``ttt_pairs`` (a q = 2 ttt with a
 (3, 2, 2) operand whose contracted pairs merge into no single fiber on
 either side), ``outer_product``, a ``times_vectors`` and a
@@ -106,6 +108,9 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     short_dot = (stride(short, 0, 3), stride(short, 9, 3), stride(a.data, 0, 1))
     long_dot = (stride(long, 2046, -2), stride(long, -2, -2), stride(long, 1, 1))
     moved = from_memory((3, 4, 2), [k / 3 for k in range(24)])
+    shared = from_memory((4, 4, 2), [k / 5 for k in range(32)])
+    below = tl.TensorView(shared, (tl.Range(0, 2), None, None))
+    above = tl.TensorView(shared, (tl.Range(1, 3), None, None))
     verify = sys.modules[tl.__name__ + ".verify"]
     rng = random.Random(7)
     cube = ([k / 11 for k in range(125)], (5, 5, 5), (0, 1, 2))
@@ -134,9 +139,11 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "inner_range_1024": lambda: inner_product_range(*long_dot, 0.0),
         "copy": lambda: tl.copy(a, b),
         "copy_view": lambda: tl.copy(view, c),
+        "copy_overlap": lambda: tl.copy(below, above),
         "fill": lambda: tl.fill(b, 1.0),
         "transform_binary": lambda: tl.transform_binary(a, b, c, add),
         "compare_ranges": lambda: tl.compare_ranges(a, b),
+        "tensors_equal": lambda: tl.tensors_equal(a, b),
         "ContractionSpec": lambda: tl.ContractionSpec(1, (1, 3, 2), (2, 1)),
         "ttv": lambda: tl.ttv(a, vec, 2),
         "ttm": lambda: tl.ttm(a, mat, 2),
