@@ -96,12 +96,11 @@ def _mit(source) -> MultiIterator:
         _check_raw(source)
         return source
     try:
-        it, meta = source.miter(), source.meta
+        miter, meta = source.miter, source.meta
     except AttributeError:
-        if hasattr(source, "miter") and hasattr(source, "meta"):
-            raise  # raised inside the operand's own code: not masked
         raise TypeError("operand must be a tensor, view or MultiIterator, "
                         f"got {type(source).__name__}") from None
+    it = miter()  # outside the try: an AttributeError in miter() is not masked
     last = it.pos + (meta.size - 1 if type(meta) is TensorMeta else meta.reach)
     if last >= len(it.data):
         raise _outside(it.pos, last, it.data)
