@@ -216,17 +216,17 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         for x, oc in zip(map(k.data.__getitem__, k_pos), k_outs):
             data[oc : oc + len(sf) * w : w] = [v * x for v in sf]
         return out
-    # The reorder keys on the last cursor, the streamed one: consecutive
-    # outputs then read adjacent bound fibers.
-    plan = _plan((MultiIterator(data, 0, s_out, s_ext), sc), reorder=True)
-    n, (wc, ws), starts = plan.length, plan.strides, zip(*plan.starts)
+    # The reorder keys on the cursor that is read, the streamed one:
+    # consecutive outputs then read adjacent bound fibers.
+    plan = _plan((sc, MultiIterator(data, 0, s_out, s_ext)), reorder=True)
+    n, (ws, wc), starts = plan.length, plan.strides, zip(*plan.starts)
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
     packed, step = list(_gather(k.data, k_pos, length, steps[1], offsets[1])), steps[0]
     if len(packed) == 1 and len(offsets[0]) == 1:
         # One packed fiber, one streamed fiber per output (ttv, one-row
         # ttm): each output is one comprehension step over an inline slice.
         (kf,), (first,), span = packed, offsets[0], length * step
-        for pc, ps in starts:
+        for ps, pc in starts:
             lo = ps + first
             data[pc : pc + n * wc : wc] = [
                 sum(map(mul, sdata[p : p + span : step], kf))
@@ -236,7 +236,7 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
     # Each row of outputs gathers its streamed fibers once, one at a time;
     # packed fibers run fastest, so output j of a row is every nk-th value.
     nk = len(packed)
-    for pc, ps in starts:
+    for ps, pc in starts:
         streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])
         values = [sum(map(mul, sf, kf)) for sf in streamed for kf in packed]
         for j, oc in enumerate(k_outs):

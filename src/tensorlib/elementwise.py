@@ -26,10 +26,12 @@ whose result or call sequence depends on it: ``generate``, ``iota``,
 ``compare_ranges``, ``count_matching``, ``quantify``, ``accumulate`` and
 ``inner_product_flat``.  ``copy``, ``fill``, ``transform_unary``,
 ``transform_binary``, ``for_each`` and ``copy_if`` may run their loops in
-any order (they walk the destination's smallest stride innermost), so
-their callables must not depend on call order; ``for_each``'s "mutator" is
-a value-returning function whose result is stored back (Python scalars
-cannot be mutated through references).
+any order: each runs the smallest stride of its first operand innermost
+(the source a write reads, or ``fill``'s and ``for_each``'s one
+operand), so the elements it reads come in memory order whatever the
+destination's layout.  Their callables must not depend on call order;
+``for_each``'s "mutator" is a value-returning function whose result is
+stored back (Python scalars cannot be mutated through references).
 
 Reductions run in iteration order.  ``accumulate`` is a plain left fold,
 ``acc = acc + x``.  ``inner_product_flat`` is ``sum(map(mul, a, b),

@@ -157,7 +157,12 @@ def hopm(
 def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTensor:
     """Tensor with ``B(i_1, .., i_p) = scale * u_1(i_1) * ... * u_p(i_p)``;
     the vectors may be tensors, views or cursors."""
-    if len(vectors) == 0:
+    try:
+        p = len(vectors)
+    except TypeError:
+        raise TypeError("vectors must be a sequence of vectors, "
+                        f"got {type(vectors).__name__}") from None
+    if p == 0:
         raise ValueError("need at least one vector")
     return DenseTensor.from_memory(_lengths(vectors), _rows(scale, vectors))
 
@@ -193,6 +198,8 @@ def residual(a, state: HopmState) -> float:
     of ``a - rank_one_compose(...)`` without the composed tensor, whatever
     the layout of ``a``.  The norm reads the differences in that order.
     """
+    if not isinstance(state, HopmState):
+        raise TypeError(f"state must be a HopmState, got {type(state).__name__}")
     vectors = state.u
     shape = _lengths(vectors)
     it, values = _in_order(a)

@@ -15,8 +15,9 @@ per cursor and a shared length), merging dimensions wherever every cursor
 is contiguous across them, so a kernel can work on whole fibers with slice
 operations.  It only plans.  :func:`check_reach` is the one reach rule
 and ``_check_raw`` the one raw-cursor rule (integer fields, extents >= 0,
-then reach): the kernels apply it where a raw cursor enters (a tensor or
-view takes a constant-time reach test), and :func:`plan_fibers` to each.
+a buffer with a length, then reach): the kernels apply it where a raw
+cursor enters (a tensor or view takes a constant-time reach test), and
+:func:`plan_fibers` to each.
 
 Both iterator types are cheap value objects over a shared buffer;
 dereferencing follows the owning container's single-writer contract.
@@ -229,9 +230,10 @@ def plan_fibers(cursors: Sequence[MultiIterator], reorder: bool = False) -> Fibe
     inside it when ``w[r+1] == w[r] * n[r]`` holds for every cursor.  By
     default the loops keep dimension 1 innermost, so fibers and the
     elements within them come in iteration order (dimension 1 fastest).
-    With ``reorder`` the loops run by increasing stride of the last cursor
-    (the destination), for operations whose result does not depend on
-    visit order.
+    With ``reorder`` the loops run by increasing stride of the first
+    cursor, the one whose elements are read (a write's source), for
+    operations whose result does not depend on visit order: the read
+    walks its buffer in memory order, wherever the writes land.
 
     Raises ``ValueError`` for a field that is no integer or a negative
     extent, ``IndexError`` when some cursor would reach outside its buffer
@@ -257,7 +259,7 @@ def _plan(cursors: Sequence[MultiIterator], reorder: bool = False) -> FiberPlan:
     # Loops as (extent, stride per cursor), innermost first.
     dims = [d for d in zip(extents, zip(*[c.strides for c in cursors])) if d[0] != 1]
     if reorder:
-        dims.sort(key=lambda d: d[1][-1])
+        dims.sort(key=lambda d: d[1][0])
     loops: List[tuple] = []
     for n, ws in dims:
         if loops:
@@ -301,10 +303,15 @@ def _positions(pos: int, strides, extents) -> List[int]:
 
 
 def _check_raw(c: MultiIterator) -> None:
-    """The raw-cursor rule: integer fields, extents >= 0, :func:`check_reach`."""
+    """The raw-cursor rule: integer fields, extents >= 0, a buffer with a
+    length, :func:`check_reach`."""
     _as_indices((c.pos, *c.strides, *c.extents), "cursor position, strides and extents")
     if c.extents and min(c.extents) < 0:
         raise ValueError(f"cursor extents must be nonnegative, got {c.extents}")
+    try:
+        len(c.data)
+    except TypeError:
+        raise TypeError(f"cursor buffer must be a sequence, got {type(c.data).__name__}") from None
     check_reach(c)
 
 

@@ -1,7 +1,9 @@
 """Smoke test of ``tools/bulk_cases.py``: one repetition at extent 4,
 against this same checkout, so every case of the ``bulk`` workload and the
-second-checkout loaders run, and a check that both sides read the same
-element objects.  Nothing is timed against a limit."""
+second-checkout loaders run, a check that ``--only`` times just the
+cases it matches and refuses a pattern that matches none, and a check that
+both sides read the same element objects.  Nothing is timed against a
+limit."""
 
 import importlib.util
 import subprocess
@@ -27,6 +29,21 @@ def test_prints_every_bulk_case_with_both_columns_and_the_ratio():
         this_ms, against_ms, ratio = map(float, row.split()[1:])
         assert this_ms > 0 and against_ms > 0 and ratio > 0
     assert last.split()[:2] == ["geometric", "mean"] and float(last.split()[2]) > 0
+
+
+def test_only_times_the_matching_cases():
+    cmd = [sys.executable, str(ROOT / "tools" / "bulk_cases.py"),
+           "--n", "4", "--reps", "1", "--against", str(ROOT)]
+    proc = subprocess.run(cmd + ["--only", r"^transpose\."],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:-1]
+    assert [row.split()[0] for row in rows] == [
+        "transpose.first", "transpose.last", "transpose.view"]
+    proc = subprocess.run(cmd + ["--only", "no such case"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--only 'no such case' matches no case" in proc.stderr
 
 
 def test_both_sides_read_the_same_element_objects():

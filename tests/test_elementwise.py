@@ -36,8 +36,9 @@ from tensorlib import (
     zero_indices,
 )
 from tensorlib.contraction import frobenius_norm
+import tensorlib.elementwise as ew
 from tensorlib.elementwise import _fibers
-from tensorlib.iterators import plan_fibers
+from tensorlib.iterators import _plan, plan_fibers
 
 from conftest import rand_dense, rand_operand, read_box
 
@@ -186,6 +187,53 @@ class TestCopy:
         copy_if(src, dst, lambda v: v > 0)
         got = read_box(dst)
         assert all(got[i] == (bs[i] if bs[i] > 0 else bd[i]) for i in bs)
+
+
+def iota_dense(shape, layout=None):
+    t = DenseTensor(shape, layout=layout)
+    iota(t)
+    return t
+
+
+LAST = (3, 2, 1)
+
+# (write, its source, the write of that source): each (4, 3, 2) write reads
+# a source whose layout differs from its destination's.
+SOURCE_KEYED = [
+    ("copy", lambda: iota_dense((4, 3, 2)),
+     lambda s: copy(s, DenseTensor(s.shape, layout=LAST))),
+    ("copy_if", lambda: iota_dense((4, 3, 2)),
+     lambda s: copy_if(s, DenseTensor(s.shape, layout=LAST), bool)),
+    ("transform_unary", lambda: iota_dense((4, 3, 2)),
+     lambda s: transform_unary(s, DenseTensor(s.shape, layout=LAST), abs)),
+    ("transform_binary", lambda: iota_dense((4, 3, 2)),
+     lambda s: transform_binary(s, s, DenseTensor(s.shape, layout=LAST), add)),
+    ("relayout", lambda: iota_dense((4, 3, 2)), lambda s: s.relayout(LAST)),
+    ("assign", lambda: iota_dense((4, 3, 2)),
+     lambda s: DenseTensor(s.shape, layout=LAST).assign(s)),
+    ("materialize", lambda: iota_dense((4, 3, 2), LAST).view([None] * 3),
+     lambda s: s.materialize()),
+    ("transpose", lambda: iota_dense((2, 3, 4)), lambda s: transpose(s, (3, 2, 1))),
+]
+
+
+@pytest.mark.parametrize("name, source, write", SOURCE_KEYED, ids=[c[0] for c in SOURCE_KEYED])
+def test_writes_plan_with_their_source_first(monkeypatch, name, source, write):
+    # The reorder keys on the first cursor, so the source is read in
+    # stride-1 fibers (keyed on the destination it read stride-12 or
+    # stride-6 ones).
+    src = source()
+    data = src.miter().data
+    plans = []
+
+    def spy(cursors, reorder=False):
+        plan = _plan(cursors, reorder)
+        plans.append((cursors[0].data is data, reorder, plan.strides[0]))
+        return plan
+
+    monkeypatch.setattr(ew, "_plan", spy)
+    write(src)
+    assert plans == [(True, True, 1)]
 
 
 class TestFillGenerateIota:

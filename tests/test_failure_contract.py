@@ -1,6 +1,8 @@
 """The failure contract for operands: every operand parameter of every
-public name rejects a non-operand with the door's one ``TypeError``, and
-no ``AttributeError`` escapes from inside the library.
+public name rejects a non-operand with the door's one ``TypeError``, an
+argument read before the door (``residual``'s state, a sequence of
+vectors, a raw cursor's buffer) raises a ``TypeError`` naming it, and no
+``AttributeError`` escapes from inside the library.
 
 Each row is one operand parameter, crossed with the same five
 non-operands.  The names that take no operand are listed with a reason,
@@ -16,6 +18,7 @@ from tensorlib import (
     ContractionSpec,
     DenseTensor,
     MatlabScript,
+    MultiIterator,
     TensorMeta,
     TensorView,
     accumulate,
@@ -132,6 +135,21 @@ OWN_ROWS = [
      "walk_positions needs a MultiIterator, got "),
     ("TensorView", "target", lambda x: TensorView(x, [None]),
      "view target must be a tensor or view, got "),
+    ("residual", "state", lambda x: residual(cube(), x),
+     "state must be a HopmState, got "),
+]
+
+# Arguments whose length is read before anything else of them, crossed
+# with values that have none: each raises a TypeError naming the argument
+# (a string or list has a length and meets the door's TypeError instead).
+UNSIZED = [2.0, None, 5, object()]
+SIZED_ROWS = [
+    ("rank_one_compose", "vectors", lambda x: rank_one_compose(1.0, x),
+     "vectors must be a sequence of vectors, got "),
+    ("fill", "dst.data", lambda x: fill(MultiIterator(x, 0, (1,), (3,)), 1.0),
+     "cursor buffer must be a sequence, got "),
+    ("fill", "empty dst.data", lambda x: fill(MultiIterator(x, 0, (1,), (0,)), 1.0),
+     "cursor buffer must be a sequence, got "),
 ]
 
 NO_OPERAND = {
@@ -172,6 +190,13 @@ def test_a_non_operand_raises_the_doors_type_error(row, bad):
 @pytest.mark.parametrize("bad", NON_OPERANDS, ids=lambda v: type(v).__name__)
 @pytest.mark.parametrize("row", OWN_ROWS, ids=row_id)
 def test_a_single_kind_parameter_raises_its_own_type_error(row, bad):
+    with pytest.raises(TypeError, match=row[3] + type(bad).__name__ + "$"):
+        row[2](bad)
+
+
+@pytest.mark.parametrize("bad", UNSIZED, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("row", SIZED_ROWS, ids=row_id)
+def test_an_argument_without_a_length_raises_a_type_error_naming_it(row, bad):
     with pytest.raises(TypeError, match=row[3] + type(bad).__name__ + "$"):
         row[2](bad)
 

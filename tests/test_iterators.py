@@ -568,11 +568,13 @@ class TestPlanner:
         plan = plan_fibers((DenseTensor((4, 3, 2)).miter(),))
         assert (plan.length, plan.strides, plan.starts) == (24, (1,), ([0],))
 
-    def test_reorder_walks_destination_stride_innermost(self):
+    def test_reorder_walks_source_stride_innermost(self):
+        # The first cursor, the one a write reads, keys the reorder.
         src = DenseTensor((4, 3), layout=(1, 2)).miter()
         dst = DenseTensor((4, 3), layout=(2, 1)).miter()
         plan = plan_fibers((src, dst), reorder=True)
-        assert (plan.length, plan.strides) == (3, (4, 1))
+        assert (plan.length, plan.strides) == (4, (1, 3))
+        assert plan_fibers((dst, src), reorder=True).strides == (1, 4)
         assert plan_fibers((src, dst)).strides == (1, 3)
 
     def test_reach_below_buffer(self):

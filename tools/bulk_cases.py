@@ -3,6 +3,7 @@
 Usage, from anywhere::
 
     python3 tools/bulk_cases.py --against DIR [--n N] [--reps R] [--seed S]
+                                [--only REGEX]
 
 Builds the ``bulk`` workload (``perfbench/workloads.py``'s ``Bulk``: single
 kernel calls on order-3 operands of extent ``N`` at first-order layout,
@@ -19,7 +20,9 @@ first call is slower than the rest (a first ``fill`` also frees the
 previous contents) gets shorter samples.  Both sides use the same k.
 Every output is checked after its call's clock stops; a wrong output
 ends the script with exit status 1.  Nothing under ``perfbench/`` is
-changed.
+changed.  ``--only`` times just the cases whose names (``copy.last``,
+say) the regular expression matches, so a claim about a few cases can
+take more repetitions of them in the same time.
 
 Loading, sampling and the report are ``tools/tiny_calls.py``'s, in
 milliseconds per call; a last line adds the geometric mean of the
@@ -31,6 +34,7 @@ from __future__ import annotations
 import argparse
 import importlib
 import math
+import re
 import statistics
 import sys
 import time
@@ -132,12 +136,21 @@ def main(argv=None) -> int:
     parser.add_argument("--n", type=int, default=64, help="operand extent")
     parser.add_argument("--reps", type=int, default=5)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--only", default="", metavar="REGEX",
+                        help="time only the cases whose names this matches")
     args = parser.parse_args(argv)
     if args.reps < 1 or args.n < 1:
         parser.error("--reps and --n must be >= 1")
+    try:
+        only = re.compile(args.only)
+    except re.error as e:
+        parser.error(f"--only {args.only!r}: {e}")
     checkouts = ((HERE.parent, "this"), (args.against.resolve(), "against"))
     sides = build(checkouts, args.n, args.seed)
-    samples = sample_bulk([bulk.ops for bulk in sides], args.reps)
+    ops = [[op for op in bulk.ops if only.search(op.kind)] for bulk in sides]
+    if not ops[0]:
+        parser.error(f"--only {args.only!r} matches no case")
+    samples = sample_bulk(ops, args.reps)
     geomean = math.exp(statistics.fmean(math.log(ratio(runs)) for runs in samples.values()))
     table = report(samples, "case", "ms")
     print(table, "geometric mean" + f"{geomean:.3f}".rjust(table.index("\n") - 14), sep="\n")
