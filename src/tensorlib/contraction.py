@@ -76,7 +76,7 @@ from typing import Iterable, Sequence, Tuple
 
 from .elementwise import _in_order, _mit, _values, inner_product_flat
 from .iterators import MultiIterator, _plan, _positions
-from .layout import _as_indices, _index, _permutation
+from .layout import _as_indices, _index, _listed, _permutation
 from .tensor import DenseTensor, _materialize
 
 __all__ = [
@@ -451,7 +451,7 @@ def times_vectors(a, vectors, modes=None, skip=None) -> DenseTensor:
     p = it.order
     if (modes is None) == (skip is None):
         raise ValueError("provide exactly one of modes or skip")
-    vectors = list(vectors)
+    vectors = _listed(vectors, "vectors", "vectors")
     if skip is not None:
         (skip,) = _as_indices((skip,), "skip")
         _index(skip, "skip mode", 1, p)
@@ -472,4 +472,5 @@ def times_matrices(a, matrices, modes) -> DenseTensor:
             _mode(it, m + 1, "ttm")
         return _matrix_mit(bmat, it.extents[m], m)
 
-    return _chain(it, list(matrices), modes, "times_matrices", check)
+    matrices = _listed(matrices, "matrices", "matrices")
+    return _chain(it, matrices, modes, "times_matrices", check)

@@ -33,13 +33,12 @@ Real (floating-point) elements only; norms need square roots.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from itertools import islice
-from math import inf
+from math import dist, inf
 from typing import List, Optional, Sequence
 
-from .contraction import frobenius_norm, times_vectors, ttv
+from .contraction import _NORM_CHUNK, frobenius_norm, times_vectors, ttv
 from .elementwise import _in_order, _mit
-from .layout import _index
+from .layout import _index, _listed
 from .tensor import DenseTensor
 
 __all__ = ["DegenerateInputError", "HopmState", "hopm", "rank_one_compose", "residual"]
@@ -111,7 +110,7 @@ def hopm(
     if u0 is None:
         u = [DenseTensor.from_memory((n,), [n ** -0.5] * n) for n in shape]
     else:
-        u = list(u0)
+        u = _listed(u0, "u0", "vectors")
         if len(u) != p:
             raise ValueError(f"expected {p} start vectors, got {len(u)}")
         for r, (v, n) in enumerate(zip(u, shape), start=1):
@@ -157,12 +156,8 @@ def hopm(
 def rank_one_compose(scale: float, vectors: Sequence[DenseTensor]) -> DenseTensor:
     """Tensor with ``B(i_1, .., i_p) = scale * u_1(i_1) * ... * u_p(i_p)``;
     the vectors may be tensors, views or cursors."""
-    try:
-        p = len(vectors)
-    except TypeError:
-        raise TypeError("vectors must be a sequence of vectors, "
-                        f"got {type(vectors).__name__}") from None
-    if p == 0:
+    vectors = _listed(vectors, "vectors", "vectors")
+    if not vectors:
         raise ValueError("need at least one vector")
     return DenseTensor.from_memory(_lengths(vectors), _rows(scale, vectors))
 
@@ -188,15 +183,21 @@ def _rows(scale: float, vectors: Sequence[DenseTensor]) -> list:
 
 
 def residual(a, state: HopmState) -> float:
-    """``||a - rank_one_compose(state.scale, state.u)||_F``, in one pass;
-    ``a`` may be a tensor, view or cursor.
+    """``||a - rank_one_compose(state.scale, state.u)||_F``; ``a`` may be a
+    tensor, view or cursor.
 
-    The rows ``scale * u_1 o ... o u_{p-1}`` are built by ``_rows``, as in
-    :func:`rank_one_compose` (n^(p-1) elements for extents n); each
-    element of the last vector then scales them against the next row of
-    ``a``'s elements in iteration order, so every difference has the bits
-    of ``a - rank_one_compose(...)`` without the composed tensor, whatever
-    the layout of ``a``.  The norm reads the differences in that order.
+    ``a``'s elements are read once in iteration order (the buffer itself
+    where it is read in place), and the composed values
+    ``scale * u_1 o ... o u_p`` are built by ``_rows``, as in
+    :func:`rank_one_compose`, as one list in the same order.  Each
+    4096-element run of the two lists gives ``math.dist`` of its slices,
+    which subtracts in C and passes the differences of
+    ``a - rank_one_compose(...)`` to the same norm as ``math.hypot``.  The
+    residual is :func:`frobenius_norm` of the run distances, which groups
+    them by 4096 as it groups any vector: up to 4096 runs (2^24 elements)
+    that is the Frobenius norm of ``a - rank_one_compose(...)`` bit for
+    bit, whatever the layout of ``a``; beyond, the run norms are combined
+    4096 at a time.
     """
     if not isinstance(state, HopmState):
         raise TypeError(f"state must be a HopmState, got {type(state).__name__}")
@@ -205,11 +206,9 @@ def residual(a, state: HopmState) -> float:
     it, values = _in_order(a)
     if it.extents != shape:
         raise ValueError(f"shape mismatch: {shape} vs {it.extents}")
-    rows = _rows(state.l[-1], vectors[:-1])
-    values, m = iter(values), len(rows)
-    diff = [
-        v - y * x
-        for x in _in_order(vectors[-1])[1]
-        for v, y in zip(islice(values, m), rows)
-    ]
-    return frobenius_norm(DenseTensor.from_memory((len(diff),), diff))
+    if not isinstance(values, list):
+        values = list(values)
+    composed = _rows(state.l[-1], vectors)
+    n = _NORM_CHUNK
+    runs = [dist(values[i : i + n], composed[i : i + n]) for i in range(0, len(values), n)]
+    return frobenius_norm(DenseTensor.from_memory((len(runs),), runs))

@@ -86,6 +86,18 @@ def _index(value, name: str, lo: int, hi=None, error=ValueError) -> int:
     return value
 
 
+def _listed(values, name: str, what: str) -> list:
+    """The items of the iterable ``values`` as a list; ``TypeError`` naming
+    ``name`` when it is not iterable.  The rule of every argument that is a
+    sequence of operands."""
+    try:
+        values = iter(values)
+    except TypeError:
+        raise TypeError(f"{name} must be a sequence of {what}, "
+                        f"got {type(values).__name__}") from None
+    return list(values)
+
+
 def validate_shape(extents: Iterable[int]) -> Tuple[int, ...]:
     """Normalize and check a shape tuple.
 

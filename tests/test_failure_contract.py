@@ -1,7 +1,8 @@
 """The failure contract for operands: every operand parameter of every
 public name rejects a non-operand with the door's one ``TypeError``, an
 argument read before the door (``residual``'s state, a sequence of
-vectors, a raw cursor's buffer) raises a ``TypeError`` naming it, and no
+vectors or matrices, ``hopm``'s start vectors, a raw cursor's buffer)
+raises a ``TypeError`` naming it, and no
 ``AttributeError`` escapes from inside the library.
 
 Each row is one operand parameter, crossed with the same five
@@ -139,13 +140,18 @@ OWN_ROWS = [
      "state must be a HopmState, got "),
 ]
 
-# Arguments whose length is read before anything else of them, crossed
-# with values that have none: each raises a TypeError naming the argument
-# (a string or list has a length and meets the door's TypeError instead).
+# Sequence arguments (operand lists, a raw cursor's buffer), read before
+# anything else of them, crossed with values that have no length and no
+# items: each raises a TypeError naming the argument (a string or list has
+# both and meets the door's TypeError instead).
 UNSIZED = [2.0, None, 5, object()]
 SIZED_ROWS = [
     ("rank_one_compose", "vectors", lambda x: rank_one_compose(1.0, x),
      "vectors must be a sequence of vectors, got "),
+    ("times_vectors", "vectors", lambda x: times_vectors(cube(), x, (1,)),
+     "vectors must be a sequence of vectors, got "),
+    ("times_matrices", "matrices", lambda x: times_matrices(cube(), x, (1,)),
+     "matrices must be a sequence of matrices, got "),
     ("fill", "dst.data", lambda x: fill(MultiIterator(x, 0, (1,), (3,)), 1.0),
      "cursor buffer must be a sequence, got "),
     ("fill", "empty dst.data", lambda x: fill(MultiIterator(x, 0, (1,), (0,)), 1.0),
@@ -199,6 +205,15 @@ def test_a_single_kind_parameter_raises_its_own_type_error(row, bad):
 def test_an_argument_without_a_length_raises_a_type_error_naming_it(row, bad):
     with pytest.raises(TypeError, match=row[3] + type(bad).__name__ + "$"):
         row[2](bad)
+
+
+# None is u0's default, the normalized all-ones start.
+@pytest.mark.parametrize("bad", [x for x in UNSIZED if x is not None],
+                         ids=lambda v: type(v).__name__)
+def test_hopm_u0_without_a_length_raises_a_type_error_naming_it(bad):
+    with pytest.raises(TypeError, match="u0 must be a sequence of vectors, got "
+                       + type(bad).__name__ + "$"):
+        hopm(cube(), u0=bad)
 
 
 def test_classify_view_of_a_tensor_names_tensor_view():

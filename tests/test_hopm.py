@@ -3,7 +3,7 @@ import random
 import re
 import sys
 import tracemalloc
-from math import inf, prod, sqrt
+from math import hypot, inf, nan, prod, sqrt
 from operator import sub
 
 import pytest
@@ -12,6 +12,7 @@ from tensorlib import (
     DegenerateInputError,
     DenseTensor,
     HopmState,
+    MultiIterator,
     Range,
     copy,
     frobenius_norm,
@@ -245,6 +246,14 @@ class TestVectorsOnly:
             residual(a, state)
 
 
+def reference_residual(a, state):
+    """``a - rank_one_compose(...)`` by ``transform_binary``, then its
+    Frobenius norm."""
+    diff = rank_one_compose(state.l[-1], state.u)
+    transform_binary(a, diff, diff, sub)
+    return frobenius_norm(diff)
+
+
 class TestResidual:
     def test_exact_fit_is_tiny(self):
         rng = random.Random(9)
@@ -270,26 +279,79 @@ class TestResidual:
         values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(prod(shape))]
         for a in four_layouts(shape, values):
             state = hopm(a, max_sweeps=2)
-            diff = rank_one_compose(state.l[-1], state.u)
-            transform_binary(a, diff, diff, sub)
-            assert residual(a, state).hex() == frobenius_norm(diff).hex()
+            assert residual(a, state).hex() == reference_residual(a, state).hex()
             assert residual(a, state).hex() == residual(four_layouts(shape, values)[0], state).hex()
 
+    @pytest.mark.parametrize("kind", ["float", "int"])
+    @pytest.mark.parametrize("shape", [(17, 16, 16), (20, 20, 20)])
+    def test_bits_across_run_boundaries(self, shape, kind):
+        # 4352 and 8000 elements: one full 4096-element run and a partial
+        # one, at four layouts and as a raw cursor walking a reversed
+        # buffer backward.
+        rng = random.Random(sum(shape) + len(kind))
+        if kind == "int":
+            values = [rng.randint(-9, 9) for _ in range(prod(shape))]
+        else:
+            values = [rng.uniform(-1, 1) * 10.0 ** rng.randint(-3, 3) for _ in range(prod(shape))]
+        layouts = four_layouts(shape, values)
+        backward = MultiIterator(values[::-1], len(values) - 1,
+                                 [-s for s in layouts[0].strides], shape)
+        state = hopm(layouts[0], max_sweeps=1)
+        want = reference_residual(layouts[0], state).hex()
+        for a in (*layouts, backward):
+            assert residual(a, state).hex() == want
+
+    @pytest.mark.parametrize("bad, want", [({4100: inf}, "inf"), ({4100: nan}, "nan"),
+                                           ({7: nan, 4100: -inf}, "inf")],
+                             ids=["inf", "nan", "nan_and_inf"])
+    def test_non_finite_elements(self, bad, want):
+        rng = random.Random(22)
+        shape = (17, 16, 16)
+        values = [rng.uniform(-1, 1) for _ in range(prod(shape))]
+        state = hopm(DenseTensor.from_memory(shape, values), max_sweeps=1)
+        for k, x in bad.items():
+            values[k] = x
+        layouts = four_layouts(shape, values)
+        assert reference_residual(layouts[0], state).hex() == want
+        for a in layouts:
+            assert residual(a, state).hex() == want
+
+    def test_run_norms_group_by_4096_beyond_4096_runs(self, monkeypatch):
+        # Runs of 2 over 8381 elements give 4191 run norms, the last of one
+        # element; frobenius_norm combines the first 4096 and the other 95.
+        monkeypatch.setattr(hopm_module, "_NORM_CHUNK", 2)
+        rng = random.Random(23)
+        shape = (17, 17, 29)
+        values = [rng.uniform(-1, 1) for _ in range(prod(shape))]
+        layouts = four_layouts(shape, values)
+        state = hopm(layouts[0], max_sweeps=1)
+        diff = rank_one_compose(state.l[-1], state.u)
+        transform_binary(layouts[0], diff, diff, sub)
+        runs = [hypot(*diff.data[i : i + 2]) for i in range(0, len(diff.data), 2)]
+        assert len(runs) == 4191
+        want = hypot(hypot(*runs[:4096]), hypot(*runs[4096:]))
+        for a in layouts:
+            assert residual(a, state).hex() == want.hex()
+
     def test_peak_memory_holds_one_difference_per_element(self):
-        # The differences are the one n^3 list: no composed tensor beside it.
+        # The composed values are the one new n^3 list of floats, with no
+        # composed tensor or list of differences beside it; a last-order
+        # tensor, not read in place, adds one list of references.
         rng = random.Random(12)
         shape = (32, 32, 32)
-        a = DenseTensor.from_memory(shape, [rng.uniform(-1, 1) for _ in range(32 ** 3)])
+        values = [rng.uniform(-1, 1) for _ in range(32 ** 3)]
         state = HopmState(u=[unit_vector(rng, n) for n in shape], l=[1.0] * 3,
                           sweeps=1, converged=False)
-        buffer = sys.getsizeof(a.data) + sum(map(sys.getsizeof, a.data))
-        tracemalloc.start()
-        try:
-            residual(a, state)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 1.5 * buffer
+        for layout in ((1, 2, 3), (3, 2, 1)):
+            a = DenseTensor.from_memory(shape, values, layout=layout)
+            buffer = sys.getsizeof(a.data) + sum(map(sys.getsizeof, a.data))
+            tracemalloc.start()
+            try:
+                residual(a, state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 1.5 * buffer, layout
 
     def test_shape_mismatch_raises(self):
         rng = random.Random(11)

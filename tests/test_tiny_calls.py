@@ -1,6 +1,7 @@
 """Smoke test of ``tools/tiny_calls.py``: one repetition of one call each,
 against this same checkout, so every case and the second-checkout loader
-run.  Nothing is timed against a limit."""
+run, and a check that ``--only`` times just the calls it matches and
+refuses a pattern that matches none.  Nothing is timed against a limit."""
 
 import subprocess
 import sys
@@ -15,7 +16,7 @@ CALLS = [
     "copy_overlap", "fill", "transform_binary", "compare_ranges", "tensors_equal",
     "ContractionSpec", "ttv", "ttm", "ttt",
     "ttt_pairs", "outer_product", "times_vectors", "times_matrices", "transpose",
-    "read_flat", "randints_625", "contract_outer", "times_matrices_mid",
+    "read_flat", "randints_625", "contract_outer", "times_matrices_mid", "residual_mid",
 ]
 
 
@@ -30,3 +31,16 @@ def test_prints_every_call_with_both_columns_and_the_ratio():
     for row in rows:
         this_us, against_us, ratio = map(float, row.split()[1:])
         assert this_us > 0 and against_us > 0 and ratio > 0
+
+
+def test_only_times_the_matching_calls():
+    cmd = [sys.executable, str(ROOT / "tools" / "tiny_calls.py"),
+           "--reps", "1", "--number", "1", "--against", str(ROOT)]
+    proc = subprocess.run(cmd + ["--only", "_mid$"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    rows = proc.stdout.splitlines()[1:]
+    assert [row.split()[0] for row in rows] == ["times_matrices_mid", "residual_mid"]
+    proc = subprocess.run(cmd + ["--only", "no such call"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "--only 'no such call' matches no case" in proc.stderr

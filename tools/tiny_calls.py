@@ -4,6 +4,7 @@ and the A/B harness both in-process timers share.
 Usage, from anywhere::
 
     python3 tools/tiny_calls.py [--against DIR] [--reps R] [--number N]
+                                [--only REGEX]
 
 Times the calls the randomized oracle makes most, each on (3, 4, 2)
 operands: constructing a ``DenseTensor``, deriving last-order strides
@@ -29,8 +30,12 @@ time the oracle's own work at the size of its slowest trials:
 ``randints_625`` draws 625 elements in [-9, 9] with ``verify._randints``,
 ``contract_outer`` is the label oracle's (5, 5, 5) x (5, 5) outer
 product, and ``times_matrices_mid`` applies four 5 x 5 matrices to a
-stepped 5^4 view.  Each figure is the minimum, over ``R`` repetitions, of
-the mean time of ``N`` back-to-back calls, in microseconds per call.
+stepped 5^4 view.  ``residual_mid`` is the HOPM residual of a last-order
+(17, 16, 16) tensor, two 4096-element runs, against its one-sweep state.
+Each figure is the minimum, over ``R`` repetitions, of the mean time of
+``N`` back-to-back calls, in microseconds per call.  ``--only`` times just
+the calls whose names the regular expression matches, so that one row can
+take more repetitions in the same time.
 
 The library timed is this checkout's ``src/tensorlib``.  With
 ``--against DIR`` the ``src/tensorlib`` of a second checkout is loaded
@@ -51,6 +56,7 @@ import argparse
 import gc
 import importlib.util
 import random
+import re
 import statistics
 import sys
 import time
@@ -120,6 +126,9 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
     ranges4 = (tl.Range(1, 2, 9), None, tl.Range(0, 1, 4), None)
     view4 = tl.TensorView(parent4, ranges4)
     squares = [from_memory((5, 5), [(k + j) / 7 for k in range(25)]) for j in range(4)]
+    mid = from_memory((17, 16, 16), [(k % 29) / 7 - 2.0 for k in range(17 * 16 * 16)],
+                      layout=(3, 2, 1))
+    mid_state = tl.hopm(mid, max_sweeps=1)
     return {
         "DenseTensor": lambda: tl.DenseTensor((3, 4, 2)),
         "compute_strides": lambda: tl.compute_strides((3, 4, 2), (3, 2, 1)),
@@ -157,6 +166,7 @@ def cases(tl: ModuleType) -> Dict[str, Callable[[], object]]:
         "randints_625": lambda: verify._randints(rng, -9, 9, 625),
         "contract_outer": lambda: verify.contract(range(5), (), cube, square),
         "times_matrices_mid": lambda: tl.times_matrices(view4, squares, (1, 2, 3, 4)),
+        "residual_mid": lambda: tl.residual(mid, mid_state),
     }
 
 
@@ -204,13 +214,22 @@ def main(argv=None) -> int:
     parser.add_argument("--against", type=Path, help="checkout to compare with")
     parser.add_argument("--reps", type=int, default=60)
     parser.add_argument("--number", type=int, default=100)
+    parser.add_argument("--only", default="", metavar="REGEX",
+                        help="time only the calls whose names this matches")
     args = parser.parse_args(argv)
     if args.reps < 1 or args.number < 1:
         parser.error("--reps and --number must be >= 1")
+    try:
+        only = re.compile(args.only)
+    except re.error as e:
+        parser.error(f"--only {args.only!r}: {e}")
     libs = [load(HERE, "tensorlib")]
     if args.against is not None:
         libs.append(load(args.against.resolve(), "tensorlib_against"))
     suites = [cases(tl) for tl in libs]
+    names = [name for name in suites[0] if only.search(name)]
+    if not names:
+        parser.error(f"--only {args.only!r} matches no case")
 
     def sample(k: int, name: str) -> float:
         """µs per call, the mean of ``--number`` back-to-back calls."""
@@ -220,7 +239,7 @@ def main(argv=None) -> int:
             fn()
         return (clock() - t0) / args.number * 1e6
 
-    print(report(measure(suites[0], len(suites), args.reps, sample), "call", "us"))
+    print(report(measure(names, len(suites), args.reps, sample), "call", "us"))
     return 0
 
 
