@@ -23,15 +23,27 @@ no single fiber.  With one packed fiber and one streamed fiber per output
 comprehension step over the inline slice ``data[p : p + span : step]``;
 every other step (ttm with more rows, every ``times_matrices`` step, most
 ttt specs) reads each row of outputs' streamed elements through
-``_gather`` too, one fiber at a time.  Packing B exchanges the operands,
-which changes no bit: int and float products commute exactly.  ttm
-places B's row dimension at ``mode`` through the output strides, so no
-transpose follows.  Besides the output, the engine holds the packed
-fibers, one streamed fiber and one row's values.  Every operand takes
-its cursor from :func:`~tensorlib.elementwise._mit`, which checks once
-per call that it stays inside its buffer (``IndexError`` before anything
-is written; the ``times_*`` chains check every vector or matrix before
-their first step); the engine checks nothing again.
+``_gather`` too, one fiber at a time.  The read rule has one exception:
+where each streamed fiber is one slice whose elements lie at least 4096
+slots (32 KiB of list pointers) apart, and consecutive streamed fibers
+lie nearer than that, the gathered loop reads them through
+:func:`~tensorlib.iterators._tiles` instead (read one fiber at a time,
+each element of such a fiber lies on a cache line and a memory page of
+its own).  That reader takes at most 4096 elements at a time, one slice
+across a tile's fibers per fiber element, and transposes them by ``zip``
+into one tuple per fiber with its elements in their own order, so every
+sum sees the same elements in the same order and only the memory order
+of the reads changes.  A tile must hold two fibers, so longer fibers are
+sliced one at a time.  Packing B exchanges the operands, which changes no
+bit: int and float products commute exactly.  ttm places B's row
+dimension at ``mode`` through the output strides, so no transpose
+follows.  Besides the output, the engine holds the packed fibers, one
+streamed fiber (or, where it reads in tiles, one tile of at most 4096
+references and the tuple of one fiber) and one row's values.  Every
+operand takes its cursor from :func:`~tensorlib.elementwise._mit`, which
+checks once per call that it stays inside its buffer (``IndexError``
+before anything is written; the ``times_*`` chains check every vector or
+matrix before their first step); the engine checks nothing again.
 
 Every output element sums its bound elements in ascending index order,
 with the last contracted pair fastest, left to right from 0, through the
@@ -75,7 +87,7 @@ from operator import mul
 from typing import Iterable, Sequence, Tuple
 
 from .elementwise import _in_order, _mit, _values, inner_product_flat
-from .iterators import MultiIterator, _plan, _positions
+from .iterators import _TILE, MultiIterator, _plan, _positions, _tiled, _tiles
 from .layout import _as_indices, _index, _listed, _permutation
 from .tensor import DenseTensor, _materialize
 
@@ -222,7 +234,10 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
     n, (ws, wc), starts = plan.length, plan.strides, zip(*plan.starts)
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
     packed, step = list(_gather(k.data, k_pos, length, steps[1], offsets[1])), steps[0]
-    if len(packed) == 1 and len(offsets[0]) == 1:
+    # Streamed fibers that are one slice each but far-strided are read in
+    # tiles, by the gathered loop below.
+    tiled = step >= _TILE and len(offsets[0]) == 1 and _tiled(n, ws, length, step)
+    if len(packed) == 1 and len(offsets[0]) == 1 and not tiled:
         # One packed fiber, one streamed fiber per output (ttv, one-row
         # ttm): each output is one comprehension step over an inline slice.
         (kf,), (first,), span = packed, offsets[0], length * step
@@ -233,11 +248,15 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
                 for p in range(lo, lo + n * ws, ws)
             ]
         return out
-    # Each row of outputs gathers its streamed fibers once, one at a time;
-    # packed fibers run fastest, so output j of a row is every nk-th value.
+    # Each row of outputs gathers its streamed fibers once, one at a time
+    # (or one tile at a time); packed fibers run fastest, so output j of a
+    # row is every nk-th value.
     nk = len(packed)
     for ps, pc in starts:
-        streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])
+        if tiled:
+            streamed = _tiles(sdata, ps + offsets[0][0], n, ws, length, step)
+        else:
+            streamed = _gather(sdata, range(ps, ps + n * ws, ws), length, step, offsets[0])
         values = [sum(map(mul, sf, kf)) for sf in streamed for kf in packed]
         for j, oc in enumerate(k_outs):
             data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]

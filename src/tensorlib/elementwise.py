@@ -17,7 +17,15 @@ A fiber is read as a list slice, except that an operand whose plan is one
 stride-1 fiber as long as its buffer is read in place, as the buffer
 itself.  Multi-operand operations plan all cursors jointly, so combined
 elements share a zero-based multi-index.  Comparisons decide equality
-with one pass of ``!=`` and count positions only when some differ.
+with one pass of ``!=`` and count positions only when some differ.  That
+flag pass (``tensors_equal``, and ``compare_ranges`` before it looks for
+the first mismatch) may visit fibers in any order: where an operand's
+fibers are far-strided (elements 4096 or more slots apart) while another
+of its dimensions is near, the fibers are visited in runs along that
+dimension and that operand is read in tiles by
+:func:`~tensorlib.iterators._tiles`, as the contraction engine reads
+such fibers.  Each ``!=`` compares the same pair as before; the search
+for the first mismatch keeps iteration order.
 
 Iteration order is dimension p outermost, dimension 1 innermost, by
 dimension number, not storage precedence.  It is kept by every operation
@@ -54,7 +62,9 @@ from itertools import chain, compress, count, repeat
 from operator import add, eq, itemgetter, mul, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
-from .iterators import FiberPlan, MultiIterator, _check_raw, _outside, _plan
+from .iterators import (
+    _TILE, FiberPlan, MultiIterator, _check_raw, _outside, _plan, _tiled, _tiles,
+)
 from .layout import TensorMeta
 
 __all__ = [
@@ -172,8 +182,55 @@ def _differs(plan: FiberPlan, ia: MultiIterator, ib: MultiIterator) -> Iterator[
     return map(ne, _values(plan, 0, ia), _values(plan, 1, ib))
 
 
-def _equal(ia: MultiIterator, ib: MultiIterator) -> bool:
-    return not any(_differs(_plan((ia, ib)), ia, ib))
+def _equal(ia: MultiIterator, ib: MultiIterator, plan: Optional[FiberPlan] = None) -> bool:
+    """No element pair of ``ia`` and ``ib`` differs: one pass of ``!=``
+    over their joint plan ``plan`` (made here if None), in any fiber order.
+    Where :func:`_runs` finds a far-strided operand, the fibers come in
+    runs along its near dimension, and each operand whose runs
+    :func:`~tensorlib.iterators._tiled` accepts is read in tiles."""
+    if plan is None:
+        plan = _plan((ia, ib))
+    sa, sb = plan.strides
+    runs = (sa >= _TILE or sb >= _TILE) and _runs(plan, (ia, ib))
+    if not runs:
+        return not any(_differs(plan, ia, ib))
+    plan, n, (wa, wb) = runs
+    return not any(map(ne, _run_values(plan, 0, ia, n, wa), _run_values(plan, 1, ib, n, wb)))
+
+
+def _run_values(plan: FiberPlan, k: int, it: MultiIterator, n: int, w: int) -> Iterable:
+    """:func:`_values` of cursor ``k``, whose fibers come in runs of ``n``,
+    ``w`` apart: read in tiles where :func:`~tensorlib.iterators._tiled`
+    accepts them."""
+    length, step = plan.length, plan.strides[k]
+    if not _tiled(n, w, length, step):
+        return _values(plan, k, it)
+    tiles = (_tiles(it.data, p, n, w, length, step) for p in plan.starts[k][::n])
+    return chain.from_iterable(chain.from_iterable(tiles))
+
+
+def _runs(plan: FiberPlan, cursors):
+    """None, unless some cursor's fibers in ``plan`` are far-strided while
+    another dimension ``d`` is near enough to tile along (the nearest such
+    in the first such cursor): then ``(plan, n, gaps)``, the cursors'
+    plan with ``d`` looped right outside the fibers, whose fibers so come
+    in runs of ``n``, ``gaps[k]`` apart in cursor ``k``."""
+    extents = cursors[0].extents
+    for c, step in zip(cursors, plan.strides):
+        if step < _TILE:
+            continue
+        # A far fiber is the first dimension of extent above 1 (which the
+        # plan may have merged with the next).
+        f = next(r for r, n in enumerate(extents) if n != 1)
+        near = [(w, r) for r, (n, w) in enumerate(zip(extents, c.strides))
+                if r != f and _tiled(n, w, extents[f], step)]
+        if near:
+            d = min(near)[1]
+            order = (f, d, *(r for r in range(len(extents)) if r not in (f, d)))
+            subs = [MultiIterator(x.data, x.pos, [x.strides[r] for r in order],
+                                  [extents[r] for r in order]) for x in cursors]
+            return _plan(subs), extents[d], tuple(x.strides[d] for x in cursors)
+    return None
 
 
 def _unravel(k: int, extents) -> Tuple[int, ...]:
@@ -303,7 +360,7 @@ def compare_ranges(a, b) -> CompareResult:
     NaN never equals anything, itself included."""
     ia, ib = _mit(a), _mit(b)
     plan = _plan((ia, ib))
-    if not any(_differs(plan, ia, ib)):
+    if _equal(ia, ib, plan):
         return CompareResult(True, None)
     # Only a mismatch pays for counting positions: walk again to find it.
     k = next(compress(count(), _differs(plan, ia, ib)))

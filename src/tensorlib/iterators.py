@@ -17,7 +17,8 @@ operations.  It only plans.  :func:`check_reach` is the one reach rule
 and ``_check_raw`` the one raw-cursor rule (integer fields, extents >= 0,
 a buffer with a length, then reach): the kernels apply it where a raw
 cursor enters (a tensor or view takes a constant-time reach test), and
-:func:`plan_fibers` to each.
+:func:`plan_fibers` to each.  ``_tiles`` reads fibers whose elements
+lie far apart a tile at a time, where ``_tiled`` says it should.
 
 Both iterator types are cheap value objects over a shared buffer;
 dereferencing follows the owning container's single-writer contract.
@@ -290,6 +291,29 @@ def _plan(cursors: Sequence[MultiIterator], reorder: bool = False) -> FiberPlan:
             positions = [p + i * w for i in range(n) for p in positions]
         starts.append(positions)
     return FiberPlan(length, steps, tuple(starts))
+
+
+# Fibers whose elements lie this many slots apart (32 KiB of list pointers)
+# are read in tiles of at most this many elements.
+_TILE = 4096
+
+
+def _tiled(n: int, w: int, length: int, step: int) -> bool:
+    """Whether :func:`_tiles` reads these fibers: elements at least
+    ``_TILE`` slots apart, fibers ascending and nearer than that, and room
+    in a tile for two fibers."""
+    return step >= _TILE and 0 < w < step and n > 1 and 0 < length <= _TILE // 2
+
+
+def _tiles(data: list, pos: int, n: int, w: int, length: int, step: int) -> Iterator[tuple]:
+    """The ``n`` fibers from ``pos``, ``w`` apart, each ``length`` elements
+    ``step`` apart, as tuples in that order, each with its elements in
+    order: read a tile of at most ``_TILE`` elements at a time, one slice
+    across the tile's fibers per fiber element, transposed by ``zip``."""
+    size, end, span = _TILE // length * w, pos + n * w, length * step
+    for lo in range(pos, end, size):
+        width = min(size, end - lo)
+        yield from zip(*[data[p : p + width : w] for p in range(lo, lo + span, step)])
 
 
 def _positions(pos: int, strides, extents) -> List[int]:

@@ -26,6 +26,7 @@ construction and safe to share between threads.
 
 from __future__ import annotations
 
+import sys
 from itertools import product
 from math import prod
 from operator import index
@@ -146,12 +147,20 @@ def validate_offsets(offsets: Iterable[int], order: int) -> Tuple[int, ...]:
 
 def first_order_layout(p: int) -> Tuple[int, ...]:
     """Layout ``(1, 2, ..., p)``: dimension 1 has the highest precedence."""
-    return tuple(range(1, _index(p, "order", 1) + 1))
+    return tuple(range(1, _holdable(_index(p, "order", 1)) + 1))
 
 
 def last_order_layout(p: int) -> Tuple[int, ...]:
     """Layout ``(p, ..., 2, 1)``: dimension p has the highest precedence."""
-    return tuple(range(_index(p, "order", 1), 0, -1))
+    return tuple(range(_holdable(_index(p, "order", 1)), 0, -1))
+
+
+def _holdable(p: int) -> int:
+    """The order ``p``, unless it exceeds ``sys.maxsize``, the most items a
+    tuple can hold: then ``ValueError``."""
+    if p > sys.maxsize:
+        raise ValueError(f"order must be <= {sys.maxsize}, the most a tuple holds, got {p}")
+    return p
 
 
 def volume(shape: Sequence[int]) -> int:

@@ -1,12 +1,13 @@
 """Shared test helpers: the random instance builders of
 :mod:`tensorlib.verify` under short names, exhaustive shape and layout
-enumerations, the same values at four layouts, a kernel corrupter for
-fault-injection tests, and a minimal MATLAB literal grammar used to
-validate emitted scripts."""
+enumerations, the same values at four layouts, small far-strided
+operands, a kernel corrupter for fault-injection tests, and a minimal
+MATLAB literal grammar used to validate emitted scripts."""
 
 from __future__ import annotations
 
 import itertools
+from math import prod
 from typing import List
 
 from tensorlib import DenseTensor, Range, TensorView, copy
@@ -41,6 +42,43 @@ def four_layouts(shape, values):
     for t in (last, stepped, nested):
         copy(first, t)
     return first, last, stepped, nested
+
+
+# Operands with one dimension at least 4096 slots apart (the tile reader's
+# threshold), yet of 12288 elements: (64, 64, 3) at first order, (3, 64, 64)
+# at last order, and a view of each stepping by 2 through its near end
+# (dimension 1, or 3), whose far stride is 8192.
+FAR = {
+    "first": ((64, 64, 3), (1, 2, 3), 0),
+    "last": ((3, 64, 64), (3, 2, 1), 2),
+}
+FAR_NAMES = ("first", "first_view", "last", "last_view")
+
+
+def draw_values(rng, kind: str, count: int) -> list:
+    """``count`` ints in [-9, 9], or floats whose magnitudes differ so
+    widely that any change of summation order shows in the last bits."""
+    if kind == "int64":
+        return [rng.randint(-9, 9) for _ in range(count)]
+    return [rng.uniform(-1, 1) * 10.0 ** rng.randint(-8, 8) for _ in range(count)]
+
+
+def far_strided(rng, name: str, kind: str):
+    """``(operand, values)``: the ``FAR_NAMES`` operand ``name`` holding
+    random ``kind`` values, listed in ``zero_indices`` order; a view's
+    parent holds other random values around it."""
+    shape, layout, near = FAR[name.split("_")[0]]
+    values = draw_values(rng, kind, prod(shape))
+    if name.endswith("_view"):
+        outer = [2 * n if d == near else n for d, n in enumerate(shape)]
+        parent = DenseTensor.from_memory(
+            tuple(outer), draw_values(rng, kind, prod(outer)), layout=layout)
+        x = parent.view([Range(0, 2, n - 2) if d == near else None
+                         for d, n in enumerate(outer)])
+    else:
+        x = DenseTensor(shape, layout=layout)
+    copy(DenseTensor.from_memory(shape, values), x)
+    return x, values
 
 
 def corrupt_call(monkeypatch, module, name, corrupt, at=1):

@@ -38,6 +38,9 @@ from tensorlib import (
 )
 
 from conftest import (
+    FAR_NAMES,
+    draw_values,
+    far_strided,
     four_layouts,
     rand_dense,
     rand_layout,
@@ -509,6 +512,51 @@ class TestOneStepPerOutput:
         assert len(calls) <= 1
         monkeypatch.setattr(contraction, "_gather", gather)
         assert out.data == ttv(a[0], v[0], mode).data
+
+
+def bits(v):
+    return type(v), v.hex() if isinstance(v, float) else v
+
+
+def far_products(name, kind):
+    """``(label, result, expected values)`` of ttv in every mode, ttm and
+    ttt at the far mode, and a two-step times_vectors, on the
+    far-strided operand ``name``, each against ``verify.contract``."""
+    rng = random.Random(f"{name}:{kind}")
+    a, va = far_strided(rng, name, kind)
+    na = a.shape
+    far = 3 if name.startswith("first") else 1
+    vectors = [draw_values(rng, kind, n) for n in na]
+    for m in (1, 2, 3):
+        v = DenseTensor.from_memory((na[m - 1],), vectors[m - 1])
+        yield f"ttv.m{m}", ttv(a, v, m), verify._times(va, na, v.data, (na[m - 1],), m)[0]
+    mat = DenseTensor.from_memory((2, na[far - 1]), draw_values(rng, kind, 2 * na[far - 1]))
+    yield "ttm", ttm(a, mat, far), verify._times(va, na, mat.data, mat.shape, far)[0]
+    b = DenseTensor.from_memory((na[far - 1], 2), draw_values(rng, kind, 2 * na[far - 1]))
+    phi = (1, 2, 3) if far == 3 else (2, 3, 1)
+    spec = ContractionSpec(1, phi, (2, 1))
+    yield "ttt", ttt(a, b, spec), ttt_reference(spec, (va, na), (b.data, b.shape))[0]
+    modes = (2, 3) if far == 3 else (1, 2)
+    expected, shape = va, na
+    for m in reversed(modes):
+        expected, shape = verify._times(expected, shape, vectors[m - 1], (na[m - 1],), m)
+    vs = [DenseTensor.from_memory((na[m - 1],), vectors[m - 1]) for m in modes]
+    yield "times_vectors", times_vectors(a, vs, modes=modes), expected
+
+
+class TestFarStridedTiles:
+    """Operands with a dimension 4096 or more slots apart, whose streamed
+    fibers the engine reads in tiles: every product keeps the bits of
+    ``verify.contract``, for int and float elements."""
+
+    @pytest.mark.parametrize("kind", ["int64", "float64"])
+    @pytest.mark.parametrize("name", FAR_NAMES)
+    def test_products_give_the_reference_bits(self, name, kind):
+        labels = []
+        for label, got, expected in far_products(name, kind):
+            labels.append(label)
+            assert list(map(bits, got.data)) == list(map(bits, expected)), label
+        assert labels == ["ttv.m1", "ttv.m2", "ttv.m3", "ttm", "ttt", "times_vectors"]
 
 
 class TestReach:

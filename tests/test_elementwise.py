@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 import sys
@@ -40,7 +41,8 @@ import tensorlib.elementwise as ew
 from tensorlib.elementwise import _fibers
 from tensorlib.iterators import _plan, plan_fibers
 
-from conftest import rand_dense, rand_operand, read_box
+from conftest import FAR_NAMES, far_strided, rand_dense, rand_operand, read_box
+from tensorlib.verify import read_flat
 
 
 def iter_order(shape):
@@ -375,6 +377,38 @@ class TestCompare:
         # Against itself: both sides read the one buffer in place.
         assert compare_ranges(a, a) == (False, (1, 0))
         assert not tensors_equal(a, a)
+
+
+class TestFarStridedEquality:
+    """Equality of a far-strided operand (one that the flag pass may read in
+    tiles) against the same values at the other order layout, in both
+    argument orders, for int and float elements: equal, then with two
+    planted mismatches whose first in iteration order is reported, though
+    a tiled walk meets the other first."""
+
+    @staticmethod
+    def first_mismatch(x, y):
+        k = next(k for k, (u, v) in enumerate(zip(read_flat(x), read_flat(y))) if u != v)
+        return next(itertools.islice(zero_indices(x.shape), k, None))
+
+    @pytest.mark.parametrize("kind", ["int64", "float64"])
+    @pytest.mark.parametrize("name", FAR_NAMES)
+    def test_equal_then_the_first_planted_mismatch(self, name, kind):
+        a, _ = far_strided(random.Random(f"{name}:{kind}"), name, kind)
+        other = DenseTensor(a.shape, layout=(3, 2, 1) if name.startswith("first") else (1, 2, 3))
+        copy(a, other)
+        for x, y in ((a, other), (other, a)):
+            assert tensors_equal(x, y)
+            assert compare_ranges(x, y) == (True, None)
+        # At (3, 64, 64) iteration order meets (0, 5, 1) first, and a walk
+        # in runs along dimension 3 meets (2, 0, 63) first; (64, 64, 3)
+        # mirrors them.
+        planted = [(0, 5, 1), (2, 0, 63)] if a.shape[0] == 3 else [(1, 5, 0), (63, 0, 2)]
+        for i in planted:
+            other[i] += 1
+        for x, y in ((a, other), (other, a)):
+            assert not tensors_equal(x, y)
+            assert compare_ranges(x, y) == (False, planted[0]) == (False, self.first_mismatch(x, y))
 
 
 def first_order(rng, shape, kind):

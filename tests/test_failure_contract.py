@@ -2,14 +2,16 @@
 public name rejects a non-operand with the door's one ``TypeError``, an
 argument read before the door (``residual``'s state, a sequence of
 vectors or matrices, ``hopm``'s start vectors, a raw cursor's buffer)
-raises a ``TypeError`` naming it, and no
-``AttributeError`` escapes from inside the library.
+raises a ``TypeError`` naming it, an order that is no integer or lies
+outside 1..``sys.maxsize`` raises a ``ValueError`` naming it, and no
+``AttributeError`` or ``OverflowError`` escapes from inside the library.
 
 Each row is one operand parameter, crossed with the same five
 non-operands.  The names that take no operand are listed with a reason,
 and the completeness test holds every public callable to one of the two
 lists, so the table grows with the API."""
 
+import sys
 from operator import add
 
 import pytest
@@ -33,6 +35,7 @@ from tensorlib import (
     emit_tensor,
     extremum_element,
     fill,
+    first_order_layout,
     find_first,
     for_each,
     frobenius_norm,
@@ -41,6 +44,7 @@ from tensorlib import (
     inner_product_flat,
     inner_product_tensors,
     iota,
+    last_order_layout,
     none_of,
     outer_product,
     quantify,
@@ -158,6 +162,25 @@ SIZED_ROWS = [
      "cursor buffer must be a sequence, got "),
 ]
 
+# The order of the layout builders, crossed with bad values: each cell is
+# the ValueError's message, which names the order.  An order above
+# sys.maxsize is one that no tuple can hold.
+ORDER_ROWS = [("first_order_layout", first_order_layout),
+              ("last_order_layout", last_order_layout)]
+BAD_ORDERS = [
+    (10**30, f"order must be <= {sys.maxsize}, the most a tuple holds, got {10**30}$"),
+    (sys.maxsize + 1,
+     f"order must be <= {sys.maxsize}, the most a tuple holds, got {sys.maxsize + 1}$"),
+    (0, "order must be >= 1, got 0$"),
+    (-1, "order must be >= 1, got -1$"),
+    (2.0, r"order must be integers, got \(2\.0,\)$"),
+    (True, r"order must be integers, got \(True,\)$"),
+    ("1", r"order must be integers, got \('1',\)$"),
+    (None, r"order must be integers, got \(None,\)$"),
+    (float("nan"), r"order must be integers, got \(nan,\)$"),
+    ((1,), r"order must be integers, got \(\(1,\),\)$"),
+]
+
 NO_OPERAND = {
     "CompareResult": "a result record",
     "ContractionSpec": "mode tuples only",
@@ -214,6 +237,13 @@ def test_hopm_u0_without_a_length_raises_a_type_error_naming_it(bad):
     with pytest.raises(TypeError, match="u0 must be a sequence of vectors, got "
                        + type(bad).__name__ + "$"):
         hopm(cube(), u0=bad)
+
+
+@pytest.mark.parametrize("bad, message", BAD_ORDERS, ids=[repr(b)[:8] for b, _ in BAD_ORDERS])
+@pytest.mark.parametrize("row", ORDER_ROWS, ids=lambda row: row[0])
+def test_a_bad_order_raises_a_value_error_naming_it(row, bad, message):
+    with pytest.raises(ValueError, match=message):
+        row[1](bad)
 
 
 def test_classify_view_of_a_tensor_names_tensor_view():
