@@ -235,7 +235,8 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
     packed, step = list(_gather(k.data, k_pos, length, steps[1], offsets[1])), steps[0]
     # Streamed fibers that are one slice each but far-strided are read in
-    # tiles, by the gathered loop below.
+    # tiles, by the gathered loop below.  The step is tested inline first,
+    # so that small calls pay for no function call.
     tiled = step >= _TILE and len(offsets[0]) == 1 and _tiled(n, ws, length, step)
     if len(packed) == 1 and len(offsets[0]) == 1 and not tiled:
         # One packed fiber, one streamed fiber per output (ttv, one-row

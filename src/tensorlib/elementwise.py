@@ -191,6 +191,7 @@ def _equal(ia: MultiIterator, ib: MultiIterator, plan: Optional[FiberPlan] = Non
     if plan is None:
         plan = _plan((ia, ib))
     sa, sb = plan.strides
+    # Tested inline first, so that small calls pay for no function call.
     runs = (sa >= _TILE or sb >= _TILE) and _runs(plan, (ia, ib))
     if not runs:
         return not any(_differs(plan, ia, ib))

@@ -515,6 +515,7 @@ class TestOneStepPerOutput:
 
 
 def bits(v):
+    """A value's type and exact bits: ``.hex()`` for a float."""
     return type(v), v.hex() if isinstance(v, float) else v
 
 
@@ -752,10 +753,6 @@ class TestNoBoundPair:
         pool = (0.0, -0.0, 1.5, -2.25, 1e-300, -3e200)
         return [rng.choice(pool) * rng.uniform(0.5, 2) for _ in range(count)]
 
-    @staticmethod
-    def bits(v):
-        return (type(v), v.hex() if isinstance(v, float) else v)
-
     @pytest.mark.parametrize("kind", ["int64", "float64"])
     @pytest.mark.parametrize("shapes", SHAPES, ids=str)
     def test_products_match_read_box(self, shapes, kind):
@@ -778,9 +775,9 @@ class TestNoBoundPair:
             for b in self.ways(rng, nb, vb):
                 ba, bb = read_box(a), read_box(b)
                 for call, at in calls:
-                    got = {k: self.bits(v) for k, v in read_box(call(a, b)).items()}
+                    got = {k: bits(v) for k, v in read_box(call(a, b)).items()}
                     want = {
-                        at(i, j): self.bits(x * y) for i, x in ba.items() for j, y in bb.items()
+                        at(i, j): bits(x * y) for i, x in ba.items() for j, y in bb.items()
                     }
                     assert got == want
 

@@ -40,15 +40,13 @@ from tensorlib.contraction import frobenius_norm
 import tensorlib.elementwise as ew
 from tensorlib.elementwise import _fibers
 from tensorlib.iterators import _plan, plan_fibers
+from tensorlib.verify import read_flat
 
 from conftest import FAR_NAMES, far_strided, rand_dense, rand_operand, read_box
-from tensorlib.verify import read_flat
 
 
 def iter_order(shape):
     """Iteration order of the suites: dimension 1 fastest."""
-    import itertools
-
     for rev in itertools.product(*[range(n) for n in reversed(shape)]):
         yield rev[::-1]
 
