@@ -4,18 +4,26 @@ Operands of any layout, offsets, or view-ness combine freely; no operand
 is unfolded or transposed.  Modes and permutation tuples are one-based at
 this interface; the kernels translate to zero-based dimensions internally.
 
-``ttv``, ``ttm``, ``ttt`` and ``outer_product`` check their arguments and
-make one call to an engine built on the fiber planner, which allocates the
-output.  The operand with fewer free positions is packed, the other
-streamed; every product is streamed element times packed element.  The
-engine has three output loops.  With no bound pair (``outer_product``,
-ttt with q = 0) the streamed elements are read once, in output order, and
-each packed element ``x`` stores ``[v * x for v in streamed]`` into one
-run of the output.  Otherwise each output element is one fiber dot
-product, ``sum(map(mul, streamed_fiber, packed_fiber))``; the streamed
-free loops are planned jointly with the output's, smallest streamed
-stride innermost, so consecutive outputs read adjacent fibers (the order
-never changes any output's sum).  One reader, ``_gather``, takes each
+``ttv``, ``ttm``, ``ttt`` and ``outer_product`` check their arguments,
+allocate the output tensor and make one call to an engine built on the
+fiber planner, which writes it.  ``times_vectors`` and ``times_matrices``
+check every operand, then chain ttv or ttm steps: each step but the last
+writes a fresh buffer of zeros that the next step reads as a cursor, so a
+chain builds one tensor, its output.  Per step the engine sets up no more
+than the operands' free extents and which side is packed, a cursor over
+the streamed side's free dimensions, the packed side's free positions, one
+plan of the streamed and output loops, the bound fibers (planned only for
+several pairs or a negative stride) and the packed fibers.  The operand
+with fewer free positions is packed, the other streamed; every product is
+streamed element times packed element.  The engine has three output
+loops.  With no bound pair (``outer_product``, ttt with q = 0) the
+streamed elements are read once, in output order, and each packed element
+``x`` stores ``[v * x for v in streamed]`` into one run of the output.
+Otherwise each output element is one fiber dot product,
+``sum(map(mul, streamed_fiber, packed_fiber))``; the streamed free loops
+are planned jointly with the output's, smallest streamed stride
+innermost, so consecutive outputs read adjacent fibers (the order never
+changes any output's sum).  One reader, ``_gather``, takes each
 packed free position's bound elements once, as one list of references: a
 slice, or the concatenation of several where the bound pairs merge into
 no single fiber.  With one packed fiber and one streamed fiber per output
@@ -81,14 +89,14 @@ match pairwise.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import accumulate, chain, islice
 from math import hypot, prod
-from operator import mul
+from operator import lt, mul
 from typing import Iterable, Sequence, Tuple
 
 from .elementwise import _in_order, _mit, _values, inner_product_flat
 from .iterators import _TILE, MultiIterator, _plan, _positions, _tiled, _tiles
-from .layout import _as_indices, _index, _listed, _permutation
+from .layout import _as_indices, _holdable, _index, _listed, _permutation
 from .tensor import DenseTensor, _materialize
 
 __all__ = [
@@ -110,9 +118,9 @@ __all__ = [
 def _vector_mit(b, expected_len: int, what: str) -> MultiIterator:
     """Read ``b`` as a vector: an order-1 tensor, or an (n, 1) column."""
     it = _mit(b)
-    if it.order == 2 and it.extents[1] == 1:
+    if it.extents[1:] == (1,):
         it = _sub(it, (0,))
-    if it.order != 1:
+    if len(it.extents) != 1:
         raise ValueError(f"{what} must be a vector, got extents {it.extents}")
     if it.extents[0] != expected_len:
         raise ValueError(
@@ -182,34 +190,25 @@ def _gather(data: list, positions: Iterable[int], length: int, step: int, offset
             yield list(chain.from_iterable(fibers))
 
 
-def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTensor:
-    """``sum_bound A * B`` as a new tensor, written by one of three output
-    loops (see the module docstring).
+def _contract(ia, ib, a_free, a_bound, b_free, b_bound, data: list, strides) -> None:
+    """Write ``sum_bound A * B`` into ``data``, a fresh buffer of zeros, by
+    one of three output loops (see the module docstring).
 
     ``a_free``/``b_free`` (zero-based) are A's and B's free dimensions and
     ``a_bound[k]``/``b_bound[k]`` form contracted pair k.  The free
-    dimensions, A's then B's, are the output's dimensions in that order,
-    or at the output positions ``dims`` lists; with none free the output
-    has shape (1,).
+    dimensions, A's then B's, are the output's dimensions, whose strides in
+    ``data`` ``strides`` lists in that order; with none free the output is
+    ``data[0]``.
     """
-    free = [ia.extents[d] for d in a_free] + [ib.extents[d] for d in b_free]
-    if dims is None:
-        out = DenseTensor(free or (1,))
-        strides = out.meta.strides
-    else:
-        shape = [0] * len(dims)
-        for d, n in zip(dims, free):
-            shape[d] = n
-        out = DenseTensor(shape)
-        strides = [out.meta.strides[d] for d in dims]
     r = len(a_free)
+    a_ext, b_ext = [ia.extents[d] for d in a_free], [ib.extents[d] for d in b_free]
     sides = [
-        (ia, a_free, a_bound, free[:r], strides[:r]),
-        (ib, b_free, b_bound, free[r:], strides[r:]),
+        (ia, a_free, a_bound, a_ext, strides[:r]),
+        (ib, b_free, b_bound, b_ext, strides[r : r + len(b_ext)]),
     ]
     # The side with fewer free positions is packed (k), the other streamed;
     # products commute, so streaming B multiplies b * a with the same bits.
-    if prod(free[r:]) > prod(free[:r]):
+    if prod(b_ext) > prod(a_ext):
         sides.reverse()
     (s, s_free, s_bound, s_ext, s_out), (k, k_free, k_bound, k_ext, k_out) = sides
     sc = MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext)
@@ -219,15 +218,15 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
     else:
         # One packed fiber: its outputs are each output fiber, in order.
         k_pos, k_outs = (k.pos,), (0,)
-    data, sdata = out.data, s.data
+    sdata = s.data
     if not s_bound:
         # No bound pair: each output is the product itself, not 0 + a * b
-        # (which turns -0.0 into 0.0).  Without ``dims`` (every q = 0 call)
-        # the streamed side's outputs are one run of the fresh output.
+        # (which turns -0.0 into 0.0).  A q = 0 output keeps A's then B's
+        # dimensions in order, so the streamed side's outputs are one run.
         sf, w = list(_values(_plan((sc,)), 0, sc)), s_out[0]
         for x, oc in zip(map(k.data.__getitem__, k_pos), k_outs):
             data[oc : oc + len(sf) * w : w] = [v * x for v in sf]
-        return out
+        return
     # The reorder keys on the cursor that is read, the streamed one:
     # consecutive outputs then read adjacent bound fibers.
     plan = _plan((sc, MultiIterator(data, 0, s_out, s_ext)), reorder=True)
@@ -248,7 +247,7 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
                 sum(map(mul, sdata[p : p + span : step], kf))
                 for p in range(lo, lo + n * ws, ws)
             ]
-        return out
+        return
     # Each row of outputs gathers its streamed fibers once, one at a time
     # (or one tile at a time); packed fibers run fastest, so output j of a
     # row is every nk-th value.
@@ -261,7 +260,6 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
         values = [sum(map(mul, sf, kf)) for sf in streamed for kf in packed]
         for j, oc in enumerate(k_outs):
             data[pc + oc : pc + oc + n * wc : wc] = values[j::nk]
-    return out
 
 
 # -- tensor times vector, tensor times matrix -----------------------------------------
@@ -269,21 +267,37 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, dims=None) -> DenseTenso
 
 def _mode(ia: MultiIterator, mode, what: str) -> int:
     """``mode`` (one-based) of ``ia``, checked for ``what``."""
-    p = ia.order
+    p = len(ia.extents)
     if p < 2:
         raise ValueError(f"{what} requires order >= 2, got {p}")
     return _index(mode, "mode", 1, p)
 
 
-def _mode_product(ia: MultiIterator, ib: MultiIterator, m: int) -> DenseTensor:
+def _mode_product(ia: MultiIterator, ib: MultiIterator, m: int, new):
     """ttv (``ib`` a checked vector cursor) or ttm (a checked matrix
-    cursor) at the zero-based mode ``m`` of ``ia``; ttv of an order-1
-    ``ia`` gives shape (1,)."""
-    a_free = (*range(m), *range(m + 1, ia.order))
-    if ib.order == 1:
-        return _contract(ia, ib, a_free, (m,), (), (0,))
-    # B's row dimension goes to the output at mode m.
-    return _contract(ia, ib, a_free, (m,), (0,), (1,), a_free + (m,))
+    cursor) at the zero-based mode ``m`` of ``ia``, written into and
+    returned as ``new(shape)``: a fresh tensor (:func:`_tensor`) or cursor
+    (:func:`_fresh`) of the result's shape, ``ia``'s extents with mode
+    ``m`` dropped or replaced by the row count (ttv of an order-1 ``ia``:
+    no extents)."""
+    out = new(ia.extents[:m] + ib.extents[:-1] + ia.extents[m + 1 :])
+    a_free, w = (*range(m), *range(m + 1, len(ia.extents))), out.strides
+    if len(ib.extents) == 1:
+        _contract(ia, ib, a_free, (m,), (), (0,), out.data, w)
+    else:  # B's row dimension goes to the output at mode m.
+        _contract(ia, ib, a_free, (m,), (0,), (1,), out.data, w[:m] + w[m + 1 :] + w[m : m + 1])
+    return out
+
+
+def _tensor(shape) -> DenseTensor:
+    """A fresh tensor of ``shape``, or of shape (1,) for no extents."""
+    return DenseTensor(shape or (1,))
+
+
+def _fresh(shape) -> MultiIterator:
+    """A first-order cursor over a fresh buffer of zeros of ``shape``: a
+    chain step's output, which the next step reads."""
+    return MultiIterator([0] * prod(shape), 0, (1, *accumulate(shape[:-1], mul)), shape)
 
 
 def ttv(a, b, mode: int) -> DenseTensor:
@@ -296,7 +310,7 @@ def ttv(a, b, mode: int) -> DenseTensor:
     """
     ia = _mit(a)
     m = _mode(ia, mode, "ttv") - 1
-    return _mode_product(ia, _vector_mit(b, ia.extents[m], "ttv vector"), m)
+    return _mode_product(ia, _vector_mit(b, ia.extents[m], "ttv vector"), m, _tensor)
 
 
 def ttm(a, bmat, mode: int) -> DenseTensor:
@@ -310,14 +324,14 @@ def ttm(a, bmat, mode: int) -> DenseTensor:
     """
     ia = _mit(a)
     m = _mode(ia, mode, "ttm") - 1
-    return _mode_product(ia, _matrix_mit(bmat, ia.extents[m], m), m)
+    return _mode_product(ia, _matrix_mit(bmat, ia.extents[m], m), m, _tensor)
 
 
 def _matrix_mit(bmat, n: int, m: int) -> MultiIterator:
     """Read ``bmat`` as ttm's matrix against the zero-based mode ``m``, of
     extent ``n``."""
     ib = _mit(bmat)
-    if ib.order != 2:
+    if len(ib.extents) != 2:
         raise ValueError(f"ttm matrix must have order 2, got {ib.order}")
     if ib.extents[1] != n:
         raise ValueError(
@@ -368,12 +382,11 @@ def ttt(a, b, spec: ContractionSpec) -> DenseTensor:
     ia, ib = _mit(a), _mit(b)
     q, r, s = spec.q, spec.r, spec.s
     for name, perm, it in (("phi", spec.phi, ia), ("psi", spec.psi, ib)):
-        if len(perm) != it.order:
+        if len(perm) != len(it.extents):
             raise ValueError(
                 f"{name} length {len(perm)} does not match order {it.order}"
             )
-    phi = tuple(x - 1 for x in spec.phi)
-    psi = tuple(x - 1 for x in spec.psi)
+    phi, psi = [x - 1 for x in spec.phi], [x - 1 for x in spec.psi]
     for k in range(q):
         na = ia.extents[phi[r + k]]
         nb = ib.extents[psi[s + k]]
@@ -381,13 +394,14 @@ def ttt(a, b, spec: ContractionSpec) -> DenseTensor:
             raise ValueError(
                 f"contracted pair {k + 1} has mismatched extents {na} vs {nb}"
             )
-    return _contract(ia, ib, phi[:r], phi[r:], psi[:s], psi[s:])
+    return _product(ia, ib, phi[:r], phi[r:], psi[:s], psi[s:])
 
 
 def _free_then(p: int, m: int) -> Tuple[int, ...]:
     """The one-based phi listing an order-p operand's dimensions except
-    ``m`` in order, then ``m``."""
-    p = _index(p, "order", 1)
+    ``m`` in order, then ``m``; an order no tuple can hold raises the
+    layout builders' ``ValueError`` before any tuple is built."""
+    p = _holdable(_index(p, "order", 1))
     m = _index(m, "mode", 1, p)
     return tuple(k for k in range(1, p + 1) if k != m) + (m,)
 
@@ -414,7 +428,14 @@ def reduce_ttm_to_ttt(p: int, m: int) -> ContractionSpec:
 def outer_product(a, b) -> DenseTensor:
     """All-pairs product: ttt with q = 0 and identity permutations."""
     ia, ib = _mit(a), _mit(b)
-    return _contract(ia, ib, range(ia.order), (), range(ib.order), ())
+    return _product(ia, ib, range(len(ia.extents)), (), range(len(ib.extents)), ())
+
+
+def _product(ia, ib, a_free, a_bound, b_free, b_bound) -> DenseTensor:
+    """``_contract`` into a fresh tensor."""
+    out = DenseTensor([ia.extents[d] for d in a_free] + [ib.extents[d] for d in b_free] or (1,))
+    _contract(ia, ib, a_free, a_bound, b_free, b_bound, out.data, out.meta.strides)
+    return out
 
 
 def inner_product_tensors(a, b):
@@ -440,21 +461,22 @@ def frobenius_norm(a) -> float:
 def _chain(it: MultiIterator, operands, modes, what: str, check) -> DenseTensor:
     """Check every operand by ``check(operand, m)`` (``m`` its zero-based
     mode), highest mode first, then take the mode products in that order,
-    so that lower modes keep their positions; no operands: a copy of ``it``."""
-    modes, p = list(_as_indices(modes, f"{what} modes")), it.order
+    so that lower modes keep their positions; no operands: a copy of ``it``.
+    Each step but the last writes a fresh cursor, which the next step
+    reads; only the last step's output is a tensor."""
+    modes, p = list(_as_indices(modes, f"{what} modes")), len(it.extents)
     if len(modes) != len(operands):
         raise ValueError(f"{what}: got {len(operands)} operands for modes {modes}")
-    if any(not 1 <= m <= p for m in modes):
+    if modes and (min(modes) < 1 or max(modes) > p):
         raise ValueError(f"{what}: modes {modes} out of range 1..{p}")
-    if any(m2 <= m1 for m1, m2 in zip(modes, modes[1:])):
+    if not all(map(lt, modes, modes[1:])):
         raise ValueError(f"{what}: modes {modes} must be strictly increasing")
     if not operands:
         return _materialize(it)
-    steps = [(check(x, m - 1), m - 1) for m, x in zip(modes[::-1], operands[::-1])]
-    result = _mode_product(it, *steps[0])
-    for ib, m in steps[1:]:
-        result = _mode_product(result.miter(), ib, m)
-    return result
+    *steps, (ib, m) = [(check(x, m - 1), m - 1) for m, x in zip(modes[::-1], operands[::-1])]
+    for step in steps:
+        it = _mode_product(it, *step, _fresh)
+    return _mode_product(it, ib, m, _tensor)
 
 
 def times_vectors(a, vectors, modes=None, skip=None) -> DenseTensor:

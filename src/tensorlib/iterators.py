@@ -316,11 +316,12 @@ def _tiles(data: list, pos: int, n: int, w: int, length: int, step: int) -> Iter
         yield from zip(*[data[p : p + width : w] for p in range(lo, lo + span, step)])
 
 
-def _positions(pos: int, strides, extents) -> List[int]:
+def _positions(pos: int, strides, extents) -> Sequence[int]:
     """Positions of all multi-indices over ``extents`` (one or more) from
-    ``pos``, dimension 1 fastest."""
+    ``pos``, dimension 1 fastest: a ``range`` for one dimension of nonzero
+    stride."""
     n, w = extents[0], strides[0]
-    positions = list(range(pos, pos + n * w, w)) if w else [pos] * n
+    positions = range(pos, pos + n * w, w) if w else [pos] * n
     for n, w in zip(extents[1:], strides[1:]):
         positions = [p + i * w for i in range(n) for p in positions]
     return positions

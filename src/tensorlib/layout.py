@@ -280,6 +280,8 @@ def inverse_memory_index(meta: TensorMeta, j: int) -> Tuple[int, ...]:
     Peels dimensions in decreasing precedence order, so it is the exact
     inverse of ``memory_index`` restricted to the zero-based index box.
     """
+    if not isinstance(meta, TensorMeta):
+        raise TypeError(f"inverse_memory_index needs a TensorMeta, got {type(meta).__name__}")
     j = _index(j, "memory index", 0, meta.size - 1)
     idx = [0] * meta.order
     for q in reversed(meta.layout):

@@ -97,7 +97,11 @@ class MatlabScript:
 
 
 def write_script(script: MatlabScript, path) -> None:
-    """Write all lines, newline-terminated, ASCII-encoded."""
+    """Write all lines, newline-terminated, ASCII-encoded, to the file
+    named ``path``; an ``int`` or ``bool``, which ``open`` would take as a
+    file descriptor to write to and close, raises ``TypeError``."""
+    if isinstance(path, int):
+        raise TypeError(f"path must name a file, got {type(path).__name__}")
     try:
         with open(path, "w", encoding="ascii") as fh:
             fh.write(script.text())

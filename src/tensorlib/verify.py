@@ -1,18 +1,21 @@
 """Randomized brute-force verification of the algorithm suites.
 
-Every operation family is checked against a naive oracle.  It reads each
-operand once into a flat list in ``zero_indices`` order (dimension 1
-fastest) and recomputes the operation from those lists: elementwise
-families with list comprehensions, and transpose, ttv, ttm, ttt, the outer
-and inner products and the ``times_*`` chains with one einsum-style label
-oracle, :func:`contract`.  Comparison is exact for both scalar kinds: a
+Every operation family is checked against a naive oracle, which reads
+each operand once: elementwise families into a flat list in
+``zero_indices`` order (dimension 1 fastest), over which they recompute
+the operation with list comprehensions, and transpose, ttv, ttm, ttt, the
+outer and inner products and the ``times_*`` chains through one
+einsum-style label oracle, :func:`contract`, which reads tensors and
+views in place.  Comparison is exact for both scalar kinds: a
 result passes on one ``==`` between the expected list and the result read
 as a list, and only a mismatch walks the elements to report the first
 unequal index.  A family that writes through a view also requires every
 element of the root tensor outside the view to be unchanged.  Every
 library call goes through :meth:`_Comparator.run`, which calls the kernel
 and judges it; a kernel that raises fails its trial with ``error`` and
-``where``, and the run goes on.  Trials randomize order, extents, layout
+``where``, and the run goes on.  While its private ``timings`` dict is
+set, ``run`` also clocks the kernel and the judging, for
+``tools/verify_phases.py``.  Trials randomize order, extents, layout
 (uniform over all permutations), offsets (in [-2, 2]), element kind, and
 whether each operand is a tensor or a strided view.
 
@@ -42,8 +45,9 @@ is 19 or more; a buffer of 64 or more elements takes the same words a
 batch per round, through one ``getrandbits(32 * w)``), so it yields the
 values ``randint`` would and leaves the stream in the same state (CPython
 3.10 to 3.13).  Layouts, ``tau``, ``phi`` and ``psi`` come from
-``rng.shuffle``.  ``tests/test_verify.py`` checks ``_randints`` against
-``randint`` and pins every family's stream state after 20 trials.
+``_rand_layout``, which reproduces ``shuffle`` the same way.
+``tests/test_verify.py`` checks both against the ``random`` methods and
+pins every family's stream state after 20 trials.
 The ``times_*`` modes come from ``sample``; needles, operator names and
 ``compare_ranges``' changed element from ``choice``; and whether an
 operand is a view from ``random()``.
@@ -70,6 +74,7 @@ from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
 from math import hypot, prod
 from operator import add, mul, ne
+from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
 from . import contraction as ct
@@ -160,9 +165,19 @@ def _rand_shape(rng, cfg: RunConfig, min_order: int = 1) -> Tuple[int, ...]:
 
 
 def _rand_layout(rng, p: int) -> Tuple[int, ...]:
-    """A permutation of 1..p, drawn by ``rng.shuffle``."""
+    """A permutation of 1..p, drawn as ``rng.shuffle`` draws it (CPython
+    3.10 to 3.13): each swap index from ``getrandbits``, redrawn while out
+    of range, as in :func:`_randints`, without ``_randbelow``'s frame per
+    draw."""
     perm = list(range(1, p + 1))
-    rng.shuffle(perm)
+    getrandbits = rng.getrandbits
+    for i in reversed(range(1, p)):
+        n = i + 1
+        k = n.bit_length()
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
+        perm[i], perm[j] = perm[j], perm[i]
     return tuple(perm)
 
 
@@ -316,17 +331,19 @@ def _grid(gamma: int, strides, shape):
     grid that is one run of nonzero stride comes back as a ``range``, and
     an outer run of stride 0 repeats the positions inside it."""
     runs = []  # [stride, extent], innermost first
+    joins = None  # the stride that would continue the last run
     for w, n in zip(strides, shape):
-        if runs and w == runs[-1][0] * runs[-1][1]:
+        if w == joins:
             runs[-1][1] *= n
+            joins *= n
         elif n != 1:
             runs.append([w, n])
+            joins = w * n
     (w, n), *outer = runs or [(1, 1)]
     positions = range(gamma, gamma + n * w, w) if w else [gamma] * n
     for w, n in outer:
         if w:
-            steps = [w * i for i in range(n)]
-            positions = [p + s for s in steps for p in positions]
+            positions = [p + s for s in range(0, n * w, w) for p in positions]
         else:
             positions = [*positions] * n
     return positions
@@ -371,56 +388,64 @@ def _unravel(k: int, shape, order=None) -> Tuple[int, ...]:
 
 
 def contract(out, summed, *operands):
-    """Reference einsum over flat lists: the result's values and shape.
+    """Reference einsum over flat lists, tensors and views: the result's
+    values and shape.
 
-    An operand is ``(values, shape, labels)``: its elements in
-    ``zero_indices`` order and one distinct label per dimension.  Output
-    dimension ``r`` carries label ``out[r]`` (none: one element).  The loop
-    nest runs the output labels, dimension 1 fastest, then the ``summed``
-    labels, the last fastest.  Each operand is read once over the nest
-    labels it has, at positions from its own dense strides through
-    :func:`_grid`, independent of the engine's plans.  Then each nest
-    label it lacks, innermost first, repeats what lies inside it: each
-    value (an innermost label), each block (one in between) or the whole
-    column (an outermost one).  The operands' elements are multiplied
-    with ``map(mul, ...)`` in operand order and each output's block is
-    added by ``sum`` in nest order, which up to Python 3.11 gives the
-    bits of ``acc = 0; acc += a * b`` loops.
+    An operand is ``(values, shape, labels)``: its elements, as a list in
+    ``zero_indices`` order or as the tensor or view itself, and one
+    distinct label per dimension.  Output dimension ``r`` carries label
+    ``out[r]`` (none: one element).  The loop nest runs the output labels,
+    dimension 1 fastest, then the ``summed`` labels, the last fastest.
+    Each operand is read once over the nest labels it has, through
+    :func:`_grid`, at positions from its own strides, independent of the
+    engine's plans: a list's dense strides, or a tensor's or view's frame
+    from :func:`_box_frame`, in its root's buffer (so a tensor or view is
+    read once, with no flat list in between).  Then each run of nest
+    labels it lacks, innermost first, repeats what lies inside it, once
+    per combination of those labels: each value (an innermost run), each
+    block (one in between) or the whole column (an outermost one).  The
+    operands' elements are multiplied with ``map(mul, ...)`` in operand
+    order and each output's block is added by ``sum`` in nest order, which
+    up to Python 3.11 gives the bits of ``acc = 0; acc += a * b`` loops.
     """
     sizes = {}
     for _, shape, labels in operands:
         sizes.update(zip(labels, shape))
     nest = [*reversed(summed), *out]  # innermost first, as _grid takes it
-    terms = None
+    extents, terms = [sizes[l] for l in nest], None
     for values, shape, labels in operands:
-        stride, w = {}, 1
-        for label, n in zip(labels, shape):
-            stride[label], w = w, w * n
-        strides = [stride[l] for l in nest if l in stride]
-        extents = [sizes[l] for l in nest if l in stride]
-        positions = _grid(0, strides, extents)
-        if len(extents) == len(nest) and type(positions) is list:
+        if type(values) is list:
+            gamma, strides, w = 0, [], 1
+            for n in shape:
+                strides.append(w)
+                w *= n
+        else:
+            root, _, strides, gamma = _box_frame(values)
+            values = root.data
+        stride = dict(zip(labels, strides))
+        own = [l for l in nest if l in stride]
+        positions = _grid(gamma, [stride[l] for l in own], [sizes[l] for l in own])
+        if len(own) == len(nest) and type(positions) is list:
             # Nothing to repeat: the products read the elements lazily.
             column = map(values.__getitem__, positions)
         else:
             column = _read(values, positions)
-            inner = 1  # the nest's size inside label l: column's block size
-            for l in nest:
-                n = sizes[l]
-                if l not in stride and n > 1:
-                    if inner == 1:
-                        column = list(itertools.chain.from_iterable(zip(*[column] * n)))
-                    elif inner == len(column):
-                        column *= n
-                    else:
-                        blocks = zip(*[iter(column)] * inner)
-                        column = list(itertools.chain.from_iterable(b * n for b in blocks))
-                inner *= n
+            block = count = 1  # column's block size, and the repeats due inside it
+            for l, n in zip(nest, extents):
+                if l not in stride:
+                    count *= n
+                    continue
+                if count > 1:  # repeat each value, or each block, count times
+                    blocks = zip(*[iter(column)] * block) if block > 1 else zip(column)
+                    column = list(itertools.chain.from_iterable(b * count for b in blocks))
+                    block, count = block * count, 1
+                block *= n
+            column *= count
         terms = column if terms is None else map(mul, terms, column)
-    block = prod(sizes[l] for l in summed)
+    block = prod(extents[: len(summed)])
     if block > 1:
         terms = map(sum, zip(*[iter(terms)] * block))
-    return list(terms), tuple(sizes[l] for l in out)
+    return list(terms), tuple(extents[len(summed) :])
 
 
 def _times(values, shape, b, b_shape, m: int):
@@ -468,6 +493,10 @@ class _Comparator:
     Stateless, so one instance serves every trial; a context's operands
     are serialized, by the oracle's own reads, only on a failure."""
 
+    # The phase clock: while a dict is set here, each run adds its kernel's
+    # seconds under "kernel" and the rest of its own under "judge".
+    timings = None
+
     def __init__(self, kind: str):
         self.kind = kind
 
@@ -479,6 +508,8 @@ class _Comparator:
         and message) and ``where`` (file and line of the innermost frame).
         A failing write also reports ``dst`` as it was, under ``dst_before``,
         from which expected values such as ``copy_if``'s can be rebuilt."""
+        if self.timings is not None:
+            return self._clocked(context, expected, kernel, args, shape, dst)
         before = None if dst is None else dst.data[:]  # a view's data is its root's buffer
         try:
             got = kernel(*args)
@@ -497,6 +528,29 @@ class _Comparator:
                 bad = _counterexample(context, expected=repr(expected), got=repr(got))
         if bad is not None and dst is not None:
             bad["dst_before"] = _operand_json(dst, before)
+        return bad
+
+    def _clocked(self, context: dict, expected, kernel, args, shape, dst):
+        """:meth:`run` under the phase clock: ``perf_counter`` on entry,
+        around the kernel call and after judging."""
+        timings, spans = self.timings, []
+
+        def clocked(*args):
+            start = perf_counter()
+            try:
+                return kernel(*args)
+            finally:
+                spans.append(perf_counter() - start)
+
+        entered = perf_counter()
+        self.timings = None  # the inner run judges without the clock
+        try:
+            bad = self.run(context, expected, clocked, args, shape, dst)
+        finally:
+            self.timings = timings
+        spent = perf_counter() - entered
+        timings["kernel"] = timings.get("kernel", 0.0) + sum(spans)
+        timings["judge"] = timings.get("judge", 0.0) + spent - sum(spans)
         return bad
 
     def check_list(self, expected: list, shape, got, context: dict, before=None):
@@ -681,7 +735,7 @@ def _check_inner_flat(rng, cfg, cmp):
 def _check_transpose(rng, cfg, cmp):
     shape, x = _rand_operands(rng, cfg, 1)
     tau = list(_rand_layout(rng, len(shape)))
-    expected, out_shape = contract(tau, (), (read_flat(x), shape, sorted(tau)))
+    expected, out_shape = contract(tau, (), (x, shape, sorted(tau)))
     ctx = {"op": "transpose", "tau": tau, "a": x}
     return cmp.run(ctx, expected, ct.transpose, (x, tau), out_shape)
 
@@ -702,7 +756,7 @@ def _check_mode_product(op: str, draw, rng, cfg, cmp):
     shape, a = _rand_operands(rng, cfg, 1, min_order=2)
     (m,) = _randints(rng, 1, len(shape), 1)
     b = draw(rng, cfg, shape[m - 1])
-    expected, out_shape = _times(read_flat(a), shape, read_flat(b), b.shape, m)
+    expected, out_shape = _times(a, shape, b, b.shape, m)
     ctx = {"op": op, "mode": m, "a": a, "b": b}
     return cmp.run(ctx, expected, getattr(ct, op), (a, b, m), out_shape)
 
@@ -737,7 +791,7 @@ def _check_ttt(rng, cfg, cmp):
         la[d - 1] = k if k < r else s + k
     for k, d in enumerate(psi):
         lb[d - 1] = r + k
-    ta, tb = (read_flat(a), na, la), (read_flat(b), nb, lb)
+    ta, tb = (a, na, la), (b, nb, lb)
     expected, out_shape = contract(range(r + s), range(r + s, r + s + q), ta, tb)
     ctx = {"op": "ttt", "q": q, "phi": list(phi), "psi": list(psi), "a": a, "b": b}
     return cmp.run(ctx, expected, ct.ttt, (a, b, spec), out_shape or (1,))
@@ -750,7 +804,7 @@ def _check_outer(rng, cfg, cmp):
     a = _rand_operand(rng, na, cfg.scalar_kind)
     b = _rand_operand(rng, nb, cfg.scalar_kind)
     pa, pc = len(na), len(na) + len(nb)
-    ta, tb = (read_flat(a), na, range(pa)), (read_flat(b), nb, range(pa, pc))
+    ta, tb = (a, na, range(pa)), (b, nb, range(pa, pc))
     expected, out_shape = contract(range(pc), (), ta, tb)
     ctx = {"op": "outer_product", "a": a, "b": b}
     return cmp.run(ctx, expected, ct.outer_product, (a, b), out_shape)
@@ -760,7 +814,7 @@ def _check_inner(rng, cfg, cmp):
     shape, a, b = _rand_operands(rng, cfg, 2)
     # Summing the labels highest first puts dimension 1 fastest.
     dims = range(1, len(shape) + 1)
-    ta, tb = (read_flat(a), shape, dims), (read_flat(b), shape, dims)
+    ta, tb = (a, shape, dims), (b, shape, dims)
     (expected,), _ = contract((), dims[::-1], ta, tb)
     ctx = {"op": "inner_product_tensors", "a": a, "b": b}
     return cmp.run(ctx, expected, ct.inner_product_tensors, (a, b))
@@ -783,9 +837,9 @@ def _check_chain(op: str, draw, rng, cfg, cmp):
     modes = sorted(rng.sample(range(1, p + 1), k))
     a = _rand_operand(rng, shape, cfg.scalar_kind)
     bs = [draw(rng, cfg, shape[m - 1]) for m in modes]
-    values, cur = read_flat(a), shape
+    values, cur = a, shape
     for m, b in sorted(zip(modes, bs), reverse=True, key=lambda x: x[0]):
-        values, cur = _times(values, cur, read_flat(b), b.shape, m)
+        values, cur = _times(values, cur, b, b.shape, m)
     ctx = {"op": op, "modes": modes, "a": a, "b": bs}
     return cmp.run(ctx, values, getattr(ct, op), (a, bs, modes), cur or (1,))
 
@@ -823,6 +877,9 @@ FAMILIES: List[Tuple[str, Callable]] = [
 def run_verification(cfg: RunConfig) -> VerifyReport:
     """Run every family for ``cfg.trials`` trials; see module docstring."""
     import random
+
+    if not isinstance(cfg, RunConfig):
+        raise TypeError(f"run_verification needs a RunConfig, got {type(cfg).__name__}")
 
     report = VerifyReport(config=cfg)
     cmp = _Comparator(cfg.scalar_kind)

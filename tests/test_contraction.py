@@ -1032,6 +1032,16 @@ class TestAllocationDiscipline:
         counter[0] = 0
         transpose(a, (2, 3, 1))
         assert counter[0] == 1
+        # A chain over every mode: each step but the last writes a bare
+        # buffer, so the whole chain builds its one output tensor.
+        vectors = [rand_operand(rng, (n,)) for n in a.shape]
+        matrices = [rand_operand(rng, (k, n)) for k, n in zip((2, 5, 3), a.shape)]
+        counter[0] = 0
+        times_vectors(a, vectors, modes=(1, 2, 3))
+        assert counter[0] == 1
+        counter[0] = 0
+        times_matrices(a, matrices, modes=(1, 2, 3))
+        assert counter[0] == 1
 
     def test_gathered_loop_holds_one_streamed_fiber_at_a_time(self):
         # Both calls run the gathered loop (several packed fibers) on rows

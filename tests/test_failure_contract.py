@@ -9,7 +9,9 @@ outside 1..``sys.maxsize`` raises a ``ValueError`` naming it, and no
 Each row is one operand parameter, crossed with the same five
 non-operands.  The names that take no operand are listed with a reason,
 and the completeness test holds every public callable to one of the two
-lists, so the table grows with the API."""
+lists, so the table grows with the API.  Further rows hold the
+non-operand parameters that take one type only, and the orders of
+``reduce_ttv_to_ttt`` and ``reduce_ttm_to_ttt``, to the same rules."""
 
 import sys
 from operator import add
@@ -17,6 +19,7 @@ from operator import add
 import pytest
 
 import tensorlib
+from tensorlib import contraction, matlab_io
 from tensorlib import (
     ContractionSpec,
     DenseTensor,
@@ -42,6 +45,7 @@ from tensorlib import (
     generate,
     hopm,
     inner_product_flat,
+    inverse_memory_index,
     inner_product_tensors,
     iota,
     last_order_layout,
@@ -49,7 +53,10 @@ from tensorlib import (
     outer_product,
     quantify,
     rank_one_compose,
+    reduce_ttm_to_ttt,
+    reduce_ttv_to_ttt,
     residual,
+    run_verification,
     tensors_equal,
     times_matrices,
     times_vectors,
@@ -60,6 +67,7 @@ from tensorlib import (
     ttt,
     ttv,
     walk_positions,
+    write_script,
 )
 
 NON_OPERANDS = [2.0, None, "t", [1.0, 2.0], object()]
@@ -181,6 +189,15 @@ BAD_ORDERS = [
     ((1,), r"order must be integers, got \(\(1,\),\)$"),
 ]
 
+# Non-operand parameters that take one type only, crossed with the same
+# non-operands: each raises a TypeError naming the type it takes.
+TYPED_ROWS = [
+    ("inverse_memory_index", "meta", lambda x: inverse_memory_index(x, 0),
+     "inverse_memory_index needs a TensorMeta, got "),
+    ("run_verification", "config", lambda x: run_verification(x),
+     "run_verification needs a RunConfig, got "),
+]
+
 NO_OPERAND = {
     "CompareResult": "a result record",
     "ContractionSpec": "mode tuples only",
@@ -244,6 +261,41 @@ def test_hopm_u0_without_a_length_raises_a_type_error_naming_it(bad):
 def test_a_bad_order_raises_a_value_error_naming_it(row, bad, message):
     with pytest.raises(ValueError, match=message):
         row[1](bad)
+
+
+@pytest.mark.parametrize("bad", NON_OPERANDS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("row", TYPED_ROWS, ids=row_id)
+def test_a_single_type_parameter_raises_a_type_error_naming_it(row, bad):
+    with pytest.raises(TypeError, match=row[3] + type(bad).__name__ + "$"):
+        row[2](bad)
+
+
+def refuse(what):
+    def refused(*args, **kwargs):
+        raise AssertionError(f"{what} before the argument was checked")
+    return refused
+
+
+# The orders of the reductions take the layout builders' rule.  ``tuple``
+# is patched out of the contraction module, so that an order checked too
+# late fails here instead of building a tuple of 10**30 entries.
+@pytest.mark.parametrize("bad, message", BAD_ORDERS, ids=[repr(b)[:8] for b, _ in BAD_ORDERS])
+@pytest.mark.parametrize("reduce", [reduce_ttv_to_ttt, reduce_ttm_to_ttt],
+                         ids=lambda f: f.__name__)
+def test_a_reduction_checks_its_order_before_building_anything(monkeypatch, reduce, bad,
+                                                               message):
+    monkeypatch.setattr(contraction, "tuple", refuse("a tuple was built"), raising=False)
+    with pytest.raises(ValueError, match=message):
+        reduce(bad, 1)
+
+
+# An int path would be a file descriptor: ``open`` is patched out, so that
+# a missing check touches no descriptor (True is standard output).
+@pytest.mark.parametrize("path", [True, False, 1, 0, 10**6], ids=repr)
+def test_write_script_refuses_a_descriptor_path(monkeypatch, path):
+    monkeypatch.setattr(matlab_io, "open", refuse("a file was opened"), raising=False)
+    with pytest.raises(TypeError, match=f"^path must name a file, got {type(path).__name__}$"):
+        write_script(MatlabScript(), path)
 
 
 def test_classify_view_of_a_tensor_names_tensor_view():

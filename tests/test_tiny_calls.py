@@ -1,7 +1,8 @@
 """Smoke test of ``tools/tiny_calls.py``: one repetition of one call each,
 against this same checkout, so every case and the second-checkout loader
-run, and a check that ``--only`` times just the calls it matches and
-refuses a pattern that matches none.  Nothing is timed against a limit."""
+run, a check that ``--only`` times just the calls it matches and
+refuses a pattern that matches none, and a check that ``--reverse`` swaps
+the two columns.  Nothing is timed against a limit."""
 
 import subprocess
 import sys
@@ -44,3 +45,16 @@ def test_only_times_the_matching_calls():
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 2 and proc.stdout == ""
     assert "--only 'no such call' matches no case" in proc.stderr
+
+
+def test_reverse_swaps_the_columns():
+    cmd = [sys.executable, str(ROOT / "tools" / "tiny_calls.py"),
+           "--reps", "1", "--number", "1", "--only", "^ttv$"]
+    proc = subprocess.run(cmd + ["--against", str(ROOT), "--reverse"],
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    header, row = proc.stdout.splitlines()
+    assert header.split() == ["call", "against_us", "this_us", "ratio"]
+    assert row.split()[0] == "ttv" and all(float(x) > 0 for x in row.split()[1:])
+    proc = subprocess.run(cmd + ["--reverse"], capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 2 and "--reverse needs --against" in proc.stderr

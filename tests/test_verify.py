@@ -398,6 +398,41 @@ class TestOneCallSite:
             assert bad == [("copy", 0)]
 
 
+class TestPhaseClock:
+    """While a ``timings`` dict is set, ``_Comparator.run`` adds its
+    kernel's seconds and the rest of its own to it, and judges as without
+    the clock: the same verdicts and counterexamples, with ``where`` still
+    naming the kernel's own line."""
+
+    @staticmethod
+    def verdicts(name, kind, timings=None):
+        cfg = RunConfig(seed=42, scalar_kind=kind)
+        rng = random.Random(f"42:{name}:{kind}")
+        cmp = verify._Comparator(kind)
+        cmp.timings = timings
+        check = dict(FAMILIES)[name]
+        return [check(rng, cfg, cmp) for _ in range(5)]
+
+    @pytest.mark.parametrize("name", ["copy", "quantify", "ttm", "times_vectors"])
+    def test_same_verdicts_and_every_phase_timed(self, name):
+        timings = {}
+        for kind in ("int64", "float64"):
+            assert self.verdicts(name, kind, timings) == self.verdicts(name, kind)
+        assert set(timings) == {"kernel", "judge"}
+        assert timings["kernel"] > 0 and timings["judge"] > 0
+
+    def test_a_raising_kernel_fails_as_without_the_clock(self, monkeypatch):
+        def broken(a, b, mode):
+            raise RuntimeError("ttv broke")
+
+        monkeypatch.setattr(contraction, "ttv", broken)
+        timings = {}
+        clocked, plain = self.verdicts("ttv", "int64", timings), self.verdicts("ttv", "int64")
+        assert clocked == plain and all(bad["error"] == "RuntimeError: ttv broke" for bad in plain)
+        assert plain[0]["where"].startswith("test_verify.py:")
+        assert timings["kernel"] > 0 and verify._Comparator.timings is None
+
+
 class TestIntDraws:
     """int64 tensor elements come from ``_randints``, which must match
     ``randint`` value for value and word for word, or every int64 replay

@@ -3,8 +3,8 @@ and the A/B harness both in-process timers share.
 
 Usage, from anywhere::
 
-    python3 tools/tiny_calls.py [--against DIR] [--reps R] [--number N]
-                                [--only REGEX]
+    python3 tools/tiny_calls.py [--against DIR [--reverse]] [--reps R]
+                                [--number N] [--only REGEX]
 
 Times the calls the randomized oracle makes most, each on (3, 4, 2)
 operands: constructing a ``DenseTensor``, deriving last-order strides
@@ -44,7 +44,11 @@ times each call on both libraries in turn, so a drift in host speed
 touches both columns alike.  The report then adds the ratio
 ``this / against`` per call: the median, over repetitions, of the ratio
 of the two back-to-back timings, which a burst of host speed on one side
-moves less than it moves either minimum.
+moves less than it moves either minimum.  The side loaded and timed
+first reads some calls slower (``Range`` by 2-5%), so ``--reverse`` loads
+and times the ``--against`` checkout first: its column comes first, and
+the ratio stays ``this / against``, so that a row near 1 can be read
+beside a reversed run of it.
 
 :func:`load`, :func:`measure` and :func:`report` are that policy, and
 ``tools/bulk_cases.py`` times the benchmark's ``bulk`` cases through them.
@@ -197,13 +201,17 @@ def ratio(runs: List[list]) -> float:
     return statistics.median(map(truediv, *runs))
 
 
-def report(samples: Dict[str, List[list]], title: str, unit: str) -> str:
-    """One row per case: each side's minimum, in ``unit`` per call, and
-    with two sides their :func:`ratio`."""
+def report(samples: Dict[str, List[list]], title: str, unit: str,
+           sides=("this", "against")) -> str:
+    """One row per case: each side's minimum, in ``unit`` per call, the
+    sides named by ``sides`` in timing order, and with two sides the
+    :func:`ratio` of this side's to the other's."""
     width = max(map(len, (title, *samples))) + 2
-    rows = {name: [min(t) for t in runs] + ([ratio(runs)] if len(runs) == 2 else [])
+    order = [sides.index("this"), 1 - sides.index("this")]
+    rows = {name: [min(t) for t in runs] + ([ratio([runs[k] for k in order])] if len(runs) == 2 else [])
             for name, runs in samples.items()}
-    heads = ("this_" + unit, "against_" + unit, "ratio")[: len(next(iter(rows.values())))]
+    heads = [f"{side}_{unit}" for side in sides] + ["ratio"]
+    heads = heads[: len(next(iter(rows.values())))]
     lines = [title.ljust(width) + "".join(h.rjust(12) for h in heads)]
     lines += [name.ljust(width) + "".join(f"{x:12.3f}" for x in row) for name, row in rows.items()]
     return "\n".join(lines)
@@ -212,6 +220,8 @@ def report(samples: Dict[str, List[list]], title: str, unit: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--against", type=Path, help="checkout to compare with")
+    parser.add_argument("--reverse", action="store_true",
+                        help="load and time the --against checkout first")
     parser.add_argument("--reps", type=int, default=60)
     parser.add_argument("--number", type=int, default=100)
     parser.add_argument("--only", default="", metavar="REGEX",
@@ -223,10 +233,14 @@ def main(argv=None) -> int:
         only = re.compile(args.only)
     except re.error as e:
         parser.error(f"--only {args.only!r}: {e}")
-    libs = [load(HERE, "tensorlib")]
+    if args.reverse and args.against is None:
+        parser.error("--reverse needs --against")
+    sides = [("this", HERE, "tensorlib")]
     if args.against is not None:
-        libs.append(load(args.against.resolve(), "tensorlib_against"))
-    suites = [cases(tl) for tl in libs]
+        sides.append(("against", args.against.resolve(), "tensorlib_against"))
+    if args.reverse:
+        sides.reverse()
+    suites = [cases(load(checkout, name)) for _, checkout, name in sides]
     names = [name for name in suites[0] if only.search(name)]
     if not names:
         parser.error(f"--only {args.only!r} matches no case")
@@ -239,7 +253,8 @@ def main(argv=None) -> int:
             fn()
         return (clock() - t0) / args.number * 1e6
 
-    print(report(measure(names, len(suites), args.reps, sample), "call", "us"))
+    samples = measure(names, len(suites), args.reps, sample)
+    print(report(samples, "call", "us", [side for side, _, _ in sides]))
     return 0
 
 
