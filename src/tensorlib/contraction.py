@@ -10,16 +10,20 @@ fiber planner, which writes it.  ``times_vectors`` and ``times_matrices``
 check every operand, then chain ttv or ttm steps: each step but the last
 writes a fresh buffer of zeros that the next step reads as a cursor, so a
 chain builds one tensor, its output.  Per step the engine sets up no more
-than the operands' free extents and which side is packed, a cursor over
-the streamed side's free dimensions, the packed side's free positions, one
-plan of the streamed and output loops, the bound fibers (planned only for
-several pairs or a negative stride) and the packed fibers.  The operand
-with fewer free positions is packed, the other streamed; every product is
-streamed element times packed element.  The engine has three output
-loops.  With no bound pair (``outer_product``, ttt with q = 0) the
-streamed elements are read once, in output order, and each packed element
-``x`` stores ``[v * x for v in streamed]`` into one run of the output.
-Otherwise each output element is one fiber dot product,
+than the operands' free extents and which side is packed, the packed
+side's free positions and their outputs, one plan of the streamed and
+output loops, the bound fibers and the packed fibers.  The loop plan
+takes the loops as (stride, extent, stride) triples, through
+:func:`~tensorlib.iterators._pair_plan`, so no cursor is built for it.
+One bound pair of positive strides is one fiber and needs no plan; only
+several pairs, or a stride below 1, take cursors and the fiber planner.
+The operand with fewer free positions is packed, the other streamed;
+every product is streamed element times packed element.  The engine has
+three output loops.  With no bound pair (``outer_product``, ttt with
+q = 0) the streamed elements are read once, in output order, at their
+positions, and each packed element ``x`` stores
+``[v * x for v in streamed]`` into one run of the output.  Otherwise
+each output element is one fiber dot product,
 ``sum(map(mul, streamed_fiber, packed_fiber))``; the streamed free loops
 are planned jointly with the output's, smallest streamed stride
 innermost, so consecutive outputs read adjacent fibers (the order never
@@ -94,8 +98,8 @@ from math import hypot, prod
 from operator import lt, mul
 from typing import Iterable, Sequence, Tuple
 
-from .elementwise import _in_order, _mit, _values, inner_product_flat
-from .iterators import _TILE, MultiIterator, _plan, _positions, _tiled, _tiles
+from .elementwise import _in_order, _mit, inner_product_flat
+from .iterators import _TILE, MultiIterator, _pair_plan, _plan, _positions, _tiled, _tiles
 from .layout import _as_indices, _holdable, _index, _listed, _permutation
 from .tensor import DenseTensor, _materialize
 
@@ -202,35 +206,33 @@ def _contract(ia, ib, a_free, a_bound, b_free, b_bound, data: list, strides) -> 
     """
     r = len(a_free)
     a_ext, b_ext = [ia.extents[d] for d in a_free], [ib.extents[d] for d in b_free]
-    sides = [
-        (ia, a_free, a_bound, a_ext, strides[:r]),
-        (ib, b_free, b_bound, b_ext, strides[r : r + len(b_ext)]),
-    ]
     # The side with fewer free positions is packed (k), the other streamed;
     # products commute, so streaming B multiplies b * a with the same bits.
-    if prod(b_ext) > prod(a_ext):
-        sides.reverse()
-    (s, s_free, s_bound, s_ext, s_out), (k, k_free, k_bound, k_ext, k_out) = sides
-    sc = MultiIterator(s.data, s.pos, [s.strides[d] for d in s_free], s_ext)
+    s, s_free, s_bound, s_ext, s_out, k, k_free, k_bound, k_ext, k_out = (
+        (ib, b_free, b_bound, b_ext, strides[r:], ia, a_free, a_bound, a_ext, strides[:r])
+        if prod(b_ext) > prod(a_ext)
+        else (ia, a_free, a_bound, a_ext, strides[:r], ib, b_free, b_bound, b_ext, strides[r:])
+    )
     if k_free:
         k_pos = _positions(k.pos, [k.strides[d] for d in k_free], k_ext)
         k_outs = _positions(0, k_out, k_ext)
     else:
         # One packed fiber: its outputs are each output fiber, in order.
         k_pos, k_outs = (k.pos,), (0,)
-    sdata = s.data
+    sdata, sw = s.data, [s.strides[d] for d in s_free]
     if not s_bound:
         # No bound pair: each output is the product itself, not 0 + a * b
         # (which turns -0.0 into 0.0).  A q = 0 output keeps A's then B's
         # dimensions in order, so the streamed side's outputs are one run.
-        sf, w = list(_values(_plan((sc,)), 0, sc)), s_out[0]
+        sf, w = list(map(sdata.__getitem__, _positions(s.pos, sw, s_ext))), s_out[0]
         for x, oc in zip(map(k.data.__getitem__, k_pos), k_outs):
             data[oc : oc + len(sf) * w : w] = [v * x for v in sf]
         return
-    # The reorder keys on the cursor that is read, the streamed one:
-    # consecutive outputs then read adjacent bound fibers.
-    plan = _plan((sc, MultiIterator(data, 0, s_out, s_ext)), reorder=True)
-    n, (ws, wc), starts = plan.length, plan.strides, zip(*plan.starts)
+    # The streamed free loops are planned jointly with the output's,
+    # smallest streamed stride innermost: consecutive outputs then read
+    # adjacent bound fibers.
+    n, (ws, wc), starts = _pair_plan(sorted(zip(sw, s_ext, s_out)), s.pos, 0)
+    starts = zip(*starts)
     length, steps, offsets = _bound_fibers(s, s_bound, k, k_bound)
     packed, step = list(_gather(k.data, k_pos, length, steps[1], offsets[1])), steps[0]
     # Streamed fibers that are one slice each but far-strided are read in

@@ -13,12 +13,14 @@ container path and contraction: it flattens the loop nest of N cursors of
 equal extents into innermost fibers (a start position per cursor, a stride
 per cursor and a shared length), merging dimensions wherever every cursor
 is contiguous across them, so a kernel can work on whole fibers with slice
-operations.  It only plans.  :func:`check_reach` is the one reach rule
-and ``_check_raw`` the one raw-cursor rule (integer fields, extents >= 0,
-a buffer with a length, then reach): the kernels apply it where a raw
-cursor enters (a tensor or view takes a constant-time reach test), and
-:func:`plan_fibers` to each.  ``_tiles`` reads fibers whose elements
-lie far apart a tile at a time, where ``_tiled`` says it should.
+operations.  It only plans.  ``_pair_plan`` gives the same fibers for
+two cursors that the contraction engine holds as loops, not as cursors.
+:func:`check_reach` is the one reach rule and ``_check_raw`` the one
+raw-cursor rule (integer fields, extents >= 0, a buffer with a length,
+then reach): the kernels apply it where a raw cursor enters (a tensor or
+view takes a constant-time reach test), and :func:`plan_fibers` to each.
+``_tiles`` reads fibers whose elements lie far apart a tile at a time,
+where ``_tiled`` says it should.
 
 Both iterator types are cheap value objects over a shared buffer;
 dereferencing follows the owning container's single-writer contract.
@@ -293,6 +295,29 @@ def _plan(cursors: Sequence[MultiIterator], reorder: bool = False) -> FiberPlan:
     return FiberPlan(length, steps, tuple(starts))
 
 
+def _pair_plan(loops, p0: int, p1: int) -> Tuple[int, Tuple[int, int], Tuple[list, list]]:
+    """:func:`_plan`'s ``(length, strides, starts)`` of two cursors at
+    positions ``p0`` and ``p1`` whose loops are ``loops``, ``(stride,
+    extent, stride)`` per dimension, innermost first, with no cursor built.
+
+    Loops of extent 1 drop out.  The first loop is the fiber, and the loops
+    after it that both strides continue merge into it; each loop after
+    those repeats the fiber starts inside it (as merged loops, they would
+    repeat them in the same order).  With a stride below 1 in the fiber,
+    every loop repeats and the fibers are single elements."""
+    loops = [loop for loop in loops if loop[1] != 1] or [(1, 1, 1)]
+    (w, length, v), *outer = loops
+    while outer and outer[0][0] == w * length and outer[0][2] == v * length:
+        length *= outer.pop(0)[1]
+    if w <= 0 or v <= 0:
+        outer, w, length, v = [(w, length, v), *outer], 1, 1, 1
+    p0, p1 = [p0], [p1]
+    for ws, n, vs in outer:
+        p0 = [p + i * ws for i in range(n) for p in p0]
+        p1 = [p + i * vs for i in range(n) for p in p1]
+    return length, (w, v), (p0, p1)
+
+
 # Fibers whose elements lie this many slots apart (32 KiB of list pointers)
 # are read in tiles of at most this many elements.
 _TILE = 4096
@@ -318,12 +343,15 @@ def _tiles(data: list, pos: int, n: int, w: int, length: int, step: int) -> Iter
 
 def _positions(pos: int, strides, extents) -> Sequence[int]:
     """Positions of all multi-indices over ``extents`` (one or more) from
-    ``pos``, dimension 1 fastest: a ``range`` for one dimension of nonzero
-    stride."""
+    ``pos``, dimension 1 fastest: a ``range`` as long as each dimension of
+    nonzero stride runs on from the ones before it."""
     n, w = extents[0], strides[0]
     positions = range(pos, pos + n * w, w) if w else [pos] * n
     for n, w in zip(extents[1:], strides[1:]):
-        positions = [p + i * w for i in range(n) for p in positions]
+        if type(positions) is range and w == len(positions) * positions.step:
+            positions = range(pos, pos + n * w, positions.step)
+        else:
+            positions = [p + i * w for i in range(n) for p in positions]
     return positions
 
 

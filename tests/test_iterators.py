@@ -23,7 +23,15 @@ from tensorlib import (
     walk_positions,
     zero_indices,
 )
-from tensorlib.iterators import _plan, fill_range, inner_product_range, plan_fibers
+from tensorlib.iterators import (
+    FiberPlan,
+    _pair_plan,
+    _plan,
+    _positions,
+    fill_range,
+    inner_product_range,
+    plan_fibers,
+)
 
 from conftest import all_layouts, rand_dense
 
@@ -543,6 +551,34 @@ class TestPlanner:
             got = [flat(free, k) for k in range(len(cursors))]
             assert list(map(len, got)) == list(map(len, want))
             assert sorted(zip(*got)) == sorted(zip(*want))
+
+    def test_pair_plan_is_the_plan_of_two_cursors(self):
+        # The engine's free loops and output: the same fibers as _plan of
+        # two cursors with those loops, in order, and sorted by the first
+        # cursor's stride (the engine's reorder) the same pairs.
+        rng = random.Random(14)
+        for _ in range(3000):
+            c0, c1 = (random_cursors(rng) * 2)[:2]
+            loops = list(zip(c0.strides, c0.extents, c1.strides))
+            want = [brute_positions(c0), brute_positions(c1)]
+            for order in (loops, sorted(loops)):
+                plan = FiberPlan(*_pair_plan(order, c0.pos, c1.pos))
+                got = [flat(plan, k) for k in range(2)]
+                assert sorted(zip(*got)) == sorted(zip(*want))
+            if 0 not in c0.extents:
+                assert _pair_plan(loops, c0.pos, c1.pos) == tuple(_plan((c0, c1)))
+
+    def test_positions_match_brute_force(self):
+        # A range while the dimensions run on from each other, else a list.
+        rng = random.Random(15)
+        for _ in range(3000):
+            c = random_cursors(rng)[0]
+            if not c.extents:
+                continue
+            assert list(_positions(c.pos, c.strides, c.extents)) == brute_positions(c)
+        assert _positions(5, (1, 4, 12), (4, 3, 2)) == range(5, 29)
+        assert _positions(5, (2, 8, 24), (4, 3, 2)) == range(5, 53, 2)
+        assert _positions(0, (1, 5), (4, 2)) == [0, 1, 2, 3, 5, 6, 7, 8]
 
     def test_zero_dimension_cursors_match_brute_force(self):
         # No dimensions: one fiber of one element at each cursor's position,

@@ -590,6 +590,37 @@ class TestOracleReads:
             assert bad["expected"] == repr(box[last] + 1)
             assert bad["got"] == repr(box[last])
 
+    @pytest.mark.parametrize("layout", [(1, 2, 3), (2, 3, 1)])
+    def test_contract_reads_in_place_without_the_engines_planners(self, monkeypatch, layout):
+        # contract takes tensors and views as they are and reads them at
+        # its own positions: neither planner, nor the engine's positions.
+        t, v, w = self.operands(layout)
+        matrix_layout = (1, 2) if layout == (1, 2, 3) else (2, 1)
+        parent = DenseTensor.from_memory((6, 5), range(30), layout=matrix_layout)
+        m = TensorView(parent, (Range(0, 2, 4), Range(1, 4)))  # a (3, 4) matrix
+        operands = (t, v, w, m)
+        lists = [(verify.read_flat(x), x.shape) for x in operands]
+
+        def calls(t, v, w, m):
+            return [
+                verify.contract((3, 1, 2), (), (*t, (1, 2, 3))),
+                verify.contract(range(4, 10), (), (*v, (4, 5, 6)), (*w, (7, 8, 9))),
+                verify._times(t[0], t[1], m[0], m[1], 2),
+            ]
+
+        want = calls(*lists)
+
+        def banned(*args, **kwargs):
+            raise AssertionError("the oracle used the engine's addressing")
+
+        self.ban_engine(monkeypatch, banned)
+        for name in ("_pair_plan", "_positions"):
+            monkeypatch.setattr(iterators, name, banned)
+            monkeypatch.setattr(contraction, name, banned)
+        monkeypatch.setattr(tensor._Strided, "_key_to_memory", banned)
+        monkeypatch.setattr(views, "_frame", banned)
+        assert calls(*[(x, x.shape) for x in operands]) == want
+
     @pytest.mark.parametrize("layout", [(1, 2, 3), (3, 2, 1), (2, 3, 1)])
     def test_counterexample_operands_bypass_planner_and_materialize(
         self, monkeypatch, layout
