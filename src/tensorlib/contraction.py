@@ -435,7 +435,7 @@ def outer_product(a, b) -> DenseTensor:
 
 def _product(ia, ib, a_free, a_bound, b_free, b_bound) -> DenseTensor:
     """``_contract`` into a fresh tensor."""
-    out = DenseTensor([ia.extents[d] for d in a_free] + [ib.extents[d] for d in b_free] or (1,))
+    out = _tensor([ia.extents[d] for d in a_free] + [ib.extents[d] for d in b_free])
     _contract(ia, ib, a_free, a_bound, b_free, b_bound, out.data, out.meta.strides)
     return out
 
