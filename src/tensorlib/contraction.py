@@ -12,11 +12,11 @@ writes a fresh buffer of zeros that the next step reads as a cursor, so a
 chain builds one tensor, its output.  Per step the engine sets up no more
 than the operands' free extents and which side is packed, the packed
 side's free positions and their outputs, one plan of the streamed and
-output loops, the bound fibers and the packed fibers.  The loop plan
-takes the loops as (stride, extent, stride) triples, through
-:func:`~tensorlib.iterators._pair_plan`, so no cursor is built for it.
-One bound pair of positive strides is one fiber and needs no plan; only
-several pairs, or a stride below 1, take cursors and the fiber planner.
+output loops, the bound fibers and the packed fibers.  Both plans take
+their loops as (stride, extent, stride) triples, through
+:func:`~tensorlib.iterators._pair_plan`, so no cursor is built for them.
+One bound pair of positive strides is one fiber and needs no plan;
+several pairs, or a stride below 1, are planned from positions 0 and 0.
 The operand with fewer free positions is packed, the other streamed;
 every product is streamed element times packed element.  The engine has
 three output loops.  With no bound pair (``outer_product``, ttt with
@@ -99,7 +99,7 @@ from operator import lt, mul
 from typing import Iterable, Sequence, Tuple
 
 from .elementwise import _in_order, _mit, inner_product_flat
-from .iterators import _TILE, MultiIterator, _pair_plan, _plan, _positions, _tiled, _tiles
+from .iterators import _TILE, MultiIterator, _pair_plan, _positions, _tiled, _tiles
 from .layout import _as_indices, _holdable, _index, _listed, _permutation
 from .tensor import DenseTensor, _materialize
 
@@ -151,14 +151,10 @@ def transpose(a, tau: Sequence[int]) -> DenseTensor:
 # -- the contraction engine ------------------------------------------------------
 
 
-def _sub(it: MultiIterator, dims, pos=None) -> MultiIterator:
-    """Cursor over ``it``'s dimensions ``dims`` (zero-based), in that order,
-    from ``it``'s position or from ``pos``."""
+def _sub(it: MultiIterator, dims) -> MultiIterator:
+    """Cursor over ``it``'s dimensions ``dims`` (zero-based), in that order."""
     return MultiIterator(
-        it.data,
-        it.pos if pos is None else pos,
-        [it.strides[d] for d in dims],
-        [it.extents[d] for d in dims],
+        it.data, it.pos, [it.strides[d] for d in dims], [it.extents[d] for d in dims]
     )
 
 
@@ -175,7 +171,8 @@ def _bound_fibers(s: MultiIterator, s_bound, k: MultiIterator, k_bound):
         # One pair with positive strides is a single fiber: no plan needed.
         return s.extents[s_bound[0]], (ws, wk), ([0], [0])
     # From position 0 in iteration order: the last pair (dimension 1) fastest.
-    return _plan((_sub(s, s_bound[::-1], 0), _sub(k, k_bound[::-1], 0)))
+    pairs = zip(s_bound[::-1], k_bound[::-1])
+    return _pair_plan([(s.strides[d], s.extents[d], k.strides[e]) for d, e in pairs], 0, 0)
 
 
 def _gather(data: list, positions: Iterable[int], length: int, step: int, offsets):

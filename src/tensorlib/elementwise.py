@@ -63,7 +63,7 @@ from operator import add, eq, itemgetter, mul, ne
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Tuple
 
 from .iterators import (
-    _TILE, FiberPlan, MultiIterator, _check_raw, _outside, _plan, _tiled, _tiles,
+    _TILE, FiberPlan, MultiIterator, _check_raw, _outside, _pair_plan, _plan, _tiled, _tiles,
 )
 from .layout import TensorMeta
 
@@ -216,7 +216,8 @@ def _runs(plan: FiberPlan, cursors):
     in the first such cursor): then ``(plan, n, gaps)``, the cursors'
     plan with ``d`` looped right outside the fibers, whose fibers so come
     in runs of ``n``, ``gaps[k]`` apart in cursor ``k``."""
-    extents = cursors[0].extents
+    a, b = cursors
+    extents = a.extents
     for c, step in zip(cursors, plan.strides):
         if step < _TILE:
             continue
@@ -228,9 +229,9 @@ def _runs(plan: FiberPlan, cursors):
         if near:
             d = min(near)[1]
             order = (f, d, *(r for r in range(len(extents)) if r not in (f, d)))
-            subs = [MultiIterator(x.data, x.pos, [x.strides[r] for r in order],
-                                  [extents[r] for r in order]) for x in cursors]
-            return _plan(subs), extents[d], tuple(x.strides[d] for x in cursors)
+            loops = [(a.strides[r], extents[r], b.strides[r]) for r in order]
+            plan = FiberPlan(*_pair_plan(loops, a.pos, b.pos))
+            return plan, extents[d], (a.strides[d], b.strides[d])
     return None
 
 

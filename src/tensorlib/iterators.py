@@ -14,7 +14,8 @@ equal extents into innermost fibers (a start position per cursor, a stride
 per cursor and a shared length), merging dimensions wherever every cursor
 is contiguous across them, so a kernel can work on whole fibers with slice
 operations.  It only plans.  ``_pair_plan`` gives the same fibers for
-two cursors that the contraction engine holds as loops, not as cursors.
+two cursors held as loops, not as cursors: the contraction engine's free
+loops and bound pairs, and the runs of equality's far-strided fibers.
 :func:`check_reach` is the one reach rule and ``_check_raw`` the one
 raw-cursor rule (integer fields, extents >= 0, a buffer with a length,
 then reach): the kernels apply it where a raw cursor enters (a tensor or

@@ -587,11 +587,13 @@ class TestReach:
         v = rand_dense(rng, (3,), kind="float64")
         mat = rand_dense(rng, (4, 2), kind="float64")
         b = rand_dense(rng, (3, 2), kind="float64")
-        spec = ContractionSpec(1, (2, 1), (1, 2))
         assert ttv(a, v, 2).data == ttv(dense, v, 2).data
         assert ttm(a, mat, 1).data == ttm(dense, mat, 1).data
-        assert ttt(a, b, spec).data == ttt(dense, b, spec).data
-        assert ttt(b, a, spec).data == ttt(b, dense, spec).data
+        # One bound pair, then both of a's dimensions against b's (two
+        # pairs at strides -1 and -2: one-element bound fibers).
+        for spec in (ContractionSpec(1, (2, 1), (1, 2)), ContractionSpec(2, (1, 2), (2, 1))):
+            assert ttt(a, b, spec).data == ttt(dense, b, spec).data
+            assert ttt(b, a, spec).data == ttt(b, dense, spec).data
         assert outer_product(a, v).data == outer_product(dense, v).data
 
 
