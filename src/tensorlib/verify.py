@@ -13,9 +13,7 @@ unequal index.  A family that writes through a view also requires every
 element of the root tensor outside the view to be unchanged.  Every
 library call goes through :meth:`_Comparator.run`, which calls the kernel
 and judges it; a kernel that raises fails its trial with ``error`` and
-``where``, and the run goes on.  While its private ``timings`` dict is
-set, ``run`` also clocks the kernel and the judging, for
-``tools/verify_phases.py``.  Trials randomize order, extents, layout
+``where``, and the run goes on.  Trials randomize order, extents, layout
 (uniform over all permutations), offsets (in [-2, 2]), element kind, and
 whether each operand is a tensor or a strided view.
 
@@ -74,7 +72,6 @@ from dataclasses import asdict, dataclass, field
 from functools import cache, partial, reduce
 from math import hypot, prod
 from operator import add, mul, ne
-from time import perf_counter
 from typing import Callable, List, Optional, Tuple
 
 from . import contraction as ct
@@ -493,10 +490,6 @@ class _Comparator:
     Stateless, so one instance serves every trial; a context's operands
     are serialized, by the oracle's own reads, only on a failure."""
 
-    # The phase clock: while a dict is set here, each run adds its kernel's
-    # seconds under "kernel" and the rest of its own under "judge".
-    timings = None
-
     def __init__(self, kind: str):
         self.kind = kind
 
@@ -508,8 +501,6 @@ class _Comparator:
         and message) and ``where`` (file and line of the innermost frame).
         A failing write also reports ``dst`` as it was, under ``dst_before``,
         from which expected values such as ``copy_if``'s can be rebuilt."""
-        if self.timings is not None:
-            return self._clocked(context, expected, kernel, args, shape, dst)
         before = None if dst is None else dst.data[:]  # a view's data is its root's buffer
         try:
             got = kernel(*args)
@@ -528,29 +519,6 @@ class _Comparator:
                 bad = _counterexample(context, expected=repr(expected), got=repr(got))
         if bad is not None and dst is not None:
             bad["dst_before"] = _operand_json(dst, before)
-        return bad
-
-    def _clocked(self, context: dict, expected, kernel, args, shape, dst):
-        """:meth:`run` under the phase clock: ``perf_counter`` on entry,
-        around the kernel call and after judging."""
-        timings, spans = self.timings, []
-
-        def clocked(*args):
-            start = perf_counter()
-            try:
-                return kernel(*args)
-            finally:
-                spans.append(perf_counter() - start)
-
-        entered = perf_counter()
-        self.timings = None  # the inner run judges without the clock
-        try:
-            bad = self.run(context, expected, clocked, args, shape, dst)
-        finally:
-            self.timings = timings
-        spent = perf_counter() - entered
-        timings["kernel"] = timings.get("kernel", 0.0) + sum(spans)
-        timings["judge"] = timings.get("judge", 0.0) + spent - sum(spans)
         return bad
 
     def check_list(self, expected: list, shape, got, context: dict, before=None):

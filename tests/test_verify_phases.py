@@ -1,19 +1,26 @@
 """Smoke test of ``tools/verify_phases.py``: one repetition of one trial
 per kind, against this same checkout, so every family and the
-second-checkout loader run, and a check of the clock it gives a
-``_Comparator`` that has none.  Nothing is timed against a limit."""
+second-checkout loader run, and checks of the clock it gives a
+``_Comparator``: the same verdicts and counterexamples as without it.
+Nothing is timed against a limit."""
 
+import random
 import subprocess
 import sys
 from pathlib import Path
 from types import SimpleNamespace
 
-from tensorlib.verify import FAMILIES
+import pytest
+
+from tensorlib import contraction, verify
+from tensorlib.verify import FAMILIES, RunConfig
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "tools"))
 
 import verify_phases  # noqa: E402
+
+CLOCKED = verify_phases.comparator(verify)
 
 
 def test_prints_every_family_and_phase_with_both_columns():
@@ -57,8 +64,42 @@ def test_a_comparator_without_a_clock_gets_one():
             return None if kernel(*args) == expected else "bad"
 
     clocked = verify_phases.comparator(SimpleNamespace(_Comparator=Comparator))("int64")
-    clocked.timings = dict.fromkeys(verify_phases.PHASES, 0.0)
+    clocked.seconds = dict.fromkeys(verify_phases.PHASES, 0.0)
     assert clocked.run({"op": "sum"}, 6, sum, ([1, 2, 3],)) is None
     assert clocked.run({"op": "sum"}, 7, sum, ([1, 2, 3],)) == "bad"
     assert calls == [{"op": "sum"}] * 2
-    assert clocked.timings["kernel"] > 0 and clocked.timings["judge"] > 0
+    assert clocked.seconds["kernel"] > 0 and clocked.seconds["judge"] > 0
+
+
+def verdicts(name, kind, seconds=None):
+    """Five trials of ``name``: judged by the library's ``_Comparator``, or
+    with ``seconds`` given by the tool's clocked one, which adds to it."""
+    cfg = RunConfig(seed=42, scalar_kind=kind)
+    rng = random.Random(f"42:{name}:{kind}")
+    if seconds is None:
+        cmp = verify._Comparator(kind)
+    else:
+        cmp = CLOCKED(kind)
+        cmp.seconds = seconds
+    check = dict(FAMILIES)[name]
+    return [check(rng, cfg, cmp) for _ in range(5)]
+
+
+@pytest.mark.parametrize("name", ["copy", "quantify", "ttm", "times_vectors"])
+def test_the_clock_keeps_the_verdicts_and_times_every_phase(name):
+    seconds = dict.fromkeys(verify_phases.PHASES, 0.0)
+    for kind in ("int64", "float64"):
+        assert verdicts(name, kind, seconds) == verdicts(name, kind)
+    assert seconds["kernel"] > 0 and seconds["judge"] > 0 and seconds["oracle"] == 0
+
+
+def test_a_raising_kernel_fails_as_without_the_clock(monkeypatch):
+    def broken(a, b, mode):
+        raise RuntimeError("ttv broke")
+
+    monkeypatch.setattr(contraction, "ttv", broken)
+    seconds = dict.fromkeys(verify_phases.PHASES, 0.0)
+    clocked, plain = verdicts("ttv", "int64", seconds), verdicts("ttv", "int64")
+    assert clocked == plain and all(bad["error"] == "RuntimeError: ttv broke" for bad in plain)
+    assert plain[0]["where"].startswith("test_verify_phases.py:")
+    assert seconds["kernel"] > 0 and CLOCKED.seconds is None

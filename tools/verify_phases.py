@@ -15,9 +15,8 @@ trial's time into three phases:
 * ``judge``: the rest of ``run``: copies taken before a write, and the
   comparison with the expected values.
 
-``run`` reads the clock on entry, around the kernel call and after judging
-while its ``timings`` dict is set (a checkout older than that clock gets a
-subclass of its ``_Comparator`` that reads the clock at the same points).
+Each checkout's ``_Comparator`` gets the same subclass, whose ``run``
+reads the clock on entry, around the kernel call and after judging.
 Every sample restarts each family's streams, so both sides and every
 repetition run the same trials.  ``--only`` times just the families whose
 names the regular expression matches.
@@ -46,14 +45,14 @@ KINDS = ("float64", "int64")
 
 
 def comparator(verify):
-    """``verify``'s ``_Comparator`` class with the phase clock."""
+    """``verify``'s ``_Comparator`` class with the phase clock: each run
+    adds its kernel's seconds to its instance's ``seconds`` dict under
+    "kernel", and the rest of its own under "judge"."""
     cls = verify._Comparator
-    if hasattr(cls, "timings"):
-        return cls
     judge = cls.run
 
     class Clocked(cls):
-        timings = None
+        seconds = None
 
         def run(self, context, expected, kernel, args, shape=None, dst=None):
             spans = []
@@ -68,8 +67,8 @@ def comparator(verify):
             entered = time.perf_counter()
             bad = judge(self, context, expected, clocked, args, shape, dst)
             spent = time.perf_counter() - entered
-            self.timings["kernel"] += sum(spans)
-            self.timings["judge"] += spent - sum(spans)
+            self.seconds["kernel"] += sum(spans)
+            self.seconds["judge"] += spent - sum(spans)
             return bad
 
     return Clocked
@@ -88,7 +87,7 @@ def trials(verify, seed: int, count: int):
         for cfg in configs:
             rng = random.Random(f"{seed}:{family}:{cfg.scalar_kind}")
             cmp = cls(cfg.scalar_kind)
-            cmp.timings = timings
+            cmp.seconds = timings
             check = checks[family]
             start = clock()
             for _ in range(count):
