@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import re
 from math import copysign, prod
+from os import PathLike
 from typing import List
 
 from .elementwise import _in_order
@@ -86,7 +87,10 @@ class MatlabScript:
         return line
 
     def add_command(self, text: str) -> None:
-        """Append a raw MATLAB command verbatim."""
+        """Append a raw MATLAB command verbatim; ``text`` that is no
+        ``str`` raises ``TypeError``."""
+        if not isinstance(text, str):
+            raise TypeError(f"text must be a str, got {type(text).__name__}")
         self.lines.append(text)
 
     def text(self) -> str:
@@ -98,9 +102,10 @@ class MatlabScript:
 
 def write_script(script: MatlabScript, path) -> None:
     """Write all lines, newline-terminated, ASCII-encoded, to the file
-    named ``path``; an ``int`` or ``bool``, which ``open`` would take as a
-    file descriptor to write to and close, raises ``TypeError``."""
-    if isinstance(path, int):
+    named ``path``, a ``str``, ``bytes`` or path-like object; anything
+    else raises ``TypeError``, an ``int`` or ``bool`` too, which ``open``
+    would take as a file descriptor to write to and close."""
+    if not isinstance(path, (str, bytes, PathLike)):
         raise TypeError(f"path must name a file, got {type(path).__name__}")
     try:
         with open(path, "w", encoding="ascii") as fh:

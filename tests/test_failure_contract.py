@@ -270,6 +270,26 @@ def test_a_single_type_parameter_raises_a_type_error_naming_it(row, bad):
         row[2](bad)
 
 
+# Parameters that take a string, crossed with the non-operands that are
+# none: each raises a TypeError naming the parameter.  ``open`` would
+# reject such a path without naming it, and ``text()`` a command only
+# after it was added.
+NON_STRINGS = [x for x in NON_OPERANDS if not isinstance(x, str)]
+STRING_ROWS = [
+    ("write_script", "path", lambda x: write_script(MatlabScript(), x),
+     "path must name a file, got "),
+    ("MatlabScript.add_command", "text", lambda x: MatlabScript().add_command(x),
+     "text must be a str, got "),
+]
+
+
+@pytest.mark.parametrize("bad", NON_STRINGS, ids=lambda v: type(v).__name__)
+@pytest.mark.parametrize("row", STRING_ROWS, ids=row_id)
+def test_a_string_parameter_raises_a_type_error_naming_it(row, bad):
+    with pytest.raises(TypeError, match=row[3] + type(bad).__name__ + "$"):
+        row[2](bad)
+
+
 def refuse(what):
     def refused(*args, **kwargs):
         raise AssertionError(f"{what} before the argument was checked")
